@@ -550,12 +550,13 @@ def main(argv: list[str] | None = None) -> int:
             argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
+    except NUMERICAL_ERRORS as exc:
+        # before CONFIG_ERRORS: NearPoleError is also a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -100,6 +100,10 @@ def evolve_meta(series: AmplitudeSeries, state_label: str, version: str) -> dict
         "n_sites": series.n_sites,
         "rel_tol": opts.rel_tol,
         "abs_tol": opts.abs_tol,
+        "route": "chebyshev",
+        "cheb_terms": series.cheb_terms,
+        "spectral_center": series.spectral_center,
+        "spectral_half_width": series.spectral_half_width,
         "max_boundary_prob": f"{series.max_boundary_prob:.3e}",
         "tool_version": version,
     }

@@ -11,10 +11,12 @@ State vectors are stored with ``|d>`` at index 0 followed by chain sites
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigvalsh_tridiagonal
 
 
 class InvalidParameterError(ValueError):
@@ -161,6 +163,29 @@ def hamiltonian(params: ModelParams, n_sites: int) -> TruncatedHamiltonian:
         entries.append((n, n + 1, -1.0))
         entries.append((n + 1, n, -1.0))
     return TruncatedHamiltonian(n_sites=n_sites, entries=tuple(entries))
+
+
+def spectral_bounds(params: ModelParams, n_sites: int) -> tuple[float, float]:
+    """Center b and half-width a of an interval enclosing the spectrum of
+    ``hamiltonian(params, n_sites)``.
+
+    In the basis {(|d> - g|1>)/s, (g|d> + |1>)/s, |2>, ..., |N>} with
+    s = sqrt(1 + g^2) the Hamiltonian is tridiagonal, because |d> and |1>
+    both couple only to |2>.  Sturm-sequence bisection then gives its extreme
+    eigenvalues, and the interval is widened by 1e-10 of its width to cover
+    the rounding of the rotation and of the bisection.
+    """
+    if n_sites < 3:
+        raise InvalidParameterError(f"n_sites must be >= 3, got {n_sites}")
+    g, eps_d = params.g, params.eps_d
+    s = math.hypot(1.0, g)
+    diag = np.zeros(n_sites + 1)
+    diag[0], diag[1] = eps_d / s ** 2, eps_d * (g / s) ** 2
+    off = np.full(n_sites, -1.0)
+    off[0], off[1] = eps_d * (g / s) / s, -s
+    lo = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+    hi = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n_sites, n_sites))[0]
+    return 0.5 * (hi + lo), 0.5 * (hi - lo) + 1e-10 * max(hi - lo, 1.0)
 
 
 def apply_hamiltonian(ham: TruncatedHamiltonian, state: StateVector) -> np.ndarray:

@@ -1,13 +1,24 @@
+import dataclasses
+import importlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import jv
 
-from bicchain.closedform import a_br_quadrature, bound_term
-from bicchain.evolve import (EvolveOptions, ProbabilitySeries, auto_sites,
-                             evolve, nonescape, survival)
+from bicchain.closedform import a_br_quadrature, bessel_exact_grid, bound_term
+from bicchain.evolve import (EvolveOptions, IntegratorError, ProbabilitySeries,
+                             auto_sites, bessel_table, chebyshev_order, evolve, nonescape,
+                             survival)
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
-                            bic_state, perp_state)
+                            bic_state, hamiltonian, perp_state, spectral_bounds,
+                            w_state)
+
+# few, fixed examples keep the suite fast and repeatable
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def test_auto_sites_formula():
@@ -161,3 +172,113 @@ def test_zeno_parabola():
 def test_probability_series_shape_check():
     with pytest.raises(InvalidParameterError):
         ProbabilitySeries(times=np.arange(3.0), values=np.arange(4.0))
+
+
+def test_bessel_table_matches_scipy():
+    xs = np.array([0.0, 1e-12, 1e-6, 0.01, 1.0, 100.0, 3000.0])
+    k_max = chebyshev_order(3000.0, 1e-13)
+    assert k_max > 3000
+    table = bessel_table(xs, k_max)
+    ref = jv(np.arange(k_max + 1)[None, :], xs[:, None])
+    assert np.all(np.isfinite(table))
+    assert np.max(np.abs(table - ref)) <= 1e-13
+
+
+def test_complex_state_matches_exact_propagator():
+    # a spread-out complex state that reaches the wall, against expm
+    n = 16
+    params = ModelParams(g=1.3, eps_d=-0.4)
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    amps /= np.linalg.norm(amps)
+    state = StateVector(amp_d=amps[0], amp_chain=amps[1:], n_sites=n)
+    opts = EvolveOptions(t_max=12.0, n_samples=7, n_sites=n)
+    series = evolve(params, state, opts)
+    h = hamiltonian(params, n).to_dense()
+    psis = [expm(-1j * t * h) @ amps for t in series.times]
+    assert np.allclose(series.overlap, [np.vdot(amps, psi) for psi in psis], rtol=0, atol=1e-12)
+    assert np.allclose(series.amp_d, [psi[0] for psi in psis], rtol=0, atol=1e-12)
+    assert np.allclose(series.amp_1, [psi[1] for psi in psis], rtol=0, atol=1e-12)
+    assert np.max(np.abs(series.norm - 1.0)) < 1e-13
+    boundary = max(abs(psi[-1]) ** 2 for psi in psis)
+    assert series.max_boundary_prob == pytest.approx(boundary, abs=1e-12)
+
+
+def test_norm_is_that_of_the_truncated_series():
+    # a loose tolerance leaves a visible truncation; norm must be the norm
+    # of exactly the state the kept terms represent, built here term by term
+    n, g, eps_d = 20, 0.9, 0.3
+    params = ModelParams(g=g, eps_d=eps_d)
+    opts = EvolveOptions(t_max=10.0, n_samples=6, n_sites=n, rel_tol=1e-6, abs_tol=1e-6)
+    psi0 = perp_state(g, n).to_array()
+    series = evolve(params, perp_state(g, n), opts)
+    b, a, order = series.spectral_center, series.spectral_half_width, series.cheb_terms
+    h_scaled = (hamiltonian(params, n).to_dense() - b * np.eye(n + 1)) / a
+    vs = [psi0, h_scaled @ psi0]
+    while len(vs) <= order:
+        vs.append(2 * h_scaled @ vs[-1] - vs[-2])
+    k = np.arange(order + 1)
+    for i, t in enumerate(series.times):
+        coeffs = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, a * t)
+        psi = np.exp(-1j * b * t) * (coeffs @ np.array(vs[:order + 1]))
+        assert abs(series.overlap[i] - np.vdot(psi0, psi)) < 1e-13
+        assert abs(series.norm[i] - np.linalg.norm(psi)) < 1e-13
+    assert np.max(np.abs(series.norm - 1.0)) > 1e-10
+
+
+def test_chebyshev_order_meets_tail_bound():
+    x = 250.0
+    k = chebyshev_order(x, 1e-13)
+    j = np.abs(jv(np.arange(k + 200), x))
+    assert 2 * np.sum(j[k + 1:]) < 1e-13 <= 2 * np.sum(j[k:])
+
+
+def test_series_reports_expansion():
+    params = ModelParams(g=0.9, eps_d=0.2)
+    opts = EvolveOptions(t_max=30.0, n_samples=11)
+    series = evolve(params, perp_state(0.9, opts.resolved_sites()), opts)
+    center, half_width = spectral_bounds(params, opts.resolved_sites())
+    assert (series.spectral_center, series.spectral_half_width) == (center, half_width)
+    assert series.cheb_terms == chebyshev_order(half_width * 30.0, opts.abs_tol)
+
+
+def test_refuses_unreachable_phase():
+    opts = EvolveOptions(t_max=1e7, n_sites=10)
+    with pytest.raises(InvalidParameterError, match="quadrature"):
+        evolve(ModelParams(g=0.9), perp_state(0.9, 10), opts)
+
+
+def test_non_finite_recurrence_raises(monkeypatch):
+    # the package re-exports evolve(), which shadows the module attribute
+    evolve_module = importlib.import_module("bicchain.evolve")
+    build = evolve_module.hamiltonian
+
+    def poisoned(params, n_sites):
+        ham = build(params, n_sites)
+        return dataclasses.replace(ham, entries=ham.entries + ((1, 1, math.nan),))
+
+    monkeypatch.setattr(evolve_module, "hamiltonian", poisoned)
+    opts = EvolveOptions(t_max=5.0, n_samples=11)
+    with pytest.raises(IntegratorError, match="non-finite"):
+        evolve(ModelParams(g=0.9), perp_state(0.9, opts.resolved_sites()), opts)
+
+
+@PROPERTY
+@given(g=st.floats(0.5, 1.0), t_max=st.floats(1.0, 60.0))
+def test_property_overlap_matches_bessel_representation(g, t_max):
+    opts = EvolveOptions(t_max=t_max, n_samples=41)
+    series = evolve(ModelParams(g=g), perp_state(g, opts.resolved_sites()), opts)
+    ref = bessel_exact_grid(series.times, g)
+    assert np.max(np.abs(series.overlap - ref)) <= 1e-8
+    assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
+
+
+@PROPERTY
+@given(g=st.floats(0.0, 3.0, exclude_min=True), eps_d=st.floats(-1.0, 1.0),
+       w=st.floats(-2.0, 2.0), t_max=st.floats(1.0, 60.0))
+def test_property_norm_of_represented_state(g, eps_d, w, t_max):
+    opts = EvolveOptions(t_max=t_max, n_samples=21, grid="log")
+    state = w_state(g, w, opts.resolved_sites())
+    series = evolve(ModelParams(g=g, eps_d=eps_d), state, opts)
+    assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
+

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bicchain import io
+from bicchain import io, spectrum
 from bicchain.cli import main
+from bicchain.spectrum import NearPoleError
 
 
 def run_cli(*argv):
@@ -75,6 +76,16 @@ def test_cli_spectrum_invalid_params(tmp_path):
                    "--no-meta-time") == 2
 
 
+def test_cli_near_pole_error_exits_numerical(tmp_path, monkeypatch):
+    # NearPoleError is a ValueError, but the taxonomy calls it numerical
+    def near_pole(_params):
+        raise NearPoleError(0.1 + 0j)
+
+    monkeypatch.setattr(spectrum, "spectrum_report", near_pole)
+    assert run_cli("spectrum", "--g", "0.9", "--out", str(tmp_path / "x.json"),
+                   "--no-meta-time") == 3
+
+
 # ---------------------------------------------------------------------------
 # evolve command
 
@@ -88,6 +99,18 @@ def test_cli_evolve_bic_constant(tmp_path):
     assert list(data) == ["t", "P_perp", "P_1d", "re_A", "im_A", "norm_err"]
     assert np.max(np.abs(data["P_perp"] - 1.0)) < 1e-8
     assert meta["state"] == "bic"
+
+
+def test_cli_evolve_meta_names_propagator(tmp_path):
+    out = tmp_path / "run.csv"
+    assert run_cli("evolve", "--g", "0.9", "--eps-d", "0", "--state", "perp",
+                   "--tmax", "20", "--samples", "11", "--out", str(out),
+                   "--no-meta-time") == 0
+    meta, _ = io.read_csv(out)
+    assert meta["route"] == "chebyshev"
+    assert int(meta["cheb_terms"]) > 2 * 20
+    assert float(meta["spectral_center"]) == 0.0
+    assert 1.9 < float(meta["spectral_half_width"]) <= 2.0  # no bound state at g < 1
 
 
 def test_cli_evolve_w_state(tmp_path):

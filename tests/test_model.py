@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
                             apply_hamiltonian, bic_state, hamiltonian,
-                            perp_state, w_state)
+                            perp_state, spectral_bounds, w_state)
 
 
 def test_params_validation():
@@ -122,3 +123,20 @@ def test_perp_expectation_value():
     ham = hamiltonian(ModelParams(g=g, eps_d=eps_d), n)
     val = np.vdot(st.to_array(), apply_hamiltonian(ham, st))
     assert abs(val - g * g * eps_d / (1 + g * g)) < 1e-14
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(g=strategies.floats(0.0, 3.0, exclude_min=True),
+       eps_d=strategies.floats(-1.0, 1.0), n_sites=strategies.integers(3, 80))
+def test_property_spectral_enclosure(g, eps_d, n_sites):
+    params = ModelParams(g=g, eps_d=eps_d)
+    center, half_width = spectral_bounds(params, n_sites)
+    eig = np.linalg.eigvalsh(hamiltonian(params, n_sites).to_dense())
+    assert center - half_width <= eig[0] and eig[-1] <= center + half_width
+    # tight as well as safe: a loose interval costs Chebyshev terms
+    assert half_width - 0.5 * (eig[-1] - eig[0]) < 1e-8 * max(half_width, 1.0)
+
+
+def test_spectral_bounds_rejects_short_chain():
+    with pytest.raises(InvalidParameterError):
+        spectral_bounds(ModelParams(g=0.9), 2)
