@@ -6,10 +6,15 @@ Subcommands: ``spectrum`` (discrete-spectrum JSON report), ``evolve``
 routes, CSV + JSON), ``figure`` (regenerate the data behind a named
 figure as one CSV per panel).
 
+``FIGURES`` is the one table of figures: each figure id maps to its panels,
+and a panel ``(kind, name, *args)`` is written to ``<name>.csv`` by
+``PANEL_WRITERS[kind](path, *args)``, for kind ``spectrum``, ``evolve``,
+``overlay`` (closed-form curves by tag) or ``bessel``.
+
 Exit codes: 0 success, 2 invalid configuration or request, 3 numerical
-failure.  Data rows never carry timestamps; metadata carries one only
-without ``--no-meta-time``, so repeated identical invocations with the flag
-produce byte-identical files.
+failure, arithmetic overflow included.  Data rows never carry timestamps;
+metadata carries one only without ``--no-meta-time``, so repeated identical
+invocations with the flag produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import datetime
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +36,8 @@ from .model import InvalidParameterError, ModelParams, bic_state, perp_state, w_
 from .spectrum import NearPoleError, RootFindError
 
 CONFIG_ERRORS = (InvalidParameterError, DomainError, DivergenceError, ValueError, OSError)
-NUMERICAL_ERRORS = (IntegratorError, RootFindError, QuadratureError, NearPoleError)
+NUMERICAL_ERRORS = (IntegratorError, RootFindError, QuadratureError, NearPoleError,
+                    ArithmeticError)
 
 
 def _parse_state(spec: str):
@@ -111,11 +118,30 @@ def _tag_curve(tag: ApproximationTag, params: ModelParams,
     return np.asarray(vals, dtype=float), window
 
 
-def _analytic_times(t_max: float, n_samples: int, grid: str) -> np.ndarray:
-    # closed forms with 1/t factors need t > 0; start the grid off zero
-    if grid == "log":
-        return np.geomspace(max(1e-4 * t_max, 1e-2), t_max, n_samples)
-    return np.linspace(t_max / n_samples, t_max, n_samples)
+def _grid(t_lo: float, t_hi: float, n: int, grid: str) -> np.ndarray:
+    return np.geomspace(t_lo, t_hi, n) if grid == "log" else np.linspace(t_lo, t_hi, n)
+
+
+def _parse_tags(spec: str) -> list[ApproximationTag]:
+    """Parse a comma-separated list of ApproximationTag names."""
+    try:
+        return [ApproximationTag(name) for name in spec.split(",")]
+    except ValueError as exc:
+        valid = ", ".join(t.value for t in ApproximationTag)
+        raise InvalidParameterError(f"{exc}; valid tags: {valid}") from exc
+
+
+def _write_curves(path: str | Path, params: ModelParams, tags: list[ApproximationTag],
+                  ts: np.ndarray, meta: dict, meta_time: bool) -> None:
+    """Analytic CSV of every tag's curve on ``ts``; ``meta`` gains the
+    ``tags`` and ``tool_version`` keys."""
+    rows: list[tuple[float, float, str, int]] = []
+    for tag in tags:
+        vals, window = _tag_curve(tag, params, ts)
+        rows.extend((float(t), float(v), tag.value, int(w))
+                    for t, v, w in zip(ts, vals, window))
+    meta = {**meta, "tags": ",".join(t.value for t in tags), "tool_version": __version__}
+    io.write_analytic_csv(path, rows, meta, meta_time=meta_time)
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +170,18 @@ def _cmd_evolve(args) -> int:
 def _cmd_analytic(args) -> int:
     if not args.tags:
         raise InvalidParameterError("analytic requires at least one --tags entry")
-    try:
-        tags = [ApproximationTag(name) for name in args.tags.split(",")]
-    except ValueError as exc:
-        valid = ", ".join(t.value for t in ApproximationTag)
-        raise InvalidParameterError(f"{exc}; valid tags: {valid}") from exc
+    if not (args.tmax > 0 and np.isfinite(args.tmax)):
+        raise InvalidParameterError(f"--tmax must be positive and finite, got {args.tmax}")
+    if args.samples < 2:
+        raise InvalidParameterError(f"--samples must be >= 2, got {args.samples}")
+    tags = _parse_tags(args.tags)
     params = ModelParams(g=args.g, eps_d=args.eps_d)
-    ts = _analytic_times(args.tmax, args.samples, args.grid)
-    rows: list[tuple[float, float, str, int]] = []
-    for tag in tags:
-        vals, window = _tag_curve(tag, params, ts)
-        rows.extend((float(t), float(v), tag.value, int(w))
-                    for t, v, w in zip(ts, vals, window))
+    # closed forms with 1/t factors need t > 0; start the grid off zero
+    t_lo = max(1e-4 * args.tmax, 1e-2) if args.grid == "log" else args.tmax / args.samples
+    ts = _grid(t_lo, args.tmax, args.samples, args.grid)
     meta = {"g": args.g, "eps_d": args.eps_d, "t_max": args.tmax,
-            "n_samples": args.samples, "grid": args.grid,
-            "tags": ",".join(t.value for t in tags), "tool_version": __version__}
-    io.write_analytic_csv(args.out, rows, meta, meta_time=not args.no_meta_time)
+            "n_samples": args.samples, "grid": args.grid}
+    _write_curves(args.out, params, tags, ts, meta, not args.no_meta_time)
     return 0
 
 
@@ -249,7 +271,7 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # figures
 
-def _write_fig1(outdir: Path, meta_time: bool) -> None:
+def _write_fig1(path: Path, *, meta_time: bool) -> None:
     gs = np.round(np.arange(0.01, 2.0000001, 0.01), 10)
     lines = ["# figure=fig1", "# eps_d=0.0", "# g_range=0.01:2.0:0.01",
              f"# tool_version={__version__}"]
@@ -261,32 +283,22 @@ def _write_fig1(outdir: Path, meta_time: bool) -> None:
         kind = "Bound" if g > 1.0 else "VirtualBound"
         lines.append(f"{io.format_number(g)},{io.format_number(0.0)},"
                      f"{io.format_number(zg)},{io.format_number(-zg)},{kind}")
-    (outdir / "fig1_spectrum.csv").write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
-def _write_evolve_panel(outdir: Path, name: str, g: float, eps_d: float,
-                        state_spec: str, t_max: float, n_samples: int, grid: str,
-                        meta_time: bool, extra_meta: dict | None = None) -> AmplitudeSeries:
+def _write_evolve_panel(path: Path, g: float, eps_d: float, state_spec: str,
+                        t_max: float, n_samples: int, grid: str, *, meta_time: bool) -> None:
     series, label = _run_evolution(g, eps_d, state_spec, t_max, n_samples, grid)
-    path = outdir / f"{name}.csv"
-    p_perp = np.abs(series.overlap) ** 2
-    p_1d = np.abs(series.amp_1) ** 2 + np.abs(series.amp_d) ** 2
-    meta = io.evolve_meta(series, label, __version__)
-    meta["figure_panel"] = name
-    for key, value in (extra_meta or {}).items():
-        meta[key] = value
+    extra_meta = {"figure_panel": path.stem}
     if eps_d != 0.0:
-        sep = _separation_time(series.times, p_perp, p_1d)
+        sep = _separation_time(survival(series), nonescape(series))
         if sep is not None:
-            meta["separation_time_env10pct"] = io.format_number(sep)
-    io.write_csv(path, io.EVOLVE_HEADER,
-                 [series.times, p_perp, p_1d, series.overlap.real,
-                  series.overlap.imag, series.norm - 1.0],
-                 meta=meta, meta_time=meta_time, warnings=series.warnings)
-    return series
+            extra_meta["separation_time_env10pct"] = io.format_number(sep)
+    io.write_evolve_csv(path, series, label, __version__, meta_time=meta_time,
+                        extra_meta=extra_meta)
 
 
-def _separation_time(ts: np.ndarray, p_perp: np.ndarray, p_1d: np.ndarray) -> float | None:
+def _separation_time(p_perp: ProbabilitySeries, p_1d: ProbabilitySeries) -> float | None:
     """First time the non-escape curve visibly departs from the survival one.
 
     'Visible' on the figures' log scale means the oscillation minima of
@@ -296,11 +308,9 @@ def _separation_time(ts: np.ndarray, p_perp: np.ndarray, p_1d: np.ndarray) -> fl
     zero), and the deep trough floors of both curves scale identically with
     the detuning.
     """
-    series_perp = ProbabilitySeries(times=ts, values=p_perp)
-    series_1d = ProbabilitySeries(times=ts, values=p_1d)
-    lo, hi = float(ts[0]), float(ts[-1])
-    t_tr, v_tr = analysis.find_troughs(series_1d, lo, hi)
-    t_pk, v_pk = analysis.find_peaks(series_perp, lo, hi)
+    lo, hi = float(p_perp.times[0]), float(p_perp.times[-1])
+    t_tr, v_tr = analysis.find_troughs(p_1d, lo, hi)
+    t_pk, v_pk = analysis.find_peaks(p_perp, lo, hi)
     if len(t_tr) == 0 or len(t_pk) == 0:
         return None
     envelope = np.interp(t_tr, t_pk, v_pk)
@@ -308,140 +318,100 @@ def _separation_time(ts: np.ndarray, p_perp: np.ndarray, p_1d: np.ndarray) -> fl
     return float(t_tr[idx[0]]) if len(idx) else None
 
 
-def _write_overlay_panel(outdir: Path, name: str, g: float, eps_d: float,
-                         tags: list[ApproximationTag], t_lo: float, t_hi: float,
-                         n_samples: int, grid: str, meta_time: bool) -> None:
-    params = ModelParams(g=g, eps_d=eps_d)
-    if grid == "log":
-        ts = np.geomspace(t_lo, t_hi, n_samples)
-    else:
-        ts = np.linspace(t_lo, t_hi, n_samples)
-    rows: list[tuple[float, float, str, int]] = []
-    for tag in tags:
-        vals, window = _tag_curve(tag, params, ts)
-        rows.extend((float(t), float(v), tag.value, int(w))
-                    for t, v, w in zip(ts, vals, window))
-    meta = {"figure_panel": name, "g": g, "eps_d": eps_d,
-            "tags": ",".join(t.value for t in tags), "tool_version": __version__}
-    io.write_analytic_csv(outdir / f"{name}.csv", rows, meta, meta_time=meta_time)
+def _write_overlay_panel(path: Path, g: float, eps_d: float, tags: str, t_lo: float,
+                         t_hi: float, n_samples: int, grid: str, *, meta_time: bool) -> None:
+    _write_curves(path, ModelParams(g=g, eps_d=eps_d), _parse_tags(tags),
+                  _grid(t_lo, t_hi, n_samples, grid),
+                  {"figure_panel": path.stem, "g": g, "eps_d": eps_d}, meta_time)
 
 
-def _write_bessel_panel(outdir: Path, name: str, g: float, t_lo: float,
-                        t_hi: float, n_samples: int, grid: str,
-                        meta_time: bool) -> None:
+def _write_bessel_panel(path: Path, g: float, t_lo: float, t_hi: float, n_samples: int,
+                        grid: str, *, meta_time: bool) -> None:
     # far times of g = 0.98 (T_Delta = 2450) are out of desk scale for the
     # direct evolution; the exact Bessel representation supplies the curve
-    if grid == "log":
-        ts = np.geomspace(t_lo, t_hi, n_samples)
-    else:
-        ts = np.linspace(t_lo, t_hi, n_samples)
+    ts = _grid(t_lo, t_hi, n_samples, grid)
     p = np.abs(closedform.bessel_exact_grid(ts, g)) ** 2
-    meta = {"figure_panel": name, "g": g, "eps_d": 0.0,
+    meta = {"figure_panel": path.stem, "g": g, "eps_d": 0.0,
             "route": "bessel_exact",
             "t_range": f"{t_lo:g}:{t_hi:g}:{grid}{n_samples}",
             "tool_version": __version__}
-    io.write_csv(outdir / f"{name}.csv", ["t", "P_perp"], [ts, p],
-                 meta=meta, meta_time=meta_time)
+    io.write_csv(path, ["t", "P_perp"], [ts, p], meta=meta, meta_time=meta_time)
 
 
-def _write_fig2e(outdir: Path, meta_time: bool) -> None:
-    # a resolved far-zone close-up at 5 T_Delta, about 25 oscillation periods
-    t_lo, t_hi = 12250.0, 12290.0
-    _write_bessel_panel(outdir, "fig2e_bessel", 0.98, t_lo, t_hi, 4001,
-                        "linear", meta_time)
-    _write_overlay_panel(outdir, "fig2e_overlays", 0.98, 0.0,
-                         [ApproximationTag.FarZoneProb],
-                         t_lo, t_hi, 2000, "linear", meta_time)
+PANEL_WRITERS = {
+    "spectrum": _write_fig1,
+    "evolve": _write_evolve_panel,
+    "overlay": _write_overlay_panel,
+    "bessel": _write_bessel_panel,
+}
+
+FIGURES: dict[str, list[tuple]] = {
+    "fig1": [("spectrum", "fig1_spectrum")],
+    "fig2a": [
+        ("evolve", "fig2a_evolve", 1.1, 0.0, "perp", 200.0, 4001, "linear"),
+        ("overlay", "fig2a_overlays", 1.1, 0.0, "BoundTerm", 0.05, 200.0, 2000, "linear"),
+    ],
+    "fig2b": [
+        ("evolve", "fig2b_evolve", 1.0, 0.0, "perp", 1000.0, 4000, "log"),
+        ("overlay", "fig2b_overlays", 1.0, 0.0, "NearZoneEarlyProb", 0.5, 1000.0, 1000, "log"),
+    ],
+    "fig2cde": [
+        ("evolve", "fig2c_evolve", 0.98, 0.0, "perp", 1000.0, 4000, "log"),
+        ("bessel", "fig2c_bessel", 0.98, 0.1, 30000.0, 4000, "log"),
+        ("evolve", "fig2d_evolve", 0.98, 0.0, "perp", 30.0, 3000, "linear"),
+        ("overlay", "fig2d_overlays", 0.98, 0.0, "NearZoneEarlyProb,NearZoneAmp,EarlyBessel",
+         1.0, 30.0, 2900, "linear"),
+        # a resolved far-zone close-up at 5 T_Delta, about 25 oscillation periods
+        ("bessel", "fig2e_bessel", 0.98, 12250.0, 12290.0, 4001, "linear"),
+        ("overlay", "fig2e_overlays", 0.98, 0.0, "FarZoneProb", 12250.0, 12290.0, 2000, "linear"),
+    ],
+    "fig3a": [("evolve", "fig3a_evolve", 0.9, 0.005, "perp", 400.0, 3000, "log")],
+    "fig3b": [
+        ("evolve", "fig3b_evolve", 0.9, 0.2, "perp", 400.0, 3000, "log"),
+        ("overlay", "fig3b_overlays", 0.9, 0.2, "ResPole1d,ResPolePerp", 1.0, 400.0, 800, "log"),
+    ],
+    "fig3c": [("evolve", "fig3c_evolve", 0.9, 0.35, "perp", 400.0, 3000, "log")],
+    "figS1": [
+        ("evolve", "figS1_g0.9_evolve", 0.9, 0.0, "perp", 300.0, 3000, "log"),
+        ("overlay", "figS1_g0.9_overlays", 0.9, 0.0, "NearZoneEarlyProb,FarZoneProb",
+         0.5, 300.0, 1500, "log"),
+        ("evolve", "figS1_g0.7_evolve", 0.7, 0.0, "perp", 300.0, 3000, "log"),
+        ("overlay", "figS1_g0.7_overlays", 0.7, 0.0, "NearZoneEarlyProb,FarZoneProb",
+         0.5, 300.0, 1500, "log"),
+    ],
+    "figS2": [
+        ("evolve", "figS2_evolve", 0.9, 0.0, "perp", 20.0, 4000, "linear"),
+        ("overlay", "figS2_overlays", 0.9, 0.0, "EarlyBessel,NearZoneEarlyProb",
+         0.5, 20.0, 2000, "linear"),
+    ],
+    "figS3": [("evolve", f"figS3_w{w}_evolve", 0.9, 0.0, f"w:{w}", 200.0, 3000, "log")
+              for w in (0.1, 0.5, 1.0, 2.0)],
+    "figS4": [
+        *(("evolve", f"figS4_g{g}_evolve", g, 0.0, "w:1.0", 300.0, 3000, "log")
+          for g in (0.7, 0.9, 1.0, 1.1)),
+        ("overlay", "figS4_g1.0_overlays", 1.0, 0.0, "WNearZoneG1", 1.0, 300.0, 1000, "log"),
+        ("overlay", "figS4_g0.7_overlays", 0.7, 0.0, "WFarZone", 1.0, 300.0, 1000, "log"),
+        ("overlay", "figS4_g0.9_overlays", 0.9, 0.0, "WFarZone", 1.0, 300.0, 1000, "log"),
+    ],
+}
 
 
-def _figure_tasks(figure_id: str, outdir: Path, meta_time: bool) -> list:
-    E, O = _write_evolve_panel, _write_overlay_panel
-    tasks: dict[str, list] = {
-        "fig1": [(lambda: _write_fig1(outdir, meta_time))],
-        "fig2a": [
-            (lambda: E(outdir, "fig2a_evolve", 1.1, 0.0, "perp", 200.0, 4001, "linear", meta_time)),
-            (lambda: O(outdir, "fig2a_overlays", 1.1, 0.0, [ApproximationTag.BoundTerm],
-                       0.05, 200.0, 2000, "linear", meta_time)),
-        ],
-        "fig2b": [
-            (lambda: E(outdir, "fig2b_evolve", 1.0, 0.0, "perp", 1000.0, 4000, "log", meta_time)),
-            (lambda: O(outdir, "fig2b_overlays", 1.0, 0.0, [ApproximationTag.NearZoneEarlyProb],
-                       0.5, 1000.0, 1000, "log", meta_time)),
-        ],
-        "fig2cde": [
-            (lambda: E(outdir, "fig2c_evolve", 0.98, 0.0, "perp", 1000.0, 4000, "log", meta_time)),
-            (lambda: _write_bessel_panel(outdir, "fig2c_bessel", 0.98, 0.1, 30000.0,
-                                         4000, "log", meta_time)),
-            (lambda: E(outdir, "fig2d_evolve", 0.98, 0.0, "perp", 30.0, 3000, "linear", meta_time)),
-            (lambda: O(outdir, "fig2d_overlays", 0.98, 0.0,
-                       [ApproximationTag.NearZoneEarlyProb, ApproximationTag.NearZoneAmp,
-                        ApproximationTag.EarlyBessel], 1.0, 30.0, 2900, "linear", meta_time)),
-            (lambda: _write_fig2e(outdir, meta_time)),
-        ],
-        "fig3a": [(lambda: E(outdir, "fig3a_evolve", 0.9, 0.005, "perp", 400.0, 3000, "log", meta_time))],
-        "fig3b": [
-            (lambda: E(outdir, "fig3b_evolve", 0.9, 0.2, "perp", 400.0, 3000, "log", meta_time)),
-            (lambda: O(outdir, "fig3b_overlays", 0.9, 0.2,
-                       [ApproximationTag.ResPole1d, ApproximationTag.ResPolePerp],
-                       1.0, 400.0, 800, "log", meta_time)),
-        ],
-        "fig3c": [(lambda: E(outdir, "fig3c_evolve", 0.9, 0.35, "perp", 400.0, 3000, "log", meta_time))],
-        "figS1": [
-            (lambda: E(outdir, "figS1_g0.9_evolve", 0.9, 0.0, "perp", 300.0, 3000, "log", meta_time)),
-            (lambda: O(outdir, "figS1_g0.9_overlays", 0.9, 0.0,
-                       [ApproximationTag.NearZoneEarlyProb, ApproximationTag.FarZoneProb],
-                       0.5, 300.0, 1500, "log", meta_time)),
-            (lambda: E(outdir, "figS1_g0.7_evolve", 0.7, 0.0, "perp", 300.0, 3000, "log", meta_time)),
-            (lambda: O(outdir, "figS1_g0.7_overlays", 0.7, 0.0,
-                       [ApproximationTag.NearZoneEarlyProb, ApproximationTag.FarZoneProb],
-                       0.5, 300.0, 1500, "log", meta_time)),
-        ],
-        "figS2": [
-            (lambda: E(outdir, "figS2_evolve", 0.9, 0.0, "perp", 20.0, 4000, "linear", meta_time)),
-            (lambda: O(outdir, "figS2_overlays", 0.9, 0.0,
-                       [ApproximationTag.EarlyBessel, ApproximationTag.NearZoneEarlyProb],
-                       0.5, 20.0, 2000, "linear", meta_time)),
-        ],
-        "figS3": [
-            (lambda w=w: E(outdir, f"figS3_w{w}_evolve", 0.9, 0.0, f"w:{w}", 200.0, 3000,
-                           "log", meta_time))
-            for w in (0.1, 0.5, 1.0, 2.0)
-        ],
-        "figS4": ([
-            (lambda g=g: E(outdir, f"figS4_g{g}_evolve", g, 0.0, "w:1.0", 300.0, 3000,
-                           "log", meta_time))
-            for g in (0.7, 0.9, 1.0, 1.1)
-        ] + [
-            (lambda: O(outdir, "figS4_g1.0_overlays", 1.0, 0.0, [ApproximationTag.WNearZoneG1],
-                       1.0, 300.0, 1000, "log", meta_time)),
-            (lambda: O(outdir, "figS4_g0.7_overlays", 0.7, 0.0, [ApproximationTag.WFarZone],
-                       1.0, 300.0, 1000, "log", meta_time)),
-            (lambda: O(outdir, "figS4_g0.9_overlays", 0.9, 0.0, [ApproximationTag.WFarZone],
-                       1.0, 300.0, 1000, "log", meta_time)),
-        ]),
-    }
-    if figure_id not in tasks:
-        raise InvalidParameterError(
-            f"unknown figure id {figure_id!r}; valid ids: {', '.join(sorted(tasks))}")
-    return tasks[figure_id]
-
-
-FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig2cde", "fig3a", "fig3b", "fig3c",
-              "figS1", "figS2", "figS3", "figS4")
+def _write_panel(outdir: Path, meta_time: bool, panel: tuple) -> None:
+    kind, name, *args = panel
+    PANEL_WRITERS[kind](outdir / f"{name}.csv", *args, meta_time=meta_time)
 
 
 def _cmd_figure(args) -> int:
+    if args.figure_id not in FIGURES:
+        raise InvalidParameterError(
+            f"unknown figure id {args.figure_id!r}; valid ids: {', '.join(FIGURES)}")
+    if args.jobs < 1:
+        raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    tasks = _figure_tasks(args.figure_id, outdir, not args.no_meta_time)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(task) for task in tasks]
-            for fut in futures:
-                fut.result()
-    else:
-        for task in tasks:
-            task()
+    write = partial(_write_panel, outdir, not args.no_meta_time)
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        list(pool.map(write, FIGURES[args.figure_id]))
     return 0
 
 
@@ -504,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_fig = sub.add_parser("figure", help="regenerate figure data (one CSV per panel)")
-    p_fig.add_argument("figure_id", help=f"one of: {', '.join(FIGURE_IDS)}")
+    p_fig.add_argument("figure_id", help=f"one of: {', '.join(FIGURES)}")
     p_fig.add_argument("--jobs", type=int, default=1, help="parallel panel workers")
     add_common(p_fig)
     p_fig.set_defaults(func=_cmd_figure)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolve import AmplitudeSeries
+from .evolve import AmplitudeSeries, nonescape, survival
 
 
 def format_number(x: float) -> str:
@@ -110,14 +110,14 @@ def evolve_meta(series: AmplitudeSeries, state_label: str, version: str) -> dict
 
 
 def write_evolve_csv(path: str | Path, series: AmplitudeSeries, state_label: str,
-                     version: str, meta_time: bool = False) -> None:
-    """Evolution CSV: t, P_perp, P_1d, re_A, im_A, norm_err."""
-    p_perp = np.abs(series.overlap) ** 2
-    p_1d = np.abs(series.amp_1) ** 2 + np.abs(series.amp_d) ** 2
+                     version: str, meta_time: bool = False,
+                     extra_meta: dict | None = None) -> None:
+    """Evolution CSV: t, P_perp, P_1d, re_A, im_A, norm_err; ``extra_meta``
+    keys follow those of :func:`evolve_meta`."""
     write_csv(path, EVOLVE_HEADER,
-              [series.times, p_perp, p_1d,
+              [series.times, survival(series).values, nonescape(series).values,
                series.overlap.real, series.overlap.imag, series.norm - 1.0],
-              meta=evolve_meta(series, state_label, version),
+              meta={**evolve_meta(series, state_label, version), **(extra_meta or {})},
               meta_time=meta_time,
               warnings=series.warnings)
 

@@ -109,6 +109,8 @@ def _coupled_norm(g: float) -> float:
 def _check_state_args(g: float, n_sites: int, min_sites: int) -> None:
     if not (g > 0 and np.isfinite(g)):
         raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
+    if not np.isfinite(g * g):
+        raise InvalidParameterError(f"coupling g = {g} is too large: g^2 overflows")
     if n_sites < min_sites:
         raise InvalidParameterError(f"n_sites must be >= {min_sites}, got {n_sites}")
 
@@ -143,7 +145,11 @@ def w_state(g: float, w: float, n_sites: int) -> StateVector:
     _check_state_args(g, n_sites, 3)
     if not np.isfinite(w):
         raise InvalidParameterError(f"chain amplitude w must be finite, got {w}")
-    nrm = 1.0 / np.sqrt(1.0 + g * g + w * w)
+    norm_sq = 1.0 + g * g + w * w
+    if not np.isfinite(norm_sq):
+        raise InvalidParameterError(
+            f"1 + g^2 + w^2 overflows for g = {g}, w = {w}")
+    nrm = 1.0 / np.sqrt(norm_sq)
     chain = np.zeros(n_sites, dtype=complex)
     chain[0] = nrm
     chain[1] = w * nrm

@@ -1,9 +1,12 @@
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bicchain import io, spectrum
+from bicchain import cli, io, spectrum
 from bicchain.cli import main
 from bicchain.spectrum import NearPoleError
 
@@ -123,6 +126,16 @@ def test_cli_evolve_w_state(tmp_path):
     assert data["P_perp"][0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cli_huge_coupling(tmp_path, capsys):
+    # g^2 overflows: the spectrum's timescales are a numerical failure, and
+    # the evolve state builder rejects g by name at the boundary
+    assert run_cli("spectrum", "--g", "1e200", "--out", str(tmp_path / "x.json"),
+                   "--no-meta-time") == 3
+    assert run_cli("evolve", "--g", "1e200", "--tmax", "5",
+                   "--out", str(tmp_path / "x.csv"), "--no-meta-time") == 2
+    assert "g = 1e+200" in capsys.readouterr().err
+
+
 def test_cli_evolve_bad_state(tmp_path):
     assert run_cli("evolve", "--g", "0.9", "--state", "nope", "--tmax", "5",
                    "--out", str(tmp_path / "x.csv"), "--no-meta-time") == 2
@@ -222,6 +235,20 @@ def test_cli_analytic_unknown_tag(tmp_path):
                    "--no-meta-time") == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--tmax", "nan"), ("--tmax", "inf"),
+                                         ("--tmax", "0"), ("--tmax", "-3"),
+                                         ("--samples", "1"), ("--samples", "0")])
+@pytest.mark.parametrize("grid", ["log", "linear"])
+def test_cli_analytic_rejects_bad_grid(tmp_path, capsys, flag, value, grid):
+    argv = {"--tmax": "100", "--samples": "50", flag: value}
+    out = tmp_path / "x.csv"
+    assert run_cli("analytic", "--g", "0.9", "--tags", "NearZoneEarlyProb",
+                   "--grid", grid, *(a for kv in argv.items() for a in kv),
+                   "--out", str(out), "--no-meta-time") == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # compare command
 
@@ -251,6 +278,34 @@ def test_cli_compare_detuned(tmp_path):
 
 def test_cli_figure_unknown_id(tmp_path):
     assert run_cli("figure", "nofig", "--out", str(tmp_path), "--no-meta-time") == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_figure_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    assert run_cli("figure", "fig1", "--jobs", jobs, "--out", str(tmp_path),
+                   "--no-meta-time") == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_figure_table_is_well_formed():
+    names = []
+    for panels in cli.FIGURES.values():
+        for kind, name, *args in panels:
+            writer = cli.PANEL_WRITERS[kind]
+            inspect.signature(writer).bind(Path(f"{name}.csv"), *args, meta_time=False)
+            if kind == "overlay":
+                cli._parse_tags(args[2])
+            if kind == "evolve":
+                cli._parse_state(args[2])
+            names.append(name)
+    assert len(names) == len(set(names))
+
+
+def test_readme_lists_every_figure_id():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Figure ids: `([^`]*)`", readme).group(1).split()
+    assert tuple(listed) == tuple(cli.FIGURES)
 
 
 def test_cli_figure_fig1(tmp_path):

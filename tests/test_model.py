@@ -75,6 +75,16 @@ def test_state_validation_errors():
         StateVector(amp_d=1.0, amp_chain=np.ones(3), n_sites=3)
 
 
+def test_states_reject_overflowing_coupling():
+    assert perp_state(1e154, 5).amp_d == pytest.approx(1.0)
+    for build in (lambda: bic_state(1e200, 5), lambda: perp_state(1e200, 5),
+                  lambda: w_state(1e200, 0.0, 5)):
+        with pytest.raises(InvalidParameterError, match="g = 1e"):
+            build()
+    with pytest.raises(InvalidParameterError, match="w = 1e"):
+        w_state(0.9, 1e200, 5)
+
+
 def test_hamiltonian_structure():
     ham = hamiltonian(ModelParams(g=1.0, eps_d=0.0), 3)
     dense = ham.to_dense()
