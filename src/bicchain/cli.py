@@ -176,8 +176,12 @@ def _cmd_analytic(args) -> int:
         raise InvalidParameterError(f"--samples must be >= 2, got {args.samples}")
     tags = _parse_tags(args.tags)
     params = ModelParams(g=args.g, eps_d=args.eps_d)
-    # closed forms with 1/t factors need t > 0; start the grid off zero
-    t_lo = max(1e-4 * args.tmax, 1e-2) if args.grid == "log" else args.tmax / args.samples
+    # closed forms with 1/t factors need t > 0; start the grid off zero, and
+    # a log grid below t_max even when t_max is under its usual floor 1e-2
+    if args.grid == "log":
+        t_lo = max(1e-4 * args.tmax, 1e-2) if args.tmax >= 1e-2 else 1e-4 * args.tmax
+    else:
+        t_lo = args.tmax / args.samples
     ts = _grid(t_lo, args.tmax, args.samples, args.grid)
     meta = {"g": args.g, "eps_d": args.eps_d, "t_max": args.tmax,
             "n_samples": args.samples, "grid": args.grid}

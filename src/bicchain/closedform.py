@@ -5,9 +5,11 @@ Routes to the survival amplitude of the BIC-orthogonal state at eps_d = 0:
 * ``a_br_quadrature`` -- the branch-cut contour reduced to a real integral
   over k in [0, pi] (z = -2 cos k) and evaluated by adaptive Gauss
   quadrature on half-period pieces of the oscillatory factor exp(2it cos k).
-  The discontinuity sign is pinned by the t = 0 sum rule: the cut carries
-  the full norm for g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes
-  the rest).
+  The adaptive rule bisects level by level: each level evaluates GL15 and
+  GL30 on all intervals still open as one array computation.  The
+  discontinuity sign is pinned by the t = 0 sum rule: the cut carries the
+  full norm for g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the
+  rest).
 * ``bessel_exact`` -- the exact Bessel-function representation obtained by
   fraction decomposition: A_br = -(1/2g)(I(+z_g) - I(-z_g)) with
 
@@ -15,11 +17,17 @@ Routes to the survival amplitude of the BIC-orthogonal state at eps_d = 0:
                                            J_1(2 tau)/tau d tau],
 
   the integrable tau -> 0 limit J_1(2 tau)/tau -> 1 handled analytically.
+  The tail integral is a GL30 sum over 0.25-wide panels, evaluated in array
+  blocks and accumulated by one cumulative sum.
 * ``a_w_cut`` -- the same contour reduction for the generalized w-state
   resolvent N_w^2 (C0 + Q G_dd) from the chain Dyson algebra; works for any
   detuning.
 * ``a_w_rays`` -- band-edge ray deformation of the cut contour (eps_d = 0),
   exact for t >= ~1 at O(1) cost; the route of choice deep in the far zone.
+  A 320-node rule is evaluated for a block of times at once.
+
+Array blocks hold at most ``BLOCK_NODES`` quadrature nodes, so memory stays
+flat however long the time grid.
 
 Closed-form approximations (each with its validity window):
 
@@ -32,7 +40,6 @@ Closed-form approximations (each with its validity window):
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 
@@ -75,30 +82,52 @@ class ApproximationTag(enum.Enum):
 _GL15 = roots_legendre(15)
 _GL30 = roots_legendre(30)
 
+#: Quadrature nodes evaluated per array block: 170 GL30 panels or 16 ray
+#: times.  About 80 KB per complex temporary, so the temporaries of a block
+#: stay in cache (on a 2-vCPU x86 host, 25 ray times per block ran 1.5x
+#: slower than 16) and a long grid does not raise the peak memory.
+BLOCK_NODES = 5120
 
-def _gauss(f, a: float, b: float, rule) -> complex:
+#: Bisection depth at which an adaptive cut interval is accepted as is.
+MAX_DEPTH = 28
+
+#: Open cut intervals at which the quadrature gives up (about 8 MB per
+#: interval array); a tolerance that round-off cannot meet would otherwise
+#: double the open set at every level.
+MAX_OPEN = 1 << 20
+
+
+def _check_times(t) -> None:
+    bad = np.asarray(t, dtype=float)[~np.isfinite(t)]
+    if bad.size:
+        raise InvalidParameterError(f"time t must be finite, got t = {bad.flat[0]}")
+
+
+def _gauss_panels(f, a: np.ndarray, b: np.ndarray, rule) -> np.ndarray:
+    """Gauss sums of f over the panels [a_i, b_i], in blocks of BLOCK_NODES nodes."""
     x, w = rule
-    nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return 0.5 * (b - a) * complex(np.dot(w, f(nodes)))
-
-
-def _adaptive_gauss(f, a: float, b: float, tol: float, depth: int = 0) -> tuple[complex, float]:
-    coarse = _gauss(f, a, b, _GL15)
-    fine = _gauss(f, a, b, _GL30)
-    err = abs(fine - coarse)
-    if err < tol or depth >= 28:
-        return fine, err
-    mid = 0.5 * (a + b)
-    left, e1 = _adaptive_gauss(f, a, mid, 0.5 * tol, depth + 1)
-    right, e2 = _adaptive_gauss(f, mid, b, 0.5 * tol, depth + 1)
-    return left + right, e1 + e2
+    out = np.empty(len(a), dtype=complex)
+    step = max(BLOCK_NODES // len(x), 1)
+    for lo in range(0, len(a), step):
+        hi = lo + step
+        half = 0.5 * (b[lo:hi] - a[lo:hi])
+        nodes = half[:, None] * x + 0.5 * (a[lo:hi] + b[lo:hi])[:, None]
+        out[lo:hi] = half * (f(nodes) @ w)
+    return out
 
 
 def _cut_integral(h, t: float, abs_tol: float) -> complex:
     """INT_0^pi h(k) exp(2 i t cos k) dk with half-period splitting.
 
     The phase 2 t cos k is split at multiples of pi so each piece holds at
-    most half an oscillation; pieces are integrated adaptively and summed.
+    most half an oscillation; each piece starts as an open interval with an
+    equal share of ``abs_tol``.  Level by level, GL15 and GL30 run once over
+    every open interval: one whose error estimate |GL30 - GL15| is below its
+    tolerance, or that has been bisected MAX_DEPTH times, is accepted with
+    its GL30 value; the others are bisected, each half with half the
+    tolerance.  These are the intervals a depth-first adaptive recursion
+    accepts.  A non-finite error estimate raises at once, since bisection
+    cannot repair it.
     """
     # k = pi/2 (z = 0) is always an interval boundary: quadrature nodes are
     # strictly interior, so the removable BIC-point 0/0 of the w-state
@@ -111,14 +140,33 @@ def _cut_integral(h, t: float, abs_tol: float) -> complex:
             if -1.0 < c < 1.0:
                 pts.append(math.acos(c))
     edges = np.unique(np.asarray(pts))
-    piece_tol = abs_tol / max(len(edges) - 1, 1)
+    a, b = edges[:-1], edges[1:]
+    tol = np.full(len(a), abs_tol / len(a))
+
+    def f(k: np.ndarray) -> np.ndarray:
+        return h(k) * np.exp(2j * t * np.cos(k))
+
     total = 0.0 + 0.0j
     err_total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _adaptive_gauss(
-            lambda k: h(k) * np.exp(2j * t * np.cos(k)), a, b, piece_tol)
-        total += val
-        err_total += err
+    for depth in range(MAX_DEPTH + 1):
+        fine = _gauss_panels(f, a, b, _GL30)
+        err = np.abs(fine - _gauss_panels(f, a, b, _GL15))
+        if not np.all(np.isfinite(err)):
+            raise QuadratureError("branch-cut quadrature hit a non-finite error estimate",
+                                  float(err[~np.isfinite(err)][0]))
+        done = (err < tol) | (depth == MAX_DEPTH)
+        total += complex(np.sum(fine[done]))
+        err_total += float(np.sum(err[done]))
+        if done.all():
+            break
+        a, b, tol = a[~done], b[~done], tol[~done]
+        if 2 * len(a) > MAX_OPEN:
+            raise QuadratureError(
+                f"branch-cut quadrature did not converge ({len(a)} intervals open "
+                f"after {depth + 1} levels)", err_total + float(np.sum(err[~done])))
+        mid = 0.5 * (a + b)
+        a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
+        tol = np.repeat(0.5 * tol, 2)
     if err_total > abs_tol:
         raise QuadratureError("branch-cut quadrature did not converge", err_total)
     return total
@@ -135,9 +183,15 @@ def a_br_quadrature(t: float, g: float, abs_tol: float = 1e-9) -> complex:
     """
     if not (g > 0 and np.isfinite(g)):
         raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
+    _check_times(t)
     if t < 0:
         raise InvalidParameterError(f"time must be non-negative, got {t}")
     zg, _ = z_gap(g)
+    # a finite 2 z_g^2 keeps g^2, 1/g^2 and so pref finite; otherwise the
+    # integrand underflows or the tolerance abs_tol / pref is zero
+    if not math.isfinite(2.0 * zg * zg):
+        raise InvalidParameterError(
+            f"branch-cut quadrature needs a finite z_g^2 = (g + 1/g)^2, got g = {g}")
     pref = 2.0 * (1.0 + g * g) / (math.pi * g * g)
 
     def h(k: np.ndarray) -> np.ndarray:
@@ -158,7 +212,12 @@ def bound_term(t: float, g: float) -> float:
 
 
 def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
-    """Cumulative INT_0^t e^{i z_g tau} J_1(2 tau)/tau d tau on an ascending grid."""
+    """Cumulative INT_0^t e^{i z_g tau} J_1(2 tau)/tau d tau on an ascending grid.
+
+    The panels are a 0.25-wide grid merged with the requested times.  Their
+    GL30 sums are evaluated as array blocks (``_gauss_panels``) and one
+    ``cumsum`` accumulates them from left to right.
+    """
 
     def f(tau: np.ndarray) -> np.ndarray:
         out = np.ones_like(tau)
@@ -169,9 +228,8 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
     t_max = float(ts[-1])
     grid = np.round(np.arange(0.0, t_max + 0.3, 0.25), 12)
     edges = np.union1d(grid, np.round(ts, 12))
-    cum = np.zeros(len(edges), dtype=complex)
-    for i in range(1, len(edges)):
-        cum[i] = cum[i - 1] + _gauss(f, edges[i - 1], edges[i], _GL30)
+    panels = _gauss_panels(f, edges[:-1], edges[1:], _GL30)
+    cum = np.concatenate(([0j], np.cumsum(panels)))
     return cum[np.searchsorted(edges, np.round(ts, 12))]
 
 
@@ -185,6 +243,7 @@ def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"Bessel representation requires 0 < g <= 1, got {g}")
     ts = np.asarray(ts, dtype=float)
+    _check_times(ts)
     if ts.ndim != 1 or len(ts) == 0 or np.any(np.diff(ts) < 0) or ts[0] < 0:
         raise InvalidParameterError("ts must be a non-empty ascending grid of times >= 0")
     zg, _ = z_gap(g)
@@ -363,20 +422,27 @@ def a_w_resolvent(z: complex, params: ModelParams, w: float,
         background + coupling * resolvent_dd(z, params, sheet))
 
 
+def _jump(z, sig_below, sig_above, g: float, eps_d: float, w: float):
+    """Below-minus-above jump of C0 + Q G_dd, given sigma_1 on either side.
+
+    Sigma = g^2 z sigma_1^2 on either side, so G_dd = 1/(z - eps_d - Sigma).
+    """
+
+    def side(sig):
+        background, coupling = _chain_split(sig, g, w)
+        g_dd = 1.0 / (z - eps_d - g * g * z * sig * sig)
+        return background + coupling * g_dd
+
+    return side(sig_below) - side(sig_above)
+
+
 def _disc_on_cut(k: np.ndarray, g: float, eps_d: float, w: float) -> np.ndarray:
     """Below-minus-above jump of the w-state resolvent across the band.
 
     On the cut z = -2 cos k the boundary values of sigma_1 are -e^{+/- i k}
-    (above/below), and Sigma = g^2 z sigma_1^2 on either side.
+    (above/below).
     """
-    z = -2.0 * np.cos(k)
-    out = 0j * z
-    for sign in (+1.0, -1.0):
-        sig = -np.exp(sign * 1j * k)  # +: above the cut, -: below
-        background, coupling = _chain_split(sig, g, w)
-        g_dd = 1.0 / (z - eps_d - g * g * z * sig * sig)
-        out -= sign * (background + coupling * g_dd)
-    return out
+    return _jump(-2.0 * np.cos(k), -np.exp(-1j * k), -np.exp(1j * k), g, eps_d, w)
 
 
 def a_w_cut(t: float, params: ModelParams, w: float, abs_tol: float = 1e-9) -> complex:
@@ -387,6 +453,7 @@ def a_w_cut(t: float, params: ModelParams, w: float, abs_tol: float = 1e-9) -> c
     [0, pi].  Valid for any detuning; bound-state poles (g > 1) are not
     included and must be added by the caller when present.
     """
+    _check_times(t)
     g, eps_d = params.g, params.eps_d
     nw2 = w_norm_sq(g, w)
 
@@ -422,25 +489,23 @@ def a_w_rays(t, params: ModelParams, w: float, v_max: float = 10.0):
     def disc_lower(z: np.ndarray) -> np.ndarray:
         s = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)
         sig_below = (z - s) / 2.0
-        sig_above = 1.0 / sig_below  # continuation of the from-above value
-        out = 0j * z
-        for sig, sign in ((sig_below, -1.0), (sig_above, +1.0)):
-            background, coupling = _chain_split(sig, g, w)
-            g_dd = 1.0 / (z - g * g * z * sig * sig)
-            out -= sign * (background + coupling * g_dd)
-        return out
+        # 1/sig_below continues the from-above value
+        return _jump(z, sig_below, 1.0 / sig_below, g, 0.0, w)
 
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    _check_times(ts)
     if np.any(ts < 0.5):
         raise DomainError("ray deformation is intended for t >= ~1; got t < 0.5")
     out = np.empty(ts.shape, dtype=complex)
-    for i, ti in enumerate(ts):
-        u = v * v / ti
-        lower = disc_lower(-2.0 - 1j * u)
-        upper = disc_lower(2.0 - 1j * u)
-        out[i] = (nw2 / (2j * math.pi)) * (
-            -1j * cmath.exp(2j * ti) * complex(np.dot(weights, lower)) / ti
-            + 1j * cmath.exp(-2j * ti) * complex(np.dot(weights, upper)) / ti)
+    step = max(BLOCK_NODES // len(v), 1)
+    for lo in range(0, len(ts), step):
+        tb = ts[lo:lo + step]
+        u = v * v / tb[:, None]
+        lower = disc_lower(-2.0 - 1j * u) @ weights
+        upper = disc_lower(2.0 - 1j * u) @ weights
+        out[lo:lo + step] = (nw2 / (2j * math.pi)) * (
+            -1j * np.exp(2j * tb) * lower / tb
+            + 1j * np.exp(-2j * tb) * upper / tb)
     return out if np.ndim(t) else complex(out[0])
 
 

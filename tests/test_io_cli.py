@@ -249,6 +249,16 @@ def test_cli_analytic_rejects_bad_grid(tmp_path, capsys, flag, value, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tmax", [0.001, 0.5, 100.0])
+def test_cli_analytic_log_grid_ascends_to_tmax(tmp_path, tmax):
+    out = tmp_path / "x.csv"
+    assert run_cli("analytic", "--g", "0.9", "--tags", "NearZoneEarlyProb",
+                   "--tmax", str(tmax), "--samples", "3", "--out", str(out),
+                   "--no-meta-time") == 0
+    ts = [t for t, *_ in io.read_analytic_csv(out)[1]]
+    assert 0 < ts[0] < ts[1] < ts[2] == pytest.approx(tmax, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # compare command
 
