@@ -95,7 +95,8 @@ def _tag_curve(tag: ApproximationTag, params: ModelParams,
     elif tag is ApproximationTag.BoundTerm:
         if g <= 1.0:
             raise InvalidParameterError("BoundTerm requires g > 1 (no bound states otherwise)")
-        vals = np.array([closedform.bound_term(t, g) ** 2 for t in ts])
+        # libm pow, as for a Python float ** 2; numpy's ** 2 is x * x (last bit differs)
+        vals = np.float_power(closedform.bound_term(ts, g), 2)
         window = ones
     elif tag is ApproximationTag.ResPolePerp:
         amp, rate = closedform.res_pole_perp(params)
@@ -241,8 +242,8 @@ def _cmd_compare(args) -> int:
         for s in spectrum.discrete_spectrum(params))
     if not has_bound:
         if params.eps_d == 0.0:
-            a_cut = np.array([closedform.a_br_quadrature(t, params.g) for t in ts])
-            a_cut = a_cut + np.array([closedform.bound_term(t, params.g) for t in ts])
+            a_cut = (np.array([closedform.a_br_quadrature(t, params.g) for t in ts])
+                     + closedform.bound_term(ts, params.g))
         else:
             a_cut = np.array([closedform.a_w_cut(t, params, w=0.0) for t in ts])
         header += ["re_A_cut", "im_A_cut"]

@@ -17,8 +17,8 @@ Routes to the survival amplitude of the BIC-orthogonal state at eps_d = 0:
                                            J_1(2 tau)/tau d tau],
 
   the integrable tau -> 0 limit J_1(2 tau)/tau -> 1 handled analytically.
-  The tail integral is a GL30 sum over 0.25-wide panels, evaluated in array
-  blocks and accumulated by one cumulative sum.
+  The tail integral is a GL30 sum over panels min(0.25, 2.5/z_g) wide,
+  evaluated in array blocks and accumulated by one cumulative sum.
 * ``a_w_cut`` -- the same contour reduction for the generalized w-state
   resolvent N_w^2 (C0 + Q G_dd) from the chain Dyson algebra; works for any
   detuning.
@@ -27,7 +27,7 @@ Routes to the survival amplitude of the BIC-orthogonal state at eps_d = 0:
   A 320-node rule is evaluated for a block of times at once.
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes, so memory stays
-flat however long the time grid.
+flat however long the time grid.  sigma_1 is ``spectrum.sigma1``.
 
 Closed-form approximations (each with its validity window):
 
@@ -47,8 +47,7 @@ import numpy as np
 from scipy.special import j0, j1, roots_legendre
 
 from .model import InvalidParameterError, ModelParams
-from .spectrum import (BranchPointError, SheetTag, resolvent_dd,
-                       resonance_expansion, sqrt_band, z_gap)
+from .spectrum import SheetTag, resolvent_dd, resonance_expansion, sigma1, z_gap
 
 
 class QuadratureError(RuntimeError):
@@ -90,6 +89,11 @@ BLOCK_NODES = 5120
 
 #: Bisection depth at which an adaptive cut interval is accepted as is.
 MAX_DEPTH = 28
+
+#: GL30 panels of the Bessel tail above which ``bessel_exact_grid`` refuses
+#: a grid.  At the cap a grid takes about 60 MB and 3.5 s on a 2-vCPU x86
+#: host; fig2c, the longest figure grid, needs 1.2e5 panels.
+MAX_PANELS = 1_000_000
 
 #: Open cut intervals at which the quadrature gives up (about 8 MB per
 #: interval array); a tolerance that round-off cannot meet would otherwise
@@ -181,12 +185,10 @@ def a_br_quadrature(t: float, g: float, abs_tol: float = 1e-9) -> complex:
     At g = 1 the endpoint zeros of the denominator cancel against sin^2 k,
     so no principal value is ever needed.  Practical for t <= ~500.
     """
-    if not (g > 0 and np.isfinite(g)):
-        raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
+    zg, _ = z_gap(g)
     _check_times(t)
     if t < 0:
         raise InvalidParameterError(f"time must be non-negative, got {t}")
-    zg, _ = z_gap(g)
     # a finite 2 z_g^2 keeps g^2, 1/g^2 and so pref finite; otherwise the
     # integrand underflows or the tolerance abs_tol / pref is zero
     if not math.isfinite(2.0 * zg * zg):
@@ -201,22 +203,26 @@ def a_br_quadrature(t: float, g: float, abs_tol: float = 1e-9) -> complex:
     return pref * _cut_integral(h, float(t), abs_tol / pref)
 
 
-def bound_term(t: float, g: float) -> float:
+def bound_term(t, g: float):
     """Combined bound-state pair contribution ((g^2-1)/g^2) cos(z_g t); 0 for g <= 1."""
-    if not (g > 0 and np.isfinite(g)):
-        raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
-    if g <= 1.0:
-        return 0.0
     zg, _ = z_gap(g)
-    return (g * g - 1.0) / (g * g) * math.cos(zg * t)
+    t = np.asarray(t, dtype=float)
+    if g <= 1.0:
+        return np.zeros(t.shape)[()]
+    return (g * g - 1.0) / (g * g) * np.cos(zg * t)
+
+
+def _panel_width(zg: float) -> float:
+    """Bessel-tail panel width: at most 0.4 periods of e^{i z_g tau}."""
+    return min(0.25, 2.5 / zg)
 
 
 def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
     """Cumulative INT_0^t e^{i z_g tau} J_1(2 tau)/tau d tau on an ascending grid.
 
-    The panels are a 0.25-wide grid merged with the requested times.  Their
-    GL30 sums are evaluated as array blocks (``_gauss_panels``) and one
-    ``cumsum`` accumulates them from left to right.
+    The panels are a ``_panel_width(zg)`` grid merged with the requested
+    times.  Their GL30 sums are evaluated as array blocks (``_gauss_panels``)
+    and one ``cumsum`` accumulates them from left to right.
     """
 
     def f(tau: np.ndarray) -> np.ndarray:
@@ -226,7 +232,8 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
         return out * np.exp(1j * zg * tau)
 
     t_max = float(ts[-1])
-    grid = np.round(np.arange(0.0, t_max + 0.3, 0.25), 12)
+    width = _panel_width(zg)
+    grid = np.round(np.arange(0.0, t_max + 1.2 * width, width), 12)
     edges = np.union1d(grid, np.round(ts, 12))
     panels = _gauss_panels(f, edges[:-1], edges[1:], _GL30)
     cum = np.concatenate(([0j], np.cumsum(panels)))
@@ -237,8 +244,10 @@ def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     """Exact Bessel-representation A_br on an ascending time grid (0 < g <= 1).
 
     Evaluates the tail integral incrementally, so a dense grid costs no more
-    than its largest time.  A_br is real at eps_d = 0; the real value is
-    returned as complex for interface parity with the quadrature route.
+    than its largest time; a grid that needs more than ``MAX_PANELS`` panels
+    (small g at long times) is refused.  A_br is real at eps_d = 0; the real
+    value is returned as complex for interface parity with the quadrature
+    route.
     """
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"Bessel representation requires 0 < g <= 1, got {g}")
@@ -247,6 +256,10 @@ def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     if ts.ndim != 1 or len(ts) == 0 or np.any(np.diff(ts) < 0) or ts[0] < 0:
         raise InvalidParameterError("ts must be a non-empty ascending grid of times >= 0")
     zg, _ = z_gap(g)
+    if ts[-1] / _panel_width(zg) > MAX_PANELS:
+        raise InvalidParameterError(
+            f"Bessel representation at g = {g:g} up to t = {ts[-1]:g} needs more than "
+            f"{MAX_PANELS} quadrature panels; use a_br_quadrature")
     tail = _bessel_tail(ts, zg)
     i_plus = np.exp(-1j * zg * ts) * (-g - 1j * tail)
     # I(-z_g) = -conj(I(+z_g)), so A_br = -(1/2g)(I(+) - I(-)) = -Re I(+)/g
@@ -344,27 +357,6 @@ def res_pole_1d(params: ModelParams) -> tuple[float, float]:
     return amp, resonance_expansion(params).gamma
 
 
-def sigma1(z: complex, sheet: SheetTag = SheetTag.First,
-           *, branch_point_limit: bool = False) -> complex:
-    """Chain edge resolvent factor sigma_1(z) = (z - sqrt(z^2-4))/2.
-
-    Satisfies sigma_1 + 1/sigma_1 = z and |sigma_1| <= 1 on the first sheet;
-    the second sheet takes the reciprocal root.  Relates to the self-energy
-    through Sigma(z) = g^2 z sigma_1(z)^2.
-    """
-    z = complex(z)
-    if z == 2.0 or z == -2.0:
-        if not branch_point_limit:
-            raise BranchPointError(
-                f"sigma_1 evaluated exactly at the branch point z = {z.real:g}; "
-                "pass branch_point_limit=True for the limit value")
-        return z / 2.0
-    val = (z - sqrt_band(z)) / 2.0
-    if sheet is SheetTag.Second:
-        return 1.0 / val
-    return val
-
-
 def q_of_z(z: complex, g: float, w: float, sheet: SheetTag = SheetTag.First) -> complex:
     """Compact chain polynomial Q(z) of the w-state resolvent at eps_d = 0.
 
@@ -375,11 +367,8 @@ def q_of_z(z: complex, g: float, w: float, sheet: SheetTag = SheetTag.First) -> 
     the detuning-safe split is :func:`a_w_resolvent`.
     """
     sig = sigma1(z, sheet)
-    return _q_poly(sig, complex(z), g, w)
-
-
-def _q_poly(sig, z, g: float, w: float):
     sig2 = sig * sig
+    z = complex(z)
     return g * g + sig2 * (2.0 * g * g - 2.0 * g * g * w * z
                            + g * g * sig2 - 2.0 * w * z + w * w * z * z)
 
@@ -487,8 +476,7 @@ def a_w_rays(t, params: ModelParams, w: float, v_max: float = 10.0):
     weights = 0.5 * v_max * wts * 2.0 * v * np.exp(-v * v)
 
     def disc_lower(z: np.ndarray) -> np.ndarray:
-        s = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)
-        sig_below = (z - s) / 2.0
+        sig_below = sigma1(z)
         # 1/sig_below continues the from-above value
         return _jump(z, sig_below, 1.0 / sig_below, g, 0.0, w)
 

@@ -73,33 +73,27 @@ class StateVector:
                        + np.vdot(self.amp_chain, other.amp_chain))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedHamiltonian:
-    """Real-symmetric truncated Hamiltonian as (row, col, value) triples.
+    """Real-symmetric truncated Hamiltonian, built once as a CSR matrix.
 
     Nonzeros: (0,0) = eps_d (if nonzero), (0,2) = (2,0) = -g, and
-    (n, n+1) = (n+1, n) = -1 for chain bonds 1 <= n <= N-1.
+    (n, n+1) = (n+1, n) = -1 for chain bonds 1 <= n <= N-1; each row is
+    stored in ascending column order.
     """
 
     n_sites: int
-    entries: tuple = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.n_sites + 1
+    matrix: sparse.csr_matrix = field(repr=False)
 
     def to_sparse(self) -> sparse.csr_matrix:
-        rows = [e[0] for e in self.entries]
-        cols = [e[1] for e in self.entries]
-        vals = [e[2] for e in self.entries]
-        return sparse.csr_matrix((vals, (rows, cols)),
-                                 shape=(self.dimension, self.dimension))
+        """The stored CSR matrix (shared, not a copy)."""
+        return self.matrix
 
     def to_dense(self) -> np.ndarray:
-        return self.to_sparse().toarray()
+        return self.matrix.toarray()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.to_sparse() @ np.asarray(vec, dtype=complex)
+        return self.matrix @ np.asarray(vec, dtype=complex)
 
 
 def _coupled_norm(g: float) -> float:
@@ -160,15 +154,13 @@ def hamiltonian(params: ModelParams, n_sites: int) -> TruncatedHamiltonian:
     """Truncated Hamiltonian on {|d>, |1>..|N>} with a hard wall at site N."""
     if n_sites < 3:
         raise InvalidParameterError(f"n_sites must be >= 3, got {n_sites}")
-    entries: list[tuple[int, int, float]] = []
-    if params.eps_d != 0.0:
-        entries.append((0, 0, params.eps_d))
-    entries.append((0, 2, -params.g))
-    entries.append((2, 0, -params.g))
-    for n in range(1, n_sites):
-        entries.append((n, n + 1, -1.0))
-        entries.append((n + 1, n, -1.0))
-    return TruncatedHamiltonian(n_sites=n_sites, entries=tuple(entries))
+    bond = np.arange(1, n_sites)
+    rows = np.concatenate(([0, 0, 2], bond, bond + 1))
+    cols = np.concatenate(([0, 2, 0], bond + 1, bond))
+    vals = np.concatenate(([params.eps_d, -params.g, -params.g], np.full(2 * len(bond), -1.0)))
+    keep = slice(0 if params.eps_d != 0.0 else 1, None)  # no stored zero on the diagonal
+    matrix = sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_sites + 1,) * 2)
+    return TruncatedHamiltonian(n_sites=n_sites, matrix=matrix)
 
 
 def spectral_bounds(params: ModelParams, n_sites: int) -> tuple[float, float]:

@@ -6,10 +6,12 @@ The impurity self-energy on the first Riemann sheet is
 
 with sqrt(z^2 - 4) = sqrt(z - 2) sqrt(z + 2) built from principal square
 roots.  That choice puts the branch cut exactly on the band [-2, 2] and
-gives the physical decay Sigma -> g^2/z at large |z|.  The second sheet
-flips the sign of the square-root term; it is the analytic continuation of
-the first sheet through the cut (retarded boundary value from above equals
-the second-sheet value from below).
+gives the physical decay Sigma -> g^2/z at large |z|.  It is written once,
+in :func:`sqrt_band`; :func:`sigma1` and :func:`self_energy` build on it, all
+three take arrays, and every other module goes through them.  The second
+sheet flips the sign of the square-root term; it continues the first sheet
+through the cut (retarded boundary value from above equals the second-sheet
+value from below).
 
 Discrete solutions of z - eps_d - Sigma(z) = 0:
 
@@ -129,10 +131,41 @@ class ResonancePole:
     gamma: float
 
 
-def sqrt_band(z: complex) -> complex:
-    """sqrt(z^2 - 4) with the cut on [-2, 2]; behaves like z at large |z|."""
-    z = complex(z)
-    return cmath.sqrt(z - 2.0) * cmath.sqrt(z + 2.0)
+def _band_input(z, what: str, branch_point_limit: bool):
+    """z as a Python complex (scalar) or a complex array, refused at z = +/-2."""
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+    if not branch_point_limit and np.logical_or(z == 2.0, z == -2.0).any():
+        edge = 2.0 if np.any(z == 2.0) else -2.0
+        raise BranchPointError(
+            f"{what} evaluated exactly at the branch point z = {edge:g}; "
+            "pass branch_point_limit=True for the limit value")
+    return z
+
+
+def sqrt_band(z):
+    """sqrt(z^2 - 4) with the cut on [-2, 2]; behaves like z at large |z|.
+
+    The one definition of the branch; 0 at z = +/-2.  Takes a scalar (and
+    returns a Python complex) or an array, as do sigma1 and self_energy.
+    """
+    z = _band_input(z, "sqrt_band", branch_point_limit=True)
+    root = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)
+    return complex(root) if isinstance(z, complex) else root
+
+
+def sigma1(z, sheet: SheetTag = SheetTag.First, *, branch_point_limit: bool = False):
+    """Chain edge resolvent factor sigma_1(z) = (z - sqrt(z^2-4))/2.
+
+    Satisfies sigma_1 + 1/sigma_1 = z and |sigma_1| <= 1 on the first sheet;
+    the second sheet takes the reciprocal root.  Relates to the self-energy
+    through Sigma(z) = g^2 z sigma_1(z)^2.  The limit z/2 at z = +/-2 needs
+    branch_point_limit, as in :func:`self_energy`.
+    """
+    z = _band_input(z, "sigma_1", branch_point_limit)
+    val = (z - sqrt_band(z)) / 2.0
+    if sheet is SheetTag.Second:
+        return 1.0 / val
+    return val
 
 
 def _check_g(g: float) -> None:
@@ -140,8 +173,8 @@ def _check_g(g: float) -> None:
         raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
 
 
-def self_energy(z: complex, g: float, sheet: SheetTag = SheetTag.First,
-                *, branch_point_limit: bool = False) -> complex:
+def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
+                *, branch_point_limit: bool = False):
     """Impurity self-energy Sigma(z) on the requested Riemann sheet.
 
     At the branch points z = +/-2 both sheets share the limit
@@ -149,13 +182,7 @@ def self_energy(z: complex, g: float, sheet: SheetTag = SheetTag.First,
     otherwise a BranchPointError is raised.
     """
     _check_g(g)
-    z = complex(z)
-    if z == 2.0 or z == -2.0:
-        if not branch_point_limit:
-            raise BranchPointError(
-                f"Sigma evaluated exactly at the branch point z = {z.real:g}; "
-                "pass branch_point_limit=True for the limit value")
-        return z * g * g * (z * z - 2.0) / 2.0
+    z = _band_input(z, "Sigma", branch_point_limit)
     root = z * sqrt_band(z)
     if sheet is SheetTag.First:
         return 0.5 * z * g * g * (z * z - 2.0 - root)
@@ -215,9 +242,7 @@ def timescales(g: float) -> Timescales:
     if g > 1.0:
         t_delta = t_vr = t_br = math.nan
     elif g == 1.0:
-        t_delta = math.inf
-        t_vr = math.inf
-        t_br = math.inf
+        t_delta = t_vr = t_br = math.inf
     else:
         t_delta = 1.0 / delta_g
         t_vr = t_delta / (100.0 * math.pi * g)
@@ -263,10 +288,7 @@ def _perp_residue(z: complex, g: float, sheet: SheetTag) -> complex:
     Uses the chain algebra value Q_0 = g^2 (1 + sigma1^2)^2 for the w = 0
     state, with sigma1 on the matching sheet, and Res[G_dd] = 1/(1 - Sigma').
     """
-    s = sqrt_band(z)
-    sig = (z - s) / 2.0
-    if sheet is SheetTag.Second:
-        sig = 1.0 / sig
+    sig = sigma1(z, sheet)
     q0 = g * g * (1.0 + sig * sig) ** 2
     dsig = _self_energy_derivative(z, g, sheet)
     return q0 / ((1.0 + g * g) * (1.0 - dsig))
@@ -300,12 +322,12 @@ def _scan_real_roots(params: ModelParams, sheet: SheetTag) -> list[float]:
     roots: list[float] = []
     z_max = abs(params.eps_d) + params.g + 1.0 / params.g + 6.0
 
-    def f(z: float) -> float:
+    def f(z):
         return z - params.eps_d - self_energy(z, params.g, sheet).real
 
     for lo, hi in ((2.0 + 1e-9, z_max), (-z_max, -2.0 - 1e-9)):
         grid = np.linspace(lo, hi, 2001)
-        vals = np.array([f(z) for z in grid])
+        vals = f(grid)
         sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         for i in sign_change:
             z_b = brentq(f, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
@@ -378,14 +400,10 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
             res, antires = z_res, z_res.conjugate()
         else:
             res, antires = z_res.conjugate(), z_res
-        states.append(DiscreteState(
-            z=res, sheet=SheetTag.Second, kind=StateKind.Resonance,
-            k=wavevector(res, g, StateKind.Resonance),
-            residue_weight=_perp_residue(res, g, SheetTag.Second)))
-        states.append(DiscreteState(
-            z=antires, sheet=SheetTag.Second, kind=StateKind.AntiResonance,
-            k=wavevector(antires, g, StateKind.AntiResonance),
-            residue_weight=_perp_residue(antires, g, SheetTag.Second)))
+        for z_c, kind in ((res, StateKind.Resonance), (antires, StateKind.AntiResonance)):
+            states.append(DiscreteState(
+                z=z_c, sheet=SheetTag.Second, kind=kind, k=wavevector(z_c, g, kind),
+                residue_weight=_perp_residue(z_c, g, SheetTag.Second)))
 
     for st in states:
         if abs(-2.0 * cmath.cos(st.k) - st.z) > 1e-12:

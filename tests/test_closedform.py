@@ -91,6 +91,29 @@ def test_bessel_requires_decaying_regime():
         bessel_exact(1.0, 1.1)
 
 
+def test_bound_term_takes_arrays():
+    ts = np.linspace(0.0, 40.0, 17)
+    assert np.array_equal(bound_term(ts, 1.1), [bound_term(t, 1.1) for t in ts])
+    assert np.array_equal(bound_term(ts.reshape(1, -1), 0.9), np.zeros((1, 17)))
+
+
+@pytest.mark.parametrize("g", [0.003, 0.001])
+def test_bessel_grid_small_g_matches_quadrature(g):
+    # z_g = g + 1/g is 333 or 1000 here: the panels must narrow to follow
+    # e^{i z_g tau}, which 0.25-wide panels cannot
+    ts = np.linspace(0.0, 10.0, 41)
+    ref = np.array([a_br_quadrature(t, g, abs_tol=1e-12) for t in ts])
+    assert np.max(np.abs(bessel_exact_grid(ts, g) - ref)) <= 1e-9
+
+
+def test_bessel_grid_refuses_beyond_panel_cap():
+    with pytest.raises(InvalidParameterError, match="a_br_quadrature") as info:
+        bessel_exact_grid(np.array([1.0, 3e3]), 1e-6)
+    assert "g = 1e-06" in str(info.value) and "t = 3000" in str(info.value)
+    # the same time span at a coupling that needs few panels still runs
+    assert np.all(np.isfinite(bessel_exact_grid(np.array([1.0, 3e3]), 0.5)))
+
+
 # ---------------------------------------------------------------------------
 # early-time approximation
 

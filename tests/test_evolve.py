@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import jv
 
@@ -255,7 +256,8 @@ def test_non_finite_recurrence_raises(monkeypatch):
 
     def poisoned(params, n_sites):
         ham = build(params, n_sites)
-        return dataclasses.replace(ham, entries=ham.entries + ((1, 1, math.nan),))
+        nan_at_site_1 = sparse.csr_matrix(([math.nan], ([1], [1])), shape=ham.matrix.shape)
+        return dataclasses.replace(ham, matrix=ham.matrix + nan_at_site_1)
 
     monkeypatch.setattr(evolve_module, "hamiltonian", poisoned)
     opts = EvolveOptions(t_max=5.0, n_samples=11)

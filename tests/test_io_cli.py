@@ -89,6 +89,13 @@ def test_cli_near_pole_error_exits_numerical(tmp_path, monkeypatch):
                    "--no-meta-time") == 3
 
 
+def test_cli_compare_refuses_bessel_grid_beyond_panel_cap(tmp_path, capsys):
+    code = run_cli("compare", "--g", "1e-6", "--eps-d", "0", "--tmax", "10",
+                   "--samples", "3", "--out", str(tmp_path / "cmp"), "--no-meta-time")
+    assert code == 2
+    assert "a_br_quadrature" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evolve command
 

@@ -100,10 +100,13 @@ def test_hamiltonian_symmetry_and_sparsity(g, eps_d, n):
     ham = hamiltonian(ModelParams(g=g, eps_d=eps_d), n)
     dense = ham.to_dense()
     assert np.array_equal(dense, dense.T)
-    off_diag = sum(1 for r, c, _ in ham.entries if r != c)
-    diag = sum(1 for r, c, _ in ham.entries if r == c)
+    stored = ham.matrix.tocoo()
+    off_diag = int(np.count_nonzero(stored.row != stored.col))
+    diag = int(np.count_nonzero(stored.row == stored.col))
     assert off_diag == 2 * (n - 1) + 2
     assert diag <= 1
+    # built once, rows in ascending column order (the matvec summation order)
+    assert ham.to_sparse() is ham.matrix and ham.matrix.has_canonical_format
 
 
 def test_hamiltonian_needs_three_sites():

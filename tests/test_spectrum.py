@@ -3,17 +3,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
+from bicchain import closedform, spectrum
 from bicchain.model import ModelParams, hamiltonian
 from bicchain.spectrum import (BranchPointError, NearPoleError, SheetTag,
                                StateKind, discrete_spectrum, resolvent_dd,
                                resonance_expansion, self_energy,
-                               self_energy_quadrature, spectrum_report,
-                               timescales, wavevector, z_gap)
+                               self_energy_quadrature, sigma1, spectrum_report,
+                               sqrt_band, timescales, wavevector, z_gap)
 
 FIRST, SECOND = SheetTag.First, SheetTag.Second
+
+# few, fixed examples keep the suite fast and repeatable
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+SHEETS = st.sampled_from([FIRST, SECOND])
+COUPLINGS = st.floats(0.05, 3.0)
+#: points off the real axis, where both sheets are analytic
+OFF_AXIS = st.builds(complex, st.floats(-6.0, 6.0),
+                     st.floats(1e-6, 6.0) | st.floats(-6.0, -1e-6))
+#: real points off the band [-2, 2]
+OFF_BAND = st.floats(-50.0, 50.0).filter(lambda x: abs(x) > 2.0)
 
 
 def test_self_energy_vanishes_at_origin():
@@ -237,3 +250,91 @@ def test_spectrum_report_fields():
         assert {"re_z", "im_z", "sheet", "kind", "re_k", "im_k"} <= set(entry)
     assert set(report["timescales"]) == {"t_zeno", "t_delta", "t_vr", "t_br",
                                          "delta_g", "zeno_c"}
+
+
+# ---------------------------------------------------------------------------
+# one band root, scalar and array calls
+
+
+def test_sigma1_is_defined_once():
+    assert closedform.sigma1 is spectrum.sigma1
+
+
+@PROPERTY
+@given(z=OFF_AXIS, g=COUPLINGS, sheet=SHEETS)
+def test_property_schwarz_reflection(z, g, sheet):
+    assert self_energy(z.conjugate(), g, sheet) == self_energy(z, g, sheet).conjugate()
+
+
+@PROPERTY
+@given(z=OFF_AXIS, g=COUPLINGS, sheet=SHEETS)
+def test_property_self_energy_is_odd(z, g, sheet):
+    assert self_energy(-z, g, sheet) == -self_energy(z, g, sheet)
+
+
+@PROPERTY
+@given(z=OFF_AXIS | OFF_BAND, sheet=SHEETS)
+def test_property_sigma1_inverts_the_band_map(z, sheet):
+    sig = sigma1(z, sheet)
+    assert abs(sig + 1.0 / sig - z) <= 1e-14 * (1.0 + abs(z)) ** 2
+
+
+@PROPERTY
+@given(xs=st.lists(OFF_BAND, min_size=1, max_size=40), g=COUPLINGS, sheet=SHEETS)
+def test_property_array_call_is_bitwise_on_real_axis(xs, g, sheet):
+    xs = np.array(xs)
+    assert np.array_equal(sqrt_band(xs), [sqrt_band(x) for x in xs])
+    assert np.array_equal(sigma1(xs, sheet), [sigma1(x, sheet) for x in xs])
+    assert np.array_equal(self_energy(xs, g, sheet), [self_energy(x, g, sheet) for x in xs])
+
+
+@PROPERTY
+@given(zs=st.lists(OFF_AXIS, min_size=1, max_size=40), g=COUPLINGS, sheet=SHEETS)
+def test_property_array_call_matches_scalar_calls(zs, g, sheet):
+    # numpy multiplies complex arrays with fused multiply-adds, so an array
+    # result may differ from the scalar one in its last bits; each result is
+    # held to 1e-15 of the magnitudes it sums
+    zs = np.array(zs)
+    roots = np.array([sqrt_band(z) for z in zs])
+    assert np.all(np.abs(sqrt_band(zs) - roots) <= 1e-15 * np.abs(roots))
+    sig = np.array([sigma1(z, sheet) for z in zs])
+    scale = 0.5 * (np.abs(zs) + np.abs(roots)) * (np.abs(sig) ** 2 if sheet is SECOND else 1.0)
+    assert np.all(np.abs(sigma1(zs, sheet) - sig) <= 1e-15 * scale)
+    sigma = np.array([self_energy(z, g, sheet) for z in zs])
+    scale = 0.5 * np.abs(zs) * g * g * (np.abs(zs) ** 2 + 2.0 + np.abs(zs * roots))
+    assert np.all(np.abs(self_energy(zs, g, sheet) - sigma) <= 1e-15 * scale)
+
+
+@PROPERTY
+@given(zs=st.lists(OFF_AXIS, min_size=1, max_size=10), at=st.integers(0, 10),
+       edge=st.sampled_from([2.0, -2.0]), g=COUPLINGS, sheet=SHEETS)
+def test_property_branch_point_guard_is_elementwise(zs, at, edge, g, sheet):
+    at = min(at, len(zs))
+    zs = np.insert(np.array(zs), at, edge)
+    with pytest.raises(BranchPointError, match=f"z = {edge:g};"):
+        self_energy(zs, g, sheet)
+    with pytest.raises(BranchPointError, match=f"z = {edge:g};"):
+        sigma1(zs, sheet)
+    limit = self_energy(zs, g, sheet, branch_point_limit=True)
+    assert limit[at] == edge * g * g * (edge * edge - 2.0) / 2.0
+    assert sigma1(zs, sheet, branch_point_limit=True)[at] == edge / 2.0
+    others = np.delete(zs, at)
+    assert np.array_equal(np.delete(limit, at), self_energy(others, g, sheet))
+
+
+def test_detuned_scan_calls_self_energy_on_whole_grids(monkeypatch):
+    # 4 scans of 2001 grid points each: one array call per scan, not one
+    # call per point
+    calls = []
+    scalar_and_array = spectrum.self_energy
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return scalar_and_array(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "self_energy", counting)
+    states = discrete_spectrum(ModelParams(g=0.9, eps_d=0.2))
+    assert {s.kind for s in states} == {StateKind.VirtualBound, StateKind.Resonance,
+                                        StateKind.AntiResonance}
+    assert sum(np.size(z) == 2001 for z in calls) == 4
+    assert len(calls) < 200
