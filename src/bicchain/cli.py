@@ -237,9 +237,10 @@ def _cmd_compare(args) -> int:
     columns = [ts, a_ode.real, a_ode.imag]
     deviations: dict[str, float] = {}
 
-    has_bound = params.eps_d != 0.0 and any(
-        s.kind is spectrum.StateKind.Bound
-        for s in spectrum.discrete_spectrum(params))
+    # z - eps_d - Sigma(z) rises monotonically on each first-sheet segment
+    # |z| > 2, so a bound state lies above (below) the band iff
+    # 2 g^2 > 2 - eps_d (2 + eps_d); no root finding, even at a threshold
+    has_bound = params.eps_d != 0.0 and 2.0 * params.g ** 2 > 2.0 - abs(params.eps_d)
     if not has_bound:
         if params.eps_d == 0.0:
             a_cut = (np.array([closedform.a_br_quadrature(t, params.g) for t in ts])
@@ -517,13 +518,33 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write '--opt -1e-3' as '--opt=-1e-3'.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like a negative number, and its test for that misses exponent notation.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
         return args.func(args)
     except NUMERICAL_ERRORS as exc:
         # before CONFIG_ERRORS: NearPoleError is also a ValueError

@@ -44,8 +44,8 @@ MAX_PHASE = 4 * MAX_SITES
 
 #: samples per block are chosen so that one block's zero-padded Bessel
 #: table holds at most this many float64 words, or one sample when a single
-#: row is longer (a working set of about 0.5 MB)
-BLOCK_WORDS = 1 << 13
+#: row is longer (a working set of about 2 MB)
+BLOCK_WORDS = 1 << 15
 
 
 class IntegratorError(RuntimeError):

@@ -21,7 +21,20 @@ Discrete solutions of z - eps_d - Sigma(z) = 0:
   band edges exactly at g = 1.
 * eps_d != 0: the BIC turns into a resonance / anti-resonance pair on the
   second sheet with z_res ~ eps_d/(1+g^2) - i g^2 eps_d^2/(1+g^2)^3 to
-  leading orders, plus the surviving real pair.
+  leading orders, plus the surviving real pair.  There is one bound state
+  above (below) the band iff 2 g^2 > 2 - eps_d (2 + eps_d); the other real
+  roots are virtual bound states.
+
+Method at eps_d != 0: squaring the equation gives one quartic whose four
+roots hold every solution on both sheets (:func:`_quartic_roots`).  Each
+root is assigned the sheet on which it has the smaller residual and is
+polished there by Newton's method; the resonance pair is the conjugate pair
+among the roots, so it stays a pair when Im z_res is below rounding.  The
+polished roots keep the residual bound 1e-10 and the dispersion check
+-2 cos k = z to 1e-12.  A root closer to a band edge than the residual
+bound can resolve in double precision (within about 1e-5 of a threshold in
+eps_d) raises :class:`RootFindError`; on the threshold itself the state is
+the band-edge state.
 """
 
 from __future__ import annotations
@@ -32,8 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .model import InvalidParameterError, ModelParams
 
@@ -195,6 +206,8 @@ def self_energy_quadrature(z: complex, g: float) -> complex:
     Independent oracle for the closed form; V_k = -sqrt(2/pi) sin 2k and
     E_k = -2 cos k.  Requires z off the band [-2, 2].
     """
+    from scipy.integrate import quad  # test oracle only: keeps scipy.integrate off import
+
     _check_g(g)
     z = complex(z)
 
@@ -310,29 +323,13 @@ def _polish_real_root(z0: float, params: ModelParams, sheet: SheetTag) -> float:
         df = 1.0 - _self_energy_derivative(z, params.g, sheet).real
         step = f / df
         z -= step
+        if abs(z) <= 2.0:
+            raise RootFindError("real-axis Newton polish reached the band", z)
         if abs(step) < 1e-14 * max(abs(z), 1.0):
             break
     if abs(z - params.eps_d - self_energy(z, params.g, sheet)) > 1e-10:
         raise RootFindError("real-axis Newton polish did not reach residual 1e-10", z)
     return z
-
-
-def _scan_real_roots(params: ModelParams, sheet: SheetTag) -> list[float]:
-    """Bracketed sign-change scan on both real segments |z| > 2."""
-    roots: list[float] = []
-    z_max = abs(params.eps_d) + params.g + 1.0 / params.g + 6.0
-
-    def f(z):
-        return z - params.eps_d - self_energy(z, params.g, sheet).real
-
-    for lo, hi in ((2.0 + 1e-9, z_max), (-z_max, -2.0 - 1e-9)):
-        grid = np.linspace(lo, hi, 2001)
-        vals = f(grid)
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in sign_change:
-            z_b = brentq(f, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
-            roots.append(_polish_real_root(z_b, params, sheet))
-    return roots
 
 
 def _newton_complex(z0: complex, params: ModelParams,
@@ -347,7 +344,8 @@ def _newton_complex(z0: complex, params: ModelParams,
         for _ in range(30):
             z_new = z - lam * step
             f_new = z_new - params.eps_d - self_energy(z_new, params.g, sheet)
-            if abs(f_new) < abs(f):
+            # a seed already at the tolerance may not improve in rounding
+            if abs(f_new) < abs(f) or abs(f_new) < 1e-13:
                 z, f = z_new, f_new
                 break
             lam *= 0.5
@@ -356,6 +354,98 @@ def _newton_complex(z0: complex, params: ModelParams,
         if abs(f) < 1e-13:
             return z
     raise RootFindError("complex Newton did not converge", z)
+
+
+def _quartic_roots(params: ModelParams) -> np.ndarray:
+    """The four roots of the polynomial that z - eps_d - Sigma(z) squares to.
+
+    Moving the root term of Sigma to one side and squaring cancels z^6:
+
+        -g^2 z^4 + g^2 eps_d z^3 + (1+g^2)^2 z^2 - 2(1+g^2) eps_d z + eps_d^2 = 0,
+
+    so every solution on either sheet is a root.  numpy's companion-matrix
+    eigenvalues return real roots with a zero imaginary part and complex
+    roots as exact conjugates.
+    """
+    g2, eps = params.g * params.g, params.eps_d
+    a = 1.0 + g2
+    coeffs = np.array([-g2, g2 * eps, a * a, -2.0 * a * eps, eps * eps])
+    if not np.isfinite(coeffs).all():
+        raise InvalidParameterError(
+            f"spectrum quartic overflows at g = {params.g}, eps_d = {eps}")
+    with np.errstate(all="ignore"):
+        normalized = coeffs[1:] / coeffs[0]
+    if not np.isfinite(normalized).all():
+        raise RootFindError(f"spectrum quartic degenerates at g = {params.g}", eps)
+    return np.roots(coeffs)
+
+
+def _sheet_of(z: complex, params: ModelParams) -> SheetTag:
+    """The sheet on which |z - eps_d - Sigma(z)| is smaller.
+
+    Ties go to the second sheet: on the real axis inside the band the two
+    residuals are conjugate, and a root there is a resonance pair that
+    rounding put on the axis.
+    """
+    first, second = (abs(z - params.eps_d - self_energy(z, params.g, sheet))
+                     for sheet in (SheetTag.First, SheetTag.Second))
+    return SheetTag.First if first < second else SheetTag.Second
+
+
+def _classified_state(z: complex, g: float, sheet: SheetTag,
+                      kind: StateKind) -> DiscreteState:
+    """The state at a polished root, with its wavevector and perp residue."""
+    try:
+        return DiscreteState(z=z, sheet=sheet, kind=kind, k=wavevector(z, g, kind),
+                             residue_weight=_perp_residue(z, g, sheet))
+    except (ZeroDivisionError, ValueError) as exc:
+        # far from the band z^2 - 4 rounds to z^2, and sigma_1 or e^{ik} to zero
+        raise RootFindError(f"state not resolvable in double precision ({exc})", z) from exc
+
+
+def _detuned_states(params: ModelParams) -> list[DiscreteState]:
+    """Classified states at eps_d != 0 from the roots of the quartic.
+
+    The resonance pair is the conjugate pair among the roots.  A real root
+    inside the band solves neither sheet (Sigma is complex there), so real
+    roots inside it are that pair split onto the axis by rounding, which
+    happens when Im z_res ~ eps_d^2 is below the roots' accuracy; the two
+    innermost are then the pair.  When all four roots are real and outside
+    the band (far detuning at small g), the pair has met the real axis and
+    there is no resonance.  The other real roots are bound or virtual bound
+    states on the sheet where they solve the equation, or band-edge states
+    where the detuning sits on a threshold 2 g^2 = 2 -/+ eps_d.
+    """
+    g = params.g
+    roots = _quartic_roots(params)
+    pair = roots[roots.imag != 0.0]
+    real = roots[roots.imag == 0.0].real
+    real = real[np.argsort(np.abs(real))]
+    if len(pair) == 0 and abs(real[0]) < 2.0:
+        pair, real = real[:2].mean(keepdims=True), real[2:]
+    if len(real) < 2:
+        raise RootFindError("spectrum quartic has fewer than two real roots", roots[0])
+
+    states: list[DiscreteState] = []
+    for x in real:
+        edge = math.copysign(2.0, x)
+        if abs(edge - params.eps_d - self_energy(edge, g, branch_point_limit=True)) < 1e-10:
+            states.append(_band_edge_state(edge / 2.0, g))
+            continue
+        if abs(x) <= 2.0:
+            raise RootFindError("real root inside the band", x)
+        sheet = _sheet_of(complex(x), params)
+        z_r = _polish_real_root(float(x), params, sheet)
+        kind = StateKind.Bound if sheet is SheetTag.First else StateKind.VirtualBound
+        states.append(_classified_state(complex(z_r), g, sheet, kind))
+    if len(pair):
+        seed = complex(pair[0])
+        sheet = _sheet_of(seed, params)
+        z_res = _newton_complex(seed, params, sheet)
+        res = z_res if z_res.imag < 0 else z_res.conjugate()
+        states.append(_classified_state(res, g, sheet, StateKind.Resonance))
+        states.append(_classified_state(res.conjugate(), g, sheet, StateKind.AntiResonance))
+    return states
 
 
 def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
@@ -385,25 +475,7 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
                     z=complex(z_pol), sheet=sheet, kind=kind, k=complex(k_val),
                     residue_weight=_perp_residue(complex(z_pol), g, sheet)))
     else:
-        for sheet in (SheetTag.First, SheetTag.Second):
-            for z_r in _scan_real_roots(params, sheet):
-                loc = sheet is SheetTag.First
-                kind = StateKind.Bound if loc else StateKind.VirtualBound
-                states.append(DiscreteState(
-                    z=complex(z_r), sheet=sheet, kind=kind,
-                    k=wavevector(z_r, g, kind),
-                    residue_weight=_perp_residue(complex(z_r), g, sheet)))
-        exp = resonance_expansion(params)
-        seed = exp.e_res - 0.5j * exp.gamma
-        z_res = _newton_complex(seed, params, SheetTag.Second)
-        if z_res.imag < 0:
-            res, antires = z_res, z_res.conjugate()
-        else:
-            res, antires = z_res.conjugate(), z_res
-        for z_c, kind in ((res, StateKind.Resonance), (antires, StateKind.AntiResonance)):
-            states.append(DiscreteState(
-                z=z_c, sheet=SheetTag.Second, kind=kind, k=wavevector(z_c, g, kind),
-                residue_weight=_perp_residue(z_c, g, SheetTag.Second)))
+        states = _detuned_states(params)
 
     for st in states:
         if abs(-2.0 * cmath.cos(st.k) - st.z) > 1e-12:

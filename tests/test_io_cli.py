@@ -1,6 +1,9 @@
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,61 @@ def test_cli_spectrum_detuned_has_resonance(tmp_path):
 def test_cli_spectrum_invalid_params(tmp_path):
     assert run_cli("spectrum", "--g", "-1", "--out", str(tmp_path / "x.json"),
                    "--no-meta-time") == 2
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-5e-05"])
+def test_cli_negative_detuning_in_exponent_notation(tmp_path, value):
+    # argparse alone reads '-1e-3' as an option and exits 2
+    out = tmp_path / "spec.json"
+    assert run_cli("spectrum", "--g", "0.9", "--eps-d", value, "--out", str(out),
+                   "--no-meta-time") == 0
+    assert io.read_json(out)["params"]["eps_d"] == float(value)
+    out.unlink()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"g=0.9\neps_d={value}\n")
+    assert run_cli("spectrum", "--config", str(cfg), "--out", str(out),
+                   "--no-meta-time") == 0
+    assert io.read_json(out)["params"]["eps_d"] == float(value)
+
+
+@pytest.mark.parametrize("g, eps_d, expected", [
+    (1e-200, 0.2, {3}),      # g^2 underflows: the quartic loses its leading term
+    (0.9, 1e300, {2}),       # eps_d^2 overflows: the quartic is not finite
+    (1e-5, 0.3, {0, 2, 3}),
+    (1e5, 0.3, {0, 2, 3}),
+    (0.9, 1e-300, {0}),
+    (0.9, 5e-324, {0}),
+    (0.9, 2.0 - 2.0 * 0.9 ** 2, {0}),  # threshold 2 g^2 = 2 - eps_d
+    # 5.6e-8 above it the real root is about 1e-16 from the band edge, where
+    # no double meets the residual bound and Newton can land on z = 2
+    (0.9, 0.3800000562341324, {3}),
+])
+def test_cli_spectrum_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d, expected):
+    code = run_cli("spectrum", "--g", repr(g), "--eps-d", repr(eps_d),
+                   "--out", str(tmp_path / "x.json"), "--no-meta-time")
+    assert code in expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_runs_without_optimize_or_integrate(tmp_path):
+    # neither is needed on any CLI route, and importing them is a large share
+    # of a CLI process's start-up time and memory; checked in a fresh interpreter
+    script = (
+        "import sys\n"
+        "from bicchain import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['spectrum', '--g', '0.9', '--eps-d', '0.2',\n"
+        "                 '--out', out + '/s.json', '--no-meta-time']) == 0\n"
+        "assert cli.main(['evolve', '--g', '0.9', '--tmax', '5', '--samples', '11',\n"
+        "                 '--out', out + '/e.csv', '--no-meta-time']) == 0\n"
+        "print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_cli_near_pole_error_exits_numerical(tmp_path, monkeypatch):
@@ -288,6 +346,17 @@ def test_cli_compare_detuned(tmp_path):
     report = io.read_json(base.with_suffix(".json"))
     assert report["max_abs_deviation"]["ode_vs_cut"] < 1e-6
     assert "shelf_1d" in report["fits"]
+
+
+@pytest.mark.parametrize("eps_d", ["1e-6", "-1e-6"])
+def test_cli_compare_next_to_a_threshold(tmp_path, eps_d):
+    # at g = 1 a bound state sits within 1e-12 of a band edge, where no double
+    # meets the spectrum's residual check; compare only needs to know that it
+    # exists, and drops the cut route
+    base = tmp_path / "cmp"
+    assert run_cli("compare", "--g", "1.0", "--eps-d", eps_d, "--tmax", "5",
+                   "--samples", "11", "--out", str(base), "--no-meta-time") == 0
+    assert "ode_vs_cut" not in io.read_json(base.with_suffix(".json"))["max_abs_deviation"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
@@ -322,19 +322,70 @@ def test_property_branch_point_guard_is_elementwise(zs, at, edge, g, sheet):
     assert np.array_equal(np.delete(limit, at), self_energy(others, g, sheet))
 
 
-def test_detuned_scan_calls_self_energy_on_whole_grids(monkeypatch):
-    # 4 scans of 2001 grid points each: one array call per scan, not one
-    # call per point
-    calls = []
-    scalar_and_array = spectrum.self_energy
+# ---------------------------------------------------------------------------
+# detuned spectrum from the roots of one quartic
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return scalar_and_array(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "self_energy", counting)
-    states = discrete_spectrum(ModelParams(g=0.9, eps_d=0.2))
-    assert {s.kind for s in states} == {StateKind.VirtualBound, StateKind.Resonance,
-                                        StateKind.AntiResonance}
-    assert sum(np.size(z) == 2001 for z in calls) == 4
-    assert len(calls) < 200
+def _quartic(z, g, eps_d):
+    """The polynomial every detuned solution is a root of, and its terms' size."""
+    a = 1.0 + g * g
+    terms = (-g * g * z ** 4, g * g * eps_d * z ** 3, a * a * z ** 2,
+             -2.0 * a * eps_d * z, eps_d * eps_d)
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def _expected_kinds(g, eps_d):
+    # a real root leaves the band edge onto the first sheet (a bound state)
+    # above the band iff 2 g^2 > 2 - eps_d, below it iff 2 g^2 > 2 + eps_d
+    n_bound = int(2.0 * g * g > 2.0 - eps_d) + int(2.0 * g * g > 2.0 + eps_d)
+    return sorted([("Resonance", "Second"), ("AntiResonance", "Second")]
+                  + [("Bound", "First")] * n_bound
+                  + [("VirtualBound", "Second")] * (2 - n_bound))
+
+
+@PROPERTY
+@given(g=st.floats(0.3, 1.6), size=st.floats(1e-6, 0.5), sign=st.sampled_from([1.0, -1.0]))
+def test_property_detuned_states_are_quartic_roots_on_their_sheet(g, size, sign):
+    eps_d = sign * size
+    assume(min(abs(2.0 * g * g - 2.0 + eps_d), abs(2.0 * g * g - 2.0 - eps_d)) > 1e-3)
+    states = discrete_spectrum(ModelParams(g=g, eps_d=eps_d))
+    assert len(states) == 4
+    assert sorted((s.kind.value, s.sheet.value) for s in states) == _expected_kinds(g, eps_d)
+    for s in states:
+        value, scale = _quartic(s.z, g, eps_d)
+        assert abs(value) <= 1e-12 * scale
+        assert abs(s.z - eps_d - self_energy(s.z, g, s.sheet)) < 1e-10
+
+
+def test_detuned_spectrum_at_tiny_detuning():
+    # Im z_res ~ g^2 eps_d^2 falls below rounding, then underflows; the pair
+    # stays a conjugate pair
+    for eps_d in (1e-8, -1e-8, 1e-300, 5e-324):
+        states = discrete_spectrum(ModelParams(g=0.9, eps_d=eps_d))
+        res = [s for s in states if s.kind is StateKind.Resonance]
+        anti = [s for s in states if s.kind is StateKind.AntiResonance]
+        assert len(states) == 4 and len(res) == len(anti) == 1
+        assert res[0].z == anti[0].z.conjugate()
+        assert res[0].z.real == pytest.approx(eps_d / 1.81, rel=1e-12)
+        assert res[0].z.imag <= 0.0
+
+
+def test_detuned_spectrum_on_a_threshold_has_a_band_edge_state():
+    eps_d = 2.0 - 2.0 * 0.9 ** 2
+    states = discrete_spectrum(ModelParams(g=0.9, eps_d=eps_d))
+    edge = [s for s in states if s.band_edge]
+    assert len(states) == 4 and len(edge) == 1
+    assert edge[0].z == 2.0 and edge[0].kind is StateKind.VirtualBound
+
+
+def test_far_detuning_at_weak_coupling_has_no_resonance():
+    # the pair has met the real axis above the band: four real roots, each
+    # reported once, one on the first sheet
+    g, eps_d = 0.1, 2.5
+    states = discrete_spectrum(ModelParams(g=g, eps_d=eps_d))
+    assert [(s.kind, s.sheet) for s in states] == [
+        (StateKind.VirtualBound, SECOND), (StateKind.Bound, FIRST),
+        (StateKind.VirtualBound, SECOND), (StateKind.VirtualBound, SECOND)]
+    for s in states:
+        assert s.z.imag == 0.0
+        assert abs(s.z - eps_d - self_energy(s.z, g, s.sheet)) < 1e-10
