@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, analysis, closedform, io, spectrum
 from .closedform import ApproximationTag, DivergenceError, DomainError, QuadratureError
 from .evolve import (AmplitudeSeries, EvolveOptions, IntegratorError,
-                     ProbabilitySeries, evolve, nonescape, survival)
+                     ProbabilitySeries, evolve, log_grid_start, nonescape, survival)
 from .model import InvalidParameterError, ModelParams, bic_state, perp_state, w_state
 from .spectrum import NearPoleError, RootFindError
 
@@ -63,7 +63,7 @@ def _run_evolution(g: float, eps_d: float, state_spec: str, t_max: float,
                          n_sites="auto" if sites == "auto" else int(sites),
                          rel_tol=rel_tol, abs_tol=abs_tol)
     label, factory = _parse_state(state_spec)
-    series = evolve(params, factory(g, opts.resolved_sites()), opts)
+    series = evolve(params, factory(g, opts.resolved_sites(params)), opts)
     return series, label
 
 
@@ -177,12 +177,8 @@ def _cmd_analytic(args) -> int:
         raise InvalidParameterError(f"--samples must be >= 2, got {args.samples}")
     tags = _parse_tags(args.tags)
     params = ModelParams(g=args.g, eps_d=args.eps_d)
-    # closed forms with 1/t factors need t > 0; start the grid off zero, and
-    # a log grid below t_max even when t_max is under its usual floor 1e-2
-    if args.grid == "log":
-        t_lo = max(1e-4 * args.tmax, 1e-2) if args.tmax >= 1e-2 else 1e-4 * args.tmax
-    else:
-        t_lo = args.tmax / args.samples
+    # closed forms with 1/t factors need t > 0; start the grid off zero
+    t_lo = log_grid_start(args.tmax) if args.grid == "log" else args.tmax / args.samples
     ts = _grid(t_lo, args.tmax, args.samples, args.grid)
     meta = {"g": args.g, "eps_d": args.eps_d, "t_max": args.tmax,
             "n_samples": args.samples, "grid": args.grid}
@@ -488,20 +484,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed before the explicit ones.
+    """Expand --config FILE (or --config=FILE) into flags placed before the
+    explicit ones.
 
     The file holds one key=value pair per line ('#' comments allowed); keys
     map to long options (tmax -> --tmax, no_meta_time -> --no-meta-time).
     Because the expansion lands right after the subcommand, any flag given
     explicitly on the command line overrides the file.
     """
-    if "--config" not in argv:
+    for idx, token in enumerate(argv):
+        if token == "--config":
+            if idx + 1 >= len(argv):
+                raise InvalidParameterError("--config requires a file path")
+            path = argv[idx + 1]
+            break
+        if token.startswith("--config="):
+            path = token.partition("=")[2]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise InvalidParameterError("--config requires a file path")
     tokens: list[str] = []
-    for line in Path(argv[idx + 1]).read_text().splitlines():
+    for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

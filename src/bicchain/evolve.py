@@ -10,19 +10,26 @@ H' = (H - b)/a,
 One three-term recurrence v_k = T_k(H') psi0 runs up to the order K whose
 Bessel tail bound at t_max is below ``abs_tol``.  It keeps only the moments
 the observables need, as in the kernel polynomial method (Weisse et al.,
-Rev. Mod. Phys. 78, 275 (2006)): <psi0|v_k>, the components of v_k on |d>,
-|1> and the wall site |N>, and <v_k|v_k>.  Each sample is then a contraction
-of these moments with a Bessel table J_k(at), built by Miller's downward
-recurrence.  The norm of the represented state follows exactly from the
-moments through the Toeplitz-plus-Hankel Gram identity
-T_j T_k = (T_{j+k} + T_{|j-k|})/2.  Truncation is controlled by
-``auto_sites``: the ballistic front (maximum group speed 2 in units J = 1)
-must not reach the hard wall and return within t_max, with a 25% margin.
+Rev. Mod. Phys. 78, 275 (2006)): <psi0|v_k>, the components of v_k on |d>
+and |1>, and <v_k|v_k>.  Each sample is then a contraction of these moments
+with a Bessel table J_k(at), built by Miller's downward recurrence.  The
+norm of the represented state follows exactly from the moments through the
+Toeplitz-plus-Hankel Gram identity T_j T_k = (T_{j+k} + T_{|j-k|})/2.
+
+The model is the semi-infinite chain, and [b - a, b + a] encloses its
+spectrum (:func:`bicchain.model.spectral_bounds`).  A matrix element
+<i|H^n|j> with i, j in {|d>, |1>, |2>} differs between the chain truncated
+at site N and the semi-infinite one only through paths that reach site
+N + 1 and come back, which takes n >= 2N - 2 steps.  A series of order
+K < 2N - 2 on a state supported there is therefore the semi-infinite
+chain's series, at any occupation of the last site.  ``auto_sites`` picks
+the smallest such chain, and an explicit chain that is too short gets a
+truncation warning.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,15 +39,13 @@ from scipy.linalg.lapack import dtbtrs
 from .model import (InvalidParameterError, ModelParams, StateVector, hamiltonian,
                     spectral_bounds)
 
-#: boundary occupation above which a truncation warning is attached
-BOUNDARY_SENTINEL = 1e-8
-
 #: refuse direct evolution beyond this chain size
 MAX_SITES = 10 ** 6
 
 #: refuse direct evolution beyond this spectral half-width times t_max,
-#: which is about the Chebyshev order
-MAX_PHASE = 4 * MAX_SITES
+#: which is about the Chebyshev order K; an auto-sized chain has about K/2
+#: sites, so it meets MAX_SITES at about the same t_max
+MAX_PHASE = 2 * MAX_SITES
 
 #: samples per block are chosen so that one block's zero-padded Bessel
 #: table holds at most this many float64 words, or one sample when a single
@@ -60,10 +65,11 @@ class IntegratorError(RuntimeError):
 class EvolveOptions:
     """Configuration of one evolution run.
 
-    ``n_sites="auto"`` resolves through :func:`auto_sites`.  The sample grid
-    is uniform by default; ``grid="log"`` prepends t = 0 to a geometric grid
-    starting at ``log_t_min`` (default max(1e-4 t_max, 0.01)) for log-log
-    figures spanning several decades.
+    ``n_sites="auto"`` resolves through :func:`auto_sites` to the shortest
+    chain on which the expansion is that of the semi-infinite chain.  The
+    sample grid is uniform by default; ``grid="log"`` prepends t = 0 to a
+    geometric grid starting at :func:`log_grid_start` for log-log figures
+    spanning several decades.
 
     ``abs_tol`` bounds the norm of the dropped part of the Chebyshev series:
     the expansion order is the smallest K with 2 sum_{k>K} |J_k(a t_max)|
@@ -77,7 +83,6 @@ class EvolveOptions:
     abs_tol: float = 1e-13
     n_sites: int | str = "auto"
     grid: str = "linear"
-    log_t_min: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.t_max > 0 and np.isfinite(self.t_max)):
@@ -97,18 +102,23 @@ class EvolveOptions:
                 raise InvalidParameterError(f"n_sites must be an integer or 'auto', got {self.n_sites!r}")
         elif self.n_sites < 3:
             raise InvalidParameterError(f"n_sites must be >= 3, got {self.n_sites}")
-        if self.log_t_min is not None and not (0 < self.log_t_min < self.t_max):
-            raise InvalidParameterError("log_t_min must lie in (0, t_max)")
 
-    def resolved_sites(self) -> int:
-        return auto_sites(self.t_max) if self.n_sites == "auto" else int(self.n_sites)
+    def resolved_sites(self, params: ModelParams) -> int:
+        if self.n_sites != "auto":
+            return int(self.n_sites)
+        return auto_sites(_expansion(params, self.t_max, self.abs_tol)[2])
 
     def times(self) -> np.ndarray:
         if self.grid == "linear":
             return np.linspace(0.0, self.t_max, self.n_samples)
-        t_lo = self.log_t_min if self.log_t_min is not None else max(1e-4 * self.t_max, 1e-2)
-        ts = np.geomspace(t_lo, self.t_max, self.n_samples - 1)
+        ts = np.geomspace(log_grid_start(self.t_max), self.t_max, self.n_samples - 1)
         return np.concatenate(([0.0], ts))
+
+
+def log_grid_start(t_max: float) -> float:
+    """First positive time of a log grid ending at t_max: max(1e-4 t_max, 0.01),
+    or 1e-4 t_max when t_max is below 0.01, so the grid never passes t_max."""
+    return max(1e-4 * t_max, 1e-2) if t_max >= 1e-2 else 1e-4 * t_max
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,7 @@ class AmplitudeSeries:
     n_sites: int
     params: ModelParams
     options: EvolveOptions
-    max_boundary_prob: float = 0.0
+    light_cone_margin: int = 0
     truncation_warning: bool = False
     warnings: tuple = field(default=())
     cheb_terms: int = 0
@@ -147,16 +157,28 @@ class ProbabilitySeries:
             raise InvalidParameterError("times and values must have matching shapes")
 
 
-def auto_sites(t_max: float) -> int:
-    """Truncation size N = ceil(2.5 t_max) + 32 keeping the wall causally silent."""
-    if not (t_max > 0 and np.isfinite(t_max)):
-        raise InvalidParameterError(f"t_max must be positive, got {t_max}")
-    n = int(math.ceil(2.5 * t_max)) + 32
+def auto_sites(order: int) -> int:
+    """Shortest chain N = max(3, K//2 + 2) on which a series of order K is
+    exact for the semi-infinite chain, that is K < 2N - 2."""
+    n = max(3, order // 2 + 2)
     if n > MAX_SITES:
         raise InvalidParameterError(
-            f"t_max = {t_max:g} needs {n} chain sites (> {MAX_SITES}); "
+            f"a Chebyshev order of {order} needs {n} chain sites (> {MAX_SITES}); "
             "use the semi-analytic quadrature routes instead of direct evolution")
     return n
+
+
+@functools.lru_cache(maxsize=64)
+def _expansion(params: ModelParams, t_max: float, abs_tol: float) -> tuple[float, float, int]:
+    """Center b, half-width a and order K of the Chebyshev series to t_max;
+    cached, because sizing the initial state and evolving it both need them."""
+    center, half_width = spectral_bounds(params)
+    if not half_width * t_max <= MAX_PHASE:
+        raise InvalidParameterError(
+            f"t_max = {t_max:g} times the spectral half-width {half_width:.3g} "
+            f"exceeds {MAX_PHASE}, beyond the reach of direct evolution; "
+            "use the semi-analytic quadrature routes")
+    return center, half_width, chebyshev_order(half_width * t_max, abs_tol)
 
 
 def _miller_start(x: np.ndarray) -> np.ndarray:
@@ -217,17 +239,15 @@ def chebyshev_order(x_max: float, abs_tol: float) -> int:
 def _moments(h2: sparse.csr_matrix, psi0: np.ndarray, order: int):
     """Moments of v_k = T_k(H') psi0 for k <= order, with h2 = 2H'.
 
-    Returns <psi0|v_k>, the components (v_k[0], v_k[1], v_k[N]) and
-    <v_k|v_k>.
+    Returns <psi0|v_k>, the components (v_k[0], v_k[1]) and <v_k|v_k>.
     """
-    edge = [0, 1, len(psi0) - 1]
     overlaps = np.empty(order + 1, dtype=psi0.dtype)
-    sites = np.empty((order + 1, 3), dtype=psi0.dtype)
+    sites = np.empty((order + 1, 2), dtype=psi0.dtype)
     norms_sq = np.empty(order + 1)
     v_prev, v = psi0, psi0
     for k in range(order + 1):
         overlaps[k] = np.vdot(psi0, v)
-        sites[k] = v.take(edge)
+        sites[k] = v[:2]
         norms_sq[k] = np.vdot(v, v).real
         if k == 0:
             v = 0.5 * (h2 @ v)
@@ -268,19 +288,20 @@ def _gram_weights(norms_sq: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndar
 
 
 def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> AmplitudeSeries:
-    """Evolve ``initial`` under the truncated Hamiltonian and sample observables.
+    """Evolve ``initial`` on the truncated chain and sample observables.
 
     Records <psi_init|psi(t)>, psi_d(t), psi_1(t) and ||psi(t)|| on the
     option grid, all from one Chebyshev recurrence of order ``cheb_terms``
     (see the module docstring).  ``norm`` is the exact norm of the
     represented state, not an error bound.  Samples are contracted in
     blocks of about ``BLOCK_WORDS`` padded table entries, so memory stays
-    O(n_sites + K) beyond the outputs.  If the boundary site ever exceeds
-    an occupation of 1e-8 at a sample time a truncation warning is attached
-    to the output (the run is not aborted).  A non-finite recurrence raises
-    :class:`IntegratorError`.
+    O(n_sites + K) beyond the outputs.  ``light_cone_margin`` = 2N - 2 - K;
+    for a state on {|d>, |1>, |2>} the samples are those of the
+    semi-infinite chain when it is positive, which auto-sized chains always
+    are.  Otherwise a truncation warning is attached to the output (the run
+    is not aborted).  A non-finite recurrence raises :class:`IntegratorError`.
     """
-    n = opts.resolved_sites()
+    n = opts.resolved_sites(params)
     if initial.n_sites != n:
         raise InvalidParameterError(
             f"initial state has {initial.n_sites} sites but the run resolves to {n}; "
@@ -289,13 +310,7 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     if not psi0.imag.any():
         psi0 = psi0.real  # H is real: a real state keeps the recurrence real
     times = opts.times()
-    center, half_width = spectral_bounds(params, n)
-    if not half_width * times[-1] <= MAX_PHASE:
-        raise InvalidParameterError(
-            f"t_max = {opts.t_max:g} times the spectral half-width {half_width:.3g} "
-            f"exceeds {MAX_PHASE}, beyond the reach of direct evolution; "
-            "use the semi-analytic quadrature routes")
-    order = chebyshev_order(half_width * times[-1], opts.abs_tol)
+    center, half_width, order = _expansion(params, opts.t_max, opts.abs_tol)
     h_sparse = hamiltonian(params, n).to_sparse()
     h2 = (2.0 / half_width) * (h_sparse - center * sparse.identity(n + 1, format="csr"))
     overlaps, sites, norms_sq = _moments(h2, psi0, order)
@@ -306,7 +321,7 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     weights *= np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4, None]
     n_fft = 2 * fft.next_fast_len(order + 1, real=True)
     w_abs, w_cross = _gram_weights(norms_sq, n_fft)
-    samples = np.empty((len(times), 4), dtype=complex)
+    samples = np.empty((len(times), 3), dtype=complex)
     norm_sq = np.empty(len(times))
     block = max(1, BLOCK_WORDS // n_fft)
     for lo in range(0, len(times), block):
@@ -318,17 +333,18 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
         norm_sq[lo:lo + block] = (spec.view(float) ** 2) @ w_abs + cross.view(float) @ w_cross
     samples *= np.exp(-1j * center * times)[:, None]
 
-    boundary_max = float(np.max(np.abs(samples[:, 3]) ** 2))
-    warn = boundary_max > BOUNDARY_SENTINEL
+    margin = 2 * n - 2 - order
+    warn = margin <= 0
     messages = ()
     if warn:
         messages = (
-            f"WARNING boundary site occupation reached {boundary_max:.3e} > "
-            f"{BOUNDARY_SENTINEL:g}; truncation reflections may contaminate late times",)
+            f"WARNING Chebyshev order {order} reaches the wall of the {n}-site chain "
+            f"(light-cone margin {margin}); the samples may differ from the "
+            "semi-infinite chain's",)
     return AmplitudeSeries(
         times=times, overlap=samples[:, 0], amp_d=samples[:, 1], amp_1=samples[:, 2],
         norm=np.sqrt(norm_sq), n_sites=n, params=params, options=opts,
-        max_boundary_prob=boundary_max, truncation_warning=warn, warnings=messages,
+        light_cone_margin=margin, truncation_warning=warn, warnings=messages,
         cheb_terms=order, spectral_center=center, spectral_half_width=half_width)
 
 

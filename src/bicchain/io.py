@@ -104,7 +104,7 @@ def evolve_meta(series: AmplitudeSeries, state_label: str, version: str) -> dict
         "cheb_terms": series.cheb_terms,
         "spectral_center": series.spectral_center,
         "spectral_half_width": series.spectral_half_width,
-        "max_boundary_prob": f"{series.max_boundary_prob:.3e}",
+        "light_cone_margin": series.light_cone_margin,
         "tool_version": version,
     }
 

@@ -18,6 +18,10 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvalsh_tridiagonal
 
+#: sites of the chain section whose edge-shifted spectrum bounds the
+#: semi-infinite chain's in :func:`spectral_bounds`
+ENCLOSURE_SITES = 64
+
 
 class InvalidParameterError(ValueError):
     """Raised when a constructor argument violates a model precondition."""
@@ -100,11 +104,15 @@ def _coupled_norm(g: float) -> float:
     return 1.0 / np.sqrt(1.0 + g * g)
 
 
-def _check_state_args(g: float, n_sites: int, min_sites: int) -> None:
+def _check_coupling(g: float) -> None:
     if not (g > 0 and np.isfinite(g)):
         raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
     if not np.isfinite(g * g):
         raise InvalidParameterError(f"coupling g = {g} is too large: g^2 overflows")
+
+
+def _check_state_args(g: float, n_sites: int, min_sites: int) -> None:
+    _check_coupling(g)
     if n_sites < min_sites:
         raise InvalidParameterError(f"n_sites must be >= {min_sites}, got {n_sites}")
 
@@ -163,27 +171,38 @@ def hamiltonian(params: ModelParams, n_sites: int) -> TruncatedHamiltonian:
     return TruncatedHamiltonian(n_sites=n_sites, matrix=matrix)
 
 
-def spectral_bounds(params: ModelParams, n_sites: int) -> tuple[float, float]:
-    """Center b and half-width a of an interval enclosing the spectrum of
-    ``hamiltonian(params, n_sites)``.
+def spectral_bounds(params: ModelParams) -> tuple[float, float]:
+    """Center b and half-width a of an interval enclosing the spectrum of the
+    semi-infinite chain, and so of every truncation ``hamiltonian(params, N)``.
 
-    In the basis {(|d> - g|1>)/s, (g|d> + |1>)/s, |2>, ..., |N>} with
+    In the basis {(|d> - g|1>)/s, (g|d> + |1>)/s, |2>, |3>, ...} with
     s = sqrt(1 + g^2) the Hamiltonian is tridiagonal, because |d> and |1>
-    both couple only to |2>.  Sturm-sequence bisection then gives its extreme
-    eigenvalues, and the interval is widened by 1e-10 of its width to cover
-    the rounding of the rotation and of the bisection.
+    both couple only to |2>.  The bond between sites M and M + 1 obeys
+    -(|M><M| + |M+1><M+1|) <= -(|M><M+1| + h.c.) <= |M><M| + |M+1><M+1|,
+    so H lies below the M-site section with +1 added on |M> beside a bare
+    chain with edge potential +1, whose spectrum is [-2, 2] because that
+    edge binds no state, and above the same pair with -1.  Sturm-sequence
+    bisection on a section of ``ENCLOSURE_SITES`` sites gives the two
+    extreme eigenvalues, which are widened by 1e-10 of their spread to cover
+    the rounding of the rotation and of the bisection before they are
+    joined with the band [-2, 2].  Away from bound states (g < 1 at
+    eps_d = 0, for one) the enclosure is the band, (b, a) = (0, 2).
     """
-    if n_sites < 3:
-        raise InvalidParameterError(f"n_sites must be >= 3, got {n_sites}")
     g, eps_d = params.g, params.eps_d
+    _check_coupling(g)
     s = math.hypot(1.0, g)
-    diag = np.zeros(n_sites + 1)
+    diag = np.zeros(ENCLOSURE_SITES + 1)
     diag[0], diag[1] = eps_d / s ** 2, eps_d * (g / s) ** 2
-    off = np.full(n_sites, -1.0)
+    off = np.full(ENCLOSURE_SITES, -1.0)
     off[0], off[1] = eps_d * (g / s) / s, -s
+    diag[-1] = -1.0
     lo = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-    hi = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n_sites, n_sites))[0]
-    return 0.5 * (hi + lo), 0.5 * (hi - lo) + 1e-10 * max(hi - lo, 1.0)
+    diag[-1] = 1.0
+    hi = eigvalsh_tridiagonal(diag, off, select="i",
+                             select_range=(ENCLOSURE_SITES, ENCLOSURE_SITES))[0]
+    pad = 1e-10 * max(hi - lo, 1.0)
+    lo, hi = min(lo - pad, -2.0), max(hi + pad, 2.0)
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
 def apply_hamiltonian(ham: TruncatedHamiltonian, state: StateVector) -> np.ndarray:

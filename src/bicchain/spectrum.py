@@ -461,11 +461,12 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     if params.eps_d == 0.0:
         states.append(DiscreteState(z=0j, sheet=SheetTag.First, kind=StateKind.BIC,
                                     k=complex(math.pi / 2.0), residue_weight=0j))
-        if g == 1.0:
+        zg = g + 1.0 / g
+        if zg == 2.0:
+            # g = 1, or within about 1.5e-8 of it, where g + 1/g rounds to 2
             states.append(_band_edge_state(+1.0, g))
             states.append(_band_edge_state(-1.0, g))
         else:
-            zg = g + 1.0 / g
             sheet = SheetTag.First if g > 1.0 else SheetTag.Second
             kind = StateKind.Bound if g > 1.0 else StateKind.VirtualBound
             for z_val, k_val in ((zg, math.pi + 1j * math.log(g)),

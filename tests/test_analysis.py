@@ -119,7 +119,8 @@ def test_phase_of_early_near_zone_dynamics():
     from bicchain.model import ModelParams, perp_state
 
     opts = EvolveOptions(t_max=20.0, n_samples=2001)
-    series = evolve(ModelParams(g=0.98), perp_state(0.98, opts.resolved_sites()), opts)
+    params = ModelParams(g=0.98)
+    series = evolve(params, perp_state(0.98, opts.resolved_sites(params)), opts)
     report = fit_phase(survival(series), 2.0, 8.0, detrend_exponent=-1.0)
     assert report.params["phase"] == pytest.approx(0.272 * math.pi, abs=0.015)
     assert abs(report.params["phase"] - math.pi / 4) < 0.08

@@ -116,6 +116,20 @@ def test_cli_spectrum_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g, expected", [
+    (1.0, 0), (1 + 1e-9, 0), (1 - 1e-9, 0), (1 + 1e-8, 0), (1 - 1e-8, 0),
+    # g + 1/g is 2 + ~1e-12 here, a state no double resolves to residual 1e-10
+    (1 + 1e-6, 3), (1 - 1e-6, 3),
+])
+def test_cli_spectrum_at_the_g1_threshold(tmp_path, g, expected):
+    # within about 1.5e-8 of g = 1, g + 1/g rounds to 2: the band-edge pair
+    out = tmp_path / "spec.json"
+    assert run_cli("spectrum", "--g", repr(g), "--out", str(out), "--no-meta-time") == expected
+    if expected == 0:
+        states = io.read_json(out)["states"]
+        assert sum(bool(st.get("band_edge")) for st in states) == 2
+
+
 def test_cli_runs_without_optimize_or_integrate(tmp_path):
     # neither is needed on any CLI route, and importing them is a large share
     # of a CLI process's start-up time and memory; checked in a fresh interpreter
@@ -213,6 +227,21 @@ def test_cli_evolve_truncation_warning_annotated(tmp_path):
                    "--tmax", "40", "--samples", "81", "--sites", "12",
                    "--out", str(out), "--no-meta-time") == 0
     assert any(line.startswith("# WARNING") for line in out.read_text().splitlines())
+    meta, _ = io.read_csv(out)
+    assert int(meta["light_cone_margin"]) == 2 * 12 - 2 - int(meta["cheb_terms"]) <= 0
+
+
+def test_cli_evolve_auto_chain_meets_the_light_cone(tmp_path):
+    out = tmp_path / "run.csv"
+    assert run_cli("evolve", "--g", "1.3", "--eps-d", "-0.4", "--state", "w:1.0",
+                   "--tmax", "30", "--samples", "31", "--out", str(out),
+                   "--no-meta-time") == 0
+    assert "WARNING" not in out.read_text()
+    meta, _ = io.read_csv(out)
+    keys = list(meta)
+    assert keys.index("light_cone_margin") == keys.index("spectral_half_width") + 1
+    assert int(meta["n_sites"]) == int(meta["cheb_terms"]) // 2 + 2
+    assert int(meta["light_cone_margin"]) in (1, 2)
 
 
 def test_cli_evolve_detuned_separation_metadata(tmp_path):
@@ -239,6 +268,23 @@ def test_cli_config_file_with_flag_precedence(tmp_path):
     assert run_cli("evolve", "--config", str(tmp_path / "none.cfg"), "--g", "0.9",
                    "--tmax", "5", "--out", str(tmp_path / "c.csv"),
                    "--no-meta-time") == 2
+
+
+@pytest.mark.parametrize("spelling", ["separate", "joined"])
+def test_cli_config_file_either_spelling(tmp_path, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples=11\n")
+
+    def config(path):
+        return ["--config", str(path)] if spelling == "separate" else [f"--config={path}"]
+
+    out = tmp_path / "a.csv"
+    assert run_cli("evolve", *config(cfg), "--g", "0.5", "--tmax", "3",
+                   "--out", str(out), "--no-meta-time") == 0
+    meta, data = io.read_csv(out)
+    assert meta["n_samples"] == "11" and len(data["t"]) == 11
+    assert run_cli("evolve", *config(tmp_path / "none.cfg"), "--g", "0.5", "--tmax", "3",
+                   "--out", str(tmp_path / "b.csv"), "--no-meta-time") == 2
 
 
 def test_cli_determinism(tmp_path):
