@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .evolve import ProbabilitySeries
+from .model import ConfigError
 
 
-class TooFewPeaksError(ValueError):
+class TooFewPeaksError(ConfigError):
     """The analysis window does not contain enough oscillation structure."""
 
 
@@ -46,14 +47,7 @@ class FitReport:
             raise ValueError("residual_rms must be finite")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "params": dict(self.params),
-            "window": [self.window[0], self.window[1]],
-            "residual_rms": self.residual_rms,
-            "n_points": self.n_points,
-            "low_confidence": self.low_confidence,
-        }
+        return {**asdict(self), "kind": self.kind.value, "window": list(self.window)}
 
 
 def _refine(ts: np.ndarray, ys: np.ndarray, i: int) -> tuple[float, float]:

@@ -9,35 +9,33 @@ figure as one CSV per panel).
 ``FIGURES`` is the one table of figures: each figure id maps to its panels,
 and a panel ``(kind, name, *args)`` is written to ``<name>.csv`` by
 ``PANEL_WRITERS[kind](path, *args)``, for kind ``spectrum``, ``evolve``,
-``overlay`` (closed-form curves by tag) or ``bessel``.
+``overlay`` (closed-form curves by tag, from ``closedform.LAWS``) or ``bessel``.
 
-Exit codes: 0 success, 2 invalid configuration or request, 3 numerical
-failure, arithmetic overflow included.  Data rows never carry timestamps;
-metadata carries one only without ``--no-meta-time``, so repeated identical
-invocations with the flag produce byte-identical files.
+Exit codes: 0 success; 2 for a ``ConfigError`` (invalid configuration or
+request) or an ``OSError``; 3 for a ``NumericalError`` or an arithmetic
+overflow.  Any other exception is a bug and ends in a traceback (exit 1).
+Data rows never carry timestamps; metadata carries one only without
+``--no-meta-time``, so repeated identical invocations with the flag produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, closedform, io, spectrum
-from .closedform import ApproximationTag, DivergenceError, DomainError, QuadratureError
-from .evolve import (AmplitudeSeries, EvolveOptions, IntegratorError,
-                     ProbabilitySeries, evolve, log_grid_start, nonescape, survival)
-from .model import InvalidParameterError, ModelParams, bic_state, perp_state, w_state
-from .spectrum import NearPoleError, RootFindError
-
-CONFIG_ERRORS = (InvalidParameterError, DomainError, DivergenceError, ValueError, OSError)
-NUMERICAL_ERRORS = (IntegratorError, RootFindError, QuadratureError, NearPoleError,
-                    ArithmeticError)
+from .closedform import ApproximationTag
+from .evolve import (AmplitudeSeries, EvolveOptions, ProbabilitySeries, evolve,
+                     log_grid_start, nonescape, survival)
+from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalError,
+                    bic_state, perp_state, w_state)
 
 
 def _parse_state(spec: str):
@@ -55,69 +53,35 @@ def _parse_state(spec: str):
     raise InvalidParameterError(f"unknown state spec {spec!r}; use bic, perp, or w:<x>")
 
 
-def _run_evolution(g: float, eps_d: float, state_spec: str, t_max: float,
-                   n_samples: int, grid: str, sites: str = "auto",
-                   rel_tol: float = 1e-11, abs_tol: float = 1e-13) -> tuple[AmplitudeSeries, str]:
-    params = ModelParams(g=g, eps_d=eps_d)
-    opts = EvolveOptions(t_max=t_max, n_samples=n_samples, grid=grid,
-                         n_sites="auto" if sites == "auto" else int(sites),
-                         rel_tol=rel_tol, abs_tol=abs_tol)
+def _parse_sites(spec: str | None) -> int | str | None:
+    """--sites as ``EvolveOptions.n_sites``; None when the flag is not given."""
+    if spec in (None, "auto"):
+        return spec
+    try:
+        n_sites = int(spec)
+    except ValueError:
+        n_sites = 0
+    if n_sites < 3:
+        raise InvalidParameterError(f"--sites must be 'auto' or an integer >= 3, got {spec!r}")
+    return n_sites
+
+
+def _evolve_options(args, grid: str) -> EvolveOptions:
+    """The run's EvolveOptions; a flag that is not given keeps its default there."""
+    given = {"n_sites": _parse_sites(args.sites), "rel_tol": args.rel_tol,
+             "abs_tol": args.abs_tol}
+    return EvolveOptions(t_max=args.tmax, n_samples=args.samples, grid=grid,
+                         **{key: value for key, value in given.items() if value is not None})
+
+
+def _run_evolution(params: ModelParams, state_spec: str,
+                   opts: EvolveOptions) -> tuple[AmplitudeSeries, str]:
     label, factory = _parse_state(state_spec)
-    series = evolve(params, factory(g, opts.resolved_sites(params)), opts)
-    return series, label
+    return evolve(params, factory(params.g, opts.resolved_sites(params)), opts), label
 
 
 # ---------------------------------------------------------------------------
 # analytic curves
-
-def _tag_curve(tag: ApproximationTag, params: ModelParams,
-               ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, in_window) for one closed-form tag on a positive time grid.
-
-    Amplitude-valued forms are emitted as squared magnitudes so every row is
-    on the probability scale of the figures.
-    """
-    g = params.g
-    scales = spectrum.timescales(g)
-    ones = np.ones_like(ts, dtype=bool)
-    if tag is ApproximationTag.EarlyBessel:
-        vals = np.abs(closedform.early_approx(ts, g)) ** 2
-        window = ts <= scales.t_br
-    elif tag is ApproximationTag.NearZoneAmp:
-        vals = np.abs(closedform.near_zone_amp(ts, g)) ** 2
-        window = (ts >= scales.t_zeno) & (ts <= scales.t_br)
-    elif tag is ApproximationTag.NearZoneEarlyProb:
-        vals = closedform.near_zone_prob(ts, g)
-        window = (ts >= scales.t_zeno) & (ts <= scales.t_br)
-    elif tag is ApproximationTag.FarZoneProb:
-        vals = closedform.far_zone_prob(ts, g)
-        window = ts >= 5.0 * scales.t_delta
-    elif tag is ApproximationTag.BoundTerm:
-        if g <= 1.0:
-            raise InvalidParameterError("BoundTerm requires g > 1 (no bound states otherwise)")
-        # libm pow, as for a Python float ** 2; numpy's ** 2 is x * x (last bit differs)
-        vals = np.float_power(closedform.bound_term(ts, g), 2)
-        window = ones
-    elif tag is ApproximationTag.ResPolePerp:
-        amp, rate = closedform.res_pole_perp(params)
-        vals = amp * np.exp(-rate * ts)
-        window = ones
-    elif tag is ApproximationTag.ResPole1d:
-        amp, rate = closedform.res_pole_1d(params)
-        vals = amp * np.exp(-rate * ts)
-        window = ones
-    elif tag is ApproximationTag.WFarZone:
-        vals = closedform.w_far_zone(ts, g)
-        window = ts >= 5.0 * scales.t_delta
-    elif tag is ApproximationTag.WNearZoneG1:
-        if g != 1.0:
-            raise InvalidParameterError("WNearZoneG1 is the g = 1 law; got g != 1")
-        vals = closedform.w_near_zone_g1(ts)
-        window = ts >= scales.t_zeno
-    else:  # pragma: no cover - enum is closed
-        raise InvalidParameterError(f"unhandled tag {tag}")
-    return np.asarray(vals, dtype=float), window
-
 
 def _grid(t_lo: float, t_hi: float, n: int, grid: str) -> np.ndarray:
     return np.geomspace(t_lo, t_hi, n) if grid == "log" else np.linspace(t_lo, t_hi, n)
@@ -138,7 +102,7 @@ def _write_curves(path: str | Path, params: ModelParams, tags: list[Approximatio
     ``tags`` and ``tool_version`` keys."""
     rows: list[tuple[float, float, str, int]] = []
     for tag in tags:
-        vals, window = _tag_curve(tag, params, ts)
+        vals, window = closedform.LAWS[tag].curve(params, ts)
         rows.extend((float(t), float(v), tag.value, int(w))
                     for t, v, w in zip(ts, vals, window))
     meta = {**meta, "tags": ",".join(t.value for t in tags), "tool_version": __version__}
@@ -153,16 +117,14 @@ def _cmd_spectrum(args) -> int:
     report = spectrum.spectrum_report(params)
     report["meta"] = {"tool_version": __version__}
     if not args.no_meta_time:
-        report["meta"]["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc).isoformat()
+        report["meta"]["generated_at"] = io.timestamp()
     io.write_json(args.out, report)
     return 0
 
 
 def _cmd_evolve(args) -> int:
-    series, label = _run_evolution(args.g, args.eps_d, args.state, args.tmax,
-                                   args.samples, args.grid, args.sites,
-                                   args.rel_tol, args.abs_tol)
+    params = ModelParams(g=args.g, eps_d=args.eps_d)
+    series, label = _run_evolution(params, args.state, _evolve_options(args, args.grid))
     io.write_evolve_csv(args.out, series, label, __version__,
                         meta_time=not args.no_meta_time)
     return 0
@@ -192,25 +154,19 @@ def _compare_fits(params: ModelParams, p_perp, p_1d) -> dict:
     scales = spectrum.timescales(params.g)
     t_max = float(p_perp.times[-1])
     near_hi = min(8.0, 0.1 * scales.t_delta) if np.isfinite(scales.t_delta) else 8.0
-    try:
+    with suppress(ValueError):
         fits["near_zone_phase"] = analysis.fit_phase(
             p_perp, 2.0, near_hi, detrend_exponent=-1.0).to_json_dict()
-    except (analysis.TooFewPeaksError, ValueError):
-        pass
     if params.g < 1.0 and np.isfinite(scales.t_delta) and t_max >= 8.0 * scales.t_delta:
         lo, hi = 5.0 * scales.t_delta, t_max
-        try:
+        with suppress(ValueError):
             fits["far_zone_power_law"] = analysis.fit_power_law(p_perp, lo, hi).to_json_dict()
             fits["far_zone_phase"] = analysis.fit_phase(
                 p_perp, lo, hi, detrend_exponent=-3.0).to_json_dict()
-        except (analysis.TooFewPeaksError, ValueError):
-            pass
     elif params.g == 1.0 and t_max > 20.0:
-        try:
+        with suppress(ValueError):
             fits["near_zone_power_law"] = analysis.fit_power_law(
                 p_perp, 5.0, t_max).to_json_dict()
-        except (analysis.TooFewPeaksError, ValueError):
-            pass
     if params.eps_d != 0.0 and t_max >= 40.0:
         hi = min(60.0, t_max)
         for name, series in (("shelf_1d", p_1d), ("shelf_perp", p_perp)):
@@ -223,10 +179,8 @@ def _compare_fits(params: ModelParams, p_perp, p_1d) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    series, label = _run_evolution(args.g, args.eps_d, "perp", args.tmax,
-                                   args.samples, "linear", args.sites,
-                                   args.rel_tol, args.abs_tol)
-    params = series.params
+    params = ModelParams(g=args.g, eps_d=args.eps_d)
+    series, label = _run_evolution(params, "perp", _evolve_options(args, "linear"))
     ts = series.times
     a_ode = series.overlap
     header = ["t", "re_A_ode", "im_A_ode"]
@@ -275,22 +229,18 @@ def _cmd_compare(args) -> int:
 
 def _write_fig1(path: Path, *, meta_time: bool) -> None:
     gs = np.round(np.arange(0.01, 2.0000001, 0.01), 10)
-    lines = ["# figure=fig1", "# eps_d=0.0", "# g_range=0.01:2.0:0.01",
-             f"# tool_version={__version__}"]
-    if meta_time:
-        lines.append(f"# generated_at={datetime.datetime.now(datetime.timezone.utc).isoformat()}")
-    lines.append("g,z_bic,z_plus,z_minus,kind")
-    for g in gs:
-        zg, _ = spectrum.z_gap(float(g))
-        kind = "Bound" if g > 1.0 else "VirtualBound"
-        lines.append(f"{io.format_number(g)},{io.format_number(0.0)},"
-                     f"{io.format_number(zg)},{io.format_number(-zg)},{kind}")
-    path.write_text("\n".join(lines) + "\n")
+    zg = gs + 1.0 / gs  # spectrum.z_gap at each g, elementwise
+    meta = {"figure": "fig1", "eps_d": 0.0, "g_range": "0.01:2.0:0.01",
+            "tool_version": __version__}
+    io.write_csv(path, ["g", "z_bic", "z_plus", "z_minus", "kind"],
+                 [gs, np.zeros_like(gs), zg, -zg, np.where(gs > 1.0, "Bound", "VirtualBound")],
+                 meta=meta, meta_time=meta_time)
 
 
 def _write_evolve_panel(path: Path, g: float, eps_d: float, state_spec: str,
                         t_max: float, n_samples: int, grid: str, *, meta_time: bool) -> None:
-    series, label = _run_evolution(g, eps_d, state_spec, t_max, n_samples, grid)
+    series, label = _run_evolution(ModelParams(g=g, eps_d=eps_d), state_spec,
+                                   EvolveOptions(t_max=t_max, n_samples=n_samples, grid=grid))
     extra_meta = {"figure_panel": path.stem}
     if eps_d != 0.0:
         sep = _separation_time(survival(series), nonescape(series))
@@ -448,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tmax", type=float, required=True, help="evolution time (units 1/J)")
         p.add_argument("--samples", type=int, default=2001, help="number of sample times")
         p.add_argument("--grid", choices=("linear", "log"), default="linear")
-        p.add_argument("--sites", default="auto", help="chain truncation: auto or an integer")
-        p.add_argument("--rel-tol", type=float, default=1e-11, dest="rel_tol")
-        p.add_argument("--abs-tol", type=float, default=1e-13, dest="abs_tol")
+        p.add_argument("--sites", help="chain truncation: auto or an integer")
+        p.add_argument("--rel-tol", type=float, dest="rel_tol")
+        p.add_argument("--abs-tol", type=float, dest="abs_tol")
 
     p_ev = sub.add_parser("evolve", help="numerical evolution CSV")
     add_model_args(p_ev)
@@ -549,11 +499,10 @@ def main(argv: list[str] | None = None) -> int:
             argv = _apply_config_file(argv)
         args = parser.parse_args(_attach_negative_values(argv))
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
-        # before CONFIG_ERRORS: NearPoleError is also a ValueError
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except CONFIG_ERRORS as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

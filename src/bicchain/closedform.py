@@ -29,28 +29,34 @@ Routes to the survival amplitude of the BIC-orthogonal state at eps_d = 0:
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes, so memory stays
 flat however long the time grid.  sigma_1 is ``spectrum.sigma1``.
 
-Closed-form approximations (each with its validity window):
+Closed-form approximations:
 
 * early-time two-edge form with the virtual-Rabi term (``early_approx``),
 * near-zone 1/t law (``near_zone_amp`` / ``near_zone_prob``),
 * far-zone 1/t^3 law (``far_zone_prob``),
+* bound-state pair term (``bound_term``),
 * resonance-pole exponential prefactors (``res_pole_perp`` / ``res_pole_1d``),
 * w = 1 decoherence laws (``w_far_zone`` / ``w_near_zone_g1``).
+
+``LAWS`` maps each ``ApproximationTag`` to its law, validity window and
+precondition; ``LAWS[tag].curve(params, ts)`` gives values and window mask.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import j0, j1, roots_legendre
 
-from .model import InvalidParameterError, ModelParams
-from .spectrum import SheetTag, resolvent_dd, resonance_expansion, sigma1, z_gap
+from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
+from .spectrum import (SheetTag, Timescales, resolvent_dd, resonance_expansion, sigma1,
+                       timescales, z_gap)
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Oscillatory quadrature failed to reach the requested accuracy."""
 
     def __init__(self, message: str, error_estimate: float) -> None:
@@ -58,11 +64,11 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-class DomainError(ValueError):
+class DomainError(ConfigError):
     """Argument outside the mathematical domain of a closed-form law."""
 
 
-class DivergenceError(ValueError):
+class DivergenceError(ConfigError):
     """Closed form diverges at these parameters; a different law applies."""
 
 
@@ -105,6 +111,13 @@ def _check_times(t) -> None:
     bad = np.asarray(t, dtype=float)[~np.isfinite(t)]
     if bad.size:
         raise InvalidParameterError(f"time t must be finite, got t = {bad.flat[0]}")
+
+
+def _positive_times(t, refusal: str) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
+        raise DomainError(refusal)
+    return t
 
 
 def _gauss_panels(f, a: np.ndarray, b: np.ndarray, rule) -> np.ndarray:
@@ -299,9 +312,7 @@ def near_zone_amp(t, g: float):
     """
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"near-zone form requires 0 < g <= 1, got {g}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("near-zone amplitude diverges at t = 0 (1/sqrt(t))")
+    t = _positive_times(t, "near-zone amplitude diverges at t = 0 (1/sqrt(t))")
     return (np.cos(2.0 * t - math.pi / 4.0) / (g * np.sqrt(math.pi * t))
             - ((1.0 - g) / g) * np.cos(2.0 * t)) + 0j
 
@@ -310,9 +321,7 @@ def near_zone_prob(t, g: float):
     """Early near-zone survival probability cos^2(2t - pi/4)/(pi g^2 t)."""
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"near-zone form requires 0 < g <= 1, got {g}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("near-zone probability diverges at t = 0 (1/t)")
+    t = _positive_times(t, "near-zone probability diverges at t = 0 (1/t)")
     return np.cos(2.0 * t - math.pi / 4.0) ** 2 / (math.pi * g * g * t)
 
 
@@ -329,9 +338,7 @@ def far_zone_coefficient(g: float) -> float:
 def far_zone_prob(t, g: float):
     """Far-zone survival probability, valid t >> T_Delta (0 < g < 1)."""
     coef = far_zone_coefficient(g)
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("far-zone probability requires t > 0")
+    t = _positive_times(t, "far-zone probability requires t > 0")
     return coef * np.cos(2.0 * t - 3.0 * math.pi / 4.0) ** 2 / t ** 3
 
 
@@ -516,15 +523,59 @@ def w_far_zone(t, g: float):
     the law is a smooth power law.
     """
     coef = w_far_zone_coefficient(g)
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("far-zone probability requires t > 0")
+    t = _positive_times(t, "far-zone probability requires t > 0")
     return coef / t ** 3
 
 
 def w_near_zone_g1(t):
     """w = 1, g = 1 asymptotic near-zone law P_w(t) = 16/(9 pi t)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("near-zone probability requires t > 0")
+    t = _positive_times(t, "near-zone probability requires t > 0")
     return 16.0 / (9.0 * math.pi * t)
+
+
+class Law(NamedTuple):
+    """A law on the probability scale (amplitude laws squared), its validity
+    window [lo, hi] from the :class:`Timescales`, and, for a law that does not
+    check its own domain, a predicate on g with its refusal.  ``prob`` calls
+    the law by its module-level name, so the name is looked up at each call."""
+
+    prob: Callable[[np.ndarray, ModelParams], np.ndarray]
+    window: Callable[[Timescales], tuple[float, float]]
+    requires: tuple[Callable[[float], bool], str] | None = None
+
+    def curve(self, params: ModelParams, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, in_window) on a positive time grid."""
+        if self.requires is not None and not self.requires[0](params.g):
+            raise InvalidParameterError(self.requires[1])
+        lo, hi = self.window(timescales(params.g))
+        return np.asarray(self.prob(ts, params), dtype=float), (ts >= lo) & (ts <= hi)
+
+
+def _pole_decay(pole: tuple[float, float], ts: np.ndarray) -> np.ndarray:
+    amp, rate = pole
+    return amp * np.exp(-rate * ts)
+
+
+LAWS: dict[ApproximationTag, Law] = {
+    ApproximationTag.EarlyBessel: Law(lambda ts, p: np.abs(early_approx(ts, p.g)) ** 2,
+                                      lambda s: (-math.inf, s.t_br)),
+    ApproximationTag.NearZoneAmp: Law(lambda ts, p: np.abs(near_zone_amp(ts, p.g)) ** 2,
+                                      lambda s: (s.t_zeno, s.t_br)),
+    ApproximationTag.NearZoneEarlyProb: Law(lambda ts, p: near_zone_prob(ts, p.g),
+                                            lambda s: (s.t_zeno, s.t_br)),
+    ApproximationTag.FarZoneProb: Law(lambda ts, p: far_zone_prob(ts, p.g),
+                                      lambda s: (5.0 * s.t_delta, math.inf)),
+    # libm pow, as for a Python float ** 2; numpy's ** 2 is x * x (last bit differs)
+    ApproximationTag.BoundTerm: Law(
+        lambda ts, p: np.float_power(bound_term(ts, p.g), 2), lambda s: (-math.inf, math.inf),
+        (lambda g: g > 1.0, "BoundTerm requires g > 1 (no bound states otherwise)")),
+    ApproximationTag.ResPolePerp: Law(lambda ts, p: _pole_decay(res_pole_perp(p), ts),
+                                      lambda s: (-math.inf, math.inf)),
+    ApproximationTag.ResPole1d: Law(lambda ts, p: _pole_decay(res_pole_1d(p), ts),
+                                    lambda s: (-math.inf, math.inf)),
+    ApproximationTag.WFarZone: Law(lambda ts, p: w_far_zone(ts, p.g),
+                                   lambda s: (5.0 * s.t_delta, math.inf)),
+    ApproximationTag.WNearZoneG1: Law(
+        lambda ts, p: w_near_zone_g1(ts), lambda s: (s.t_zeno, math.inf),
+        (lambda g: g == 1.0, "WNearZoneG1 is the g = 1 law; got g != 1")),
+}

@@ -36,8 +36,8 @@ import numpy as np
 from scipy import fft, sparse
 from scipy.linalg.lapack import dtbtrs
 
-from .model import (InvalidParameterError, ModelParams, StateVector, hamiltonian,
-                    spectral_bounds)
+from .model import (InvalidParameterError, ModelParams, NumericalError, StateVector,
+                    hamiltonian, spectral_bounds)
 
 #: refuse direct evolution beyond this chain size
 MAX_SITES = 10 ** 6
@@ -53,7 +53,7 @@ MAX_PHASE = 2 * MAX_SITES
 BLOCK_WORDS = 1 << 15
 
 
-class IntegratorError(RuntimeError):
+class IntegratorError(NumericalError):
     """The propagator failed; carries the time it reached."""
 
     def __init__(self, message: str, t_reached: float) -> None:
@@ -338,7 +338,7 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     messages = ()
     if warn:
         messages = (
-            f"WARNING Chebyshev order {order} reaches the wall of the {n}-site chain "
+            f"Chebyshev order {order} reaches the wall of the {n}-site chain "
             f"(light-cone margin {margin}); the samples may differ from the "
             "semi-infinite chain's",)
     return AmplitudeSeries(

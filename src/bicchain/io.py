@@ -2,10 +2,10 @@
 
 Numeric cells use ``repr(float(x))``: the shortest representation that
 round-trips exactly (>= 15 significant digits where needed), '.' decimal
-separator, comma delimiter, one header line.  Metadata lines are prefixed
-'#' as ``# key=value`` and precede the header.  Identical inputs produce
-byte-identical files; a generation timestamp is only written when
-``meta_time=True``.
+separator, comma delimiter, one header line; a column of strings is written
+as is.  Metadata lines are prefixed '#' as ``# key=value`` and precede the
+header.  Identical inputs produce byte-identical files; a generation
+timestamp (:func:`timestamp`) is only written when ``meta_time=True``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,22 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
+def timestamp() -> str:
+    """The current UTC time in ISO 8601, as written to ``generated_at``."""
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
 def _meta_lines(meta: dict, meta_time: bool) -> list[str]:
     lines = [f"# {key}={value}" for key, value in meta.items()]
     if meta_time:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        lines.append(f"# generated_at={stamp}")
+        lines.append(f"# generated_at={timestamp()}")
     return lines
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    if column.dtype.kind in "US":
+        return column.astype(str).tolist()
+    return list(map(repr, column.astype(float).tolist()))
 
 
 def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray],
@@ -41,39 +51,45 @@ def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray],
     if any(len(c) != n_rows for c in columns):
         raise ValueError("all columns must have equal length")
     lines = _meta_lines(meta or {}, meta_time)
-    lines += [f"# WARNING {w}" if not str(w).startswith("WARNING") else f"# {w}"
-              for w in warnings]
+    lines += [f"# WARNING {w}" for w in warnings]
     lines.append(",".join(header))
-    for i in range(n_rows):
-        lines.append(",".join(format_number(col[i]) for col in columns))
+    lines += map(",".join, zip(*map(_cells, columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path: str | Path) -> tuple[dict, dict]:
-    """Parse a file written by :func:`write_csv` into (metadata, columns)."""
+def _read_table(path: str | Path) -> tuple[dict, list[str], list[list[str]]]:
+    """Metadata, header and rows of cells of a file written by this module."""
     meta: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[list[float]] = []
+    table: list[list[str]] = []
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body and not body.startswith("WARNING"):
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            else:
-                meta.setdefault("warnings", "")
-                meta["warnings"] += body + "; "
+        if not line.startswith("#"):
+            table.append([cell.strip() for cell in line.split(",")])
             continue
-        if header is None:
-            header = [h.strip() for h in line.split(",")]
-            continue
-        rows.append([float(cell) for cell in line.split(",")])
-    if header is None:
+        body = line[1:].strip()
+        if "=" in body and not body.startswith("WARNING"):
+            key, _, value = body.partition("=")
+            meta[key.strip()] = value.strip()
+        else:
+            meta["warnings"] = meta.get("warnings", "") + body + "; "
+    if not table:
         raise ValueError(f"{path}: no header line found")
-    data = {name: np.array([row[i] for row in rows]) for i, name in enumerate(header)}
-    return meta, data
+    return meta, table[0], table[1:]
+
+
+def _column(cells: list[str]) -> np.ndarray:
+    try:
+        return np.array([float(cell) for cell in cells])
+    except ValueError:
+        return np.array(cells)
+
+
+def read_csv(path: str | Path) -> tuple[dict, dict]:
+    """Parse a file written by :func:`write_csv` into (metadata, columns);
+    a column of text comes back as strings."""
+    meta, header, rows = _read_table(path)
+    return meta, {name: _column([row[i] for row in rows]) for i, name in enumerate(header)}
 
 
 def write_json(path: str | Path, obj: dict) -> None:
@@ -136,22 +152,7 @@ def write_analytic_csv(path: str | Path, rows: list[tuple[float, float, str, int
 
 
 def read_analytic_csv(path: str | Path) -> tuple[dict, list[tuple[float, float, str, int]]]:
-    meta: dict[str, str] = {}
-    rows: list[tuple[float, float, str, int]] = []
-    header_seen = False
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if [h.strip() for h in line.split(",")] != ANALYTIC_HEADER:
-                raise ValueError(f"{path}: unexpected analytic header {line!r}")
-            header_seen = True
-            continue
-        t_s, v_s, tag, win = line.split(",")
-        rows.append((float(t_s), float(v_s), tag, int(win)))
-    return meta, rows
+    meta, header, rows = _read_table(path)
+    if header != ANALYTIC_HEADER:
+        raise ValueError(f"{path}: unexpected analytic header {','.join(header)!r}")
+    return meta, [(float(t), float(value), tag, int(win)) for t, value, tag, win in rows]

@@ -23,7 +23,15 @@ from scipy.linalg import eigvalsh_tridiagonal
 ENCLOSURE_SITES = 64
 
 
-class InvalidParameterError(ValueError):
+class ConfigError(ValueError):
+    """Base of every error that an invalid configuration or request causes (exit 2)."""
+
+
+class NumericalError(RuntimeError):
+    """Base of every error that a numerical method raises when it fails (exit 3)."""
+
+
+class InvalidParameterError(ConfigError):
     """Raised when a constructor argument violates a model precondition."""
 
 

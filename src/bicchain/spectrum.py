@@ -42,18 +42,18 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import InvalidParameterError, ModelParams
+from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
 
 
-class BranchPointError(ValueError):
+class BranchPointError(ConfigError):
     """Evaluation exactly at a band edge z = +/-2 without requesting the limit."""
 
 
-class NearPoleError(ValueError):
+class NearPoleError(NumericalError):
     """Resolvent evaluated closer than 1e-13 to one of its poles."""
 
     def __init__(self, z: complex) -> None:
@@ -61,7 +61,7 @@ class NearPoleError(ValueError):
         self.z = complex(z)
 
 
-class RootFindError(RuntimeError):
+class RootFindError(NumericalError):
     """Root search failed to converge; carries the last iterate."""
 
     def __init__(self, message: str, last_iterate: complex) -> None:
@@ -124,14 +124,7 @@ class Timescales:
     zeno_c: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_zeno": self.t_zeno,
-            "t_delta": self.t_delta,
-            "t_vr": self.t_vr,
-            "t_br": self.t_br,
-            "delta_g": self.delta_g,
-            "zeno_c": self.zeno_c,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from scipy.special import j1, roots_legendre
 from scipy.sparse.linalg import spsolve
 
 from bicchain import closedform
-from bicchain.closedform import (DivergenceError, DomainError, QuadratureError,
-                                 a_br_quadrature, a_w_cut, a_w_rays,
+from bicchain.closedform import (LAWS, ApproximationTag, DivergenceError, DomainError,
+                                 Law, QuadratureError, a_br_quadrature, a_w_cut, a_w_rays,
                                  a_w_resolvent, bessel_exact, bessel_exact_grid,
                                  bound_term, early_approx, far_zone_coefficient,
                                  far_zone_prob, near_zone_amp, near_zone_prob,
@@ -156,6 +156,53 @@ def test_validity_window_invariant():
     ts = np.linspace(0.1, hi, 120)
     diff = np.abs(early_approx(ts, 0.9) - bessel_exact_grid(ts, 0.9))
     assert np.max(diff) < 1.1e-2
+
+
+# ---------------------------------------------------------------------------
+# law table
+
+def test_law_table_has_one_entry_per_tag():
+    assert list(LAWS) == list(ApproximationTag)
+    assert all(isinstance(law, Law) for law in LAWS.values())
+
+
+LAW_NAMES = {
+    ApproximationTag.EarlyBessel: ("early_approx", 0.9),
+    ApproximationTag.NearZoneAmp: ("near_zone_amp", 0.9),
+    ApproximationTag.NearZoneEarlyProb: ("near_zone_prob", 0.9),
+    ApproximationTag.FarZoneProb: ("far_zone_prob", 0.9),
+    ApproximationTag.BoundTerm: ("bound_term", 1.3),
+    ApproximationTag.ResPolePerp: ("res_pole_perp", 0.9),
+    ApproximationTag.ResPole1d: ("res_pole_1d", 0.9),
+    ApproximationTag.WFarZone: ("w_far_zone", 0.9),
+    ApproximationTag.WNearZoneG1: ("w_near_zone_g1", 1.0),
+}
+
+
+@pytest.mark.parametrize("tag", list(ApproximationTag), ids=lambda tag: tag.value)
+def test_law_table_calls_each_law_by_its_module_name(monkeypatch, tag):
+    # wrappers installed on the module attribute (as a tracer does) must see the call
+    name, g = LAW_NAMES[tag]
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return (0.5, 0.0) if name.startswith("res_pole") else np.full(3, 0.5)
+
+    monkeypatch.setattr(closedform, name, stub)
+    values, window = LAWS[tag].curve(ModelParams(g=g, eps_d=0.1), np.array([1.0, 2.0, 3.0]))
+    assert len(calls) == 1
+    assert np.all(values == 0.5) or np.all(values == 0.25)
+    assert window.shape == (3,) and window.dtype == bool
+
+
+@pytest.mark.parametrize("tag, g, message", [
+    (ApproximationTag.BoundTerm, 1.0, "requires g > 1"),
+    (ApproximationTag.WNearZoneG1, 0.9, "g = 1 law"),
+])
+def test_law_table_preconditions(tag, g, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        LAWS[tag].curve(ModelParams(g=g), np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,9 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bicchain
 from bicchain import cli, io, spectrum
+from bicchain.analysis import TooFewPeaksError
 from bicchain.cli import main
-from bicchain.spectrum import NearPoleError
+from bicchain.closedform import DivergenceError, DomainError, QuadratureError
+from bicchain.evolve import IntegratorError
+from bicchain.model import ConfigError, InvalidParameterError, NumericalError
+from bicchain.spectrum import BranchPointError, NearPoleError, RootFindError
 
 
 def run_cli(*argv):
@@ -39,6 +46,17 @@ def test_analytic_csv_round_trip(tmp_path):
     meta, back = io.read_analytic_csv(path)
     assert back == rows
     assert meta["g"] == "0.7"
+
+
+def test_csv_text_column_and_warning_lines(tmp_path):
+    path = tmp_path / "mixed.csv"
+    io.write_csv(path, ["g", "kind"], [np.array([0.5, 1.5]), np.array(["Virtual", "Bound"])],
+                 meta={"figure": "x"}, warnings=("chain too short",))
+    assert path.read_text().splitlines() == [
+        "# figure=x", "# WARNING chain too short", "g,kind", "0.5,Virtual", "1.5,Bound"]
+    meta, data = io.read_csv(path)
+    assert meta == {"figure": "x", "warnings": "WARNING chain too short; "}
+    assert data["g"].tolist() == [0.5, 1.5] and data["kind"].tolist() == ["Virtual", "Bound"]
 
 
 def test_json_round_trip(tmp_path):
@@ -152,13 +170,65 @@ def test_cli_runs_without_optimize_or_integrate(tmp_path):
 
 
 def test_cli_near_pole_error_exits_numerical(tmp_path, monkeypatch):
-    # NearPoleError is a ValueError, but the taxonomy calls it numerical
+    # a pole of the resolvent met in floating point is a numerical failure
     def near_pole(_params):
         raise NearPoleError(0.1 + 0j)
 
     monkeypatch.setattr(spectrum, "spectrum_report", near_pole)
     assert run_cli("spectrum", "--g", "0.9", "--out", str(tmp_path / "x.json"),
                    "--no-meta-time") == 3
+
+
+def _package_errors() -> set[type]:
+    modules = [importlib.import_module(f"bicchain.{info.name}")
+               for info in pkgutil.iter_modules(bicchain.__path__)]
+    return {obj for mod in modules for obj in vars(mod).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__.startswith("bicchain")} - {ConfigError, NumericalError}
+
+
+def test_every_package_error_has_exactly_one_base():
+    for cls in _package_errors():
+        assert issubclass(cls, ConfigError) != issubclass(cls, NumericalError), cls
+
+
+ERROR_INSTANCES = [
+    (InvalidParameterError("bad g"), 2),
+    (DomainError("t <= 0"), 2),
+    (DivergenceError("g = 1"), 2),
+    (BranchPointError("z = 2"), 2),
+    (TooFewPeaksError("no peaks"), 2),
+    (NearPoleError(0.1 + 0j), 3),
+    (RootFindError("stalled", 1.0 + 0j), 3),
+    (QuadratureError("no convergence", 1e-3), 3),
+    (IntegratorError("non-finite moments", 0.0), 3),
+]
+
+
+def test_error_instances_cover_the_package():
+    assert {type(exc) for exc, _ in ERROR_INSTANCES} == _package_errors()
+
+
+@pytest.mark.parametrize("exc, code", ERROR_INSTANCES,
+                         ids=[type(exc).__name__ for exc, _ in ERROR_INSTANCES])
+def test_cli_exit_code_follows_the_base_class(tmp_path, monkeypatch, capsys, exc, code):
+    def fail(_args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", fail)
+    assert run_cli("spectrum", "--g", "0.9", "--out", str(tmp_path / "x.json")) == code
+    prefix = "error: " if code == 2 else "numerical failure: "
+    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
+
+def test_cli_stray_value_error_is_a_bug(tmp_path, monkeypatch):
+    # only the package's own ConfigError subclasses mean a bad request
+    def fail(_args):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", fail)
+    with pytest.raises(ValueError, match="stray"):
+        run_cli("spectrum", "--g", "0.9", "--out", str(tmp_path / "x.json"))
 
 
 def test_cli_compare_refuses_bessel_grid_beyond_panel_cap(tmp_path, capsys):
@@ -229,6 +299,16 @@ def test_cli_evolve_truncation_warning_annotated(tmp_path):
     assert any(line.startswith("# WARNING") for line in out.read_text().splitlines())
     meta, _ = io.read_csv(out)
     assert int(meta["light_cone_margin"]) == 2 * 12 - 2 - int(meta["cheb_terms"]) <= 0
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+@pytest.mark.parametrize("sites", ["abc", "2.5", "0"])
+def test_cli_sites_must_be_auto_or_an_integer(tmp_path, capsys, command, sites):
+    assert run_cli(command, "--g", "0.9", "--tmax", "5", "--sites", sites,
+                   "--out", str(tmp_path / "x"), "--no-meta-time") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sites ") and repr(sites) in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_evolve_auto_chain_meets_the_light_cone(tmp_path):
