@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .evolve import ProbabilitySeries
-from .model import ConfigError
+from .model import ConfigError, InvalidParameterError
 
 
 class TooFewPeaksError(ConfigError):
@@ -42,9 +42,9 @@ class FitReport:
 
     def __post_init__(self) -> None:
         if not self.window[0] < self.window[1]:
-            raise ValueError(f"window must satisfy t_lo < t_hi, got {self.window}")
+            raise InvalidParameterError(f"window must satisfy t_lo < t_hi, got {self.window}")
         if not math.isfinite(self.residual_rms):
-            raise ValueError("residual_rms must be finite")
+            raise InvalidParameterError("residual_rms must be finite")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "kind": self.kind.value, "window": list(self.window)}
@@ -171,7 +171,7 @@ def fit_exponential(series: ProbabilitySeries, t_lo: float, t_hi: float) -> FitR
     if len(t_w) < 4:
         raise TooFewPeaksError(f"exponential fit needs >= 4 samples in [{t_lo:g}, {t_hi:g}]")
     if np.any(p_w <= 0):
-        raise ValueError("exponential fit requires strictly positive values on the window")
+        raise InvalidParameterError("exponential fit requires strictly positive values on the window")
     lp = np.log(p_w)
     slope, intercept = np.polyfit(t_w, lp, 1)
     resid = lp - (slope * t_w + intercept)

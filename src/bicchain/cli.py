@@ -35,21 +35,21 @@ from .closedform import ApproximationTag
 from .evolve import (AmplitudeSeries, EvolveOptions, ProbabilitySeries, evolve,
                      log_grid_start, nonescape, survival)
 from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalError,
-                    bic_state, perp_state, w_state)
+                    StateVector, bic_state, perp_state, w_state)
 
 
-def _parse_state(spec: str):
-    """Parse 'bic' | 'perp' | 'w:<x>' into a state factory."""
+def _parse_state(spec: str, g: float) -> tuple[str, StateVector]:
+    """Label and state on {|d>, |1>, |2>} of 'bic' | 'perp' | 'w:<x>'."""
     if spec == "bic":
-        return "bic", lambda g, n: bic_state(g, n)
+        return "bic", bic_state(g, 3)
     if spec == "perp":
-        return "perp", lambda g, n: perp_state(g, n)
+        return "perp", perp_state(g, 3)
     if spec.startswith("w:"):
         try:
             w_val = float(spec[2:])
         except ValueError as exc:
             raise InvalidParameterError(f"cannot parse w amplitude in state spec {spec!r}") from exc
-        return spec, lambda g, n: w_state(g, w_val, n)
+        return spec, w_state(g, w_val, 3)
     raise InvalidParameterError(f"unknown state spec {spec!r}; use bic, perp, or w:<x>")
 
 
@@ -76,8 +76,8 @@ def _evolve_options(args, grid: str) -> EvolveOptions:
 
 def _run_evolution(params: ModelParams, state_spec: str,
                    opts: EvolveOptions) -> tuple[AmplitudeSeries, str]:
-    label, factory = _parse_state(state_spec)
-    return evolve(params, factory(params.g, opts.resolved_sites(params)), opts), label
+    label, state = _parse_state(state_spec, params.g)
+    return evolve(params, state, opts), label
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_evolve_args(p):
         p.add_argument("--tmax", type=float, required=True, help="evolution time (units 1/J)")
         p.add_argument("--samples", type=int, default=2001, help="number of sample times")
-        p.add_argument("--grid", choices=("linear", "log"), default="linear")
         p.add_argument("--sites", help="chain truncation: auto or an integer")
         p.add_argument("--rel-tol", type=float, dest="rel_tol")
         p.add_argument("--abs-tol", type=float, dest="abs_tol")
@@ -406,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p_ev)
     p_ev.add_argument("--state", default="perp", help="initial state: bic, perp, or w:<x>")
     add_evolve_args(p_ev)
+    p_ev.add_argument("--grid", choices=("linear", "log"), default="linear")
     add_common(p_ev)
     p_ev.set_defaults(func=_cmd_evolve)
 

@@ -24,13 +24,14 @@ N + 1 and come back, which takes n >= 2N - 2 steps.  A series of order
 K < 2N - 2 on a state supported there is therefore the semi-infinite
 chain's series, at any occupation of the last site.  ``auto_sites`` picks
 the smallest such chain, and an explicit chain that is too short gets a
-truncation warning.
+truncation warning.  Callers build a state on its support (3 sites for the
+paper's states); :func:`evolve` alone sizes the chain and pads the state.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft, sparse
@@ -65,11 +66,12 @@ class IntegratorError(NumericalError):
 class EvolveOptions:
     """Configuration of one evolution run.
 
-    ``n_sites="auto"`` resolves through :func:`auto_sites` to the shortest
-    chain on which the expansion is that of the semi-infinite chain.  The
-    sample grid is uniform by default; ``grid="log"`` prepends t = 0 to a
-    geometric grid starting at :func:`log_grid_start` for log-log figures
-    spanning several decades.
+    ``n_sites="auto"`` runs the shortest chain on which the expansion is
+    that of the semi-infinite chain (:func:`auto_sites`); an integer fixes
+    the chain, which then bounds the initial state's sites.  The sample grid
+    is uniform by default; ``grid="log"`` prepends t = 0 to a geometric grid
+    starting at :func:`log_grid_start` for log-log figures spanning several
+    decades.
 
     ``abs_tol`` bounds the norm of the dropped part of the Chebyshev series:
     the expansion order is the smallest K with 2 sum_{k>K} |J_k(a t_max)|
@@ -103,11 +105,6 @@ class EvolveOptions:
         elif self.n_sites < 3:
             raise InvalidParameterError(f"n_sites must be >= 3, got {self.n_sites}")
 
-    def resolved_sites(self, params: ModelParams) -> int:
-        if self.n_sites != "auto":
-            return int(self.n_sites)
-        return auto_sites(_expansion(params, self.t_max, self.abs_tol)[2])
-
     def times(self) -> np.ndarray:
         if self.grid == "linear":
             return np.linspace(0.0, self.t_max, self.n_samples)
@@ -133,12 +130,12 @@ class AmplitudeSeries:
     n_sites: int
     params: ModelParams
     options: EvolveOptions
-    light_cone_margin: int = 0
-    truncation_warning: bool = False
-    warnings: tuple = field(default=())
-    cheb_terms: int = 0
-    spectral_center: float = 0.0
-    spectral_half_width: float = 0.0
+    light_cone_margin: int
+    truncation_warning: bool
+    warnings: tuple
+    cheb_terms: int
+    spectral_center: float
+    spectral_half_width: float
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ def auto_sites(order: int) -> int:
 @functools.lru_cache(maxsize=64)
 def _expansion(params: ModelParams, t_max: float, abs_tol: float) -> tuple[float, float, int]:
     """Center b, half-width a and order K of the Chebyshev series to t_max;
-    cached, because sizing the initial state and evolving it both need them."""
+    cached for repeated runs in one process, such as figS3's four panels."""
     center, half_width = spectral_bounds(params)
     if not half_width * t_max <= MAX_PHASE:
         raise InvalidParameterError(
@@ -290,27 +287,29 @@ def _gram_weights(norms_sq: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndar
 def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> AmplitudeSeries:
     """Evolve ``initial`` on the truncated chain and sample observables.
 
-    Records <psi_init|psi(t)>, psi_d(t), psi_1(t) and ||psi(t)|| on the
-    option grid, all from one Chebyshev recurrence of order ``cheb_terms``
-    (see the module docstring).  ``norm`` is the exact norm of the
-    represented state, not an error bound.  Samples are contracted in
-    blocks of about ``BLOCK_WORDS`` padded table entries, so memory stays
-    O(n_sites + K) beyond the outputs.  ``light_cone_margin`` = 2N - 2 - K;
-    for a state on {|d>, |1>, |2>} the samples are those of the
-    semi-infinite chain when it is positive, which auto-sized chains always
-    are.  Otherwise a truncation warning is attached to the output (the run
-    is not aborted).  A non-finite recurrence raises :class:`IntegratorError`.
+    The chain has ``opts.n_sites`` sites, or ``auto_sites(cheb_terms)``
+    under "auto"; a state on fewer sites is padded with zeros, and one on
+    more raises :class:`InvalidParameterError`.  Records <psi_init|psi(t)>,
+    psi_d(t), psi_1(t) and ||psi(t)|| on the option grid, all from one
+    Chebyshev recurrence of order ``cheb_terms`` (see the module docstring).
+    ``norm`` is the exact norm of the represented state, not an error bound.
+    Samples are contracted in blocks of about ``BLOCK_WORDS`` padded table
+    entries, so memory stays O(n_sites + K) beyond the outputs.
+    ``light_cone_margin`` = 2N - 2 - K; for a state on {|d>, |1>, |2>} the
+    samples are those of the semi-infinite chain when it is positive, which
+    auto-sized chains always are.  Otherwise a truncation warning is
+    attached to the output (the run is not aborted).  A non-finite
+    recurrence raises :class:`IntegratorError`.
     """
-    n = opts.resolved_sites(params)
-    if initial.n_sites != n:
+    center, half_width, order = _expansion(params, opts.t_max, opts.abs_tol)
+    n = auto_sites(order) if opts.n_sites == "auto" else int(opts.n_sites)
+    if initial.n_sites > n:
         raise InvalidParameterError(
-            f"initial state has {initial.n_sites} sites but the run resolves to {n}; "
-            "construct the state after resolving n_sites")
-    psi0 = initial.to_array()
+            f"initial state has {initial.n_sites} sites, more than the {n}-site chain")
+    psi0 = np.pad(initial.to_array(), (0, n - initial.n_sites))
     if not psi0.imag.any():
         psi0 = psi0.real  # H is real: a real state keeps the recurrence real
     times = opts.times()
-    center, half_width, order = _expansion(params, opts.t_max, opts.abs_tol)
     h_sparse = hamiltonian(params, n).to_sparse()
     h2 = (2.0 / half_width) * (h_sparse - center * sparse.identity(n + 1, format="csr"))
     overlaps, sites, norms_sq = _moments(h2, psi0, order)

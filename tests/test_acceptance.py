@@ -40,9 +40,8 @@ def _report(tag: str, ok: bool, detail: str = "") -> None:
 def _run(g, eps_d, state, t_max, n_samples, grid="linear"):
     params = ModelParams(g=g, eps_d=eps_d)
     opts = EvolveOptions(t_max=t_max, n_samples=n_samples, grid=grid)
-    n = opts.resolved_sites(params)
     factory = {"bic": bic_state, "perp": perp_state}.get(state)
-    initial = factory(g, n) if factory else w_state(g, float(state[2:]), n)
+    initial = factory(g, 3) if factory else w_state(g, float(state[2:]), 3)
     return evolve(params, initial, opts)
 
 
@@ -89,7 +88,7 @@ def test_criterion_02_three_oracle_agreement():
     for g in (0.7, 0.9, 1.0, 1.1):
         params = ModelParams(g=g)
         opts = EvolveOptions(t_max=50.0, n_samples=101)
-        series = evolve(params, perp_state(g, opts.resolved_sites(params)), opts)
+        series = evolve(params, perp_state(g, 2), opts)
         route = np.array([a_br_quadrature(t, g) + bound_term(t, g) for t in ts])
         worst_cut = max(worst_cut, float(np.max(np.abs(series.overlap - route))))
         if g <= 1.0:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bicchain.analysis import (FitKind, TooFewPeaksError, find_peaks,
+from bicchain.analysis import (FitKind, FitReport, TooFewPeaksError, find_peaks,
                                find_troughs, fit_exponential, fit_phase,
                                fit_power_law, oscillation_contrast)
 from bicchain.evolve import ProbabilitySeries
+from bicchain.model import ConfigError
 
 
 def _synthetic(exponent: float, phase: float, t_lo=5.0, t_hi=120.0, dt=0.01,
@@ -82,6 +83,19 @@ def test_exponential_rejects_nonpositive():
         fit_exponential(series, 0.0, 10.0)
 
 
+def test_analysis_input_errors_are_config_errors():
+    # exit 2 through the CLI, and still ValueErrors for _compare_fits's suppress
+    ts = np.arange(0.0, 10.0, 0.5)
+    with pytest.raises(ConfigError, match="strictly positive"):
+        fit_exponential(ProbabilitySeries(times=ts, values=1.0 - 0.2 * ts), 0.0, 10.0)
+    with pytest.raises(ConfigError, match="t_lo < t_hi"):
+        FitReport(kind=FitKind.Phase, params={}, window=(2.0, 1.0), residual_rms=0.0,
+                  n_points=3)
+    with pytest.raises(ConfigError, match="residual_rms"):
+        FitReport(kind=FitKind.Phase, params={}, window=(1.0, 2.0), residual_rms=math.nan,
+                  n_points=3)
+
+
 def test_contrast_pure_oscillation():
     series = _synthetic(-3.0, math.pi / 4)
     report = oscillation_contrast(series, 10.0, 100.0, detrend_exponent=-3.0)
@@ -120,7 +134,7 @@ def test_phase_of_early_near_zone_dynamics():
 
     opts = EvolveOptions(t_max=20.0, n_samples=2001)
     params = ModelParams(g=0.98)
-    series = evolve(params, perp_state(0.98, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(0.98, 2), opts)
     report = fit_phase(survival(series), 2.0, 8.0, detrend_exponent=-1.0)
     assert report.params["phase"] == pytest.approx(0.272 * math.pi, abs=0.015)
     assert abs(report.params["phase"] - math.pi / 4) < 0.08

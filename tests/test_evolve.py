@@ -35,15 +35,16 @@ def test_auto_sites_from_the_expansion():
     # fig2b: g = 1, t_max = 1000 expands to order 2120 on 1062 sites
     params = ModelParams(g=1.0)
     opts = EvolveOptions(t_max=1000.0, n_samples=2, grid="log")
-    assert opts.resolved_sites(params) == 1062
-    assert EvolveOptions(t_max=5.0, n_sites=7).resolved_sites(params) == 7
+    series = evolve(params, perp_state(1.0, 2), opts)
+    assert (series.cheb_terms, series.n_sites) == (2120, 1062)
+    assert evolve(params, perp_state(1.0, 2), EvolveOptions(t_max=5.0, n_sites=7)).n_sites == 7
 
 
 def test_auto_sites_refusal():
     with pytest.raises(InvalidParameterError, match="quadrature"):
         auto_sites(2 * MAX_SITES)
     with pytest.raises(InvalidParameterError, match="quadrature"):
-        EvolveOptions(t_max=1e6).resolved_sites(ModelParams(g=1.3))
+        evolve(ModelParams(g=1.3), perp_state(1.3, 2), EvolveOptions(t_max=1e6))
 
 
 def test_options_validation():
@@ -67,16 +68,36 @@ def test_log_grid_starts_at_zero():
     assert ts[-1] == pytest.approx(100.0)
 
 
-def test_sites_mismatch_error():
-    opts = EvolveOptions(t_max=5.0)
-    with pytest.raises(InvalidParameterError, match="resolves to"):
+def test_state_longer_than_the_chain_is_refused():
+    opts = EvolveOptions(t_max=5.0, n_sites=7)
+    with pytest.raises(InvalidParameterError, match=r"10 sites.*7-site chain"):
         evolve(ModelParams(g=0.9), perp_state(0.9, 10), opts)
+
+
+SUPPORT_STATES = {"bic": bic_state, "perp": perp_state, "w:1.0": lambda g, n: w_state(g, 1.0, n)}
+
+
+@pytest.mark.parametrize("spec", list(SUPPORT_STATES))
+@pytest.mark.parametrize("g, eps_d", [(0.9, 0.0), (1.3, -0.4)])
+@pytest.mark.parametrize("n_sites", ["auto", 12])
+def test_support_state_is_padded_to_the_chain(spec, g, eps_d, n_sites):
+    # a state on its support {|d>, |1>, |2>} and the same state written out
+    # on every site of the chain give the same bits
+    params = ModelParams(g=g, eps_d=eps_d)
+    opts = EvolveOptions(t_max=40.0, n_samples=21, grid="log", n_sites=n_sites)
+    short = evolve(params, SUPPORT_STATES[spec](g, 3), opts)
+    full = evolve(params, SUPPORT_STATES[spec](g, short.n_sites), opts)
+    assert short.n_sites == (full.n_sites if n_sites == "auto" else 12)
+    for name in ("times", "overlap", "amp_d", "amp_1", "norm"):
+        assert np.array_equal(getattr(short, name), getattr(full, name))
+    assert (short.light_cone_margin, short.truncation_warning, short.warnings) == (
+        full.light_cone_margin, full.truncation_warning, full.warnings)
 
 
 def test_bic_is_stationary():
     params = ModelParams(g=0.9, eps_d=0.0)
     opts = EvolveOptions(t_max=100.0, n_samples=201)
-    series = evolve(params, bic_state(0.9, opts.resolved_sites(params)), opts)
+    series = evolve(params, bic_state(0.9, 2), opts)
     p = survival(series).values
     assert np.max(np.abs(p - 1.0)) < 1e-8
 
@@ -97,10 +118,7 @@ def test_bare_chain_propagator_oracle():
     # decouple the impurity (g -> 0 limit) and evolve |1> with the package
     params = ModelParams(g=1e-8)
     opts = EvolveOptions(t_max=t, n_samples=11)
-    n = opts.resolved_sites(params)
-    chain = np.zeros(n, dtype=complex)
-    chain[0] = 1.0
-    state = StateVector(amp_d=0j, amp_chain=chain, n_sites=n)
+    state = StateVector(amp_d=0j, amp_chain=np.ones(1), n_sites=1)
     series = evolve(params, state, opts)
     assert abs(series.overlap[-1] - oracle) < 1e-8
 
@@ -108,7 +126,7 @@ def test_bare_chain_propagator_oracle():
 def test_unitarity_and_truncation_safety():
     params = ModelParams(g=0.98, eps_d=0.0)
     opts = EvolveOptions(t_max=200.0, n_samples=401)
-    series = evolve(params, perp_state(0.98, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(0.98, 2), opts)
     assert np.max(np.abs(series.norm - 1.0)) < 1e-9
     assert series.light_cone_margin in (1, 2)
     assert not series.truncation_warning and series.warnings == ()
@@ -126,7 +144,7 @@ def test_truncation_warning_on_small_chain():
 def test_matches_branch_cut_quadrature():
     params = ModelParams(g=0.9, eps_d=0.0)
     opts = EvolveOptions(t_max=20.0, n_samples=41)
-    series = evolve(params, perp_state(0.9, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(0.9, 2), opts)
     for t, a in zip(series.times, series.overlap):
         assert abs(a - a_br_quadrature(t, 0.9)) < 1e-8
     # equal band-edge weights at eps_d = 0 make the amplitude real
@@ -136,7 +154,7 @@ def test_matches_branch_cut_quadrature():
 def test_matches_pole_plus_cut_for_bound_regime():
     params = ModelParams(g=1.1, eps_d=0.0)
     opts = EvolveOptions(t_max=15.0, n_samples=31)
-    series = evolve(params, perp_state(1.1, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(1.1, 2), opts)
     for t, a in zip(series.times, series.overlap):
         ref = a_br_quadrature(t, 1.1) + bound_term(t, 1.1)
         assert abs(a - ref) < 1e-8
@@ -148,15 +166,15 @@ def test_grid_refinement_stability():
     opts2 = EvolveOptions(t_max=100.0, n_samples=1001,
                           rel_tol=0.5e-11, abs_tol=0.5e-13)
     # the tighter tolerance takes more terms, and so a longer chain
-    p1 = survival(evolve(params, perp_state(0.9, opts1.resolved_sites(params)), opts1)).values
-    p2 = survival(evolve(params, perp_state(0.9, opts2.resolved_sites(params)), opts2)).values
+    p1 = survival(evolve(params, perp_state(0.9, 2), opts1)).values
+    p2 = survival(evolve(params, perp_state(0.9, 2), opts2)).values
     assert np.max(np.abs(p2[::2] - p1)) < 1e-8
 
 
 def test_nonescape_equals_survival_at_zero_detuning():
     params = ModelParams(g=0.9, eps_d=0.0)
     opts = EvolveOptions(t_max=60.0, n_samples=121)
-    series = evolve(params, perp_state(0.9, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(0.9, 2), opts)
     p_perp = survival(series).values
     p_1d = nonescape(series).values
     assert p_1d[0] == pytest.approx(1.0, abs=1e-12)
@@ -166,7 +184,7 @@ def test_nonescape_equals_survival_at_zero_detuning():
 def test_nonescape_differs_under_detuning():
     params = ModelParams(g=0.9, eps_d=0.2)
     opts = EvolveOptions(t_max=40.0, n_samples=81)
-    series = evolve(params, perp_state(0.9, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(0.9, 2), opts)
     diff = np.max(np.abs(nonescape(series).values - survival(series).values))
     assert diff > 1e-4
 
@@ -176,7 +194,7 @@ def test_zeno_parabola():
     for g in (0.9, 1.0):
         params = ModelParams(g=g)
         opts = EvolveOptions(t_max=0.05, n_samples=41)
-        series = evolve(params, perp_state(g, opts.resolved_sites(params)), opts)
+        series = evolve(params, perp_state(g, 2), opts)
         p = survival(series).values
         ts = series.times
         c_fit = float(np.sum((1 - p[1:]) * ts[1:] ** 2) / np.sum(ts[1:] ** 4))
@@ -250,7 +268,7 @@ def test_chebyshev_order_meets_tail_bound():
 def test_series_reports_expansion():
     params = ModelParams(g=0.9, eps_d=0.2)
     opts = EvolveOptions(t_max=30.0, n_samples=11)
-    series = evolve(params, perp_state(0.9, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(0.9, 2), opts)
     center, half_width = spectral_bounds(params)
     assert (series.spectral_center, series.spectral_half_width) == (center, half_width)
     assert series.cheb_terms == chebyshev_order(half_width * 30.0, opts.abs_tol)
@@ -276,7 +294,7 @@ def test_non_finite_recurrence_raises(monkeypatch):
     params = ModelParams(g=0.9)
     opts = EvolveOptions(t_max=5.0, n_samples=11)
     with pytest.raises(IntegratorError, match="non-finite"):
-        evolve(params, perp_state(0.9, opts.resolved_sites(params)), opts)
+        evolve(params, perp_state(0.9, 2), opts)
 
 
 @PROPERTY
@@ -284,7 +302,7 @@ def test_non_finite_recurrence_raises(monkeypatch):
 def test_property_overlap_matches_bessel_representation(g, t_max):
     params = ModelParams(g=g)
     opts = EvolveOptions(t_max=t_max, n_samples=41)
-    series = evolve(params, perp_state(g, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(g, 2), opts)
     ref = bessel_exact_grid(series.times, g)
     assert np.max(np.abs(series.overlap - ref)) <= 1e-8
     assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
@@ -296,7 +314,7 @@ def test_property_overlap_matches_bessel_representation(g, t_max):
 def test_property_norm_of_represented_state(g, eps_d, w, t_max):
     params = ModelParams(g=g, eps_d=eps_d)
     opts = EvolveOptions(t_max=t_max, n_samples=21, grid="log")
-    series = evolve(params, w_state(g, w, opts.resolved_sites(params)), opts)
+    series = evolve(params, w_state(g, w, 3), opts)
     assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
 
 
@@ -308,10 +326,9 @@ def test_property_auto_chain_is_the_semi_infinite_chain(g, eps_d, w, t_max):
     # longer runs the same series and must give the same samples
     params = ModelParams(g=g, eps_d=eps_d)
     opts = EvolveOptions(t_max=t_max, n_samples=31, grid="log")
-    n = opts.resolved_sites(params)
-    auto = evolve(params, w_state(g, w, n), opts)
-    long_opts = dataclasses.replace(opts, n_sites=n + 50)
-    long = evolve(params, w_state(g, w, n + 50), long_opts)
+    auto = evolve(params, w_state(g, w, 3), opts)
+    long_opts = dataclasses.replace(opts, n_sites=auto.n_sites + 50)
+    long = evolve(params, w_state(g, w, 3), long_opts)
     assert auto.light_cone_margin in (1, 2)
     assert long.light_cone_margin == auto.light_cone_margin + 100
     assert not (auto.truncation_warning or long.truncation_warning)
@@ -325,7 +342,7 @@ def test_log_grid_stays_within_t_max(t_max, t_first):
     # below t_max = 0.01 the grid starts at 1e-4 t_max, as analytic's does
     params = ModelParams(g=0.9)
     opts = EvolveOptions(t_max=t_max, n_samples=4, grid="log")
-    series = evolve(params, perp_state(0.9, opts.resolved_sites(params)), opts)
+    series = evolve(params, perp_state(0.9, 2), opts)
     assert series.times[0] == 0.0 and np.all(np.diff(series.times) > 0)
     assert series.times[1] == pytest.approx(t_first) and series.times[-1] == t_max
     assert np.max(np.abs(series.overlap - bessel_exact_grid(series.times, 0.9))) <= 1e-13

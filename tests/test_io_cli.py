@@ -231,6 +231,16 @@ def test_cli_stray_value_error_is_a_bug(tmp_path, monkeypatch):
         run_cli("spectrum", "--g", "0.9", "--out", str(tmp_path / "x.json"))
 
 
+def test_cli_compare_has_no_grid_flag(tmp_path, capsys):
+    # compare samples a linear grid; --grid is a usage error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        run_cli("compare", "--g", "0.9", "--tmax", "10", "--samples", "5", "--grid", "log",
+                "--out", str(tmp_path / "cmp"), "--no-meta-time")
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_compare_refuses_bessel_grid_beyond_panel_cap(tmp_path, capsys):
     code = run_cli("compare", "--g", "1e-6", "--eps-d", "0", "--tmax", "10",
                    "--samples", "3", "--out", str(tmp_path / "cmp"), "--no-meta-time")
@@ -509,7 +519,7 @@ def test_figure_table_is_well_formed():
             if kind == "overlay":
                 cli._parse_tags(args[2])
             if kind == "evolve":
-                cli._parse_state(args[2])
+                cli._parse_state(args[2], args[0])
             names.append(name)
     assert len(names) == len(set(names))
 
@@ -518,6 +528,12 @@ def test_readme_lists_every_figure_id():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"Figure ids: `([^`]*)`", readme).group(1).split()
     assert tuple(listed) == tuple(cli.FIGURES)
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_cli_figure_fig1(tmp_path):
