@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalError,
-                    StateVector, TruncatedHamiltonian, apply_hamiltonian,
-                    bic_state, hamiltonian, perp_state, w_state)
+                    StateVector, TruncatedHamiltonian, bic_state, hamiltonian,
+                    perp_state, w_state)
 from .spectrum import (BranchPointError, DiscreteState, NearPoleError,
                        ResonancePole, RootFindError, SheetTag, StateKind,
                        Timescales, discrete_spectrum, resolvent_dd,

@@ -131,6 +131,16 @@ def _envelope_corrected_phases(t_pk: np.ndarray, v_pk: np.ndarray) -> np.ndarray
     return np.mod(2.0 * t_pk - 0.25 * log_slope, math.pi)
 
 
+def _detrended(series: ProbabilitySeries, t_lo: float, t_hi: float,
+               detrend_exponent: float) -> ProbabilitySeries:
+    """The samples with 0 < t in [t_lo, t_hi], divided by t**detrend_exponent."""
+    ts = np.asarray(series.times, dtype=float)
+    mask = (ts >= t_lo) & (ts <= t_hi) & (ts > 0)
+    return ProbabilitySeries(
+        times=ts[mask],
+        values=np.asarray(series.values, dtype=float)[mask] * ts[mask] ** (-detrend_exponent))
+
+
 def fit_phase(series: ProbabilitySeries, t_lo: float, t_hi: float,
               detrend_exponent: float) -> FitReport:
     """Phase phi of cos^2(2t - phi) after removing the t**detrend_exponent trend.
@@ -140,11 +150,7 @@ def fit_phase(series: ProbabilitySeries, t_lo: float, t_hi: float,
     detrending; the detrended series only enters the residual diagnostic.
     A residual above 20% of the detrended mean sets the low-confidence flag.
     """
-    ts = np.asarray(series.times, dtype=float)
-    mask = (ts >= t_lo) & (ts <= t_hi) & (ts > 0)
-    detrended = ProbabilitySeries(
-        times=ts[mask],
-        values=np.asarray(series.values, dtype=float)[mask] * ts[mask] ** (-detrend_exponent))
+    detrended = _detrended(series, t_lo, t_hi, detrend_exponent)
     t_pk, v_pk = find_peaks(detrended, t_lo, t_hi)
     if len(t_pk) < 3:
         raise TooFewPeaksError(
@@ -191,11 +197,7 @@ def oscillation_contrast(series: ProbabilitySeries, t_lo: float, t_hi: float,
     ``detrend_exponent=-1`` for near-zone series.  Peak and trough levels
     are averaged over the window before forming the contrast.
     """
-    ts = np.asarray(series.times, dtype=float)
-    mask = (ts >= t_lo) & (ts <= t_hi) & (ts > 0)
-    detrended = ProbabilitySeries(
-        times=ts[mask],
-        values=np.asarray(series.values, dtype=float)[mask] * ts[mask] ** (-detrend_exponent))
+    detrended = _detrended(series, t_lo, t_hi, detrend_exponent)
     t_pk, v_pk = find_peaks(detrended, t_lo, t_hi)
     t_tr, v_tr = find_troughs(detrended, t_lo, t_hi)
     if len(t_pk) < 2 or len(t_tr) < 2:

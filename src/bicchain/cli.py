@@ -68,9 +68,9 @@ def _parse_sites(spec: str | None) -> int | str | None:
 
 def _evolve_options(args, grid: str) -> EvolveOptions:
     """The run's EvolveOptions; a flag that is not given keeps its default there."""
-    given = {"n_sites": _parse_sites(args.sites), "rel_tol": args.rel_tol,
+    given = {"n_samples": args.samples, "n_sites": _parse_sites(args.sites),
              "abs_tol": args.abs_tol}
-    return EvolveOptions(t_max=args.tmax, n_samples=args.samples, grid=grid,
+    return EvolveOptions(t_max=args.tmax, grid=grid,
                          **{key: value for key, value in given.items() if value is not None})
 
 
@@ -125,8 +125,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_evolve(args) -> int:
     params = ModelParams(g=args.g, eps_d=args.eps_d)
     series, label = _run_evolution(params, args.state, _evolve_options(args, args.grid))
-    io.write_evolve_csv(args.out, series, label, __version__,
-                        meta_time=not args.no_meta_time)
+    io.write_evolve_csv(args.out, series, label, meta_time=not args.no_meta_time)
     return 0
 
 
@@ -210,14 +209,14 @@ def _cmd_compare(args) -> int:
         "params": params.to_dict(),
         "state": label,
         "t_max": args.tmax,
-        "n_samples": args.samples,
+        "n_samples": series.options.n_samples,
         "max_abs_deviation": deviations,
         "fits": _compare_fits(params, survival(series), nonescape(series)),
         "meta": {"tool_version": __version__},
     }
     out = Path(args.out)
     meta = {"g": params.g, "eps_d": params.eps_d, "t_max": args.tmax,
-            "n_samples": args.samples, "tool_version": __version__}
+            "n_samples": series.options.n_samples, "tool_version": __version__}
     io.write_csv(out.with_suffix(".csv"), header, columns, meta=meta,
                  meta_time=not args.no_meta_time)
     io.write_json(out.with_suffix(".json"), report)
@@ -246,8 +245,7 @@ def _write_evolve_panel(path: Path, g: float, eps_d: float, state_spec: str,
         sep = _separation_time(survival(series), nonescape(series))
         if sep is not None:
             extra_meta["separation_time_env10pct"] = io.format_number(sep)
-    io.write_evolve_csv(path, series, label, __version__, meta_time=meta_time,
-                        extra_meta=extra_meta)
+    io.write_evolve_csv(path, series, label, meta_time=meta_time, extra_meta=extra_meta)
 
 
 def _separation_time(p_perp: ProbabilitySeries, p_1d: ProbabilitySeries) -> float | None:
@@ -377,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bicchain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p, eps_default=0.0):
+    def add_model_args(p):
         p.add_argument("--g", type=float, required=True, help="chain-impurity coupling (units J)")
-        p.add_argument("--eps-d", type=float, default=eps_default, dest="eps_d",
+        p.add_argument("--eps-d", type=float, default=0.0, dest="eps_d",
                        help="impurity detuning (units J)")
 
     def add_common(p):
@@ -396,10 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_evolve_args(p):
         p.add_argument("--tmax", type=float, required=True, help="evolution time (units 1/J)")
-        p.add_argument("--samples", type=int, default=2001, help="number of sample times")
+        p.add_argument("--samples", type=int,
+                       help=f"number of sample times (default {EvolveOptions.n_samples})")
         p.add_argument("--sites", help="chain truncation: auto or an integer")
-        p.add_argument("--rel-tol", type=float, dest="rel_tol")
-        p.add_argument("--abs-tol", type=float, dest="abs_tol")
+        p.add_argument("--abs-tol", type=float, dest="abs_tol",
+                       help="bound on the dropped Chebyshev tail, in (0, 1e-6] "
+                            f"(default {EvolveOptions.abs_tol:g})")
 
     p_ev = sub.add_parser("evolve", help="numerical evolution CSV")
     add_model_args(p_ev)

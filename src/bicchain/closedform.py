@@ -461,8 +461,11 @@ def a_w_cut(t: float, params: ModelParams, w: float, abs_tol: float = 1e-9) -> c
 
 _GL_RAY = roots_legendre(320)
 
+#: upper end of the ray variable v = sqrt(u t), where e^{-v^2} < 1e-43
+RAY_V_MAX = 10.0
 
-def a_w_rays(t, params: ModelParams, w: float, v_max: float = 10.0):
+
+def a_w_rays(t, params: ModelParams, w: float):
     """Survival amplitude (eps_d = 0) from band-edge ray deformation.
 
     The cut integral is deformed onto the two rays descending from z = -/+2
@@ -479,8 +482,8 @@ def a_w_rays(t, params: ModelParams, w: float, v_max: float = 10.0):
     g = params.g
     nw2 = w_norm_sq(g, w)
     x, wts = _GL_RAY
-    v = 0.5 * v_max * (x + 1.0)
-    weights = 0.5 * v_max * wts * 2.0 * v * np.exp(-v * v)
+    v = 0.5 * RAY_V_MAX * (x + 1.0)
+    weights = 0.5 * RAY_V_MAX * wts * 2.0 * v * np.exp(-v * v)
 
     def disc_lower(z: np.ndarray) -> np.ndarray:
         sig_below = sigma1(z)

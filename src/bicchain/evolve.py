@@ -73,15 +73,13 @@ class EvolveOptions:
     starting at :func:`log_grid_start` for log-log figures spanning several
     decades.
 
-    ``abs_tol`` bounds the norm of the dropped part of the Chebyshev series:
-    the expansion order is the smallest K with 2 sum_{k>K} |J_k(a t_max)|
-    below it.  ``rel_tol`` is validated and caps ``abs_tol``; it sets nothing
-    else.
+    ``abs_tol``, in (0, 1e-6], is the one accuracy setting: it bounds the
+    norm of the dropped part of the Chebyshev series, whose order is the
+    smallest K with 2 sum_{k>K} |J_k(a t_max)| below it.
     """
 
     t_max: float
     n_samples: int = 2001
-    rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     n_sites: int | str = "auto"
     grid: str = "linear"
@@ -91,12 +89,8 @@ class EvolveOptions:
             raise InvalidParameterError(f"t_max must be positive, got {self.t_max}")
         if self.n_samples < 2:
             raise InvalidParameterError(f"n_samples must be >= 2, got {self.n_samples}")
-        if not (0 < self.rel_tol <= 1e-6):
-            raise InvalidParameterError(
-                f"rel_tol must be in (0, 1e-6], got {self.rel_tol}")
-        if not (0 < self.abs_tol <= self.rel_tol):
-            raise InvalidParameterError(
-                f"abs_tol must be in (0, rel_tol], got {self.abs_tol}")
+        if not (0 < self.abs_tol <= 1e-6):
+            raise InvalidParameterError(f"abs_tol must be in (0, 1e-6], got {self.abs_tol}")
         if self.grid not in ("linear", "log"):
             raise InvalidParameterError(f"grid must be 'linear' or 'log', got {self.grid!r}")
         if isinstance(self.n_sites, str):
@@ -120,7 +114,8 @@ def log_grid_start(t_max: float) -> float:
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
-    """Sampled evolution observables of one run."""
+    """Sampled evolution observables of one run; the truncation warning
+    follows from ``light_cone_margin`` (see :func:`evolve`)."""
 
     times: np.ndarray
     overlap: np.ndarray
@@ -131,11 +126,21 @@ class AmplitudeSeries:
     params: ModelParams
     options: EvolveOptions
     light_cone_margin: int
-    truncation_warning: bool
-    warnings: tuple
     cheb_terms: int
     spectral_center: float
     spectral_half_width: float
+
+    @property
+    def truncation_warning(self) -> bool:
+        return self.light_cone_margin <= 0
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        if not self.truncation_warning:
+            return ()
+        return (f"Chebyshev order {self.cheb_terms} reaches the wall of the "
+                f"{self.n_sites}-site chain (light-cone margin {self.light_cone_margin}); "
+                "the samples may differ from the semi-infinite chain's",)
 
 
 @dataclass(frozen=True)
@@ -291,14 +296,16 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     under "auto"; a state on fewer sites is padded with zeros, and one on
     more raises :class:`InvalidParameterError`.  Records <psi_init|psi(t)>,
     psi_d(t), psi_1(t) and ||psi(t)|| on the option grid, all from one
-    Chebyshev recurrence of order ``cheb_terms`` (see the module docstring).
+    Chebyshev recurrence of order ``cheb_terms``, the lowest whose Bessel
+    tail at t_max is below ``opts.abs_tol`` (see the module docstring).
     ``norm`` is the exact norm of the represented state, not an error bound.
     Samples are contracted in blocks of about ``BLOCK_WORDS`` padded table
     entries, so memory stays O(n_sites + K) beyond the outputs.
     ``light_cone_margin`` = 2N - 2 - K; for a state on {|d>, |1>, |2>} the
     samples are those of the semi-infinite chain when it is positive, which
-    auto-sized chains always are.  Otherwise a truncation warning is
-    attached to the output (the run is not aborted).  A non-finite
+    auto-sized chains always are.  Otherwise the output's
+    ``truncation_warning`` is set and ``warnings`` holds the message (the
+    run is not aborted).  A non-finite
     recurrence raises :class:`IntegratorError`.
     """
     center, half_width, order = _expansion(params, opts.t_max, opts.abs_tol)
@@ -332,19 +339,11 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
         norm_sq[lo:lo + block] = (spec.view(float) ** 2) @ w_abs + cross.view(float) @ w_cross
     samples *= np.exp(-1j * center * times)[:, None]
 
-    margin = 2 * n - 2 - order
-    warn = margin <= 0
-    messages = ()
-    if warn:
-        messages = (
-            f"Chebyshev order {order} reaches the wall of the {n}-site chain "
-            f"(light-cone margin {margin}); the samples may differ from the "
-            "semi-infinite chain's",)
     return AmplitudeSeries(
         times=times, overlap=samples[:, 0], amp_d=samples[:, 1], amp_1=samples[:, 2],
         norm=np.sqrt(norm_sq), n_sites=n, params=params, options=opts,
-        light_cone_margin=margin, truncation_warning=warn, warnings=messages,
-        cheb_terms=order, spectral_center=center, spectral_half_width=half_width)
+        light_cone_margin=2 * n - 2 - order, cheb_terms=order,
+        spectral_center=center, spectral_half_width=half_width)
 
 
 def survival(series: AmplitudeSeries) -> ProbabilitySeries:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .evolve import AmplitudeSeries, nonescape, survival
 
 
@@ -103,37 +104,35 @@ def read_json(path: str | Path) -> dict:
 EVOLVE_HEADER = ["t", "P_perp", "P_1d", "re_A", "im_A", "norm_err"]
 
 
-def evolve_meta(series: AmplitudeSeries, state_label: str, version: str) -> dict:
+def evolve_meta(series: AmplitudeSeries, state_label: str) -> dict:
     opts = series.options
     return {
         "g": series.params.g,
         "eps_d": series.params.eps_d,
-        "j_hop": series.params.j_hop,
+        "j_hop": 1.0,
         "state": state_label,
         "t_max": opts.t_max,
         "n_samples": opts.n_samples,
         "grid": opts.grid,
         "n_sites": series.n_sites,
-        "rel_tol": opts.rel_tol,
         "abs_tol": opts.abs_tol,
         "route": "chebyshev",
         "cheb_terms": series.cheb_terms,
         "spectral_center": series.spectral_center,
         "spectral_half_width": series.spectral_half_width,
         "light_cone_margin": series.light_cone_margin,
-        "tool_version": version,
+        "tool_version": __version__,
     }
 
 
 def write_evolve_csv(path: str | Path, series: AmplitudeSeries, state_label: str,
-                     version: str, meta_time: bool = False,
-                     extra_meta: dict | None = None) -> None:
+                     meta_time: bool = False, extra_meta: dict | None = None) -> None:
     """Evolution CSV: t, P_perp, P_1d, re_A, im_A, norm_err; ``extra_meta``
     keys follow those of :func:`evolve_meta`."""
     write_csv(path, EVOLVE_HEADER,
               [series.times, survival(series).values, nonescape(series).values,
                series.overlap.real, series.overlap.imag, series.norm - 1.0],
-              meta={**evolve_meta(series, state_label, version), **(extra_meta or {})},
+              meta={**evolve_meta(series, state_label), **(extra_meta or {})},
               meta_time=meta_time,
               warnings=series.warnings)
 

@@ -41,37 +41,38 @@ class ModelParams:
 
     g: float
     eps_d: float = 0.0
-    j_hop: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.g > 0 and np.isfinite(self.g)):
-            raise InvalidParameterError(f"coupling g must be positive and finite, got {self.g}")
+        check_coupling(self.g)
         if not np.isfinite(self.eps_d):
             raise InvalidParameterError(f"impurity energy eps_d must be finite, got {self.eps_d}")
-        if self.j_hop != 1.0:
-            raise InvalidParameterError("j_hop is the unit of energy and must be exactly 1.0")
 
     def to_dict(self) -> dict:
-        return {"g": self.g, "eps_d": self.eps_d, "j_hop": self.j_hop}
+        """The couplings, with the hopping 1.0 that is their unit."""
+        return {"g": self.g, "eps_d": self.eps_d, "j_hop": 1.0}
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over {|d>, |1>, ..., |N>}; unit norm within 1e-12."""
+    """Complex amplitudes over {|d>, |1>, ..., |N>}, N = ``n_sites`` =
+    len(amp_chain) for a one-dimensional ``amp_chain``; unit norm within 1e-12."""
 
     amp_d: complex
     amp_chain: np.ndarray
-    n_sites: int
 
     def __post_init__(self) -> None:
         chain = np.asarray(self.amp_chain, dtype=complex)
         object.__setattr__(self, "amp_chain", chain)
-        if chain.shape != (self.n_sites,):
+        if chain.ndim != 1:
             raise InvalidParameterError(
-                f"amp_chain has shape {chain.shape}, expected ({self.n_sites},)")
+                f"amp_chain must be one-dimensional, got shape {chain.shape}")
         norm_sq = abs(self.amp_d) ** 2 + float(np.sum(np.abs(chain) ** 2))
         if abs(norm_sq - 1.0) > 1e-12:
             raise InvalidParameterError(f"state norm^2 = {norm_sq!r} deviates from 1 by > 1e-12")
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.amp_chain)
 
     def to_array(self) -> np.ndarray:
         """Dense vector of length n_sites + 1 with |d> at index 0."""
@@ -94,8 +95,11 @@ class TruncatedHamiltonian:
     stored in ascending column order.
     """
 
-    n_sites: int
     matrix: sparse.csr_matrix = field(repr=False)
+
+    @property
+    def n_sites(self) -> int:
+        return self.matrix.shape[0] - 1
 
     def to_sparse(self) -> sparse.csr_matrix:
         """The stored CSR matrix (shared, not a copy)."""
@@ -104,17 +108,19 @@ class TruncatedHamiltonian:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=complex)
-
 
 def _coupled_norm(g: float) -> float:
     return 1.0 / np.sqrt(1.0 + g * g)
 
 
-def _check_coupling(g: float) -> None:
+def check_coupling(g: float) -> None:
+    """Refuse a coupling g that is not positive and finite."""
     if not (g > 0 and np.isfinite(g)):
         raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
+
+
+def _check_coupling(g: float) -> None:
+    check_coupling(g)
     if not np.isfinite(g * g):
         raise InvalidParameterError(f"coupling g = {g} is too large: g^2 overflows")
 
@@ -134,7 +140,7 @@ def bic_state(g: float, n_sites: int) -> StateVector:
     nrm = _coupled_norm(g)
     chain = np.zeros(n_sites, dtype=complex)
     chain[0] = -g * nrm
-    return StateVector(amp_d=nrm, amp_chain=chain, n_sites=n_sites)
+    return StateVector(amp_d=nrm, amp_chain=chain)
 
 
 def perp_state(g: float, n_sites: int) -> StateVector:
@@ -143,7 +149,7 @@ def perp_state(g: float, n_sites: int) -> StateVector:
     nrm = _coupled_norm(g)
     chain = np.zeros(n_sites, dtype=complex)
     chain[0] = nrm
-    return StateVector(amp_d=g * nrm, amp_chain=chain, n_sites=n_sites)
+    return StateVector(amp_d=g * nrm, amp_chain=chain)
 
 
 def w_state(g: float, w: float, n_sites: int) -> StateVector:
@@ -163,7 +169,7 @@ def w_state(g: float, w: float, n_sites: int) -> StateVector:
     chain = np.zeros(n_sites, dtype=complex)
     chain[0] = nrm
     chain[1] = w * nrm
-    return StateVector(amp_d=g * nrm, amp_chain=chain, n_sites=n_sites)
+    return StateVector(amp_d=g * nrm, amp_chain=chain)
 
 
 def hamiltonian(params: ModelParams, n_sites: int) -> TruncatedHamiltonian:
@@ -176,7 +182,7 @@ def hamiltonian(params: ModelParams, n_sites: int) -> TruncatedHamiltonian:
     vals = np.concatenate(([params.eps_d, -params.g, -params.g], np.full(2 * len(bond), -1.0)))
     keep = slice(0 if params.eps_d != 0.0 else 1, None)  # no stored zero on the diagonal
     matrix = sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_sites + 1,) * 2)
-    return TruncatedHamiltonian(n_sites=n_sites, matrix=matrix)
+    return TruncatedHamiltonian(matrix=matrix)
 
 
 def spectral_bounds(params: ModelParams) -> tuple[float, float]:
@@ -211,11 +217,3 @@ def spectral_bounds(params: ModelParams) -> tuple[float, float]:
     pad = 1e-10 * max(hi - lo, 1.0)
     lo, hi = min(lo - pad, -2.0), max(hi + pad, 2.0)
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
-
-
-def apply_hamiltonian(ham: TruncatedHamiltonian, state: StateVector) -> np.ndarray:
-    """H|psi> as a dense array (index 0 = |d>)."""
-    if state.n_sites != ham.n_sites:
-        raise InvalidParameterError(
-            f"state has {state.n_sites} sites but Hamiltonian has {ham.n_sites}")
-    return ham.apply(state.to_array())

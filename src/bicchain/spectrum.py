@@ -46,7 +46,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
+from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalError,
+                    check_coupling)
 
 
 class BranchPointError(ConfigError):
@@ -172,11 +173,6 @@ def sigma1(z, sheet: SheetTag = SheetTag.First, *, branch_point_limit: bool = Fa
     return val
 
 
-def _check_g(g: float) -> None:
-    if not (g > 0 and np.isfinite(g)):
-        raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
-
-
 def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
                 *, branch_point_limit: bool = False):
     """Impurity self-energy Sigma(z) on the requested Riemann sheet.
@@ -185,7 +181,7 @@ def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
     z g^2 (z^2 - 2)/2, returned only when branch_point_limit is set;
     otherwise a BranchPointError is raised.
     """
-    _check_g(g)
+    check_coupling(g)
     z = _band_input(z, "Sigma", branch_point_limit)
     root = z * sqrt_band(z)
     if sheet is SheetTag.First:
@@ -201,7 +197,7 @@ def self_energy_quadrature(z: complex, g: float) -> complex:
     """
     from scipy.integrate import quad  # test oracle only: keeps scipy.integrate off import
 
-    _check_g(g)
+    check_coupling(g)
     z = complex(z)
 
     def integrand(k: float) -> complex:
@@ -235,14 +231,14 @@ def resolvent_dd(z: complex, params: ModelParams,
 
 def z_gap(g: float) -> tuple[float, float]:
     """(z_g, delta_g): the symmetric pair energy g + 1/g and its band gap."""
-    _check_g(g)
+    check_coupling(g)
     zg = g + 1.0 / g
     return zg, zg - 2.0
 
 
 def timescales(g: float) -> Timescales:
     """Characteristic timescales of the decay for coupling g."""
-    _check_g(g)
+    check_coupling(g)
     delta_g = (1.0 - g) ** 2 / g
     zeno_c = (g + g * g + g ** 3 - 1.0) / (g * g)
     if g > 1.0:
@@ -274,7 +270,7 @@ def wavevector(z: complex, g: float, kind: StateKind) -> complex:
     states, resonances and anti-resonances the anti-localized one.  Re k is
     normalized into [0, 2 pi).
     """
-    _check_g(g)
+    check_coupling(g)
     z = complex(z)
     if kind is StateKind.BIC:
         return complex(math.pi / 2.0)

@@ -502,10 +502,10 @@ def _cut_integral_ref(h, t, abs_tol):
     return total
 
 
-def _rays_ref(ts, g, w, v_max=10.0):
+def _rays_ref(ts, g, w):
     x, wts = _GL[320]
-    v = 0.5 * v_max * (x + 1.0)
-    weights = 0.5 * v_max * wts * 2.0 * v * np.exp(-v * v)
+    v = 0.5 * closedform.RAY_V_MAX * (x + 1.0)
+    weights = 0.5 * closedform.RAY_V_MAX * wts * 2.0 * v * np.exp(-v * v)
 
     def disc_lower(z):
         s = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)

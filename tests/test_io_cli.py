@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import math
@@ -334,6 +335,33 @@ def test_cli_evolve_auto_chain_meets_the_light_cone(tmp_path):
     assert int(meta["light_cone_margin"]) in (1, 2)
 
 
+def test_cli_abs_tol_alone_sets_the_order(tmp_path):
+    # abs_tol is the one accuracy setting: a looser value needs no other
+    # flag and takes fewer Chebyshev terms than the default
+    args = ["evolve", "--g", "0.9", "--tmax", "10", "--samples", "11", "--no-meta-time"]
+    loose, default = tmp_path / "loose.csv", tmp_path / "default.csv"
+    assert run_cli(*args, "--abs-tol", "1e-9", "--out", str(loose)) == 0
+    assert run_cli(*args, "--out", str(default)) == 0
+    meta_loose, _ = io.read_csv(loose)
+    meta_default, _ = io.read_csv(default)
+    assert meta_loose["abs_tol"] == "1e-09" and "rel_tol" not in meta_default
+    assert int(meta_loose["cheb_terms"]) < int(meta_default["cheb_terms"])
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_cli_has_no_rel_tol(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rel_tol=1e-8\n")
+    args = [command, "--g", "0.9", "--tmax", "5", "--samples", "5",
+            "--out", str(tmp_path / "x"), "--no-meta-time"]
+    for extra in (["--rel-tol", "1e-8"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, *extra)
+        assert exc.value.code == 2
+    assert run_cli(*args, "--abs-tol", "1e-5") == 2  # above the 1e-6 cap
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_cli_evolve_detuned_separation_metadata(tmp_path):
     assert run_cli("figure", "fig3b", "--out", str(tmp_path / "f3b"),
                    "--no-meta-time") == 0
@@ -528,6 +556,21 @@ def test_readme_lists_every_figure_id():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"Figure ids: `([^`]*)`", readme).group(1).split()
     assert tuple(listed) == tuple(cli.FIGURES)
+
+
+def test_readme_command_line_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"\n## Command line\n(.*?)\n## ", readme, re.S).group(1)
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def long_options(p):
+        return {opt for a in p._actions for opt in a.option_strings if opt.startswith("--")}
+
+    on_subcommands = set().union(*map(long_options, sub.choices.values()))
+    assert on_subcommands - documented == set()
+    assert documented - (on_subcommands | long_options(parser)) == set()
 
 
 def test_readme_quick_tour_runs():
