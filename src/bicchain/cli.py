@@ -191,11 +191,9 @@ def _cmd_compare(args) -> int:
     # 2 g^2 > 2 - eps_d (2 + eps_d); no root finding, even at a threshold
     has_bound = params.eps_d != 0.0 and 2.0 * params.g ** 2 > 2.0 - abs(params.eps_d)
     if not has_bound:
+        a_cut = closedform.a_w_cut(ts, params, 0.0)
         if params.eps_d == 0.0:
-            a_cut = (np.array([closedform.a_br_quadrature(t, params.g) for t in ts])
-                     + closedform.bound_term(ts, params.g))
-        else:
-            a_cut = np.array([closedform.a_w_cut(t, params, w=0.0) for t in ts])
+            a_cut = a_cut + closedform.bound_term(ts, params.g)
         header += ["re_A_cut", "im_A_cut"]
         columns += [a_cut.real, a_cut.imag]
         deviations["ode_vs_cut"] = float(np.max(np.abs(a_ode - a_cut)))

@@ -1,15 +1,17 @@
 """Semi-analytic and closed-form survival amplitudes.
 
-Routes to the survival amplitude of the BIC-orthogonal state at eps_d = 0:
+Routes to the survival amplitude of the BIC-orthogonal states:
 
-* ``a_br_quadrature`` -- the branch-cut contour reduced to a real integral
-  over k in [0, pi] (z = -2 cos k) and evaluated by adaptive Gauss
-  quadrature on half-period pieces of the oscillatory factor exp(2it cos k).
-  The adaptive rule bisects level by level: each level evaluates GL15 and
-  GL30 on all intervals still open as one array computation.  The
-  discontinuity sign is pinned by the t = 0 sum rule: the cut carries the
-  full norm for g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the
-  rest).
+* ``a_w_cut`` -- the branch-cut contour of the generalized w-state
+  resolvent N_w^2 (C0 + Q G_dd), from the chain Dyson algebra, reduced to a
+  real integral over k in [0, pi] (z = -2 cos k); works for any detuning.
+  One call takes a whole ascending time grid: the adaptive Gauss rule runs
+  on half-period pieces of exp(2 i t_max cos k), bisects level by level,
+  evaluates the t-independent jump once per node and carries the times as
+  an array axis (``_cut_integral``).  The discontinuity sign is pinned by
+  the t = 0 sum rule: at eps_d = 0 the cut carries the full norm for
+  g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the rest).
+  ``a_br_quadrature`` is this route for the perp state (w = 0, eps_d = 0).
 * ``bessel_exact`` -- the exact Bessel-function representation obtained by
   fraction decomposition: A_br = -(1/2g)(I(+z_g) - I(-z_g)) with
 
@@ -19,15 +21,12 @@ Routes to the survival amplitude of the BIC-orthogonal state at eps_d = 0:
   the integrable tau -> 0 limit J_1(2 tau)/tau -> 1 handled analytically.
   The tail integral is a GL30 sum over panels min(0.25, 2.5/z_g) wide,
   evaluated in array blocks and accumulated by one cumulative sum.
-* ``a_w_cut`` -- the same contour reduction for the generalized w-state
-  resolvent N_w^2 (C0 + Q G_dd) from the chain Dyson algebra; works for any
-  detuning.
 * ``a_w_rays`` -- band-edge ray deformation of the cut contour (eps_d = 0),
   exact for t >= ~1 at O(1) cost; the route of choice deep in the far zone.
   A 320-node rule is evaluated for a block of times at once.
 
-Array blocks hold at most ``BLOCK_NODES`` quadrature nodes, so memory stays
-flat however long the time grid.  sigma_1 is ``spectrum.sigma1``.
+Array blocks hold at most ``BLOCK_NODES`` quadrature nodes (for the cut,
+phase exps), so memory stays flat however long the time grid.  sigma_1 is ``spectrum.sigma1``.
 
 Closed-form approximations:
 
@@ -87,11 +86,23 @@ class ApproximationTag(enum.Enum):
 _GL15 = roots_legendre(15)
 _GL30 = roots_legendre(30)
 
-#: Quadrature nodes evaluated per array block: 170 GL30 panels or 16 ray
-#: times.  About 80 KB per complex temporary, so the temporaries of a block
-#: stay in cache (on a 2-vCPU x86 host, 25 ray times per block ran 1.5x
-#: slower than 16) and a long grid does not raise the peak memory.
+#: Nodes of the adaptive cut rule on [-1, 1]: GL30 then GL15, evaluated
+#: together; row 0 of the weights forms GL30 and row 1 GL15.
+_GL_NODES = np.concatenate((_GL30[0], _GL15[0]))
+_GL_WEIGHTS = np.zeros((2, len(_GL_NODES)))
+_GL_WEIGHTS[0, :30], _GL_WEIGHTS[1, 30:] = _GL30[1], _GL15[1]
+
+#: Quadrature nodes evaluated per array block: 170 GL30 panels, 113 cut
+#: intervals or 16 ray times; cut phase exps, twice as many.  About
+#: 80 KB per complex temporary, so the temporaries of a block stay in cache
+#: (on a 2-vCPU x86 host, 25 ray times per block ran 1.5x slower than 16)
+#: and a long grid does not raise the peak memory.
 BLOCK_NODES = 5120
+
+#: Stride of the cut rule's phase on an evenly spaced grid: the phase at
+#: t_{j + r}, j a multiple of the stride, is the exact exp at t_j times the
+#: exact exp at the offset r dt, so one exp per node serves stride times.
+PHASE_STRIDE = 16
 
 #: Bisection depth at which an adaptive cut interval is accepted as is.
 MAX_DEPTH = 28
@@ -133,87 +144,141 @@ def _gauss_panels(f, a: np.ndarray, b: np.ndarray, rule) -> np.ndarray:
     return out
 
 
-def _cut_integral(h, t: float, abs_tol: float) -> complex:
-    """INT_0^pi h(k) exp(2 i t cos k) dk with half-period splitting.
+def _phase_stride(ts: np.ndarray) -> tuple[int, float]:
+    """(M, dt): M = PHASE_STRIDE on an evenly spaced grid of step dt (every time
+    within 4 ulp of t_0 + j dt), else M = 1 with no offsets."""
+    if len(ts) < 2:
+        return 1, 0.0
+    dt = (ts[-1] - ts[0]) / (len(ts) - 1)
+    off_grid = np.max(np.abs(ts - (ts[0] + dt * np.arange(len(ts)))))
+    return (PHASE_STRIDE, dt) if off_grid <= 4.0 * np.spacing(ts[-1]) else (1, 0.0)
 
-    The phase 2 t cos k is split at multiples of pi so each piece holds at
-    most half an oscillation; each piece starts as an open interval with an
-    equal share of ``abs_tol``.  Level by level, GL15 and GL30 run once over
-    every open interval: one whose error estimate |GL30 - GL15| is below its
-    tolerance, or that has been bisected MAX_DEPTH times, is accepted with
-    its GL30 value; the others are bisected, each half with half the
-    tolerance.  These are the intervals a depth-first adaptive recursion
-    accepts.  A non-finite error estimate raises at once, since bisection
-    cannot repair it.
+
+def _rule_sums(weighted: np.ndarray, c2: np.ndarray, ts: np.ndarray, stride: int,
+               dt: float) -> np.ndarray:
+    """(interval, rule, time) sums of weighted * exp(i c2 t) over the nodes.
+
+    ``weighted`` is (interval, rule, node) and ``c2`` = 2 cos k is (interval,
+    node).  The phase at t_{j + r}, j a multiple of ``stride``, is the exact
+    exp at t_j times the exact exp at the offset r dt.  The offset factors
+    are folded into the weights, so one matmul with the exps at every
+    stride-th time forms every sum, and no (node, time) phase array is
+    built.  A block of exps holds at most 2 BLOCK_NODES entries.
     """
+    n_i, n_r, n_n = weighted.shape
+    offsets = np.exp(1j * c2[:, None, :] * (dt * np.arange(stride))[:, None])
+    mixed = (weighted[:, :, None, :] * offsets[:, None]).reshape(n_i, n_r * stride, n_n)
+    base = ts[::stride]
+    q_block = max(2 * BLOCK_NODES // (n_i * n_n), 1)
+    out = np.empty((n_i, n_r, len(base), stride), dtype=complex)
+    for q in range(0, len(base), q_block):
+        phase = np.exp(1j * c2[..., None] * base[q:q + q_block])
+        sums = (mixed @ phase).reshape(n_i, n_r, stride, -1)
+        out[:, :, q:q + q_block] = sums.transpose(0, 1, 3, 2)
+    return out.reshape(n_i, n_r, -1)[..., :len(ts)]
+
+
+def _cut_integral(h, ts: np.ndarray, abs_tol: float) -> np.ndarray:
+    """INT_0^pi h(k) exp(2 i t cos k) dk at every time of an ascending grid ts.
+
+    The phase 2 t_max cos k is split at multiples of pi, so each piece holds
+    at most half an oscillation at every t <= t_max; each piece starts as an
+    open interval with an equal share of ``abs_tol``.  Level by level, h is
+    evaluated once per node of every open interval, on the GL30 and GL15
+    nodes together, and a matmul with the phase exp(2 i t cos k) forms both
+    rules at every time.  An interval whose error estimate max_t |GL30 -
+    GL15| is below its tolerance, or that has been bisected MAX_DEPTH times,
+    is accepted with its GL30 values; the others are bisected, each half
+    with half the tolerance.  A non-finite error estimate raises at once,
+    since bisection cannot repair it; a time whose accepted error estimates
+    sum to more than ``abs_tol`` raises after the last level.
+
+    On an evenly spaced grid a node costs one complex exp per PHASE_STRIDE
+    times (``_rule_sums``); other grids, and a single time, use a stride of
+    1.  No (node, time) phase array is built, a block of exps or of folded
+    weights holds at most about 2 BLOCK_NODES entries, and accepted
+    intervals are summed block by block, so memory stays flat in the number
+    of times.
+    """
+    t_max = float(ts[-1])
     # k = pi/2 (z = 0) is always an interval boundary: quadrature nodes are
     # strictly interior, so the removable BIC-point 0/0 of the w-state
     # integrand at eps_d = 0 is never sampled
     pts = [0.0, 0.5 * math.pi, math.pi]
-    if t > 0:
-        j_max = int(math.floor(2.0 * t / math.pi))
+    if t_max > 0:
+        j_max = int(math.floor(2.0 * t_max / math.pi))
         for j in range(-j_max, j_max + 1):
-            c = 0.5 * j * math.pi / t
+            c = 0.5 * j * math.pi / t_max
             if -1.0 < c < 1.0:
                 pts.append(math.acos(c))
     edges = np.unique(np.asarray(pts))
     a, b = edges[:-1], edges[1:]
     tol = np.full(len(a), abs_tol / len(a))
 
-    def f(k: np.ndarray) -> np.ndarray:
-        return h(k) * np.exp(2j * t * np.cos(k))
+    n_t, n_nodes = len(ts), len(_GL_NODES)
+    stride, dt = _phase_stride(ts)
+    # intervals whose exps at every stride-th time, and whose weights times
+    # the offset exps, fill one block of 2 BLOCK_NODES (at least one); and a
+    # multiple of them per evaluation of h
+    per_interval = n_nodes * max(-(-n_t // stride), len(_GL_WEIGHTS) * stride)
+    i_block = max(2 * BLOCK_NODES // per_interval, 1)
+    h_block = i_block * max(BLOCK_NODES // (n_nodes * i_block), 1)
 
-    total = 0.0 + 0.0j
-    err_total = 0.0
+    total = np.zeros(n_t, dtype=complex)
+    err_total = np.zeros(n_t)
     for depth in range(MAX_DEPTH + 1):
-        fine = _gauss_panels(f, a, b, _GL30)
-        err = np.abs(fine - _gauss_panels(f, a, b, _GL15))
-        if not np.all(np.isfinite(err)):
-            raise QuadratureError("branch-cut quadrature hit a non-finite error estimate",
-                                  float(err[~np.isfinite(err)][0]))
-        done = (err < tol) | (depth == MAX_DEPTH)
-        total += complex(np.sum(fine[done]))
-        err_total += float(np.sum(err[done]))
+        done = np.empty(len(a), dtype=bool)
+        err_open = np.zeros(n_t)
+        for lo in range(0, len(a), h_block):
+            a_h, b_h = a[lo:lo + h_block], b[lo:lo + h_block]
+            half = 0.5 * (b_h - a_h)
+            k = half[:, None] * _GL_NODES + 0.5 * (a_h + b_h)[:, None]
+            weighted = half[:, None, None] * _GL_WEIGHTS * h(k)[:, None, :]
+            c2 = 2.0 * np.cos(k)
+            for i in range(lo, lo + len(half), i_block):
+                block = slice(i - lo, i - lo + i_block)
+                sums = _rule_sums(weighted[block], c2[block], ts, stride, dt)
+                err = np.abs(sums[:, 0] - sums[:, 1])
+                if not np.all(np.isfinite(err)):
+                    raise QuadratureError("branch-cut quadrature hit a non-finite error estimate",
+                                          float(err[~np.isfinite(err)][0]))
+                ok = (np.max(err, axis=1) < tol[i:i + i_block]) | (depth == MAX_DEPTH)
+                done[i:i + len(ok)] = ok
+                total += np.sum(sums[ok, 0], axis=0)
+                err_total += np.sum(err[ok], axis=0)
+                err_open += np.sum(err[~ok], axis=0)
         if done.all():
             break
         a, b, tol = a[~done], b[~done], tol[~done]
         if 2 * len(a) > MAX_OPEN:
             raise QuadratureError(
                 f"branch-cut quadrature did not converge ({len(a)} intervals open "
-                f"after {depth + 1} levels)", err_total + float(np.sum(err[~done])))
+                f"after {depth + 1} levels)", float(np.max(err_total + err_open)))
         mid = 0.5 * (a + b)
         a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
         tol = np.repeat(0.5 * tol, 2)
-    if err_total > abs_tol:
-        raise QuadratureError("branch-cut quadrature did not converge", err_total)
+    worst = int(np.argmax(err_total))
+    if err_total[worst] > abs_tol:
+        raise QuadratureError(f"branch-cut quadrature did not converge at t = {ts[worst]:g}",
+                              float(err_total[worst]))
     return total
 
 
-def a_br_quadrature(t: float, g: float, abs_tol: float = 1e-9) -> complex:
-    """Branch-cut contribution to the survival amplitude, by quadrature.
+def a_br_quadrature(t, g: float, abs_tol: float = 1e-9):
+    """Branch-cut contribution to the survival amplitude at eps_d = 0.
 
-    A_br(t) = (2 (1+g^2) / (pi g^2)) INT_0^pi e^{2 i t cos k}
-              sin^2 k / (z_g^2 - 4 cos^2 k) dk.
-
-    At g = 1 the endpoint zeros of the denominator cancel against sin^2 k,
-    so no principal value is ever needed.  Practical for t <= ~500.
+    The perp state is the w = 0 state, so this is ``a_w_cut(t, ModelParams(g),
+    0.0, abs_tol)``: a time or an ascending grid of times >= 0, on the one
+    all-times cut rule.  For g > 1 the cut carries 1/g^2 of the norm at
+    t = 0 and ``bound_term`` the rest.
     """
     zg, _ = z_gap(g)
-    _check_times(t)
-    if t < 0:
-        raise InvalidParameterError(f"time must be non-negative, got {t}")
-    # a finite 2 z_g^2 keeps g^2, 1/g^2 and so pref finite; otherwise the
-    # integrand underflows or the tolerance abs_tol / pref is zero
+    # a finite 2 z_g^2 keeps g^2 and 1/g^2 finite; otherwise the integrand
+    # under- or overflows
     if not math.isfinite(2.0 * zg * zg):
         raise InvalidParameterError(
             f"branch-cut quadrature needs a finite z_g^2 = (g + 1/g)^2, got g = {g}")
-    pref = 2.0 * (1.0 + g * g) / (math.pi * g * g)
-
-    def h(k: np.ndarray) -> np.ndarray:
-        sk = np.sin(k)
-        return sk * sk / (zg * zg - 4.0 * np.cos(k) ** 2)
-
-    return pref * _cut_integral(h, float(t), abs_tol / pref)
+    return a_w_cut(t, ModelParams(g=g), 0.0, abs_tol)
 
 
 def bound_term(t, g: float):
@@ -441,22 +506,32 @@ def _disc_on_cut(k: np.ndarray, g: float, eps_d: float, w: float) -> np.ndarray:
     return _jump(-2.0 * np.cos(k), -np.exp(-1j * k), -np.exp(1j * k), g, eps_d, w)
 
 
-def a_w_cut(t: float, params: ModelParams, w: float, abs_tol: float = 1e-9) -> complex:
+def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     """Survival amplitude of the w-state from the branch-cut contour.
 
     Reduces the counter-clockwise contour around the band to the jump of
     N_w^2 (sigma_1 + Q G_dd) across the cut and integrates over k in
-    [0, pi].  Valid for any detuning; bound-state poles (g > 1) are not
-    included and must be added by the caller when present.
+    [0, pi].  Valid for any detuning; bound-state poles are not included
+    and must be added by the caller when present.  ``t`` is a time or an
+    ascending grid of times >= 0; one call integrates every time at once
+    (``_cut_integral``), each to within ``abs_tol``.
     """
-    _check_times(t)
+    ts = np.asarray(t, dtype=float)
+    _check_times(ts)
+    if np.any(ts < 0):
+        raise InvalidParameterError(
+            f"time t must be non-negative, got t = {ts[ts < 0].flat[0]}")
+    grid = np.atleast_1d(ts)
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) < 0):
+        raise InvalidParameterError("t must be a time or a non-empty ascending grid of times")
     g, eps_d = params.g, params.eps_d
     nw2 = w_norm_sq(g, w)
 
     def h(k: np.ndarray) -> np.ndarray:
         return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * _disc_on_cut(k, g, eps_d, w)
 
-    return _cut_integral(h, float(t), abs_tol)
+    out = _cut_integral(h, grid, abs_tol)
+    return out if ts.ndim else complex(out[0])
 
 
 _GL_RAY = roots_legendre(320)

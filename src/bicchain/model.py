@@ -81,10 +81,6 @@ class StateVector:
         out[1:] = self.amp_chain
         return out
 
-    def overlap(self, other: StateVector) -> complex:
-        return complex(np.conj(self.amp_d) * other.amp_d
-                       + np.vdot(self.amp_chain, other.amp_chain))
-
 
 @dataclass(frozen=True, eq=False)
 class TruncatedHamiltonian:
@@ -104,9 +100,6 @@ class TruncatedHamiltonian:
     def to_sparse(self) -> sparse.csr_matrix:
         """The stored CSR matrix (shared, not a copy)."""
         return self.matrix
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _coupled_norm(g: float) -> float:

@@ -89,7 +89,7 @@ def test_criterion_02_three_oracle_agreement():
         params = ModelParams(g=g)
         opts = EvolveOptions(t_max=50.0, n_samples=101)
         series = evolve(params, perp_state(g, 2), opts)
-        route = np.array([a_br_quadrature(t, g) + bound_term(t, g) for t in ts])
+        route = a_br_quadrature(ts, g) + bound_term(ts, g)
         worst_cut = max(worst_cut, float(np.max(np.abs(series.overlap - route))))
         if g <= 1.0:
             bes = bessel_exact_grid(ts, g)

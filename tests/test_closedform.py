@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import j1, roots_legendre
@@ -102,7 +102,7 @@ def test_bessel_grid_small_g_matches_quadrature(g):
     # z_g = g + 1/g is 333 or 1000 here: the panels must narrow to follow
     # e^{i z_g tau}, which 0.25-wide panels cannot
     ts = np.linspace(0.0, 10.0, 41)
-    ref = np.array([a_br_quadrature(t, g, abs_tol=1e-12) for t in ts])
+    ref = a_br_quadrature(ts, g, abs_tol=1e-12)
     assert np.max(np.abs(bessel_exact_grid(ts, g) - ref)) <= 1e-9
 
 
@@ -385,9 +385,18 @@ def test_w_resolvent_against_truncated_matrix(w, eps_d):
 # w-state time amplitudes
 
 def test_a_w_cut_reduces_to_abr_at_w0():
-    params = ModelParams(g=0.9)
-    for t in (0.0, 3.0, 10.0):
-        assert abs(a_w_cut(t, params, 0.0) - a_br_quadrature(t, 0.9)) < 1e-9
+    # the perp-state cut integral in its own form, (2 (1+g^2) / (pi g^2))
+    # INT_0^pi e^{2 i t cos k} sin^2 k / (z_g^2 - 4 cos^2 k) dk
+    g = 0.9
+    zg, _ = z_gap(g)
+    pref = 2.0 * (1.0 + g * g) / (math.pi * g * g)
+
+    def h(k):
+        return pref * np.sin(k) ** 2 / (zg * zg - 4.0 * np.cos(k) ** 2)
+
+    ts = np.array([0.0, 3.0, 10.0])
+    ref = closedform._cut_integral(h, ts, 1e-12)
+    assert np.max(np.abs(a_w_cut(ts, ModelParams(g=g), 0.0) - ref)) < 1e-9
 
 
 def test_a_w_cut_normalization():
@@ -441,7 +450,7 @@ def test_three_way_agreement_invariant():
     ts = np.linspace(0.0, 50.0, 101)
     for g in (0.7, 0.9, 1.0):
         bes = bessel_exact_grid(ts, g)
-        quad = np.array([a_br_quadrature(t, g) for t in ts])
+        quad = a_br_quadrature(ts, g)
         assert np.max(np.abs(bes - quad)) < 1e-7
 
 
@@ -553,20 +562,20 @@ def test_cut_integral_matches_recursive_adaptive_gauss(g, eps_d, w):
 
     for t in (0.0, 2.5, 40.0):
         for tol in (1e-9, 1e-12):
-            batched = closedform._cut_integral(h, t, tol)
+            batched = closedform._cut_integral(h, np.array([t]), tol)[0]
             assert abs(batched - _cut_integral_ref(h, t, tol)) <= 1e-14
 
 
 def test_cut_integral_raises_on_non_finite_integrand():
     with pytest.raises(QuadratureError, match="non-finite"):
-        closedform._cut_integral(lambda k: np.where(k > 1.0, np.nan, 1.0), 3.0, 1e-9)
+        closedform._cut_integral(lambda k: np.where(k > 1.0, np.nan, 1.0), np.array([3.0]), 1e-9)
 
 
 def test_cut_integral_bounds_open_intervals(monkeypatch):
     # a zero tolerance is never met: the open set must stop doubling
     monkeypatch.setattr(closedform, "MAX_OPEN", 64)
     with pytest.raises(QuadratureError, match="intervals open"):
-        closedform._cut_integral(lambda k: np.cos(k) ** 2, 1.0, 0.0)
+        closedform._cut_integral(lambda k: np.cos(k) ** 2, np.array([1.0]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +592,21 @@ def test_routes_reject_non_finite_times(bad):
     for call in calls:
         with pytest.raises(InvalidParameterError, match="time t"):
             call()
+
+
+@pytest.mark.parametrize("bad", [-5.0, -1e-300, np.array([-1.0, 0.0, 2.0]),
+                                 np.array([0.0, 1.0, -3.0])])
+def test_cut_routes_reject_negative_times(bad):
+    # A(-t) = conj A(t) would come back silently, as if the time were valid
+    for call in (lambda: a_br_quadrature(bad, 0.9), lambda: a_w_cut(bad, ModelParams(g=0.9), 0.0)):
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.array([2.0, 1.0]), np.array([[1.0, 2.0]]), np.array([])])
+def test_cut_routes_reject_malformed_grids(bad):
+    with pytest.raises(InvalidParameterError, match="ascending grid"):
+        a_w_cut(bad, ModelParams(g=0.9), 0.0)
 
 
 @pytest.mark.parametrize("g", [1e-160, 1e-300, 1e155])
@@ -633,6 +657,29 @@ def test_property_w_cut_sum_rule(g, eps_d, w):
     if 2.0 * g * g <= 2.0 - abs(eps_d):
         assert not any(s.kind is StateKind.Bound for s in discrete_spectrum(params))
         assert abs(a_w_cut(0.0, params, w, abs_tol=1e-13) - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(g=st.floats(0.05, 3.0),
+       eps_d=st.one_of(st.just(0.0), st.floats(0.01, 1.5), st.floats(-1.5, -0.01)),
+       w=st.floats(-2.0, 2.0), t_max=st.floats(0.1, 60.0), n=st.integers(2, 40),
+       even=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+# a level with more intervals open than one block of 75 holds
+@example(g=0.0625, eps_d=0.015625, w=0.0, t_max=1.0, n=3, even=False, seed=0)
+def test_property_w_cut_grid_matches_per_time(g, eps_d, w, t_max, n, even, seed):
+    # Evenly spaced grids take the phase stride M = 16, uneven ones M = 1.
+    # The quasi-BIC window 0 < |eps_d| < 0.01 is left out, where the rule
+    # misses the resonance (test_w_cut_sum_rule_near_quasi_bic).  A grid call
+    # splits k at the half-periods of t_max, a per-time call at those of t,
+    # so each is only as close to the integral as its abs_tol: at the default
+    # 1e-9 they differ by 1.1e-10 at g = 2.8125, eps_d = 0.25, t = 0.
+    if even:
+        ts = np.linspace(0.0, t_max, n)
+    else:
+        ts = np.sort(np.random.default_rng(seed).uniform(0.0, t_max, n))
+    params = ModelParams(g=g, eps_d=eps_d)
+    per_time = np.array([a_w_cut(t, params, w, abs_tol=1e-13) for t in ts])
+    assert np.max(np.abs(a_w_cut(ts, params, w, abs_tol=1e-13) - per_time)) <= 1e-13
 
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, QuadratureError),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bicchain
-from bicchain import cli, io, spectrum
+from bicchain import cli, closedform, io, spectrum
 from bicchain.analysis import TooFewPeaksError
 from bicchain.cli import main
 from bicchain.closedform import DivergenceError, DomainError, QuadratureError
@@ -510,6 +510,22 @@ def test_cli_compare_detuned(tmp_path):
     report = io.read_json(base.with_suffix(".json"))
     assert report["max_abs_deviation"]["ode_vs_cut"] < 1e-6
     assert "shelf_1d" in report["fits"]
+
+
+@pytest.mark.parametrize("eps_d", ["0", "0.2"])
+def test_cli_compare_integrates_the_cut_once(tmp_path, monkeypatch, eps_d):
+    # one all-times cut quadrature per run, not one per sample time
+    calls = []
+    kernel = closedform._cut_integral
+
+    def counted(h, ts, abs_tol):
+        calls.append(len(ts))
+        return kernel(h, ts, abs_tol)
+
+    monkeypatch.setattr(closedform, "_cut_integral", counted)
+    assert run_cli("compare", "--g", "0.9", "--eps-d", eps_d, "--tmax", "20",
+                   "--samples", "41", "--out", str(tmp_path / "cmp"), "--no-meta-time") == 0
+    assert calls == [41]
 
 
 @pytest.mark.parametrize("eps_d", ["1e-6", "-1e-6"])
