@@ -27,6 +27,9 @@ Routes to the survival amplitude of the BIC-orthogonal states:
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes (for the cut,
 phase exps), so memory stays flat however long the time grid.  sigma_1 is ``spectrum.sigma1``.
+The cut's Gauss-Legendre rules come from numpy; only the Bessel route
+(J_0, J_1) and the rays (their 320-node rule) import ``scipy.special``, on
+first use.
 
 Closed-form approximations:
 
@@ -44,11 +47,11 @@ precondition; ``LAWS[tag].curve(params, ts)`` gives values and window mask.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import j0, j1, roots_legendre
 
 from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
 from .spectrum import (SheetTag, Timescales, resolvent_dd, resonance_expansion, sigma1,
@@ -83,8 +86,8 @@ class ApproximationTag(enum.Enum):
     WNearZoneG1 = "WNearZoneG1"
 
 
-_GL15 = roots_legendre(15)
-_GL30 = roots_legendre(30)
+_GL15 = np.polynomial.legendre.leggauss(15)
+_GL30 = np.polynomial.legendre.leggauss(30)
 
 #: Nodes of the adaptive cut rule on [-1, 1]: GL30 then GL15, evaluated
 #: together; row 0 of the weights forms GL30 and row 1 GL15.
@@ -303,6 +306,8 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
     and one ``cumsum`` accumulates them from left to right.
     """
 
+    from scipy.special import j1  # the Bessel route's own special function
+
     def f(tau: np.ndarray) -> np.ndarray:
         out = np.ones_like(tau)
         m = tau > 1e-12
@@ -358,6 +363,8 @@ def early_approx(t, g: float, reduced: bool = False):
     """
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"early-time form requires 0 < g <= 1, got {g}")
+    from scipy.special import j0, j1
+
     t = np.asarray(t, dtype=float)
     zg, dg = z_gap(g)
     if reduced:
@@ -534,7 +541,13 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     return out if ts.ndim else complex(out[0])
 
 
-_GL_RAY = roots_legendre(320)
+@functools.cache
+def _ray_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 320-node Gauss-Legendre rule of the rays, built on first use."""
+    from scipy.special import roots_legendre
+
+    return roots_legendre(320)
+
 
 #: upper end of the ray variable v = sqrt(u t), where e^{-v^2} < 1e-43
 RAY_V_MAX = 10.0
@@ -556,7 +569,7 @@ def a_w_rays(t, params: ModelParams, w: float):
             "it is restricted to eps_d = 0 (use a_w_cut for eps_d != 0)")
     g = params.g
     nw2 = w_norm_sq(g, w)
-    x, wts = _GL_RAY
+    x, wts = _ray_rule()
     v = 0.5 * RAY_V_MAX * (x + 1.0)
     weights = 0.5 * RAY_V_MAX * wts * 2.0 * v * np.exp(-v * v)
 

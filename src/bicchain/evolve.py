@@ -1,20 +1,23 @@
 """Direct numerical time evolution of the truncated chain.
 
-Propagates the initial state on the sparse truncated Hamiltonian with a
-Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys.
-81, 3967 (1984)).  With the spectrum enclosed in [b - a, b + a] and
+Propagates the initial state on the truncated chain with a Chebyshev
+expansion of the propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)).  With the spectrum enclosed in [b - a, b + a] and
 H' = (H - b)/a,
 
     exp(-iHt) psi0 = exp(-ibt) sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(H') psi0.
 
 One three-term recurrence v_k = T_k(H') psi0 runs up to the order K whose
-Bessel tail bound at t_max is below ``abs_tol``.  It keeps only the moments
-the observables need, as in the kernel polynomial method (Weisse et al.,
-Rev. Mod. Phys. 78, 275 (2006)): <psi0|v_k>, the components of v_k on |d>
-and |1>, and <v_k|v_k>.  Each sample is then a contraction of these moments
-with a Bessel table J_k(at), built by Miller's downward recurrence.  The
-norm of the represented state follows exactly from the moments through the
-Toeplitz-plus-Hankel Gram identity T_j T_k = (T_{j+k} + T_{|j-k|})/2.
+Bessel tail bound at t_max is below ``abs_tol``.  H' is applied as a
+tridiagonal stencil (:func:`_stencil`), and v_k is kept only on the first
+(support + k) entries that it can reach.  The recurrence keeps only the
+moments the observables need, as in the kernel polynomial method (Weisse
+et al., Rev. Mod. Phys. 78, 275 (2006)): <psi0|v_k>, the components of v_k
+on |d> and |1>, and <v_k|v_k>.  Each sample is then a contraction of these
+moments with a Bessel table J_k(at), built by Miller's downward recurrence.
+The norm of the represented state follows exactly from the moments through
+the Toeplitz-plus-Hankel Gram identity T_j T_k = (T_{j+k} + T_{|j-k|})/2,
+evaluated with numpy's real FFT.  The module needs numpy alone.
 
 The model is the semi-infinite chain, and [b - a, b + a] encloses its
 spectrum (:func:`bicchain.model.spectral_bounds`).  A matrix element
@@ -32,13 +35,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import fft, sparse
-from scipy.linalg.lapack import dtbtrs
 
 from .model import (InvalidParameterError, ModelParams, NumericalError, StateVector,
-                    hamiltonian, spectral_bounds)
+                    spectral_bounds)
 
 #: refuse direct evolution beyond this chain size
 MAX_SITES = 10 ** 6
@@ -52,6 +54,11 @@ MAX_PHASE = 2 * MAX_SITES
 #: table holds at most this many float64 words, or one sample when a single
 #: row is longer (a working set of about 2 MB)
 BLOCK_WORDS = 1 << 15
+
+#: samples per Miller recurrence are chosen so that its table holds about
+#: this many float64 words (4 MB); one row step then spans hundreds of
+#: samples, which the FFT blocks above slice
+MILLER_WORDS = 1 << 19
 
 
 class IntegratorError(NumericalError):
@@ -199,28 +206,26 @@ def _miller_start(x: np.ndarray) -> np.ndarray:
 def bessel_table(x: np.ndarray, k_max: int) -> np.ndarray:
     """J_k(x) for k = 0..k_max at each x >= 0, shape (len(x), k_max + 1).
 
-    Miller's downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, seeded at
-    :func:`_miller_start` and normalised by J_0 + 2 sum_k J_{2k} = 1.  The
-    recurrences of all x run as one unit-diagonal banded back-substitution,
-    one block of rows per x.  Orders above a seed are returned as zero.
+    Miller's downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, seeded with
+    1 at each x's own :func:`_miller_start` and normalised by
+    J_0 + 2 sum_k J_{2k} = 1.  One loop runs down over k with the samples
+    as the vector axis.  Orders above a seed are returned as zero.
     """
     x = np.asarray(x, dtype=float)
     seeds = _miller_start(x)
     rows = int(seeds.max()) + 1
     two_over_x = np.divide(2.0, x, out=np.zeros_like(x), where=seeds > 0)
-    # upper band storage of row j: v_j - (2(j+1)/x) v_{j+1} + v_{j+2} = [j == seed]
-    band = np.ones((len(x), rows, 3))
-    band[:, :2, 0] = 0.0
-    np.multiply(-two_over_x[:, None], np.arange(rows), out=band[:, :, 1])
-    band[:, 0, 1] = 0.0
-    rhs = np.zeros((len(x), rows))
-    rhs[np.arange(len(x)), seeds] = 1.0
-    sol, _ = dtbtrs(band.reshape(-1, 3).T, rhs.reshape(-1, 1), diag="U", overwrite_b=1)
-    sol = sol.reshape(len(x), rows)
-    scale = sol[:, 0] + 2.0 * sol[:, 2::2].sum(axis=1)
+    # row k holds J_k; the two rows above the top seed stay zero
+    sol = np.zeros((rows + 2, len(x)))
+    sol[seeds, np.arange(len(x))] = 1.0
+    row = list(sol)
+    for k in range(rows - 1, -1, -1):
+        row[k] += (k + 1) * two_over_x * row[k + 1]
+        row[k] -= row[k + 2]
+    scale = sol[0] + 2.0 * sol[2:rows:2].sum(axis=0)
     table = np.zeros((len(x), k_max + 1))
     kept = min(rows, k_max + 1)
-    np.divide(sol[:, :kept], scale[:, None], out=table[:, :kept])
+    np.divide(sol[:kept].T, scale[:, None], out=table[:, :kept])
     return table
 
 
@@ -238,24 +243,73 @@ def chebyshev_order(x_max: float, abs_tol: float) -> int:
     return int(below[0]) if len(below) else len(j) - 1
 
 
-def _moments(h2: sparse.csr_matrix, psi0: np.ndarray, order: int):
-    """Moments of v_k = T_k(H') psi0 for k <= order, with h2 = 2H'.
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, a fast real FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest 2^a p35 >= n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
+
+def _stencil(params: ModelParams, center: float, half_width: float,
+             n_rows: int) -> Callable[[np.ndarray], np.ndarray]:
+    """2H' = (2/a)(H - b) on the n_rows-entry chain vector as a light-cone stencil.
+
+    The returned map takes the first m >= 3 entries of a vector followed by
+    a zero, and returns the first min(m + 1, n_rows) entries of 2H' times
+    it, again followed by a zero.  The chain part is one real convolution
+    with the bond stencil, over the (re, im) pairs of a complex vector; the
+    trailing zero keeps every entry in the convolution's interior, where it
+    sums three products in column order as a CSR product does.  The rows of
+    |d> (eps_d, and -g to |2>), |1> (no bond to |d>) and |2> (the -g bond)
+    are then written out in the same order.
+    """
+    c = 2.0 / half_width
+    kernel = np.array([-c, -c * center, -c])
+    kernels = {np.dtype(float): kernel, np.dtype(complex): np.insert(kernel, [1, 2], 0.0)}
+    d_diag, d_bond = c * (params.eps_d - center), c * params.g
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        full = np.convolve(v.view(float), kernels[v.dtype]).view(v.dtype)
+        out = full[1:min(len(v), n_rows) + 2]
+        out[0] = d_diag * v[0] - d_bond * v[2]
+        out[1] = kernel[1] * v[1] + kernel[2] * v[2]
+        out[2] = -d_bond * v[0] + kernel[0] * v[1] + kernel[1] * v[2] + kernel[2] * v[3]
+        out[-1] = 0.0  # the new trailing zero, or the amplitude beyond the wall
+        return out
+
+    return apply
+
+
+def _moments(h2: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray, order: int):
+    """Moments of v_k = T_k(H') psi0 for k <= order, with h2 applying 2H'.
+
+    h2 is a :func:`_stencil`; v_k lives on the first (support + k) entries,
+    where the support runs to psi0's last nonzero entry (at least |2>), and
+    carries one trailing zero.
     Returns <psi0|v_k>, the components (v_k[0], v_k[1]) and <v_k|v_k>.
     """
     overlaps = np.empty(order + 1, dtype=psi0.dtype)
     sites = np.empty((order + 1, 2), dtype=psi0.dtype)
     norms_sq = np.empty(order + 1)
+    support = max(3, int(np.flatnonzero(psi0)[-1]) + 1)
+    psi0 = np.append(psi0[:support], 0.0)
     v_prev, v = psi0, psi0
     for k in range(order + 1):
-        overlaps[k] = np.vdot(psi0, v)
+        overlaps[k] = np.vdot(psi0, v[:support + 1])
         sites[k] = v[:2]
         norms_sq[k] = np.vdot(v, v).real
         if k == 0:
-            v = 0.5 * (h2 @ v)
+            v = 0.5 * h2(v)
         elif k < order:
-            v_next = h2 @ v
-            v_next -= v_prev
+            v_next = h2(v)
+            v_next[:len(v_prev)] -= v_prev
             v_prev, v = v, v_next
     return overlaps, sites, norms_sq
 
@@ -284,8 +338,8 @@ def _gram_weights(norms_sq: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndar
     # Parseval over the half spectrum, times the identity's 1/2
     half = np.full(n_fft // 2 + 1, 1.0 / n_fft)
     half[0] = half[-1] = 0.5 / n_fft
-    w_abs = np.repeat(half * fft.rfft(toeplitz).real, 2)
-    w_cross = (half[:, None] * fft.rfft(hankel)[:, None].view(float)).ravel()
+    w_abs = np.repeat(half * np.fft.rfft(toeplitz).real, 2)
+    w_cross = (half[:, None] * np.fft.rfft(hankel)[:, None].view(float)).ravel()
     return w_abs, w_cross
 
 
@@ -299,8 +353,9 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     Chebyshev recurrence of order ``cheb_terms``, the lowest whose Bessel
     tail at t_max is below ``opts.abs_tol`` (see the module docstring).
     ``norm`` is the exact norm of the represented state, not an error bound.
-    Samples are contracted in blocks of about ``BLOCK_WORDS`` padded table
-    entries, so memory stays O(n_sites + K) beyond the outputs.
+    Bessel tables are built for blocks of about ``MILLER_WORDS`` entries and
+    transformed in blocks of about ``BLOCK_WORDS`` padded entries, so memory
+    stays O(n_sites + K) beyond the outputs.
     ``light_cone_margin`` = 2N - 2 - K; for a state on {|d>, |1>, |2>} the
     samples are those of the semi-infinite chain when it is positive, which
     auto-sized chains always are.  Otherwise the output's
@@ -317,26 +372,28 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     if not psi0.imag.any():
         psi0 = psi0.real  # H is real: a real state keeps the recurrence real
     times = opts.times()
-    h_sparse = hamiltonian(params, n).to_sparse()
-    h2 = (2.0 / half_width) * (h_sparse - center * sparse.identity(n + 1, format="csr"))
-    overlaps, sites, norms_sq = _moments(h2, psi0, order)
+    overlaps, sites, norms_sq = _moments(_stencil(params, center, half_width, n + 1),
+                                         psi0, order)
     if not np.all(np.isfinite(norms_sq)):
         raise IntegratorError("Chebyshev recurrence produced non-finite moments", 0.0)
 
     weights = np.column_stack([overlaps, sites]).astype(complex)
     weights *= np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4, None]
-    n_fft = 2 * fft.next_fast_len(order + 1, real=True)
+    n_fft = 2 * _next_fast_len(order + 1)
     w_abs, w_cross = _gram_weights(norms_sq, n_fft)
     samples = np.empty((len(times), 3), dtype=complex)
     norm_sq = np.empty(len(times))
     block = max(1, BLOCK_WORDS // n_fft)
-    for lo in range(0, len(times), block):
-        coeffs = bessel_table(half_width * times[lo:lo + block], order)
+    wide = block * max(1, MILLER_WORDS // (block * (order + 1)))
+    for lo in range(0, len(times), wide):
+        coeffs = bessel_table(half_width * times[lo:lo + wide], order)
         coeffs[:, 1:] *= 2.0
-        samples[lo:lo + block] = (coeffs @ weights.view(float)).view(complex)
-        spec = fft.rfft(coeffs, n=n_fft, axis=1)
-        cross = spec * np.conj(spec[:, ::-1])
-        norm_sq[lo:lo + block] = (spec.view(float) ** 2) @ w_abs + cross.view(float) @ w_cross
+        samples[lo:lo + wide] = (coeffs @ weights.view(float)).view(complex)
+        for at in range(0, len(coeffs), block):
+            spec = np.fft.rfft(coeffs[at:at + block], n=n_fft, axis=1)
+            cross = spec * np.conj(spec[:, ::-1])
+            norm_sq[lo + at:lo + at + block] = ((spec.view(float) ** 2) @ w_abs
+                                                + cross.view(float) @ w_cross)
     samples *= np.exp(-1j * center * times)[:, None]
 
     return AmplitudeSeries(

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigvalsh_tridiagonal
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: sites of the chain section whose edge-shifted spectrum bounds the
 #: semi-infinite chain's in :func:`spectral_bounds`
@@ -67,7 +69,7 @@ class StateVector:
             raise InvalidParameterError(
                 f"amp_chain must be one-dimensional, got shape {chain.shape}")
         norm_sq = abs(self.amp_d) ** 2 + float(np.sum(np.abs(chain) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # also refuses NaN and inf amplitudes
             raise InvalidParameterError(f"state norm^2 = {norm_sq!r} deviates from 1 by > 1e-12")
 
     @property
@@ -88,7 +90,9 @@ class TruncatedHamiltonian:
 
     Nonzeros: (0,0) = eps_d (if nonzero), (0,2) = (2,0) = -g, and
     (n, n+1) = (n+1, n) = -1 for chain bonds 1 <= n <= N-1; each row is
-    stored in ascending column order.
+    stored in ascending column order.  It is a reference for tests and the
+    benchmark: :func:`bicchain.evolve.evolve` applies the same matrix as a
+    stencil and never builds it.
     """
 
     matrix: sparse.csr_matrix = field(repr=False)
@@ -167,6 +171,8 @@ def w_state(g: float, w: float, n_sites: int) -> StateVector:
 
 def hamiltonian(params: ModelParams, n_sites: int) -> TruncatedHamiltonian:
     """Truncated Hamiltonian on {|d>, |1>..|N>} with a hard wall at site N."""
+    from scipy import sparse  # only tests and the benchmark build the matrix
+
     if n_sites < 3:
         raise InvalidParameterError(f"n_sites must be >= 3, got {n_sites}")
     bond = np.arange(1, n_sites)
@@ -188,10 +194,10 @@ def spectral_bounds(params: ModelParams) -> tuple[float, float]:
     -(|M><M| + |M+1><M+1|) <= -(|M><M+1| + h.c.) <= |M><M| + |M+1><M+1|,
     so H lies below the M-site section with +1 added on |M> beside a bare
     chain with edge potential +1, whose spectrum is [-2, 2] because that
-    edge binds no state, and above the same pair with -1.  Sturm-sequence
-    bisection on a section of ``ENCLOSURE_SITES`` sites gives the two
+    edge binds no state, and above the same pair with -1.  The dense
+    eigenvalues of the two sections of ``ENCLOSURE_SITES`` sites give the
     extreme eigenvalues, which are widened by 1e-10 of their spread to cover
-    the rounding of the rotation and of the bisection before they are
+    the rounding of the rotation and of the eigensolver before they are
     joined with the band [-2, 2].  Away from bound states (g < 1 at
     eps_d = 0, for one) the enclosure is the band, (b, a) = (0, 2).
     """
@@ -202,11 +208,11 @@ def spectral_bounds(params: ModelParams) -> tuple[float, float]:
     diag[0], diag[1] = eps_d / s ** 2, eps_d * (g / s) ** 2
     off = np.full(ENCLOSURE_SITES, -1.0)
     off[0], off[1] = eps_d * (g / s) / s, -s
-    diag[-1] = -1.0
-    lo = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-    diag[-1] = 1.0
-    hi = eigvalsh_tridiagonal(diag, off, select="i",
-                             select_range=(ENCLOSURE_SITES, ENCLOSURE_SITES))[0]
+    section = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    section[-1, -1] = -1.0
+    lo = np.linalg.eigvalsh(section)[0]
+    section[-1, -1] = 1.0
+    hi = np.linalg.eigvalsh(section)[-1]
     pad = 1e-10 * max(hi - lo, 1.0)
     lo, hi = min(lo - pad, -2.0), max(hi + pad, 2.0)
     return 0.5 * (hi + lo), 0.5 * (hi - lo)

@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import fft, sparse
 from scipy.linalg import expm
 from scipy.special import jv
 
 from bicchain.closedform import a_br_quadrature, bessel_exact_grid, bound_term
 from bicchain.evolve import (MAX_SITES, EvolveOptions, IntegratorError, ProbabilitySeries,
-                             auto_sites, bessel_table, chebyshev_order, evolve, nonescape,
-                             survival)
+                             _moments, _next_fast_len, _stencil, auto_sites, bessel_table,
+                             chebyshev_order, evolve, nonescape, survival)
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
                             bic_state, hamiltonian, perp_state, spectral_bounds,
                             w_state)
@@ -205,13 +205,73 @@ def test_probability_series_shape_check():
 
 
 def test_bessel_table_matches_scipy():
-    xs = np.array([0.0, 1e-12, 1e-6, 0.01, 1.0, 100.0, 3000.0])
+    # one table over samples whose seeds differ by thousands of rows, unsorted
+    rng = np.random.default_rng(3)
+    xs = np.concatenate(([0.0, 1e-12, 1e-6, 0.01, 1.0, 100.0, 3000.0],
+                         rng.permutation(np.geomspace(1e-3, 2500.0, 40))))
     k_max = chebyshev_order(3000.0, 1e-13)
     assert k_max > 3000
     table = bessel_table(xs, k_max)
     ref = jv(np.arange(k_max + 1)[None, :], xs[:, None])
     assert np.all(np.isfinite(table))
     assert np.max(np.abs(table - ref)) <= 1e-13
+
+
+def test_next_fast_len_matches_scipy():
+    # the FFT sizes, and so the norm columns, are those of scipy's real FFT
+    assert all(_next_fast_len(n) == fft.next_fast_len(n, real=True) for n in range(1, 10_001))
+
+
+def _csr_moments(params, n, psi0, order):
+    """Reference recurrence v_k = T_k(H') psi0 with the CSR Hamiltonian on all entries."""
+    center, half_width = spectral_bounds(params)
+    h = hamiltonian(params, n).to_sparse()
+    h2 = (2.0 / half_width) * (h - center * sparse.identity(n + 1, format="csr"))
+    vs = [psi0, 0.5 * (h2 @ psi0)]
+    while len(vs) <= order:
+        vs.append(h2 @ vs[-1] - vs[-2])
+    vs = np.array(vs[:order + 1])
+    return vs @ np.conj(psi0), vs[:, :2], np.sum(np.abs(vs) ** 2, axis=1)
+
+
+@PROPERTY
+@given(g=st.floats(0.05, 3.0), eps_d=st.floats(-1.5, 1.5), n=st.integers(3, 200),
+       spread=st.floats(0.0, 1.0), order=st.integers(1, 400), real=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(g=0.9, eps_d=0.2, n=3, spread=1.0, order=40, real=False, seed=0)  # wall at |3>
+@example(g=1.3, eps_d=-0.4, n=200, spread=0.0, order=400, real=True, seed=1)  # |d> only
+@example(g=1.9375, eps_d=1.0, n=7, spread=0.0, order=97, real=False, seed=0)  # 90 steps at the wall
+def test_property_stencil_moments_match_csr(g, eps_d, n, spread, order, real, seed):
+    # states from |d> alone up to the wall, complex or real, and orders that
+    # run into the wall or stop short of it
+    params = ModelParams(g=g, eps_d=eps_d)
+    rng = np.random.default_rng(seed)
+    support = 1 + round(spread * n)
+    psi0 = np.zeros(n + 1, dtype=complex)
+    psi0[:support] = rng.normal(size=support) + (0 if real else 1j) * rng.normal(size=support)
+    psi0 /= np.linalg.norm(psi0)
+    if real:
+        psi0 = psi0.real
+    center, half_width = spectral_bounds(params)
+    got = _moments(_stencil(params, center, half_width, n + 1), psi0, order)
+    for value, ref in zip(got, _csr_moments(params, n, psi0, order)):
+        assert np.max(np.abs(value - ref)) <= 1e-13
+
+
+def test_evolve_blocks_do_not_change_samples(monkeypatch):
+    # Miller tables of a few FFT blocks, and FFT blocks of a few samples,
+    # give the samples of one block holding every sample
+    evolve_module = importlib.import_module("bicchain.evolve")
+    params = ModelParams(g=1.3, eps_d=-0.4)
+    opts = EvolveOptions(t_max=40.0, n_samples=50, grid="log")
+    runs = []
+    for block_words, miller_words in ((1 << 30, 1 << 30), (600, 2000), (1, 1)):
+        monkeypatch.setattr(evolve_module, "BLOCK_WORDS", block_words)
+        monkeypatch.setattr(evolve_module, "MILLER_WORDS", miller_words)
+        runs.append(evolve(params, w_state(1.3, 0.7, 3), opts))
+    for run in runs[1:]:
+        for name in ("overlap", "amp_d", "amp_1", "norm"):
+            assert np.max(np.abs(getattr(run, name) - getattr(runs[0], name))) <= 1e-15
 
 
 def test_complex_state_matches_exact_propagator():
@@ -280,14 +340,19 @@ def test_refuses_unreachable_phase():
 def test_non_finite_recurrence_raises(monkeypatch):
     # the package re-exports evolve(), which shadows the module attribute
     evolve_module = importlib.import_module("bicchain.evolve")
-    build = evolve_module.hamiltonian
+    build = evolve_module._stencil
 
-    def poisoned(params, n_sites):
-        ham = build(params, n_sites)
-        nan_at_site_1 = sparse.csr_matrix(([math.nan], ([1], [1])), shape=ham.matrix.shape)
-        return dataclasses.replace(ham, matrix=ham.matrix + nan_at_site_1)
+    def poisoned(*args):
+        h2 = build(*args)
 
-    monkeypatch.setattr(evolve_module, "hamiltonian", poisoned)
+        def apply(v):
+            out = h2(v)
+            out[1] = math.nan
+            return out
+
+        return apply
+
+    monkeypatch.setattr(evolve_module, "_stencil", poisoned)
     params = ModelParams(g=0.9)
     opts = EvolveOptions(t_max=5.0, n_samples=11)
     with pytest.raises(IntegratorError, match="non-finite"):

@@ -149,25 +149,49 @@ def test_cli_spectrum_at_the_g1_threshold(tmp_path, g, expected):
         assert sum(bool(st.get("band_edge")) for st in states) == 2
 
 
-def test_cli_runs_without_optimize_or_integrate(tmp_path):
-    # neither is needed on any CLI route, and importing them is a large share
-    # of a CLI process's start-up time and memory; checked in a fresh interpreter
-    script = (
-        "import sys\n"
-        "from bicchain import cli\n"
-        f"out = {str(tmp_path)!r}\n"
-        "assert cli.main(['spectrum', '--g', '0.9', '--eps-d', '0.2',\n"
-        "                 '--out', out + '/s.json', '--no-meta-time']) == 0\n"
-        "assert cli.main(['evolve', '--g', '0.9', '--tmax', '5', '--samples', '11',\n"
-        "                 '--out', out + '/e.csv', '--no-meta-time']) == 0\n"
-        "print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))\n")
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout's bicchain."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # importing scipy is most of a CLI process's start-up time and memory;
+    # only the Bessel and ray routes need it, and they import it on first use
+    script = (
+        "import sys\n"
+        "from bicchain import cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        f"out = {str(tmp_path)!r}\n"
+        "runs = [['spectrum', '--g', '0.9', '--eps-d', '0.2', '--out', out + '/s.json'],\n"
+        "        ['compare', '--g', '0.9', '--eps-d', '0.2', '--tmax', '5', '--samples', '11',\n"
+        "         '--out', out + '/c'],\n"
+        "        ['figure', 'fig1', '--jobs', '1', '--out', out]]\n"
+        "for state in ('bic', 'perp', 'w:1.0'):\n"
+        "    runs.append(['evolve', '--g', '0.9', '--state', state, '--tmax', '5',\n"
+        "                 '--samples', '11', '--out', out + '/e.csv'])\n"
+        "for argv in runs:\n"
+        "    assert cli.main(argv + ['--no-meta-time']) == 0, argv\n")
+    assert _run_fresh(script) == "[]"
+
+
+def test_cli_compare_imports_scipy_for_the_bessel_route(tmp_path):
+    # at eps_d = 0 compare adds the Bessel columns, whose J_1 comes from scipy
+    script = (
+        "import sys\n"
+        "from bicchain import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['compare', '--g', '0.9', '--eps-d', '0', '--tmax', '5',\n"
+        "                 '--samples', '11', '--out', out + '/c', '--no-meta-time']) == 0\n"
+        "print('scipy.special' in sys.modules)\n")
+    assert _run_fresh(script) == "True"
+    assert "re_A_bessel" in (tmp_path / "c.csv").read_text()
 
 
 def test_cli_near_pole_error_exits_numerical(tmp_path, monkeypatch):

@@ -79,6 +79,15 @@ def test_state_validation_errors():
         StateVector(amp_d=0.0, amp_chain=np.eye(1))
 
 
+@pytest.mark.parametrize("amp_d, amp_chain", [
+    (np.nan, [0.0, 0.0]), (complex(0.0, np.nan), [1.0, 0.0]), (np.inf, [0.0, 0.0]),
+    (0.0, [np.nan, 1.0]), (0.0, [complex(1.0, np.inf), 0.0]), (-np.inf, [np.nan, 0.0])])
+def test_state_refuses_non_finite_amplitudes(amp_d, amp_chain):
+    # a NaN norm compares false with every tolerance, so it must be refused as such
+    with pytest.raises(InvalidParameterError, match="deviates from 1"):
+        StateVector(amp_d=amp_d, amp_chain=np.array(amp_chain))
+
+
 def test_states_reject_overflowing_coupling():
     assert perp_state(1e154, 5).amp_d == pytest.approx(1.0)
     for build in (lambda: bic_state(1e200, 5), lambda: perp_state(1e200, 5),
