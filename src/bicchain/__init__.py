@@ -10,7 +10,7 @@ from .spectrum import (BranchPointError, DiscreteState, NearPoleError,
                        Timescales, discrete_spectrum, resolvent_dd,
                        resonance_expansion, self_energy,
                        self_energy_quadrature, sigma1, spectrum_report,
-                       timescales, wavevector, z_gap)
+                       timescales, w_norm_sq, wavevector, z_gap)
 from .evolve import (AmplitudeSeries, EvolveOptions, IntegratorError,
                      ProbabilitySeries, auto_sites, evolve, nonescape,
                      survival)
@@ -20,8 +20,7 @@ from .closedform import (ApproximationTag, DivergenceError, DomainError,
                          bessel_exact_grid, bound_term, early_approx,
                          far_zone_coefficient, far_zone_prob, near_zone_amp,
                          near_zone_prob, q_of_z, res_pole_1d, res_pole_perp,
-                         w_far_zone, w_far_zone_coefficient, w_near_zone_g1,
-                         w_norm_sq)
+                         w_far_zone, w_far_zone_coefficient, w_near_zone_g1)
 from .analysis import (FitKind, FitReport, TooFewPeaksError, find_peaks,
                        find_troughs, fit_exponential, fit_phase,
                        fit_power_law, oscillation_contrast)

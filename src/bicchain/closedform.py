@@ -54,8 +54,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
-from .spectrum import (SheetTag, Timescales, resolvent_dd, resonance_expansion, sigma1,
-                       timescales, z_gap)
+from .spectrum import (SheetTag, Timescales, _chain_split, resolvent_dd, resonance_expansion,
+                       sigma1, timescales, w_norm_sq, z_gap)
 
 
 class QuadratureError(NumericalError):
@@ -354,12 +354,10 @@ def bessel_exact(t: float, g: float) -> complex:
     return complex(bessel_exact_grid(np.array([float(t)]), g)[0])
 
 
-def early_approx(t, g: float, reduced: bool = False):
-    """Short/intermediate-time two-edge approximation, valid t << T_Delta.
+def early_approx(t, g: float):
+    """Short/intermediate-time two-edge approximation, valid t << T_Delta,
 
-    Default is the sharper form
-        (1/g) [(g-1) cos(z_g t) + cos(Delta_g t) J_0(2t) - sin(Delta_g t) J_1(2t)];
-    with ``reduced=True`` the simpler (1/g) J_0(2t) - ((1-g)/g) cos 2t.
+        (1/g) [(g-1) cos(z_g t) + cos(Delta_g t) J_0(2t) - sin(Delta_g t) J_1(2t)].
     """
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"early-time form requires 0 < g <= 1, got {g}")
@@ -367,12 +365,9 @@ def early_approx(t, g: float, reduced: bool = False):
 
     t = np.asarray(t, dtype=float)
     zg, dg = z_gap(g)
-    if reduced:
-        out = (1.0 / g) * j0(2.0 * t) - ((1.0 - g) / g) * np.cos(2.0 * t)
-    else:
-        out = (1.0 / g) * ((g - 1.0) * np.cos(zg * t)
-                           + np.cos(dg * t) * j0(2.0 * t)
-                           - np.sin(dg * t) * j1(2.0 * t))
+    out = (1.0 / g) * ((g - 1.0) * np.cos(zg * t)
+                       + np.cos(dg * t) * j0(2.0 * t)
+                       - np.sin(dg * t) * j1(2.0 * t))
     return out + 0j
 
 
@@ -450,29 +445,6 @@ def q_of_z(z: complex, g: float, w: float, sheet: SheetTag = SheetTag.First) -> 
     z = complex(z)
     return g * g + sig2 * (2.0 * g * g - 2.0 * g * g * w * z
                            + g * g * sig2 - 2.0 * w * z + w * w * z * z)
-
-
-def _chain_split(sig, g: float, w: float):
-    """(background, coupling) of the w-state resolvent for any detuning.
-
-    Dyson algebra on the bare-chain edge Green function (G0_11 = sigma_1,
-    G0_12 = -sigma_1^2, G0_22 = sigma_1 + sigma_1^3) gives
-
-        <psi_w| G |psi_w> / N_w^2 = C0 + Q G_dd,
-        C0 = sigma_1 (1 - w sigma_1)^2 + w^2 sigma_1,
-        Q  = g^2 (1 + sigma_1^2)^2 (1 - w sigma_1)^2,
-
-    with every eps_d dependence confined to G_dd.
-    """
-    one = 1.0 - w * sig
-    background = sig * one * one + w * w * sig
-    coupling = g * g * (1.0 + sig * sig) ** 2 * one * one
-    return background, coupling
-
-
-def w_norm_sq(g: float, w: float) -> float:
-    """Normalization N_w^2 = 1/(1 + g^2 + w^2) of the generalized state."""
-    return 1.0 / (1.0 + g * g + w * w)
 
 
 def a_w_resolvent(z: complex, params: ModelParams, w: float,
@@ -574,9 +546,10 @@ def a_w_rays(t, params: ModelParams, w: float):
     weights = 0.5 * RAY_V_MAX * wts * 2.0 * v * np.exp(-v * v)
 
     def disc_lower(z: np.ndarray) -> np.ndarray:
-        sig_below = sigma1(z)
-        # 1/sig_below continues the from-above value
-        return _jump(z, sig_below, 1.0 / sig_below, g, 0.0, w)
+        # the second sheet continues the from-above value; its reciprocal is
+        # the first-sheet value below the cut
+        sig_above = sigma1(z, SheetTag.Second)
+        return _jump(z, 1.0 / sig_above, sig_above, g, 0.0, w)
 
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     _check_times(ts)

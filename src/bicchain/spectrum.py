@@ -1,17 +1,17 @@
 """Analytic structure of the chain-impurity resolvent.
 
-The impurity self-energy on the first Riemann sheet is
-
-    Sigma(z) = (z g^2 / 2) [z^2 - 2 - z sqrt(z^2 - 4)],
-
-with sqrt(z^2 - 4) = sqrt(z - 2) sqrt(z + 2) built from principal square
-roots.  That choice puts the branch cut exactly on the band [-2, 2] and
-gives the physical decay Sigma -> g^2/z at large |z|.  It is written once,
-in :func:`sqrt_band`; :func:`sigma1` and :func:`self_energy` build on it, all
-three take arrays, and every other module goes through them.  The second
-sheet flips the sign of the square-root term; it continues the first sheet
-through the cut (retarded boundary value from above equals the second-sheet
-value from below).
+Everything here derives from one band root, sigma_1, the root of
+sigma_1 + 1/sigma_1 = z (:func:`sigma1`).  With s = sqrt(z^2 - 4) =
+sqrt(z - 2) sqrt(z + 2) from principal square roots (:func:`sqrt_band`),
+which puts the cut exactly on the band [-2, 2] and behaves like z at large
+|z|, sigma_1 is 2/(z + s) on the first sheet (|sigma_1| <= 1) and the
+reciprocal (z + s)/2 on the second; neither form cancels, as |z + s| >= 2.
+From it come the self-energy Sigma = g^2 z sigma_1^2 (-> g^2/z on the first
+sheet), its derivative, the wavevector e^{ik} = -sigma_1 of a discrete state
+and, through :func:`_chain_split`, the residues; sqrt_band, sigma1 and
+self_energy take arrays.  The second sheet continues the first through the
+cut (retarded boundary value from above equals the second-sheet value from
+below).
 
 Discrete solutions of z - eps_d - Sigma(z) = 0:
 
@@ -27,14 +27,15 @@ Discrete solutions of z - eps_d - Sigma(z) = 0:
 
 Method at eps_d != 0: squaring the equation gives one quartic whose four
 roots hold every solution on both sheets (:func:`_quartic_roots`).  Each
-root is assigned the sheet on which it has the smaller residual and is
-polished there by Newton's method; the resonance pair is the conjugate pair
-among the roots, so it stays a pair when Im z_res is below rounding.  The
-polished roots keep the residual bound 1e-10 and the dispersion check
--2 cos k = z to 1e-12.  A root closer to a band edge than the residual
-bound can resolve in double precision (within about 1e-5 of a threshold in
-eps_d) raises :class:`RootFindError`; on the threshold itself the state is
-the band-edge state.
+real root is assigned the sheet on which it has the smaller residual and is
+polished there by Newton's method.  The resonance pair is the conjugate
+pair among the roots, so it stays a pair when Im z_res is below rounding;
+it is polished on the second sheet, since the first-sheet resolvent is
+analytic off the real axis.  The polished roots keep the residual bound
+1e-10 and the dispersion check -2 cos k = z to 1e-12.  A root closer to a
+band edge than the residual bound can resolve in double precision (within
+about 1e-5 of a threshold in eps_d) raises :class:`RootFindError`; on the
+threshold itself the state is the band-edge state.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ class ResonancePole:
 
 def _band_input(z, what: str, branch_point_limit: bool):
     """z as a Python complex (scalar) or a complex array, refused at z = +/-2."""
-    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+    if type(z) is not complex:  # not yet converted: sigma1 and self_energy pass z on
+        z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
     if not branch_point_limit and np.logical_or(z == 2.0, z == -2.0).any():
         edge = 2.0 if np.any(z == 2.0) else -2.0
         raise BranchPointError(
@@ -159,23 +161,21 @@ def sqrt_band(z):
 
 
 def sigma1(z, sheet: SheetTag = SheetTag.First, *, branch_point_limit: bool = False):
-    """Chain edge resolvent factor sigma_1(z) = (z - sqrt(z^2-4))/2.
+    """Chain edge resolvent factor: the root of sigma_1 + 1/sigma_1 = z.
 
-    Satisfies sigma_1 + 1/sigma_1 = z and |sigma_1| <= 1 on the first sheet;
-    the second sheet takes the reciprocal root.  Relates to the self-energy
-    through Sigma(z) = g^2 z sigma_1(z)^2.  The limit z/2 at z = +/-2 needs
-    branch_point_limit, as in :func:`self_energy`.
+    2/(z + sqrt(z^2-4)) on the first sheet, where |sigma_1| <= 1, and the
+    reciprocal (z + sqrt(z^2-4))/2 on the second; neither form cancels.
+    The limit z/2 at z = +/-2 needs branch_point_limit, as in
+    :func:`self_energy`.
     """
     z = _band_input(z, "sigma_1", branch_point_limit)
-    val = (z - sqrt_band(z)) / 2.0
-    if sheet is SheetTag.Second:
-        return 1.0 / val
-    return val
+    wide = z + sqrt_band(z)
+    return wide / 2.0 if sheet is SheetTag.Second else 2.0 / wide
 
 
 def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
                 *, branch_point_limit: bool = False):
-    """Impurity self-energy Sigma(z) on the requested Riemann sheet.
+    """Impurity self-energy Sigma(z) = g^2 z sigma_1(z)^2 on the requested sheet.
 
     At the branch points z = +/-2 both sheets share the limit
     z g^2 (z^2 - 2)/2, returned only when branch_point_limit is set;
@@ -183,10 +183,8 @@ def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
     """
     check_coupling(g)
     z = _band_input(z, "Sigma", branch_point_limit)
-    root = z * sqrt_band(z)
-    if sheet is SheetTag.First:
-        return 0.5 * z * g * g * (z * z - 2.0 - root)
-    return 0.5 * z * g * g * (z * z - 2.0 + root)
+    sig = sigma1(z, sheet, branch_point_limit=True)
+    return g * g * z * sig * sig
 
 
 def self_energy_quadrature(z: complex, g: float) -> complex:
@@ -211,13 +209,14 @@ def self_energy_quadrature(z: complex, g: float) -> complex:
 
 
 def _self_energy_derivative(z: complex, g: float, sheet: SheetTag) -> complex:
-    """d Sigma/dz away from the branch points."""
-    z = complex(z)
-    s = sqrt_band(z)
-    sign = -1.0 if sheet is SheetTag.First else 1.0
-    bracket = z * z - 2.0 + sign * z * s
-    dbracket = 2.0 * z + sign * (s + z * z / s)
-    return 0.5 * g * g * (bracket + z * dbracket)
+    """d Sigma/dz = g^2 sigma_1^2 (1 - 2z/s) away from the branch points.
+
+    d sigma_1/dz = -sigma_1/s with s = +sqrt(z^2-4) on the first sheet and
+    -sqrt(z^2-4) on the second.
+    """
+    sig = sigma1(z, sheet)
+    s = sqrt_band(z) if sheet is SheetTag.First else -sqrt_band(z)
+    return g * g * sig * sig * (1.0 - 2.0 * z / s)
 
 
 def resolvent_dd(z: complex, params: ModelParams,
@@ -265,35 +264,53 @@ def resonance_expansion(params: ModelParams) -> ResonancePole:
 def wavevector(z: complex, g: float, kind: StateKind) -> complex:
     """Complex wavevector with -2 cos k = z for a discrete solution.
 
-    The two roots w = e^{ik} of w^2 + z w + 1 = 0 are reciprocal.  Bound
-    states take the localized branch (|w| < 1, Im k > 0); virtual bound
-    states, resonances and anti-resonances the anti-localized one.  Re k is
+    e^{ik} = -sigma_1(z): bound states take the first sheet (|e^{ik}| < 1,
+    Im k > 0); virtual bound states, resonances and anti-resonances the
+    second.  A band-edge state z = +/-2 has k = pi or 0.  Re k is
     normalized into [0, 2 pi).
     """
     check_coupling(g)
-    z = complex(z)
     if kind is StateKind.BIC:
         return complex(math.pi / 2.0)
-    s = sqrt_band(z)
-    w1, w2 = (-z + s) / 2.0, (-z - s) / 2.0
-    w_loc, w_anti = (w1, w2) if abs(w1) <= abs(w2) else (w2, w1)
-    w_sel = w_loc if kind is StateKind.Bound else w_anti
-    k = -1j * cmath.log(w_sel)
+    sheet = SheetTag.First if kind is StateKind.Bound else SheetTag.Second
+    k = -1j * cmath.log(-sigma1(z, sheet, branch_point_limit=True))
     if k.real < -1e-15:
         k += 2.0 * math.pi
     return k
 
 
+def _chain_split(sig, g: float, w: float):
+    """(background, coupling) of the w-state resolvent for any detuning.
+
+    Dyson algebra on the bare-chain edge Green function (G0_11 = sigma_1,
+    G0_12 = -sigma_1^2, G0_22 = sigma_1 + sigma_1^3) gives
+
+        <psi_w| G |psi_w> / N_w^2 = C0 + Q G_dd,
+        C0 = sigma_1 (1 - w sigma_1)^2 + w^2 sigma_1,
+        Q  = g^2 (1 + sigma_1^2)^2 (1 - w sigma_1)^2,
+
+    with every eps_d dependence confined to G_dd.
+    """
+    one = 1.0 - w * sig
+    background = sig * one * one + w * w * sig
+    coupling = g * g * (1.0 + sig * sig) ** 2 * one * one
+    return background, coupling
+
+
+def w_norm_sq(g: float, w: float) -> float:
+    """Normalization N_w^2 = 1/(1 + g^2 + w^2) of the generalized state."""
+    return 1.0 / (1.0 + g * g + w * w)
+
+
 def _perp_residue(z: complex, g: float, sheet: SheetTag) -> complex:
     """Residue of <psi_perp |(z-H)^-1| psi_perp> at a simple pole z.
 
-    Uses the chain algebra value Q_0 = g^2 (1 + sigma1^2)^2 for the w = 0
-    state, with sigma1 on the matching sheet, and Res[G_dd] = 1/(1 - Sigma').
+    The perp state is the w = 0 state, so this is N_0^2 Q_0 Res[G_dd] with
+    Q_0 from :func:`_chain_split` on the pole's sheet and
+    Res[G_dd] = 1/(1 - Sigma').
     """
-    sig = sigma1(z, sheet)
-    q0 = g * g * (1.0 + sig * sig) ** 2
-    dsig = _self_energy_derivative(z, g, sheet)
-    return q0 / ((1.0 + g * g) * (1.0 - dsig))
+    _, q0 = _chain_split(sigma1(z, sheet), g, 0.0)
+    return w_norm_sq(g, 0.0) * q0 / (1.0 - _self_energy_derivative(z, g, sheet))
 
 
 def _band_edge_state(z_sign: float, g: float) -> DiscreteState:
@@ -321,9 +338,9 @@ def _polish_real_root(z0: float, params: ModelParams, sheet: SheetTag) -> float:
     return z
 
 
-def _newton_complex(z0: complex, params: ModelParams,
-                    sheet: SheetTag = SheetTag.Second) -> complex:
-    """Damped Newton iteration for a complex root of z - eps_d - Sigma."""
+def _newton_complex(z0: complex, params: ModelParams) -> complex:
+    """Damped Newton iteration for a second-sheet complex root of z - eps_d - Sigma."""
+    sheet = SheetTag.Second
     z = complex(z0)
     f = z - params.eps_d - self_energy(z, params.g, sheet)
     for _ in range(200):
@@ -372,9 +389,9 @@ def _quartic_roots(params: ModelParams) -> np.ndarray:
 def _sheet_of(z: complex, params: ModelParams) -> SheetTag:
     """The sheet on which |z - eps_d - Sigma(z)| is smaller.
 
-    Ties go to the second sheet: on the real axis inside the band the two
-    residuals are conjugate, and a root there is a resonance pair that
-    rounding put on the axis.
+    Only real roots outside the band come here, where Sigma is real on both
+    sheets and a root solves at most one of them; a tie, both residuals
+    rounding to one value, goes to the second sheet.
     """
     first, second = (abs(z - params.eps_d - self_energy(z, params.g, sheet))
                      for sheet in (SheetTag.First, SheetTag.Second))
@@ -387,8 +404,8 @@ def _classified_state(z: complex, g: float, sheet: SheetTag,
     try:
         return DiscreteState(z=z, sheet=sheet, kind=kind, k=wavevector(z, g, kind),
                              residue_weight=_perp_residue(z, g, sheet))
-    except (ZeroDivisionError, ValueError) as exc:
-        # far from the band z^2 - 4 rounds to z^2, and sigma_1 or e^{ik} to zero
+    except (ArithmeticError, ValueError) as exc:
+        # far from the band sigma_1^2 over- or underflows
         raise RootFindError(f"state not resolvable in double precision ({exc})", z) from exc
 
 
@@ -428,12 +445,10 @@ def _detuned_states(params: ModelParams) -> list[DiscreteState]:
         kind = StateKind.Bound if sheet is SheetTag.First else StateKind.VirtualBound
         states.append(_classified_state(complex(z_r), g, sheet, kind))
     if len(pair):
-        seed = complex(pair[0])
-        sheet = _sheet_of(seed, params)
-        z_res = _newton_complex(seed, params, sheet)
+        z_res = _newton_complex(complex(pair[0]), params)
         res = z_res if z_res.imag < 0 else z_res.conjugate()
-        states.append(_classified_state(res, g, sheet, StateKind.Resonance))
-        states.append(_classified_state(res.conjugate(), g, sheet, StateKind.AntiResonance))
+        for z, kind in ((res, StateKind.Resonance), (res.conjugate(), StateKind.AntiResonance)):
+            states.append(_classified_state(z, g, SheetTag.Second, kind))
     return states
 
 
@@ -458,12 +473,9 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
         else:
             sheet = SheetTag.First if g > 1.0 else SheetTag.Second
             kind = StateKind.Bound if g > 1.0 else StateKind.VirtualBound
-            for z_val, k_val in ((zg, math.pi + 1j * math.log(g)),
-                                 (-zg, 1j * math.log(g))):
+            for z_val in (zg, -zg):
                 z_pol = _polish_real_root(z_val, params, sheet)
-                states.append(DiscreteState(
-                    z=complex(z_pol), sheet=sheet, kind=kind, k=complex(k_val),
-                    residue_weight=_perp_residue(complex(z_pol), g, sheet)))
+                states.append(_classified_state(complex(z_pol), g, sheet, kind))
     else:
         states = _detuned_states(params)
 

@@ -120,7 +120,6 @@ def test_bessel_grid_refuses_beyond_panel_cap():
 def test_early_approx_normalization():
     for g in (0.5, 0.9, 1.0):
         assert early_approx(0.0, g) == pytest.approx(1.0, abs=1e-14)
-        assert early_approx(0.0, g, reduced=True) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_early_approx_tracks_exact_in_window():

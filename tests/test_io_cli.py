@@ -96,6 +96,18 @@ def test_cli_spectrum_detuned_has_resonance(tmp_path):
     assert len(res) == 1 and res[0]["im_z"] < 0
 
 
+@pytest.mark.parametrize("g, eps_d", [(30.0, 0.0), (20.0, 0.1)])
+def test_cli_spectrum_at_strong_coupling(tmp_path, g, eps_d):
+    # the real pair sits at |z| ~ g, where a cancelling form of Sigma misses
+    # the residual bound
+    out = tmp_path / "spec.json"
+    assert run_cli("spectrum", "--g", repr(g), "--eps-d", repr(eps_d), "--out", str(out),
+                   "--no-meta-time") == 0
+    kinds = sorted(s["kind"] for s in io.read_json(out)["states"])
+    assert kinds == (["BIC", "Bound", "Bound"] if eps_d == 0.0
+                     else ["AntiResonance", "Bound", "Bound", "Resonance"])
+
+
 def test_cli_spectrum_invalid_params(tmp_path):
     assert run_cli("spectrum", "--g", "-1", "--out", str(tmp_path / "x.json"),
                    "--no-meta-time") == 2

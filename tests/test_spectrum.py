@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ FIRST, SECOND = SheetTag.First, SheetTag.Second
 # few, fixed examples keep the suite fast and repeatable
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 SHEETS = st.sampled_from([FIRST, SECOND])
-COUPLINGS = st.floats(0.05, 3.0)
+COUPLINGS = st.floats(0.05, 30.0)
 #: points off the real axis, where both sheets are analytic
 OFF_AXIS = st.builds(complex, st.floats(-6.0, 6.0),
                      st.floats(1e-6, 6.0) | st.floats(-6.0, -1e-6))
@@ -43,13 +44,25 @@ def test_self_energy_closed_form_value():
 
 
 def test_self_energy_large_z_asymptotics():
-    # oracle-computed value g^2/z + 2/z^3 (= 0.010002000...)
+    # g^2 (1/z + 2/z^3 + 5/z^5 + ...) at z = 100, which mpmath and the
+    # quadrature oracle agree on to 1e-17
     val = self_energy(100.0, 1.0, FIRST)
-    assert val == pytest.approx(0.0100020005447732, abs=1e-12)
+    assert val == pytest.approx(0.01000200050014004, abs=1e-12)
     assert abs(val - self_energy_quadrature(100.0, 1.0)) < 1e-9
     for g in (0.5, 0.9, 1.3):
         for z in (1000.0, -1000.0, 1000j):
             assert abs(z * self_energy(z, g, FIRST) - g * g) < 1e-3
+
+
+@pytest.mark.parametrize("z", [1e3, -1e3, 1e4])
+def test_self_energy_matches_the_large_z_series(z):
+    # Sigma = g^2 (1/z + 2/z^3 + 5/z^5 + 14/z^7 + ...) (Catalan numbers); the
+    # first-sheet root must not cancel between z^2 and z sqrt(z^2 - 4)
+    series = float(sum(Fraction(c) / Fraction(z) ** (2 * n + 1)
+                       for n, c in enumerate((1, 2, 5, 14, 42))))
+    val = self_energy(z, 1.0, FIRST)
+    assert val.imag == 0.0
+    assert abs(val.real - series) <= 1e-15 * abs(series)
 
 
 def test_self_energy_quadrature_oracle_random_points():
@@ -233,13 +246,34 @@ def test_root_residuals():
 
 def test_bound_state_residues_match_pole_term():
     # residue of the perp resolvent at each bound state is (g^2-1)/(2g^2)
-    g = 1.2
-    states = discrete_spectrum(ModelParams(g=g))
-    for st in states:
-        if st.kind is StateKind.Bound:
-            assert st.residue_weight == pytest.approx((g * g - 1) / (2 * g * g), abs=1e-12)
-        if st.kind is StateKind.BIC:
-            assert st.residue_weight == 0
+    for g in (1.2, 5.0, 30.0):
+        states = discrete_spectrum(ModelParams(g=g))
+        assert sum(st.kind is StateKind.Bound for st in states) == 2
+        for st in states:
+            if st.kind is StateKind.Bound:
+                assert st.residue_weight == pytest.approx((g * g - 1) / (2 * g * g), abs=1e-12)
+            if st.kind is StateKind.BIC:
+                assert st.residue_weight == 0
+
+
+@pytest.mark.parametrize("g", [5.0, 7.498, 10.0, 30.0, 100.0])
+def test_strong_coupling_pair_is_the_exact_root(g):
+    # z = +/-(g + 1/g) to rounding, far from the band where |z| ~ g
+    exact = Fraction(g) + 1 / Fraction(g)
+    pair = sorted((s.z for s in discrete_spectrum(ModelParams(g=g))
+                   if s.kind is StateKind.Bound), key=lambda z: z.real)
+    assert len(pair) == 2 and all(z.imag == 0.0 for z in pair)
+    for z, sign in zip(pair, (-1, 1)):
+        assert abs(Fraction(z.real) - sign * exact) <= 4 * math.ulp(float(exact))
+
+
+def test_resonance_pair_is_on_the_second_sheet():
+    # the first-sheet resolvent has no complex poles; at this point rounding
+    # puts the quartic's pair on the real axis, where the two sheets'
+    # residuals differ only in rounding and the first is smaller
+    states = discrete_spectrum(ModelParams(g=19.359375, eps_d=1e-6))
+    pair = [s for s in states if s.kind in (StateKind.Resonance, StateKind.AntiResonance)]
+    assert len(pair) == 2 and all(s.sheet is SECOND for s in pair)
 
 
 def test_spectrum_report_fields():
@@ -344,7 +378,7 @@ def _expected_kinds(g, eps_d):
 
 
 @PROPERTY
-@given(g=st.floats(0.3, 1.6), size=st.floats(1e-6, 0.5), sign=st.sampled_from([1.0, -1.0]))
+@given(g=st.floats(0.3, 30.0), size=st.floats(1e-6, 0.5), sign=st.sampled_from([1.0, -1.0]))
 def test_property_detuned_states_are_quartic_roots_on_their_sheet(g, size, sign):
     eps_d = sign * size
     assume(min(abs(2.0 * g * g - 2.0 + eps_d), abs(2.0 * g * g - 2.0 - eps_d)) > 1e-3)
