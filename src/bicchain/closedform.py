@@ -19,17 +19,23 @@ Routes to the survival amplitude of the BIC-orthogonal states:
                                            J_1(2 tau)/tau d tau],
 
   the integrable tau -> 0 limit J_1(2 tau)/tau -> 1 handled analytically.
-  The tail integral is a GL30 sum over panels min(0.25, 2.5/z_g) wide,
-  evaluated in array blocks and accumulated by one cumulative sum.
+  The tail integral is a GL30 sum over a uniform grid of panels
+  min(1, 10/z_g) wide, accumulated by one cumulative sum, plus one GL30
+  panel per time from its grid edge to the time itself.  Above the Hankel
+  seam (2 tau >= 25) a full panel takes J_1 from Hankel's expansion and
+  factors its phases into one exp per panel times fixed node factors.
 * ``a_w_rays`` -- band-edge ray deformation of the cut contour (eps_d = 0),
   exact for t >= ~1 at O(1) cost; the route of choice deep in the far zone.
-  A 320-node rule is evaluated for a block of times at once.
+  A 320-node Gauss-Legendre rule, built by Newton's method on first use,
+  is evaluated for a block of times at once.
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes (for the cut,
-phase exps), so memory stays flat however long the time grid.  sigma_1 is ``spectrum.sigma1``.
-The cut's Gauss-Legendre rules come from numpy; only the Bessel route
-(J_0, J_1) and the rays (their 320-node rule) import ``scipy.special``, on
-first use.
+phase exps), so memory stays flat however long the time grid.  sigma_1 is
+``spectrum.sigma1``.  The module needs numpy alone: the cut's GL15/GL30
+rules come from numpy, and J_0 and J_1 (the Bessel route and
+``early_approx``) from ``evolve.bessel_j01``, which is Miller's recurrence
+(``evolve.bessel_table``) below x = 25 and Hankel's expansion (DLMF 10.17)
+above it.
 
 Closed-form approximations:
 
@@ -53,6 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .evolve import HANKEL_SEAM, bessel_j01, hankel_pq
 from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
 from .spectrum import (SheetTag, Timescales, _chain_split, resolvent_dd, resonance_expansion,
                        sigma1, timescales, w_norm_sq, z_gap)
@@ -110,10 +117,11 @@ PHASE_STRIDE = 16
 #: Bisection depth at which an adaptive cut interval is accepted as is.
 MAX_DEPTH = 28
 
-#: GL30 panels of the Bessel tail above which ``bessel_exact_grid`` refuses
-#: a grid.  At the cap a grid takes about 60 MB and 3.5 s on a 2-vCPU x86
-#: host; fig2c, the longest figure grid, needs 1.2e5 panels.
-MAX_PANELS = 1_000_000
+#: Bessel-tail panels (t_max / ``_panel_width``) above which
+#: ``bessel_exact_grid`` refuses a grid, that is t_max above 2.5e5 min(1, 10/z_g).
+#: At the cap a grid takes about 0.3 s and 45 MB of process memory on a
+#: 2-vCPU x86 host; fig2c, the longest figure grid, needs 3e4 panels.
+MAX_PANELS = 250_000
 
 #: Open cut intervals at which the quadrature gives up (about 8 MB per
 #: interval array); a tolerance that round-off cannot meet would otherwise
@@ -294,41 +302,85 @@ def bound_term(t, g: float):
 
 
 def _panel_width(zg: float) -> float:
-    """Bessel-tail panel width: at most 0.4 periods of e^{i z_g tau}."""
-    return min(0.25, 2.5 / zg)
+    """Bessel-tail panel width min(1, 10/z_g): under two periods (at most
+    1.91) of the integrand's fastest phase e^{i(z_g + 2) tau}."""
+    return min(1.0, 10.0 / zg)
+
+
+def _hankel_panels(p_lo: int, p_hi: int, width: float, zg: float) -> np.ndarray:
+    """GL30 sums of e^{i z_g tau} J_1(2 tau)/tau over the panels [p h, (p + 1) h],
+    p_lo <= p < p_hi, all at or above the Hankel seam 2 tau = HANKEL_SEAM.
+
+    There J_1(2 tau)/tau = Re[(P + iQ) e^{i(2 tau - 3 pi/4)}]/(sqrt(pi) tau^{3/2}),
+    so the integrand is (P +/- iQ) e^{-/+ 3 pi i/4}/(2 sqrt(pi) tau^{3/2}) times
+    e^{i z_g tau} e^{+/- 2 i tau}.  At the nodes p h + h s_n of panel p each
+    phase is its value at p h times a node factor that every panel shares,
+    so a panel costs two exps (e^{i z_g p h} and e^{2 i p h}) instead of one
+    per node; P and Q are :func:`evolve.hankel_pq`.
+    """
+    x, w = _GL30
+    s = 0.5 * (x + 1.0)
+    base = (0.25 * width / math.sqrt(math.pi)) * w * np.exp(1j * zg * width * s)
+    plus = base * np.exp(2j * width * s - 0.75j * math.pi)
+    minus = base * np.exp(-2j * width * s + 0.75j * math.pi)
+    # real and imaginary parts as columns, so P and Q meet them in real matmuls
+    factors = np.column_stack((plus.real, plus.imag, minus.real, minus.imag))
+    out = np.empty(p_hi - p_lo, dtype=complex)
+    step = max(BLOCK_NODES // len(x), 1)
+    for lo in range(p_lo, p_hi, step):
+        edges = np.arange(lo, min(lo + step, p_hi)) * width
+        tau = edges[:, None] + width * s
+        p, q = hankel_pq(1, 2.0 * tau)
+        scale = tau ** -1.5
+        pf, qf = (p * scale) @ factors, (q * scale) @ factors
+        # (P + iQ) . plus and (P - iQ) . minus
+        up = (pf[:, 0] - qf[:, 1]) + 1j * (pf[:, 1] + qf[:, 0])
+        down = (pf[:, 2] + qf[:, 3]) + 1j * (pf[:, 3] - qf[:, 2])
+        turn = np.exp(2j * edges)
+        out[lo - p_lo:lo - p_lo + len(edges)] = np.exp(1j * zg * edges) * (
+            turn * up + np.conj(turn) * down)
+    return out
 
 
 def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
-    """Cumulative INT_0^t e^{i z_g tau} J_1(2 tau)/tau d tau on an ascending grid.
+    """INT_0^t e^{i z_g tau} J_1(2 tau)/tau d tau at each time of an ascending grid.
 
-    The panels are a ``_panel_width(zg)`` grid merged with the requested
-    times.  Their GL30 sums are evaluated as array blocks (``_gauss_panels``)
-    and one ``cumsum`` accumulates them from left to right.
+    Full panels [p h, (p + 1) h] of width h = ``_panel_width(zg)`` are summed
+    by GL30 and accumulated by one ``cumsum``; each time t then adds one GL30
+    panel from its grid edge j h <= t to t itself, so every time is
+    integrated to exactly t.  Full panels above the Hankel seam factor their
+    phases (``_hankel_panels``); the panels below it and the partial panels
+    evaluate J_1 at each node (``evolve.bessel_j01``), in array blocks
+    (``_gauss_panels``).
     """
 
-    from scipy.special import j1  # the Bessel route's own special function
-
     def f(tau: np.ndarray) -> np.ndarray:
+        _, j1 = bessel_j01(2.0 * tau)
         out = np.ones_like(tau)
-        m = tau > 1e-12
-        out[m] = j1(2.0 * tau[m]) / tau[m]
+        m = tau > 1e-12  # J_1(2 tau)/tau -> 1
+        out[m] = j1[m] / tau[m]
         return out * np.exp(1j * zg * tau)
 
-    t_max = float(ts[-1])
     width = _panel_width(zg)
-    grid = np.round(np.arange(0.0, t_max + 1.2 * width, width), 12)
-    edges = np.union1d(grid, np.round(ts, 12))
-    panels = _gauss_panels(f, edges[:-1], edges[1:], _GL30)
+    j = np.floor(ts / width)
+    j -= j * width > ts
+    n_full = int(j[-1])
+    seam = min(math.ceil(0.5 * HANKEL_SEAM / width), n_full)
+    low = np.arange(seam) * width
+    # the full panels below the seam, then each time's partial panel
+    sums = _gauss_panels(f, np.concatenate((low, j * width)),
+                         np.concatenate((low + width, ts)), _GL30)
+    panels = np.concatenate((sums[:seam], _hankel_panels(seam, n_full, width, zg)))
     cum = np.concatenate(([0j], np.cumsum(panels)))
-    return cum[np.searchsorted(edges, np.round(ts, 12))]
+    return cum[j.astype(int)] + sums[seam:]
 
 
 def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     """Exact Bessel-representation A_br on an ascending time grid (0 < g <= 1).
 
-    Evaluates the tail integral incrementally, so a dense grid costs no more
-    than its largest time; a grid that needs more than ``MAX_PANELS`` panels
-    (small g at long times) is refused.  A_br is real at eps_d = 0; the real
+    Evaluates the tail integral incrementally, so a grid costs the panels up
+    to its largest time plus one panel per time; a grid that needs more than
+    ``MAX_PANELS`` panels (small g at long times) is refused.  A_br is real at eps_d = 0; the real
     value is returned as complex for interface parity with the quadrature
     route.
     """
@@ -361,13 +413,10 @@ def early_approx(t, g: float):
     """
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"early-time form requires 0 < g <= 1, got {g}")
-    from scipy.special import j0, j1
-
     t = np.asarray(t, dtype=float)
     zg, dg = z_gap(g)
-    out = (1.0 / g) * ((g - 1.0) * np.cos(zg * t)
-                       + np.cos(dg * t) * j0(2.0 * t)
-                       - np.sin(dg * t) * j1(2.0 * t))
+    j0, j1 = bessel_j01(2.0 * t)
+    out = (1.0 / g) * ((g - 1.0) * np.cos(zg * t) + np.cos(dg * t) * j0 - np.sin(dg * t) * j1)
     return out + 0j
 
 
@@ -513,12 +562,45 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     return out if ts.ndim else complex(out[0])
 
 
+#: nodes of the rays' Gauss-Legendre rule in v
+RAY_NODES = 320
+
+
 @functools.cache
 def _ray_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 320-node Gauss-Legendre rule of the rays, built on first use."""
-    from scipy.special import roots_legendre
+    """The RAY_NODES-point Gauss-Legendre rule on [-1, 1] (ascending nodes,
+    weights), built on first use.
 
-    return roots_legendre(320)
+    Newton's method on P_n from Tricomi's guesses
+    (1 - (n - 1)/(8 n^3)) cos(pi (i - 1/4)/(n + 1/2)) for the positive half,
+    with P_n and P_n' from the three-term recurrence; the negative half is
+    the mirror image.  The weight 2/((1 - x^2) P_n'(x)^2) changes by a
+    relative 2x/(1 - x^2) per unit of x, about 2e-12 per rounding of the end node,
+    so it is taken at the root itself: the last Newton step s = P_n/P_n'
+    corrects it to first order, w(x - s) = w(x)/(1 - 2xs/(1 - x^2)).  The
+    build takes a few ms.
+    """
+    n = RAY_NODES
+
+    def newton_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P_n/P_n', P_n') at x."""
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+        return p / dp, dp
+
+    i = np.arange(1, n // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (i - 0.25) / (n + 0.5))
+    for _ in range(10):  # three steps converge from these guesses
+        step, _ = newton_step(x)
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    step, dp = newton_step(x)
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    w = 2.0 / (one_minus_x2 * dp * dp) / (1.0 - 2.0 * x * step / one_minus_x2)
+    return np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
 
 
 #: upper end of the ray variable v = sqrt(u t), where e^{-v^2} < 1e-43

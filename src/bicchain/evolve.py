@@ -18,6 +18,8 @@ moments with a Bessel table J_k(at), built by Miller's downward recurrence.
 The norm of the represented state follows exactly from the moments through
 the Toeplitz-plus-Hankel Gram identity T_j T_k = (T_{j+k} + T_{|j-k|})/2,
 evaluated with numpy's real FFT.  The module needs numpy alone.
+:func:`bessel_j01` gives J_0 and J_1 alone to the quadrature routes: the
+table's first two columns below x = 25 and Hankel's expansion above.
 
 The model is the semi-infinite chain, and [b - a, b + a] encloses its
 spectrum (:func:`bicchain.model.spectral_bounds`).  A matrix element
@@ -34,6 +36,7 @@ paper's states); :func:`evolve` alone sizes the chain and pads the state.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -227,6 +230,74 @@ def bessel_table(x: np.ndarray, k_max: int) -> np.ndarray:
     kept = min(rows, k_max + 1)
     np.divide(sol[:kept].T, scale[:, None], out=table[:, :kept])
     return table
+
+
+#: |x| below which :func:`bessel_j01` takes J_0 and J_1 from
+#: :func:`bessel_table`, and at or above which from Hankel's expansion
+HANKEL_SEAM = 25.0
+
+
+def _hankel_coefficients(nu: int, n_terms: int) -> np.ndarray:
+    """(-1)^(k//2) a_k(nu) for k < n_terms, where
+    a_k(nu) = prod_{j <= k} (4 nu^2 - (2j - 1)^2)/(8j) (DLMF 10.17.1)."""
+    j = np.arange(1, n_terms)
+    a = np.concatenate(([1.0], np.cumprod((4.0 * nu * nu - (2.0 * j - 1.0) ** 2) / (8.0 * j))))
+    return np.where(np.arange(n_terms) % 4 < 2, a, -a)
+
+
+#: signed Hankel coefficients of orders 0 and 1; at x = HANKEL_SEAM the
+#: 40th term is below 1e-20 of the first
+_HANKEL = {nu: _hankel_coefficients(nu, 40) for nu in (0, 1)}
+
+
+def hankel_pq(nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_nu(x) and Q_nu(x) of Hankel's expansion (DLMF 10.17.3), x >= HANKEL_SEAM,
+
+        J_nu(x) = sqrt(2/(pi x)) (P cos w - Q sin w),  w = x - (nu/2 + 1/4) pi,
+
+    with P = sum_m (-1)^m a_2m x^-2m and Q = sum_m (-1)^m a_2m+1 x^-(2m+1).
+    The series stop before the first term below 1e-17 at the smallest x;
+    for real x the remainder is below that first neglected term (DLMF
+    10.17(iii)), so x at the seam takes 20 terms and x = 1000 takes 6.
+    """
+    c = _HANKEL[nu]
+    x = np.asarray(x, dtype=float)
+    x_min = float(x.min()) if x.size else math.inf
+    bounds = np.cumprod(np.abs(c[1:] / c[:-1]) / x_min)
+    n_terms = max(2, 1 + int(np.argmax(bounds < 1e-17)))
+    terms, u = c[:n_terms], 1.0 / (x * x)
+    return np.polyval(terms[0::2][::-1], u), np.polyval(terms[1::2][::-1], u) / x
+
+
+def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:
+    """J_0(x) and J_1(x) at each real x, to within about 1e-15 absolute.
+
+    Below |x| = HANKEL_SEAM they are columns 0 and 1 of :func:`bessel_table`
+    (in blocks of about MILLER_WORDS table words), at and above it Hankel's
+    expansion (:func:`hankel_pq`) with cos and sin of x itself, so no
+    rounded x - pi/4 enters.  J_0 is even and J_1 odd in x.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x).ravel()
+    j0, j1 = np.empty_like(ax), np.empty_like(ax)
+    below = ax < HANKEL_SEAM
+    low = np.flatnonzero(below)
+    step = MILLER_WORDS // 128  # a table of at most 76 rows below the seam
+    for lo in range(0, len(low), step):
+        idx = low[lo:lo + step]
+        table = bessel_table(ax[idx], 1)
+        j0[idx], j1[idx] = table[:, 0], table[:, 1]
+    high = ~below  # and NaN
+    if high.any():
+        xh = ax[high]
+        c, s = np.cos(xh), np.sin(xh)
+        amp = 1.0 / np.sqrt(math.pi * xh)
+        p, q = hankel_pq(0, xh)
+        j0[high] = amp * (p * (c + s) - q * (s - c))
+        p, q = hankel_pq(1, xh)
+        j1[high] = amp * (p * (s - c) + q * (s + c))
+    j1 = np.where(x.ravel() < 0, -j1, j1)
+    return j0.reshape(x.shape), j1.reshape(x.shape)
 
 
 def chebyshev_order(x_max: float, abs_tol: float) -> int:

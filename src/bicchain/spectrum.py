@@ -452,14 +452,29 @@ def _detuned_states(params: ModelParams) -> list[DiscreteState]:
     return states
 
 
+#: couplings g that :func:`discrete_spectrum` accepts.  Outside them a state
+#: lies near |z| = g + 1/g > 1000, where one ulp of z is above 1.1e-13; at
+#: |z| of about 2000 (g >= 1964 or g <= 5e-4) correct states failed the
+#: absolute 1e-12 dispersion check.  Every g in the range passed at eps_d = 0
+#: and |eps_d| in [0.01, 1.5] (3000 log-spaced g per eps_d).
+SPECTRUM_G_RANGE = (1e-3, 1e3)
+
+
 def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     """All solutions of z - eps_d - Sigma(z) = 0 on both sheets, classified.
 
     Returned sorted by real part (BIC/resonance between the symmetric pair).
     Every state satisfies |z - eps_d - Sigma(z)| < 1e-10 on its sheet and
-    -2 cos k = z to 1e-12.
+    -2 cos k = z to 1e-12.  A coupling outside ``SPECTRUM_G_RANGE`` is
+    refused with :class:`InvalidParameterError`.
     """
     g = params.g
+    lo, hi = SPECTRUM_G_RANGE
+    if not lo <= g <= hi:
+        raise InvalidParameterError(
+            f"the spectrum resolves couplings {lo:g} <= g <= {hi:g}, got g = {g:g}: "
+            f"beyond them a state lies near |z| = g + 1/g > {hi:g}, where z itself "
+            "rounds by nearly the 1e-12 of the dispersion check -2 cos k = z")
     states: list[DiscreteState] = []
 
     if params.eps_d == 0.0:

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.integrate import quad
 from scipy.special import j1, roots_legendre
 from scipy.sparse.linalg import spsolve
 
@@ -112,6 +114,23 @@ def test_bessel_grid_refuses_beyond_panel_cap():
     assert "g = 1e-06" in str(info.value) and "t = 3000" in str(info.value)
     # the same time span at a coupling that needs few panels still runs
     assert np.all(np.isfinite(bessel_exact_grid(np.array([1.0, 3e3]), 0.5)))
+
+
+@pytest.mark.parametrize("g", [1e-6, 1e-3, 0.05, 0.3])
+def test_bessel_grid_refusal_boundary(monkeypatch, g):
+    # t_max / min(1, 10/z_g) > 2.5e5 is t_max / min(0.25, 2.5/z_g) > 1e6
+    # exactly (a factor of 4 scales without rounding): the same (g, t) as
+    # with 1e6 panels a quarter as wide
+    monkeypatch.setattr(closedform, "_bessel_tail", lambda ts, zg: np.zeros(len(ts)))
+    zg, _ = z_gap(g)
+    edge = 1e6 * min(0.25, 2.5 / zg)
+    for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 2.0 * edge):
+        refused = t / min(0.25, 2.5 / zg) > 1e6
+        if refused:
+            with pytest.raises(InvalidParameterError, match="quadrature panels"):
+                bessel_exact_grid(np.array([0.0, t]), g)
+        else:
+            bessel_exact_grid(np.array([0.0, t]), g)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +479,7 @@ def test_three_way_agreement_invariant():
 # kernels did before they were batched.  Batching changes only the order of
 # floating-point sums, so 1e-14 absolute is the tolerance.
 
-_GL = {n: roots_legendre(n) for n in (15, 30, 320)}
+_GL = {n: roots_legendre(n) for n in (15, 30)}
 
 
 def _gauss_ref(f, a, b, n):
@@ -468,19 +487,23 @@ def _gauss_ref(f, a, b, n):
     return 0.5 * (b - a) * complex(np.dot(w, f(0.5 * (b - a) * x + 0.5 * (a + b))))
 
 
-def _bessel_tail_ref(ts, zg):
-    def f(tau):
-        out = np.ones_like(tau)
-        m = tau > 1e-12
-        out[m] = j1(2.0 * tau[m]) / tau[m]
-        return out * np.exp(1j * zg * tau)
+def _bessel_tail_oracle(ts, zg):
+    """INT_0^t e^{i z_g tau} J_1(2 tau)/tau d tau by QUADPACK's QAWO (scipy
+    ``quad`` with a cos/sin weight) on pieces at most 0.5 long, with scipy's
+    J_1: no panel grid, node set or Bessel code of the package.  At g = 0.5
+    it agrees with mpmath (25 digits) to 4e-16 at t = 0.45, 13.3 and 60."""
 
-    grid = np.round(np.arange(0.0, float(ts[-1]) + 0.3, 0.25), 12)
-    edges = np.union1d(grid, np.round(ts, 12))
-    cum = np.zeros(len(edges), dtype=complex)
-    for i in range(1, len(edges)):
-        cum[i] = cum[i - 1] + _gauss_ref(f, edges[i - 1], edges[i], 30)
-    return cum[np.searchsorted(edges, np.round(ts, 12))]
+    def j1_over_tau(tau):
+        return j1(2.0 * tau) / tau if tau > 0 else 1.0
+
+    out, total, prev = np.zeros(len(ts), dtype=complex), 0j, 0.0
+    for i, t in enumerate(ts):
+        edges = np.linspace(prev, t, int(np.ceil((t - prev) / 0.5)) + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            total += complex(*(quad(j1_over_tau, a, b, weight=weight, wvar=zg, epsabs=1e-15,
+                                    epsrel=1e-13, limit=200)[0] for weight in ("cos", "sin")))
+        out[i], prev = total, t
+    return out
 
 
 def _adaptive_gauss_ref(f, a, b, tol, depth=0):
@@ -511,7 +534,7 @@ def _cut_integral_ref(h, t, abs_tol):
 
 
 def _rays_ref(ts, g, w):
-    x, wts = _GL[320]
+    x, wts = closedform._ray_rule()
     v = 0.5 * closedform.RAY_V_MAX * (x + 1.0)
     weights = 0.5 * closedform.RAY_V_MAX * wts * 2.0 * v * np.exp(-v * v)
 
@@ -536,11 +559,32 @@ def _rays_ref(ts, g, w):
 
 
 @pytest.mark.parametrize("g", [0.5, 0.98, 1.0])
-def test_bessel_tail_matches_panel_loop(g):
-    # 0.25-wide panels merged with off-grid times; > 1 block of panels
-    ts = np.concatenate(([0.0, 0.1, 0.25], np.geomspace(0.3, 120.0, 60)))
+def test_bessel_tail_matches_quadrature_oracle(g):
+    # times off the unit panel grid (1/3, 0.41, 12.49999, 13.0000001) and on
+    # it (1, 12, 13), on both sides of the Hankel seam 2 tau = 25; > 1 block
+    # of panels.  Rounding each time to 12 digits put up to 4.2e-13 here.
+    ts = np.sort(np.concatenate(([0.0, 0.1, 1 / 3, 0.41, 1.0, 12.0, 12.49999, 13.0, 13.0000001],
+                                 np.geomspace(0.3, 120.0, 60))))
     zg, _ = z_gap(g)
-    assert np.max(np.abs(closedform._bessel_tail(ts, zg) - _bessel_tail_ref(ts, zg))) <= 1e-14
+    tail = closedform._bessel_tail(ts, zg)
+    assert np.max(np.abs(tail - _bessel_tail_oracle(ts, zg))) <= 1e-14
+    # one time in 25-digit arithmetic, where the rounding did most harm
+    mpmath.mp.dps = 25
+    t = 0.45033
+    exact = mpmath.quad(lambda x: mpmath.expj(zg * x) * mpmath.besselj(1, 2 * x) / x,
+                        [0, 0.25, t])
+    assert abs(complex(exact) - closedform._bessel_tail(np.array([0.1, t]), zg)[1]) <= 1e-15
+
+
+def test_ray_rule_is_exact_on_even_monomials():
+    # an n-point Gauss rule integrates x^(2m) exactly for m < n; scipy's
+    # roots_legendre(320) misses this by 2.5e-11 (its end weights are 2.6e-10 off)
+    x, w = closedform._ray_rule()
+    assert len(x) == closedform.RAY_NODES and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    m = np.arange(closedform.RAY_NODES)
+    moments = (x[None, :] ** (2 * m[:, None])) @ w
+    assert np.max(np.abs(moments * (2 * m + 1) / 2.0 - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("g", [0.5, 0.98, 1.0])
@@ -638,6 +682,17 @@ def test_rays_near_band_edge_virtual_state():
 @given(g=st.floats(1e-150, 3.0))
 def test_property_abr_sum_rule(g):
     assert abs(a_br_quadrature(0.0, g) + bound_term(0.0, g) - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(g=st.floats(0.2, 1.0), t_max=st.floats(0.5, 200.0), n=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_property_bessel_matches_cut(g, t_max, n, seed):
+    # random times fall off the panel grid; floor(t_max) is on it
+    ts = np.sort(np.append(np.random.default_rng(seed).uniform(0.0, t_max, n),
+                           math.floor(t_max)))
+    cut = a_br_quadrature(ts, g, abs_tol=1e-12)
+    assert np.max(np.abs(bessel_exact_grid(ts, g) - cut)) <= 1e-12
 
 
 @PROPERTY

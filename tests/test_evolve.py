@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +12,10 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from bicchain.closedform import a_br_quadrature, bessel_exact_grid, bound_term
-from bicchain.evolve import (MAX_SITES, EvolveOptions, IntegratorError, ProbabilitySeries,
-                             _moments, _next_fast_len, _stencil, auto_sites, bessel_table,
-                             chebyshev_order, evolve, nonescape, survival)
+from bicchain.evolve import (HANKEL_SEAM, MAX_SITES, EvolveOptions, IntegratorError,
+                             ProbabilitySeries, _moments, _next_fast_len, _stencil, auto_sites,
+                             bessel_j01, bessel_table, chebyshev_order, evolve, nonescape,
+                             survival)
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
                             bic_state, hamiltonian, perp_state, spectral_bounds,
                             w_state)
@@ -215,6 +217,23 @@ def test_bessel_table_matches_scipy():
     ref = jv(np.arange(k_max + 1)[None, :], xs[:, None])
     assert np.all(np.isfinite(table))
     assert np.max(np.abs(table - ref)) <= 1e-13
+
+
+def test_bessel_j01_matches_mpmath():
+    # Miller below the seam, Hankel at and above it; scipy's own j0/j1 are
+    # 3.6e-15 off on this range
+    rng = np.random.default_rng(7)
+    seam = HANKEL_SEAM + np.arange(-4, 5) * np.spacing(HANKEL_SEAM)
+    xs = np.concatenate(([0.0, 1e-300, 1e-12, 1e4], seam, rng.uniform(0.0, 30.0, 200),
+                         np.geomspace(20.0, 1e4, 200), rng.uniform(0.0, 1e4, 99)))
+    j0, j1 = bessel_j01(xs)
+    mpmath.mp.dps = 30
+    for order, got in ((0, j0), (1, j1)):
+        ref = np.array([float(mpmath.besselj(order, mpmath.mpf(x))) for x in xs])
+        assert np.max(np.abs(got - ref)) <= 4e-15
+    # parity and shape: J_0 even, J_1 odd, any array shape
+    m0, m1 = bessel_j01(-xs.reshape(2, -1))
+    assert np.array_equal(m0, j0.reshape(2, -1)) and np.array_equal(m1, -j1.reshape(2, -1))
 
 
 def test_next_fast_len_matches_scipy():

@@ -129,10 +129,10 @@ def test_cli_negative_detuning_in_exponent_notation(tmp_path, value):
 
 
 @pytest.mark.parametrize("g, eps_d, expected", [
-    (1e-200, 0.2, {3}),      # g^2 underflows: the quartic loses its leading term
+    (1e-200, 0.2, {2}),      # outside the resolvable couplings [1e-3, 1e3]
     (0.9, 1e300, {2}),       # eps_d^2 overflows: the quartic is not finite
-    (1e-5, 0.3, {0, 2, 3}),
-    (1e5, 0.3, {0, 2, 3}),
+    (1e-5, 0.3, {2}),
+    (1e5, 0.3, {2}),
     (0.9, 1e-300, {0}),
     (0.9, 5e-324, {0}),
     (0.9, 2.0 - 2.0 * 0.9 ** 2, {0}),  # threshold 2 g^2 = 2 - eps_d
@@ -145,6 +145,15 @@ def test_cli_spectrum_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d
                    "--out", str(tmp_path / "x.json"), "--no-meta-time")
     assert code in expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g", ["2000", "5e-4"])
+def test_cli_spectrum_refuses_unresolvable_coupling(tmp_path, capsys, g):
+    # a correct state near |z| ~ 2000 fails the 1e-12 dispersion check, so
+    # such g are a configuration error that names the accepted range
+    assert run_cli("spectrum", "--g", g, "--out", str(tmp_path / "x.json")) == 2
+    assert "0.001 <= g <= 1000" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("g, expected", [
@@ -174,35 +183,45 @@ def _run_fresh(script):
 
 def test_cli_runs_without_scipy(tmp_path):
     # importing scipy is most of a CLI process's start-up time and memory;
-    # only the Bessel and ray routes need it, and they import it on first use
+    # no command needs it, the Bessel (J_0, J_1) and ray (their Gauss rule)
+    # routes included
     script = (
         "import sys\n"
-        "from bicchain import cli\n"
+        "import numpy as np\n"
+        "from bicchain import cli, closedform\n"
+        "from bicchain.model import ModelParams\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         f"out = {str(tmp_path)!r}\n"
         "runs = [['spectrum', '--g', '0.9', '--eps-d', '0.2', '--out', out + '/s.json'],\n"
         "        ['compare', '--g', '0.9', '--eps-d', '0.2', '--tmax', '5', '--samples', '11',\n"
         "         '--out', out + '/c'],\n"
-        "        ['figure', 'fig1', '--jobs', '1', '--out', out]]\n"
+        "        ['compare', '--g', '0.9', '--eps-d', '0', '--tmax', '5', '--samples', '11',\n"
+        "         '--out', out + '/c0'],\n"
+        "        ['figure', 'fig1', '--jobs', '1', '--out', out],\n"
+        "        ['figure', 'figS2', '--jobs', '1', '--out', out]]\n"
         "for state in ('bic', 'perp', 'w:1.0'):\n"
         "    runs.append(['evolve', '--g', '0.9', '--state', state, '--tmax', '5',\n"
         "                 '--samples', '11', '--out', out + '/e.csv'])\n"
         "for argv in runs:\n"
-        "    assert cli.main(argv + ['--no-meta-time']) == 0, argv\n")
+        "    assert cli.main(argv + ['--no-meta-time']) == 0, argv\n"
+        "amp = closedform.a_w_rays(np.geomspace(1.0, 100.0, 5), ModelParams(g=0.9), 1.0)\n"
+        "assert np.all(np.isfinite(amp))\n")
     assert _run_fresh(script) == "[]"
+    assert "re_A_bessel" in (tmp_path / "c0.csv").read_text()
 
 
-def test_cli_compare_imports_scipy_for_the_bessel_route(tmp_path):
-    # at eps_d = 0 compare adds the Bessel columns, whose J_1 comes from scipy
+def test_cli_compare_loads_no_scipy_for_the_bessel_route(tmp_path):
+    # at eps_d = 0 compare adds the Bessel columns, whose J_1 is the
+    # package's own (Miller's recurrence and Hankel's expansion)
     script = (
         "import sys\n"
         "from bicchain import cli\n"
         f"out = {str(tmp_path)!r}\n"
         "assert cli.main(['compare', '--g', '0.9', '--eps-d', '0', '--tmax', '5',\n"
         "                 '--samples', '11', '--out', out + '/c', '--no-meta-time']) == 0\n"
-        "print('scipy.special' in sys.modules)\n")
-    assert _run_fresh(script) == "True"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _run_fresh(script) == "[]"
     assert "re_A_bessel" in (tmp_path / "c.csv").read_text()
 
 
@@ -323,10 +342,11 @@ def test_cli_evolve_w_state(tmp_path):
 
 
 def test_cli_huge_coupling(tmp_path, capsys):
-    # g^2 overflows: the spectrum's timescales are a numerical failure, and
-    # the evolve state builder rejects g by name at the boundary
+    # g^2 overflows: the spectrum refuses g outside the couplings it
+    # resolves, and the evolve state builder rejects g by name, both at the
+    # boundary
     assert run_cli("spectrum", "--g", "1e200", "--out", str(tmp_path / "x.json"),
-                   "--no-meta-time") == 3
+                   "--no-meta-time") == 2
     assert run_cli("evolve", "--g", "1e200", "--tmax", "5",
                    "--out", str(tmp_path / "x.csv"), "--no-meta-time") == 2
     assert "g = 1e+200" in capsys.readouterr().err

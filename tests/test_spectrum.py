@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from bicchain import closedform, spectrum
-from bicchain.model import ModelParams, hamiltonian
+from bicchain.model import InvalidParameterError, ModelParams, hamiltonian
 from bicchain.spectrum import (BranchPointError, NearPoleError, SheetTag,
                                StateKind, discrete_spectrum, resolvent_dd,
                                resonance_expansion, self_energy,
@@ -423,3 +423,24 @@ def test_far_detuning_at_weak_coupling_has_no_resonance():
     for s in states:
         assert s.z.imag == 0.0
         assert abs(s.z - eps_d - self_energy(s.z, g, s.sheet)) < 1e-10
+
+
+@pytest.mark.parametrize("g", [1e-200, 4.9e-4, np.nextafter(1e-3, 0.0), np.nextafter(1e3, 2e3),
+                               1964.0, 1e200])
+def test_spectrum_refuses_couplings_beyond_its_resolution(g):
+    # a state near |z| = g + 1/g ~ 2000 fails the absolute 1e-12 dispersion
+    # check; such g are refused up front, and the message names the range
+    for eps_d in (0.0, 0.3):
+        with pytest.raises(InvalidParameterError, match=r"0\.001 <= g <= 1000"):
+            discrete_spectrum(ModelParams(g=g, eps_d=eps_d))
+
+
+@PROPERTY
+@given(log_g=st.floats(-3.0, 3.0),
+       eps_d=st.one_of(st.just(0.0), st.floats(0.01, 1.5), st.floats(-1.5, -0.01)))
+def test_property_spectrum_resolves_every_accepted_coupling(log_g, eps_d):
+    # including both ends of the accepted range
+    g = min(max(10.0 ** log_g, spectrum.SPECTRUM_G_RANGE[0]), spectrum.SPECTRUM_G_RANGE[1])
+    assume(min(abs(2.0 * g * g - 2.0 + eps_d), abs(2.0 * g * g - 2.0 - eps_d)) > 1e-3)
+    for s in discrete_spectrum(ModelParams(g=g, eps_d=eps_d)):
+        assert abs(-2.0 * cmath.cos(s.k) - s.z) <= 1e-12
