@@ -26,16 +26,19 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   factors its phases into one exp per panel times fixed node factors.
 * ``a_w_rays`` -- band-edge ray deformation of the cut contour (eps_d = 0),
   exact for t >= ~1 at O(1) cost; the route of choice deep in the far zone.
-  A 320-node Gauss-Legendre rule, built by Newton's method on first use,
-  is evaluated for a block of times at once.
+  One 330-node composite rule in v = sqrt(u t), the GL15 and GL30 rules
+  on geometric panels (GL15 on [0, 1e-11] and each decade up to 1e-6, GL30
+  on each decade up to 0.1 and on [0.1, 0.3], [0.3, 1] and [1, 6.5]),
+  built at import and the same at every t, is evaluated for a block of
+  times at once.
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes (for the cut,
 phase exps), so memory stays flat however long the time grid.  sigma_1 is
-``spectrum.sigma1``.  The module needs numpy alone: the cut's GL15/GL30
-rules come from numpy, and J_0 and J_1 (the Bessel route and
-``early_approx``) from ``evolve.bessel_j01``, which is Miller's recurrence
-(``evolve.bessel_table``) below x = 25 and Hankel's expansion (DLMF 10.17)
-above it.
+``spectrum.sigma1``.  The module needs numpy alone: the GL15/GL30 rules
+of the cut, the Bessel tail and the rays come from numpy, and J_0 and J_1
+(the Bessel route and ``early_approx``) from ``evolve.bessel_j01``, which
+is Miller's recurrence (``evolve.bessel_table``) below x = 25 and Hankel's
+expansion (DLMF 10.17) above it.
 
 Closed-form approximations:
 
@@ -53,7 +56,6 @@ precondition; ``LAWS[tag].curve(params, ts)`` gives values and window mask.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -103,7 +105,7 @@ _GL_WEIGHTS = np.zeros((2, len(_GL_NODES)))
 _GL_WEIGHTS[0, :30], _GL_WEIGHTS[1, 30:] = _GL30[1], _GL15[1]
 
 #: Quadrature nodes evaluated per array block: 170 GL30 panels, 113 cut
-#: intervals or 16 ray times; cut phase exps, twice as many.  About
+#: intervals or 15 ray times; cut phase exps, twice as many.  About
 #: 80 KB per complex temporary, so the temporaries of a block stay in cache
 #: (on a 2-vCPU x86 host, 25 ray times per block ran 1.5x slower than 16)
 #: and a long grid does not raise the peak memory.
@@ -562,49 +564,20 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     return out if ts.ndim else complex(out[0])
 
 
-#: nodes of the rays' Gauss-Legendre rule in v
-RAY_NODES = 320
+#: upper end of the ray variable v = sqrt(u t), where e^{-v^2} < 5e-19
+RAY_V_MAX = 6.5
 
-
-@functools.cache
-def _ray_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The RAY_NODES-point Gauss-Legendre rule on [-1, 1] (ascending nodes,
-    weights), built on first use.
-
-    Newton's method on P_n from Tricomi's guesses
-    (1 - (n - 1)/(8 n^3)) cos(pi (i - 1/4)/(n + 1/2)) for the positive half,
-    with P_n and P_n' from the three-term recurrence; the negative half is
-    the mirror image.  The weight 2/((1 - x^2) P_n'(x)^2) changes by a
-    relative 2x/(1 - x^2) per unit of x, about 2e-12 per rounding of the end node,
-    so it is taken at the root itself: the last Newton step s = P_n/P_n'
-    corrects it to first order, w(x - s) = w(x)/(1 - 2xs/(1 - x^2)).  The
-    build takes a few ms.
-    """
-    n = RAY_NODES
-
-    def newton_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P_n/P_n', P_n') at x."""
-        p_prev, p = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
-        return p / dp, dp
-
-    i = np.arange(1, n // 2 + 1)
-    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (i - 0.25) / (n + 0.5))
-    for _ in range(10):  # three steps converge from these guesses
-        step, _ = newton_step(x)
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    step, dp = newton_step(x)
-    one_minus_x2 = (1.0 - x) * (1.0 + x)
-    w = 2.0 / (one_minus_x2 * dp * dp) / (1.0 - 2.0 * x * step / one_minus_x2)
-    return np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
-
-
-#: upper end of the ray variable v = sqrt(u t), where e^{-v^2} < 1e-43
-RAY_V_MAX = 10.0
+#: Panel edges of the rays' rule in v: 0, each decade from 1e-11 to 0.1,
+#: 0.3, 1 and RAY_V_MAX.  As g -> 1 the virtual bound state nears the band
+#: edge and the integrand varies on the scale v ~ sqrt(Delta_g t), which
+#: geometric panels resolve at every t; [0.1, 1] is split at 0.3 because
+#: one GL30 panel there missed by 1.9e-13 at g = 0.82, t = 0.5.  Below
+#: v = 1e-6 the weight 2 v e^{-v^2} is so small that GL15 suffices.
+_RAY_EDGES = [0.0] + [10.0 ** k for k in range(-11, 0)] + [0.3, 1.0, RAY_V_MAX]
+_RAY_PANELS = [(a, b, _GL15 if b <= 1e-6 else _GL30) for a, b in zip(_RAY_EDGES, _RAY_EDGES[1:])]
+#: nodes and weights of the rays' composite Gauss rule on [0, RAY_V_MAX]
+_RAY_V = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b, (x, _) in _RAY_PANELS])
+_RAY_W = np.concatenate([0.5 * (b - a) * w for a, b, (_, w) in _RAY_PANELS])
 
 
 def a_w_rays(t, params: ModelParams, w: float):
@@ -613,9 +586,12 @@ def a_w_rays(t, params: ModelParams, w: float):
     The cut integral is deformed onto the two rays descending from z = -/+2
     into the lower half-plane, where the integrand decays like e^{-ut}; the
     substitution u = v^2/t absorbs the edge square-root.  Exact (no poles
-    are crossed at eps_d = 0); accurate to ~1e-10 for t >= 1 at O(1) cost
-    per time, which makes it the far-zone route of choice.  Accepts an
-    array of times.
+    are crossed at eps_d = 0); the composite Gauss rule in v (``_RAY_V``,
+    the same at every t) keeps it within 1e-13 of the Bessel route for
+    0.05 <= g <= 1, g -> 1 included, and within 2e-13 of the cut for
+    |w| <= 2 and 0.05 <= g <= 3, at t >= 0.5 and O(1) cost per time, which
+    makes it the far-zone route of choice.  ``t`` is a time or a 1-D array
+    of times.
     """
     if params.eps_d != 0.0:
         raise InvalidParameterError(
@@ -623,9 +599,8 @@ def a_w_rays(t, params: ModelParams, w: float):
             "it is restricted to eps_d = 0 (use a_w_cut for eps_d != 0)")
     g = params.g
     nw2 = w_norm_sq(g, w)
-    x, wts = _ray_rule()
-    v = 0.5 * RAY_V_MAX * (x + 1.0)
-    weights = 0.5 * RAY_V_MAX * wts * 2.0 * v * np.exp(-v * v)
+    v = _RAY_V
+    weights = _RAY_W * 2.0 * v * np.exp(-v * v)
 
     def disc_lower(z: np.ndarray) -> np.ndarray:
         # the second sheet continues the from-above value; its reciprocal is
@@ -634,6 +609,9 @@ def a_w_rays(t, params: ModelParams, w: float):
         return _jump(z, 1.0 / sig_above, sig_above, g, 0.0, w)
 
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise InvalidParameterError(
+            f"t must be a time or a 1-D array of times, got shape {ts.shape}")
     _check_times(ts)
     if np.any(ts < 0.5):
         raise DomainError("ray deformation is intended for t >= ~1; got t < 0.5")

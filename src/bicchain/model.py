@@ -122,6 +122,18 @@ def _check_coupling(g: float) -> None:
         raise InvalidParameterError(f"coupling g = {g} is too large: g^2 overflows")
 
 
+def inverse_w_norm_sq(g: float, w: float) -> float:
+    """1/N_w^2 = 1 + g^2 + w^2 of the generalized state, refusing a chain
+    amplitude w that is not finite or with which the sum overflows."""
+    if not math.isfinite(w):
+        raise InvalidParameterError(f"chain amplitude w must be finite, got {w}")
+    norm_sq = 1.0 + g * g + w * w
+    if not math.isfinite(norm_sq):
+        raise InvalidParameterError(
+            f"1 + g^2 + w^2 overflows for g = {g}, w = {w}")
+    return norm_sq
+
+
 def _check_state_args(g: float, n_sites: int, min_sites: int) -> None:
     _check_coupling(g)
     if n_sites < min_sites:
@@ -156,13 +168,7 @@ def w_state(g: float, w: float, n_sites: int) -> StateVector:
     Orthogonality to the BIC holds for every w because |2> has no BIC weight.
     """
     _check_state_args(g, n_sites, 3)
-    if not np.isfinite(w):
-        raise InvalidParameterError(f"chain amplitude w must be finite, got {w}")
-    norm_sq = 1.0 + g * g + w * w
-    if not np.isfinite(norm_sq):
-        raise InvalidParameterError(
-            f"1 + g^2 + w^2 overflows for g = {g}, w = {w}")
-    nrm = 1.0 / np.sqrt(norm_sq)
+    nrm = 1.0 / np.sqrt(inverse_w_norm_sq(g, w))
     chain = np.zeros(n_sites, dtype=complex)
     chain[0] = nrm
     chain[1] = w * nrm

@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalError,
-                    check_coupling)
+                    check_coupling, inverse_w_norm_sq)
 
 
 class BranchPointError(ConfigError):
@@ -298,8 +298,13 @@ def _chain_split(sig, g: float, w: float):
 
 
 def w_norm_sq(g: float, w: float) -> float:
-    """Normalization N_w^2 = 1/(1 + g^2 + w^2) of the generalized state."""
-    return 1.0 / (1.0 + g * g + w * w)
+    """Normalization N_w^2 = 1/(1 + g^2 + w^2) of the generalized state.
+
+    Every w-state route goes through here or through ``model.w_state``, so
+    a w that is not finite, or whose square overflows, is refused
+    (``InvalidParameterError``) by both, before any quadrature.
+    """
+    return 1.0 / inverse_w_norm_sq(g, w)
 
 
 def _perp_residue(z: complex, g: float, sheet: SheetTag) -> complex:

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import fft, sparse
 from scipy.linalg import expm
@@ -19,9 +19,6 @@ from bicchain.evolve import (HANKEL_SEAM, MAX_SITES, EvolveOptions, IntegratorEr
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
                             bic_state, hamiltonian, perp_state, spectral_bounds,
                             w_state)
-
-# few, fixed examples keep the suite fast and repeatable
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def test_auto_sites_formula():
@@ -253,7 +250,6 @@ def _csr_moments(params, n, psi0, order):
     return vs @ np.conj(psi0), vs[:, :2], np.sum(np.abs(vs) ** 2, axis=1)
 
 
-@PROPERTY
 @given(g=st.floats(0.05, 3.0), eps_d=st.floats(-1.5, 1.5), n=st.integers(3, 200),
        spread=st.floats(0.0, 1.0), order=st.integers(1, 400), real=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -378,7 +374,6 @@ def test_non_finite_recurrence_raises(monkeypatch):
         evolve(params, perp_state(0.9, 2), opts)
 
 
-@PROPERTY
 @given(g=st.floats(0.5, 1.0), t_max=st.floats(1.0, 60.0))
 def test_property_overlap_matches_bessel_representation(g, t_max):
     params = ModelParams(g=g)
@@ -389,7 +384,6 @@ def test_property_overlap_matches_bessel_representation(g, t_max):
     assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
 
 
-@PROPERTY
 @given(g=st.floats(0.0, 3.0, exclude_min=True), eps_d=st.floats(-1.0, 1.0),
        w=st.floats(-2.0, 2.0), t_max=st.floats(1.0, 60.0))
 def test_property_norm_of_represented_state(g, eps_d, w, t_max):
@@ -399,7 +393,6 @@ def test_property_norm_of_represented_state(g, eps_d, w, t_max):
     assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
 
 
-@PROPERTY
 @given(g=st.floats(0.05, 3.0), eps_d=st.floats(-1.5, 1.5),
        w=st.floats(-2.0, 2.0), t_max=st.floats(0.5, 80.0))
 def test_property_auto_chain_is_the_semi_infinite_chain(g, eps_d, w, t_max):

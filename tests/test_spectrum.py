@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
@@ -19,8 +19,6 @@ from bicchain.spectrum import (BranchPointError, NearPoleError, SheetTag,
 
 FIRST, SECOND = SheetTag.First, SheetTag.Second
 
-# few, fixed examples keep the suite fast and repeatable
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 SHEETS = st.sampled_from([FIRST, SECOND])
 COUPLINGS = st.floats(0.05, 30.0)
 #: points off the real axis, where both sheets are analytic
@@ -294,26 +292,22 @@ def test_sigma1_is_defined_once():
     assert closedform.sigma1 is spectrum.sigma1
 
 
-@PROPERTY
 @given(z=OFF_AXIS, g=COUPLINGS, sheet=SHEETS)
 def test_property_schwarz_reflection(z, g, sheet):
     assert self_energy(z.conjugate(), g, sheet) == self_energy(z, g, sheet).conjugate()
 
 
-@PROPERTY
 @given(z=OFF_AXIS, g=COUPLINGS, sheet=SHEETS)
 def test_property_self_energy_is_odd(z, g, sheet):
     assert self_energy(-z, g, sheet) == -self_energy(z, g, sheet)
 
 
-@PROPERTY
 @given(z=OFF_AXIS | OFF_BAND, sheet=SHEETS)
 def test_property_sigma1_inverts_the_band_map(z, sheet):
     sig = sigma1(z, sheet)
     assert abs(sig + 1.0 / sig - z) <= 1e-14 * (1.0 + abs(z)) ** 2
 
 
-@PROPERTY
 @given(xs=st.lists(OFF_BAND, min_size=1, max_size=40), g=COUPLINGS, sheet=SHEETS)
 def test_property_array_call_is_bitwise_on_real_axis(xs, g, sheet):
     xs = np.array(xs)
@@ -322,7 +316,6 @@ def test_property_array_call_is_bitwise_on_real_axis(xs, g, sheet):
     assert np.array_equal(self_energy(xs, g, sheet), [self_energy(x, g, sheet) for x in xs])
 
 
-@PROPERTY
 @given(zs=st.lists(OFF_AXIS, min_size=1, max_size=40), g=COUPLINGS, sheet=SHEETS)
 def test_property_array_call_matches_scalar_calls(zs, g, sheet):
     # numpy multiplies complex arrays with fused multiply-adds, so an array
@@ -339,7 +332,6 @@ def test_property_array_call_matches_scalar_calls(zs, g, sheet):
     assert np.all(np.abs(self_energy(zs, g, sheet) - sigma) <= 1e-15 * scale)
 
 
-@PROPERTY
 @given(zs=st.lists(OFF_AXIS, min_size=1, max_size=10), at=st.integers(0, 10),
        edge=st.sampled_from([2.0, -2.0]), g=COUPLINGS, sheet=SHEETS)
 def test_property_branch_point_guard_is_elementwise(zs, at, edge, g, sheet):
@@ -377,7 +369,6 @@ def _expected_kinds(g, eps_d):
                   + [("VirtualBound", "Second")] * (2 - n_bound))
 
 
-@PROPERTY
 @given(g=st.floats(0.3, 30.0), size=st.floats(1e-6, 0.5), sign=st.sampled_from([1.0, -1.0]))
 def test_property_detuned_states_are_quartic_roots_on_their_sheet(g, size, sign):
     eps_d = sign * size
@@ -435,7 +426,6 @@ def test_spectrum_refuses_couplings_beyond_its_resolution(g):
             discrete_spectrum(ModelParams(g=g, eps_d=eps_d))
 
 
-@PROPERTY
 @given(log_g=st.floats(-3.0, 3.0),
        eps_d=st.one_of(st.just(0.0), st.floats(0.01, 1.5), st.floats(-1.5, -0.01)))
 def test_property_spectrum_resolves_every_accepted_coupling(log_g, eps_d):
