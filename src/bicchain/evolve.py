@@ -17,7 +17,11 @@ on |d> and |1>, and <v_k|v_k>.  Each sample is then a contraction of these
 moments with a Bessel table J_k(at), built by Miller's downward recurrence.
 The norm of the represented state follows exactly from the moments through
 the Toeplitz-plus-Hankel Gram identity T_j T_k = (T_{j+k} + T_{|j-k|})/2,
-evaluated with numpy's real FFT.  The module needs numpy alone.
+evaluated with numpy's real FFT.  A table row is zero past its Miller
+seed, so its transform takes only the leading columns that cover the seed,
+rounded up to a power of two, at its own shorter FFT length
+(:func:`_norm_runs`); on a log grid most rows are far shorter than K.
+The module needs numpy alone.
 :func:`bessel_j01` gives J_0 and J_1 alone to the quadrature routes: the
 table's first two columns below x = 25 and Hankel's expansion above.
 
@@ -57,6 +61,11 @@ MAX_PHASE = 2 * MAX_SITES
 #: table holds at most this many float64 words, or one sample when a single
 #: row is longer (a working set of about 2 MB)
 BLOCK_WORDS = 1 << 15
+
+#: a run of Bessel-table rows gets its own, shorter norm transform only when
+#: that saves at least this many padded float64 words; one more weight set
+#: and transform call cost about as much as transforming 4096 words
+RUN_WORDS = 1 << 12
 
 #: samples per Miller recurrence are chosen so that its table holds about
 #: this many float64 words (4 MB); one row step then spans hundreds of
@@ -314,6 +323,7 @@ def chebyshev_order(x_max: float, abs_tol: float) -> int:
     return int(below[0]) if len(below) else len(j) - 1
 
 
+@functools.cache
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer 2^a 3^b 5^c >= n, a fast real FFT length."""
     best = 1 << (n - 1).bit_length()
@@ -414,6 +424,31 @@ def _gram_weights(norms_sq: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndar
     return w_abs, w_cross
 
 
+def _norm_runs(x: np.ndarray, order: int) -> list[list[int]]:
+    """[columns, n_fft, start, stop] of the runs of rows of
+    ``bessel_table(x, order)``, x ascending, that share one norm transform.
+
+    A row is zero past its Miller seed, so the Gram identity holds on any
+    leading columns that cover the seed.  The seed's count is rounded up to
+    a power of two (at most order + 1), which keeps the distinct lengths,
+    and so the weight sets, logarithmic in the order; the seed rises with
+    x, so each length's rows form one run.  Going down from the longest, a
+    run whose own transform would save fewer than RUN_WORDS padded words
+    joins the longer run above it.
+    """
+    lengths = np.minimum(1 << np.frexp(_miller_start(x))[1], order + 1)
+    starts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist()]
+    values = lengths[starts].tolist()
+    runs: list[list[int]] = []
+    for length, start, stop in zip(values[::-1], starts[::-1], [len(x), *starts[:0:-1]]):
+        n_fft = 2 * _next_fast_len(length)
+        if runs and (stop - start) * (runs[-1][1] - n_fft) < RUN_WORDS:
+            runs[-1][2] = start
+        else:
+            runs.append([length, n_fft, start, stop])
+    return runs
+
+
 def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> AmplitudeSeries:
     """Evolve ``initial`` on the truncated chain and sample observables.
 
@@ -450,21 +485,24 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
 
     weights = np.column_stack([overlaps, sites]).astype(complex)
     weights *= np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4, None]
-    n_fft = 2 * _next_fast_len(order + 1)
-    w_abs, w_cross = _gram_weights(norms_sq, n_fft)
     samples = np.empty((len(times), 3), dtype=complex)
     norm_sq = np.empty(len(times))
-    block = max(1, BLOCK_WORDS // n_fft)
+    block = max(1, BLOCK_WORDS // (2 * _next_fast_len(order + 1)))
     wide = block * max(1, MILLER_WORDS // (block * (order + 1)))
+    runs = _norm_runs(half_width * times, order)
+    gram = [_gram_weights(norms_sq[:length], n_fft) for length, n_fft, _, _ in runs]
     for lo in range(0, len(times), wide):
-        coeffs = bessel_table(half_width * times[lo:lo + wide], order)
+        hi = min(lo + wide, len(times))
+        coeffs = bessel_table(half_width * times[lo:hi], order)
         coeffs[:, 1:] *= 2.0
-        samples[lo:lo + wide] = (coeffs @ weights.view(float)).view(complex)
-        for at in range(0, len(coeffs), block):
-            spec = np.fft.rfft(coeffs[at:at + block], n=n_fft, axis=1)
-            cross = spec * np.conj(spec[:, ::-1])
-            norm_sq[lo + at:lo + at + block] = ((spec.view(float) ** 2) @ w_abs
-                                                + cross.view(float) @ w_cross)
+        samples[lo:hi] = (coeffs @ weights.view(float)).view(complex)
+        for (length, n_fft, start, stop), (w_abs, w_cross) in zip(runs, gram):
+            step = max(1, BLOCK_WORDS // n_fft)
+            for at in range(max(start, lo), min(stop, hi), step):
+                end = min(at + step, stop, hi)
+                spec = np.fft.rfft(coeffs[at - lo:end - lo, :length], n=n_fft, axis=1)
+                cross = spec * np.conj(spec[:, ::-1])
+                norm_sq[at:end] = (spec.view(float) ** 2) @ w_abs + cross.view(float) @ w_cross
     samples *= np.exp(-1j * center * times)[:, None]
 
     return AmplitudeSeries(

@@ -330,6 +330,38 @@ def test_norm_is_that_of_the_truncated_series():
     assert np.max(np.abs(series.norm - 1.0)) > 1e-10
 
 
+@pytest.mark.parametrize("g, eps_d, state, t_max, n_samples, grid", [
+    (0.9, 0.2, "perp", 400.0, 600, "log"),     # fig3b's order, fewer samples
+    (1.1, 0.0, "w:1.0", 200.0, 800, "linear"),
+])
+def test_norm_runs_match_one_full_length_transform(monkeypatch, g, eps_d, state, t_max,
+                                                   n_samples, grid):
+    # rows transformed at their own lengths give the norm of one transform of
+    # every row at the full length (no run split off) to rounding; the other
+    # columns do not depend on the split
+    params = ModelParams(g=g, eps_d=eps_d)
+    psi = perp_state(g, 3) if state == "perp" else w_state(g, 1.0, 3)
+    opts = EvolveOptions(t_max=t_max, n_samples=n_samples, grid=grid)
+    evolve_module = importlib.import_module("bicchain.evolve")
+    series = evolve(params, psi, opts)
+    runs = evolve_module._norm_runs(series.spectral_half_width * series.times,
+                                    series.cheb_terms)
+    assert len(runs) >= 3
+    # the runs tile the grid, the longest at the latest times
+    assert [r[3] for r in runs] == [n_samples] + [r[2] for r in runs[:-1]]
+    assert runs[-1][2] == 0
+    for length, n_fft, start, stop in runs:
+        seeds = evolve_module._miller_start(series.spectral_half_width * series.times[start:stop])
+        assert seeds.max() < length or length == series.cheb_terms + 1
+    monkeypatch.setattr(evolve_module, "RUN_WORDS", 1 << 62)
+    full = evolve(params, psi, opts)
+    assert len(evolve_module._norm_runs(full.spectral_half_width * full.times,
+                                        full.cheb_terms)) == 1
+    for name in ("overlap", "amp_d", "amp_1"):
+        assert np.array_equal(getattr(series, name), getattr(full, name))
+    assert np.max(np.abs(series.norm - full.norm)) <= 5e-15
+
+
 def test_chebyshev_order_meets_tail_bound():
     x = 250.0
     k = chebyshev_order(x, 1e-13)

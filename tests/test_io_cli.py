@@ -17,7 +17,7 @@ from bicchain import cli, closedform, io, spectrum
 from bicchain.analysis import TooFewPeaksError
 from bicchain.cli import main
 from bicchain.closedform import DivergenceError, DomainError, QuadratureError
-from bicchain.evolve import IntegratorError
+from bicchain.evolve import EvolveOptions, IntegratorError
 from bicchain.model import ConfigError, InvalidParameterError, NumericalError
 from bicchain.spectrum import BranchPointError, NearPoleError, RootFindError
 
@@ -130,7 +130,7 @@ def test_cli_negative_detuning_in_exponent_notation(tmp_path, value):
 
 @pytest.mark.parametrize("g, eps_d, expected", [
     (1e-200, 0.2, {2}),      # outside the resolvable couplings [1e-3, 1e3]
-    (0.9, 1e300, {2}),       # eps_d^2 overflows: the quartic is not finite
+    (0.9, 1e300, {2}),       # beyond the resolvable detunings |eps_d| <= 100
     (1e-5, 0.3, {2}),
     (1e5, 0.3, {2}),
     (0.9, 1e-300, {0}),
@@ -156,6 +156,16 @@ def test_cli_spectrum_refuses_unresolvable_coupling(tmp_path, capsys, g):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("eps_d", ["100.5", "-1e3"])
+def test_cli_spectrum_refuses_unresolvable_detuning(tmp_path, capsys, eps_d):
+    # from |eps_d| ~ 186 the resonance polish stalls at some g; the limit
+    # is refused up front and named
+    assert run_cli("spectrum", "--g", "1.2", "--eps-d", eps_d,
+                   "--out", str(tmp_path / "x.json")) == 2
+    assert "|eps_d| <= 100" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("g, expected", [
     (1.0, 0), (1 + 1e-9, 0), (1 - 1e-9, 0), (1 + 1e-8, 0), (1 - 1e-8, 0),
     # g + 1/g is 2 + ~1e-12 here, a state no double resolves to residual 1e-10
@@ -170,13 +180,17 @@ def test_cli_spectrum_at_the_g1_threshold(tmp_path, g, expected):
         assert sum(bool(st.get("band_edge")) for st in states) == 2
 
 
+def _fresh_env():
+    """Environment in which a fresh interpreter imports this checkout's bicchain."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_fresh(script):
     """Run ``script`` in a fresh interpreter that imports this checkout's bicchain."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=120)
+                         env=_fresh_env(), timeout=120)
     assert run.returncode == 0, run.stderr
     return run.stdout.strip()
 
@@ -468,6 +482,78 @@ def test_cli_determinism(tmp_path):
     assert run_cli(*args, "--out", str(a)) == 0
     assert run_cli(*args, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_in_process_runs_match_fresh_processes(tmp_path):
+    # one process running spectrum, evolve and compare in turn writes the
+    # same bytes as a fresh interpreter per command
+    runs = [["spectrum", "--g", "0.9", "--eps-d", "0.2", "--out", "{}/s.json"],
+            ["evolve", "--g", "1.3", "--eps-d", "-0.4", "--state", "w:1.0", "--tmax", "8",
+             "--samples", "41", "--grid", "log", "--out", "{}/e.csv"],
+            ["compare", "--g", "0.9", "--tmax", "6", "--samples", "31", "--out", "{}/c"]]
+    for side in ("inproc", "fresh"):
+        (tmp_path / side).mkdir()
+        for argv in runs:
+            argv = [a.format(tmp_path / side) for a in argv] + ["--no-meta-time"]
+            if side == "inproc":
+                assert run_cli(*argv) == 0
+            else:
+                subprocess.run([sys.executable, "-m", "bicchain.cli", *argv],
+                               env=_fresh_env(), check=True, timeout=120)
+    names = ["s.json", "e.csv", "c.csv", "c.json"]
+    assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "inproc" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_usage_error_leaves_the_next_call_its_defaults(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("compare", "--g", "0.9", "--tmax", "10", "--samples", "5", "--grid", "log",
+                "--out", str(tmp_path / "bad"), "--no-meta-time")
+    assert exc.value.code == 2
+    out = tmp_path / "e.csv"
+    assert run_cli("evolve", "--g", "0.9", "--tmax", "10", "--samples", "5",
+                   "--out", str(out), "--no-meta-time") == 0
+    meta, data = io.read_csv(out)
+    assert meta["grid"] == "linear" and meta["eps_d"] == "0.0" and meta["state"] == "perp"
+    assert np.allclose(data["t"], np.linspace(0.0, 10.0, 5))
+
+
+def test_config_values_do_not_carry_over(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps_d=0.3\nsamples=7\nstate=w:1.0\ngrid=log\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli("evolve", "--config", str(cfg), "--g", "0.9", "--tmax", "4",
+                   "--out", str(a), "--no-meta-time") == 0
+    assert run_cli("evolve", "--g", "0.9", "--tmax", "4", "--out", str(b),
+                   "--no-meta-time") == 0
+    meta_a, data_a = io.read_csv(a)
+    meta_b, data_b = io.read_csv(b)
+    assert (meta_a["eps_d"], meta_a["state"], meta_a["grid"]) == ("0.3", "w:1.0", "log")
+    assert (meta_b["eps_d"], meta_b["state"], meta_b["grid"]) == ("0.0", "perp", "linear")
+    assert len(data_a["t"]) == 7 and len(data_b["t"]) == EvolveOptions.n_samples
+
+
+def test_handler_patched_after_a_first_call_runs(tmp_path, monkeypatch):
+    out = tmp_path / "s.json"
+    assert run_cli("spectrum", "--g", "0.9", "--out", str(out), "--no-meta-time") == 0
+    seen = []
+
+    def fake(args):
+        seen.append(args.g)
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", fake)
+    out.unlink()
+    assert run_cli("spectrum", "--g", "0.7", "--out", str(out), "--no-meta-time") == 0
+    assert seen == [0.7] and not out.exists()
 
 
 # ---------------------------------------------------------------------------
