@@ -11,9 +11,10 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   an array axis (``_cut_integral``).  The discontinuity sign is pinned by
   the t = 0 sum rule: at eps_d = 0 the cut carries the full norm for
   g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the rest).
-  ``a_br_quadrature`` is this route for the perp state (w = 0, eps_d = 0).
-* ``bessel_exact`` -- the exact Bessel-function representation obtained by
-  fraction decomposition: A_br = -(1/2g)(I(+z_g) - I(-z_g)) with
+  ``a_br_quadrature`` is this route for the perp state (w = 0, eps_d = 0)
+  at couplings whose z_g^2 is finite.
+* ``bessel_exact_grid`` -- the exact Bessel-function representation
+  obtained by fraction decomposition: A_br = -(1/2g)(I(+z_g) - I(-z_g)) with
 
       I(+/- z_g) = e^{∓ i z_g t} [∓ g - i INT_0^t e^{+/- i z_g tau}
                                            J_1(2 tau)/tau d tau],
@@ -63,8 +64,8 @@ import numpy as np
 
 from .evolve import HANKEL_SEAM, bessel_j01, hankel_pq
 from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
-from .spectrum import (SheetTag, Timescales, _chain_split, resolvent_dd, resonance_expansion,
-                       sigma1, timescales, w_norm_sq, z_gap)
+from .spectrum import (SheetTag, Timescales, _chain_split, resonance_expansion, sigma1,
+                       timescales, w_norm_sq, z_gap)
 
 
 class QuadratureError(NumericalError):
@@ -139,6 +140,7 @@ def _check_times(t) -> None:
 
 def _positive_times(t, refusal: str) -> np.ndarray:
     t = np.asarray(t, dtype=float)
+    _check_times(t)
     if np.any(t <= 0):
         raise DomainError(refusal)
     return t
@@ -280,10 +282,13 @@ def _cut_integral(h, ts: np.ndarray, abs_tol: float) -> np.ndarray:
 def a_br_quadrature(t, g: float, abs_tol: float = 1e-9):
     """Branch-cut contribution to the survival amplitude at eps_d = 0.
 
-    The perp state is the w = 0 state, so this is ``a_w_cut(t, ModelParams(g),
-    0.0, abs_tol)``: a time or an ascending grid of times >= 0, on the one
-    all-times cut rule.  For g > 1 the cut carries 1/g^2 of the norm at
-    t = 0 and ``bound_term`` the rest.
+    The perp state is the w = 0 state, so this returns ``a_w_cut(t,
+    ModelParams(g), 0.0, abs_tol)``: a time or an ascending grid of times
+    >= 0, on the one all-times cut rule.  For g > 1 the cut carries 1/g^2
+    of the norm at t = 0 and ``bound_term`` the rest.  Unlike ``a_w_cut``,
+    it refuses a g whose z_g^2 = (g + 1/g)^2 overflows with
+    :class:`InvalidParameterError`: at g = 1e-170 it raises, where
+    ``a_w_cut`` returns the g -> 0 limit J_1(2t)/t (0.5767 at t = 1).
     """
     zg, _ = z_gap(g)
     # a finite 2 z_g^2 keeps g^2 and 1/g^2 finite; otherwise the integrand
@@ -298,6 +303,7 @@ def bound_term(t, g: float):
     """Combined bound-state pair contribution ((g^2-1)/g^2) cos(z_g t); 0 for g <= 1."""
     zg, _ = z_gap(g)
     t = np.asarray(t, dtype=float)
+    _check_times(t)
     if g <= 1.0:
         return np.zeros(t.shape)[()]
     return (g * g - 1.0) / (g * g) * np.cos(zg * t)
@@ -403,11 +409,6 @@ def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     return (-np.real(i_plus) / g).astype(complex)
 
 
-def bessel_exact(t: float, g: float) -> complex:
-    """Exact Bessel-representation A_br at a single time (0 < g <= 1)."""
-    return complex(bessel_exact_grid(np.array([float(t)]), g)[0])
-
-
 def early_approx(t, g: float):
     """Short/intermediate-time two-edge approximation, valid t << T_Delta,
 
@@ -416,6 +417,7 @@ def early_approx(t, g: float):
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"early-time form requires 0 < g <= 1, got {g}")
     t = np.asarray(t, dtype=float)
+    _check_times(t)
     zg, dg = z_gap(g)
     j0, j1 = bessel_j01(2.0 * t)
     out = (1.0 / g) * ((g - 1.0) * np.cos(zg * t) + np.cos(dg * t) * j0 - np.sin(dg * t) * j1)
@@ -480,37 +482,6 @@ def res_pole_1d(params: ModelParams) -> tuple[float, float]:
     g = params.g
     amp = g * g * params.eps_d ** 2 / (1.0 + g * g) ** 4
     return amp, resonance_expansion(params).gamma
-
-
-def q_of_z(z: complex, g: float, w: float, sheet: SheetTag = SheetTag.First) -> complex:
-    """Compact chain polynomial Q(z) of the w-state resolvent at eps_d = 0.
-
-    Q = g^2 + sigma_1^2 (2g^2 - 2g^2 w z + g^2 sigma_1^2 - 2 w z + w^2 z^2);
-    for w = 1 this collapses to (1+g^2) z (z-2) sigma_1^2.  Together with a
-    bare sigma_1 chain term it reproduces the resolvent diagonal exactly at
-    eps_d = 0 (it absorbs a (z - Sigma) multiple of the chain background);
-    the detuning-safe split is :func:`a_w_resolvent`.
-    """
-    sig = sigma1(z, sheet)
-    sig2 = sig * sig
-    z = complex(z)
-    return g * g + sig2 * (2.0 * g * g - 2.0 * g * g * w * z
-                           + g * g * sig2 - 2.0 * w * z + w * w * z * z)
-
-
-def a_w_resolvent(z: complex, params: ModelParams, w: float,
-                  sheet: SheetTag = SheetTag.First) -> complex:
-    """Diagonal resolvent element of the generalized BIC-orthogonal state.
-
-    Evaluates N_w^2 (C0(z) + Q(z) G_dd(z)) from the chain Dyson algebra,
-    exact for any detuning; at eps_d = 0 this equals the compact form
-    N_w^2 (sigma_1 + q_of_z G_dd) identically.  Tends to 1/z at large |z|
-    by normalization.
-    """
-    sig = sigma1(z, sheet)
-    background, coupling = _chain_split(sig, params.g, w)
-    return w_norm_sq(params.g, w) * (
-        background + coupling * resolvent_dd(z, params, sheet))
 
 
 def _jump(z, sig_below, sig_above, g: float, eps_d: float, w: float):

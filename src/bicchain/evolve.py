@@ -215,16 +215,15 @@ def _miller_start(x: np.ndarray) -> np.ndarray:
     return np.where(x < 1.0, np.minimum(start, small), start).astype(int)
 
 
-def bessel_table(x: np.ndarray, k_max: int) -> np.ndarray:
+def bessel_table(x: np.ndarray, seeds: np.ndarray, k_max: int) -> np.ndarray:
     """J_k(x) for k = 0..k_max at each x >= 0, shape (len(x), k_max + 1).
 
     Miller's downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, seeded with
-    1 at each x's own :func:`_miller_start` and normalised by
-    J_0 + 2 sum_k J_{2k} = 1.  One loop runs down over k with the samples
-    as the vector axis.  Orders above a seed are returned as zero.
+    1 at each x's own order in ``seeds`` (:func:`_miller_start` of x) and
+    normalised by J_0 + 2 sum_k J_{2k} = 1.  One loop runs down over k with
+    the samples as the vector axis.  Orders above a seed are returned as zero.
     """
     x = np.asarray(x, dtype=float)
-    seeds = _miller_start(x)
     rows = int(seeds.max()) + 1
     two_over_x = np.divide(2.0, x, out=np.zeros_like(x), where=seeds > 0)
     # row k holds J_k; the two rows above the top seed stay zero
@@ -294,7 +293,7 @@ def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:
     step = MILLER_WORDS // 128  # a table of at most 76 rows below the seam
     for lo in range(0, len(low), step):
         idx = low[lo:lo + step]
-        table = bessel_table(ax[idx], 1)
+        table = bessel_table(ax[idx], _miller_start(ax[idx]), 1)
         j0[idx], j1[idx] = table[:, 0], table[:, 1]
     high = ~below  # and NaN
     if high.any():
@@ -317,7 +316,8 @@ def chebyshev_order(x_max: float, abs_tol: float) -> int:
     returns the seed order of the table.
     """
     x = np.array([x_max])
-    j = np.abs(bessel_table(x, int(_miller_start(x)[0]))[0])
+    seeds = _miller_start(x)
+    j = np.abs(bessel_table(x, seeds, int(seeds[0]))[0])
     tail = 2.0 * (np.cumsum(j[::-1])[::-1] - j)
     below = np.flatnonzero(tail < abs_tol)
     return int(below[0]) if len(below) else len(j) - 1
@@ -424,9 +424,10 @@ def _gram_weights(norms_sq: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndar
     return w_abs, w_cross
 
 
-def _norm_runs(x: np.ndarray, order: int) -> list[list[int]]:
+def _norm_runs(seeds: np.ndarray, order: int) -> list[list[int]]:
     """[columns, n_fft, start, stop] of the runs of rows of
-    ``bessel_table(x, order)``, x ascending, that share one norm transform.
+    ``bessel_table(x, seeds, order)``, x ascending, that share one norm
+    transform.
 
     A row is zero past its Miller seed, so the Gram identity holds on any
     leading columns that cover the seed.  The seed's count is rounded up to
@@ -436,11 +437,11 @@ def _norm_runs(x: np.ndarray, order: int) -> list[list[int]]:
     run whose own transform would save fewer than RUN_WORDS padded words
     joins the longer run above it.
     """
-    lengths = np.minimum(1 << np.frexp(_miller_start(x))[1], order + 1)
+    lengths = np.minimum(1 << np.frexp(seeds)[1], order + 1)
     starts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist()]
     values = lengths[starts].tolist()
     runs: list[list[int]] = []
-    for length, start, stop in zip(values[::-1], starts[::-1], [len(x), *starts[:0:-1]]):
+    for length, start, stop in zip(values[::-1], starts[::-1], [len(seeds), *starts[:0:-1]]):
         n_fft = 2 * _next_fast_len(length)
         if runs and (stop - start) * (runs[-1][1] - n_fft) < RUN_WORDS:
             runs[-1][2] = start
@@ -489,11 +490,13 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     norm_sq = np.empty(len(times))
     block = max(1, BLOCK_WORDS // (2 * _next_fast_len(order + 1)))
     wide = block * max(1, MILLER_WORDS // (block * (order + 1)))
-    runs = _norm_runs(half_width * times, order)
+    x = half_width * times
+    seeds = _miller_start(x)
+    runs = _norm_runs(seeds, order)
     gram = [_gram_weights(norms_sq[:length], n_fft) for length, n_fft, _, _ in runs]
     for lo in range(0, len(times), wide):
         hi = min(lo + wide, len(times))
-        coeffs = bessel_table(half_width * times[lo:hi], order)
+        coeffs = bessel_table(x[lo:hi], seeds[lo:hi], order)
         coeffs[:, 1:] *= 2.0
         samples[lo:hi] = (coeffs @ weights.view(float)).view(complex)
         for (length, n_fft, start, stop), (w_abs, w_cross) in zip(runs, gram):

@@ -143,11 +143,11 @@ ANALYTIC_HEADER = ["t", "value", "tag", "in_window"]
 def write_analytic_csv(path: str | Path, rows: list[tuple[float, float, str, int]],
                        meta: dict, meta_time: bool = False) -> None:
     """Analytic-curve CSV: t, value, tag, in_window (validity annotation)."""
-    lines = _meta_lines(meta, meta_time)
-    lines.append(",".join(ANALYTIC_HEADER))
-    for t, value, tag, in_window in rows:
-        lines.append(f"{format_number(t)},{format_number(value)},{tag},{int(in_window)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    ts, values, tags, in_window = zip(*rows) if rows else ((),) * 4
+    write_csv(path, ANALYTIC_HEADER,
+              [np.array(ts, dtype=float), np.array(values, dtype=float),
+               np.array(tags, dtype=str), np.array(in_window, dtype=int).astype(str)],
+              meta=meta, meta_time=meta_time)
 
 
 def read_analytic_csv(path: str | Path) -> tuple[dict, list[tuple[float, float, str, int]]]:

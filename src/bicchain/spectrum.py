@@ -189,27 +189,6 @@ def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
     return g * g * z * sig * sig
 
 
-def self_energy_quadrature(z: complex, g: float) -> complex:
-    """First-sheet Sigma(z) by direct quadrature of g^2 |V_k|^2 / (z - E_k).
-
-    Independent oracle for the closed form; V_k = -sqrt(2/pi) sin 2k and
-    E_k = -2 cos k.  Requires z off the band [-2, 2].
-    """
-    from scipy.integrate import quad  # test oracle only: keeps scipy.integrate off import
-
-    check_coupling(g)
-    z = complex(z)
-
-    def integrand(k: float) -> complex:
-        return (2.0 / math.pi) * math.sin(2.0 * k) ** 2 / (z + 2.0 * math.cos(k))
-
-    re, _ = quad(lambda k: integrand(k).real, 0.0, math.pi,
-                 limit=400, epsabs=1e-13, epsrel=1e-13)
-    im, _ = quad(lambda k: integrand(k).imag, 0.0, math.pi,
-                 limit=400, epsabs=1e-13, epsrel=1e-13)
-    return g * g * (re + 1j * im)
-
-
 def _self_energy_derivative(z: complex, g: float, sheet: SheetTag) -> complex:
     """d Sigma/dz = g^2 sigma_1^2 (1 - 2z/s) away from the branch points.
 

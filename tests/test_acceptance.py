@@ -25,9 +25,8 @@ from bicchain.closedform import (a_br_quadrature, a_w_rays, bessel_exact_grid,
                                  res_pole_perp, w_far_zone_coefficient)
 from bicchain.evolve import EvolveOptions, ProbabilitySeries, evolve, nonescape, survival
 from bicchain.model import ModelParams, bic_state, perp_state, w_state
-from bicchain.spectrum import (SheetTag, StateKind, discrete_spectrum,
-                               self_energy, self_energy_quadrature,
-                               timescales)
+from bicchain.spectrum import SheetTag, StateKind, discrete_spectrum, self_energy, timescales
+from oracles import self_energy_quadrature
 
 
 def _report(tag: str, ok: bool, detail: str = "") -> None:

@@ -13,14 +13,14 @@ from scipy.sparse.linalg import spsolve
 from bicchain import closedform
 from bicchain.closedform import (LAWS, ApproximationTag, DivergenceError, DomainError,
                                  Law, QuadratureError, a_br_quadrature, a_w_cut, a_w_rays,
-                                 a_w_resolvent, bessel_exact, bessel_exact_grid,
-                                 bound_term, early_approx, far_zone_coefficient,
-                                 far_zone_prob, near_zone_amp, near_zone_prob,
-                                 q_of_z, res_pole_1d, res_pole_perp, sigma1,
+                                 bessel_exact_grid, bound_term, early_approx,
+                                 far_zone_coefficient, far_zone_prob, near_zone_amp,
+                                 near_zone_prob, res_pole_1d, res_pole_perp, sigma1,
                                  w_far_zone, w_far_zone_coefficient,
                                  w_near_zone_g1, w_norm_sq)
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian, w_state
 from bicchain.spectrum import SheetTag, StateKind, discrete_spectrum, timescales, z_gap
+from oracles import a_w_resolvent, bessel_exact, q_of_z
 
 # ---------------------------------------------------------------------------
 # branch-cut quadrature
@@ -636,6 +636,20 @@ def test_routes_reject_non_finite_times(bad):
     for call in calls:
         with pytest.raises(InvalidParameterError, match="time t"):
             call()
+
+
+@pytest.mark.parametrize("law", [
+    lambda t: early_approx(t, 0.9), lambda t: near_zone_amp(t, 0.9),
+    lambda t: near_zone_prob(t, 0.9), lambda t: far_zone_prob(t, 0.9),
+    lambda t: w_far_zone(t, 0.9), w_near_zone_g1, lambda t: bound_term(t, 1.1),
+], ids=["early_approx", "near_zone_amp", "near_zone_prob", "far_zone_prob", "w_far_zone",
+        "w_near_zone_g1", "bound_term"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_laws_reject_non_finite_times(law, bad):
+    # as the quadrature routes do, instead of returning nan (or 0 at inf)
+    for t in (bad, np.array([1.0, bad])):
+        with pytest.raises(InvalidParameterError, match="time t"):
+            law(t)
 
 
 def test_rays_take_a_time_or_a_1d_array_of_times():

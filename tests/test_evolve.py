@@ -5,17 +5,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import fft, sparse
 from scipy.linalg import expm
 from scipy.special import jv
 
-from bicchain.closedform import a_br_quadrature, bessel_exact_grid, bound_term
+from bicchain.closedform import a_br_quadrature, a_w_cut, bessel_exact_grid, bound_term
 from bicchain.evolve import (HANKEL_SEAM, MAX_SITES, EvolveOptions, IntegratorError,
-                             ProbabilitySeries, _moments, _next_fast_len, _stencil, auto_sites,
-                             bessel_j01, bessel_table, chebyshev_order, evolve, nonescape,
-                             survival)
+                             ProbabilitySeries, _miller_start, _moments, _next_fast_len,
+                             _stencil, auto_sites, bessel_j01, bessel_table, chebyshev_order,
+                             evolve, nonescape, survival)
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
                             bic_state, hamiltonian, perp_state, spectral_bounds,
                             w_state)
@@ -210,7 +210,7 @@ def test_bessel_table_matches_scipy():
                          rng.permutation(np.geomspace(1e-3, 2500.0, 40))))
     k_max = chebyshev_order(3000.0, 1e-13)
     assert k_max > 3000
-    table = bessel_table(xs, k_max)
+    table = bessel_table(xs, _miller_start(xs), k_max)
     ref = jv(np.arange(k_max + 1)[None, :], xs[:, None])
     assert np.all(np.isfinite(table))
     assert np.max(np.abs(table - ref)) <= 1e-13
@@ -344,19 +344,17 @@ def test_norm_runs_match_one_full_length_transform(monkeypatch, g, eps_d, state,
     opts = EvolveOptions(t_max=t_max, n_samples=n_samples, grid=grid)
     evolve_module = importlib.import_module("bicchain.evolve")
     series = evolve(params, psi, opts)
-    runs = evolve_module._norm_runs(series.spectral_half_width * series.times,
-                                    series.cheb_terms)
+    seeds = evolve_module._miller_start(series.spectral_half_width * series.times)
+    runs = evolve_module._norm_runs(seeds, series.cheb_terms)
     assert len(runs) >= 3
     # the runs tile the grid, the longest at the latest times
     assert [r[3] for r in runs] == [n_samples] + [r[2] for r in runs[:-1]]
     assert runs[-1][2] == 0
     for length, n_fft, start, stop in runs:
-        seeds = evolve_module._miller_start(series.spectral_half_width * series.times[start:stop])
-        assert seeds.max() < length or length == series.cheb_terms + 1
+        assert seeds[start:stop].max() < length or length == series.cheb_terms + 1
     monkeypatch.setattr(evolve_module, "RUN_WORDS", 1 << 62)
     full = evolve(params, psi, opts)
-    assert len(evolve_module._norm_runs(full.spectral_half_width * full.times,
-                                        full.cheb_terms)) == 1
+    assert len(evolve_module._norm_runs(seeds, full.cheb_terms)) == 1
     for name in ("overlap", "amp_d", "amp_1"):
         assert np.array_equal(getattr(series, name), getattr(full, name))
     assert np.max(np.abs(series.norm - full.norm)) <= 5e-15
@@ -414,6 +412,30 @@ def test_property_overlap_matches_bessel_representation(g, t_max):
     ref = bessel_exact_grid(series.times, g)
     assert np.max(np.abs(series.overlap - ref)) <= 1e-8
     assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
+
+
+# g <= 1 follows from 2 g^2 <= 2 - |eps_d|; the near-threshold examples sit
+# on it and at the edges of the excluded window
+@given(g=st.floats(0.05, 1.0),
+       eps_d=st.one_of(st.just(0.0), st.floats(0.01, 1.5), st.floats(-1.5, -0.01)),
+       w=st.floats(-2.0, 2.0), t_max=st.floats(0.5, 60.0), grid=st.sampled_from(["linear", "log"]))
+@example(g=1.0, eps_d=0.0, w=0.0, t_max=60.0, grid="log")
+@example(g=math.sqrt(0.75), eps_d=0.5, w=1.0, t_max=60.0, grid="linear")
+@example(g=math.sqrt(0.75), eps_d=-0.5, w=-2.0, t_max=60.0, grid="log")
+@example(g=0.5, eps_d=-1.5, w=2.0, t_max=60.0, grid="linear")
+@example(g=0.9, eps_d=0.01, w=0.0, t_max=60.0, grid="log")
+@example(g=0.9, eps_d=-0.01, w=1.0, t_max=60.0, grid="linear")
+def test_property_overlap_matches_cut(g, eps_d, w, t_max, grid):
+    # Without a Bound state (2 g^2 <= 2 - |eps_d|) the branch cut is the
+    # whole amplitude, so the direct route must meet the cut at the
+    # three-route gate.  The quasi-BIC window 0 < |eps_d| < 0.01 is left
+    # out: there the cut rule misses the narrow resonance and loses its
+    # weight (test_w_cut_sum_rule_near_quasi_bic, xfailed).
+    assume(2.0 * g * g <= 2.0 - abs(eps_d))
+    params = ModelParams(g=g, eps_d=eps_d)
+    opts = EvolveOptions(t_max=t_max, n_samples=31, grid=grid)
+    series = evolve(params, w_state(g, w, 3), opts)
+    assert np.max(np.abs(series.overlap - a_w_cut(series.times, params, w))) <= 1e-6
 
 
 @given(g=st.floats(0.0, 3.0, exclude_min=True), eps_d=st.floats(-1.0, 1.0),

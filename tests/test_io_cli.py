@@ -239,6 +239,14 @@ def test_cli_compare_loads_no_scipy_for_the_bessel_route(tmp_path):
     assert "re_A_bessel" in (tmp_path / "c.csv").read_text()
 
 
+def test_only_the_csr_reference_names_scipy():
+    # scipy is a test extra: test oracles live in tests/oracles.py, and only
+    # model.py keeps the CSR reference Hamiltonian that tests and the
+    # benchmark build
+    modules = Path(bicchain.__file__).parent.glob("*.py")
+    assert sorted(p.name for p in modules if "scipy" in p.read_text()) == ["model.py"]
+
+
 def test_cli_near_pole_error_exits_numerical(tmp_path, monkeypatch):
     # a pole of the resolvent met in floating point is a numerical failure
     def near_pole(_params):

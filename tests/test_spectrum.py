@@ -13,9 +13,10 @@ from bicchain import closedform, spectrum
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian
 from bicchain.spectrum import (BranchPointError, NearPoleError, SheetTag,
                                StateKind, discrete_spectrum, resolvent_dd,
-                               resonance_expansion, self_energy,
-                               self_energy_quadrature, sigma1, spectrum_report,
-                               sqrt_band, timescales, wavevector, z_gap)
+                               resonance_expansion, self_energy, sigma1,
+                               spectrum_report, sqrt_band, timescales, wavevector,
+                               z_gap)
+from oracles import self_energy_quadrature
 
 FIRST, SECOND = SheetTag.First, SheetTag.Second
 
