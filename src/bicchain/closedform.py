@@ -27,11 +27,11 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   factors its phases into one exp per panel times fixed node factors.
 * ``a_w_rays`` -- band-edge ray deformation of the cut contour (eps_d = 0),
   exact for t >= ~1 at O(1) cost; the route of choice deep in the far zone.
-  One 330-node composite rule in v = sqrt(u t), the GL15 and GL30 rules
-  on geometric panels (GL15 on [0, 1e-11] and each decade up to 1e-6, GL30
-  on each decade up to 0.1 and on [0.1, 0.3], [0.3, 1] and [1, 6.5]),
-  built at import and the same at every t, is evaluated for a block of
-  times at once.
+  In x = sqrt(u) each ray is a Laplace transform of the t-independent jump.
+  One 1725-node composite rule in x, built at import from the GL15 and GL30
+  rules (GL15 on [0, 1e-16], GL30 on panels doubling from 1e-16 up to
+  ``RAY_X_MAX``), carries the jump, evaluated once per call; a block of
+  times then costs one real exp per (time, node) and one real matmul.
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes (for the cut,
 phase exps), so memory stays flat however long the time grid.  sigma_1 is
@@ -106,9 +106,8 @@ _GL_WEIGHTS = np.zeros((2, len(_GL_NODES)))
 _GL_WEIGHTS[0, :30], _GL_WEIGHTS[1, 30:] = _GL30[1], _GL15[1]
 
 #: Quadrature nodes evaluated per array block: 170 GL30 panels, 113 cut
-#: intervals or 15 ray times; cut phase exps, twice as many.  About
+#: intervals or 2 ray times; cut phase exps, twice as many.  About
 #: 80 KB per complex temporary, so the temporaries of a block stay in cache
-#: (on a 2-vCPU x86 host, 25 ray times per block ran 1.5x slower than 16)
 #: and a long grid does not raise the peak memory.
 BLOCK_NODES = 5120
 
@@ -535,34 +534,43 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     return out if ts.ndim else complex(out[0])
 
 
-#: upper end of the ray variable v = sqrt(u t), where e^{-v^2} < 5e-19
-RAY_V_MAX = 6.5
+#: Times the ray rule is built for: from RAY_T_MIN, where e^{-x^2 t} at
+#: RAY_X_MAX is below 1e-19, to RAY_T_MAX, where 1/sqrt(t) = 1e-10 still
+#: lies six decades above the first panel edge 1e-16.
+RAY_T_MIN, RAY_T_MAX = 0.5, 1e20
 
-#: Panel edges of the rays' rule in v: 0, each decade from 1e-11 to 0.1,
-#: 0.3, 1 and RAY_V_MAX.  As g -> 1 the virtual bound state nears the band
-#: edge and the integrand varies on the scale v ~ sqrt(Delta_g t), which
-#: geometric panels resolve at every t; [0.1, 1] is split at 0.3 because
-#: one GL30 panel there missed by 1.9e-13 at g = 0.82, t = 0.5.  Below
-#: v = 1e-6 the weight 2 v e^{-v^2} is so small that GL15 suffices.
-_RAY_EDGES = [0.0] + [10.0 ** k for k in range(-11, 0)] + [0.3, 1.0, RAY_V_MAX]
-_RAY_PANELS = [(a, b, _GL15 if b <= 1e-6 else _GL30) for a, b in zip(_RAY_EDGES, _RAY_EDGES[1:])]
-#: nodes and weights of the rays' composite Gauss rule on [0, RAY_V_MAX]
-_RAY_V = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b, (x, _) in _RAY_PANELS])
+#: upper end of the ray variable x = sqrt(u), where e^{-x^2 RAY_T_MIN} < 1e-19
+RAY_X_MAX = 9.5
+
+#: Panel edges of the rays' rule in x: 0, then 1e-16 doubling up to
+#: RAY_X_MAX.  The weight 2 x e^{-x^2 t} peaks at x = 1/sqrt(2t), and as
+#: g -> 1 the virtual bound state nears the band edge, where the jump varies
+#: on the scale x ~ sqrt(Delta_g); geometric panels resolve both at every
+#: t and g.  [0, 1e-16] adds about 1e-16 at most to either integral, so
+#: GL15 suffices there.
+_RAY_EDGES = [0.0] + [1e-16 * 2.0 ** k for k in range(57)] + [RAY_X_MAX]
+_RAY_PANELS = [(a, b, _GL15 if b <= 1e-16 else _GL30) for a, b in zip(_RAY_EDGES, _RAY_EDGES[1:])]
+#: nodes and weights of the rays' composite Gauss rule on [0, RAY_X_MAX]
+_RAY_X = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b, (x, _) in _RAY_PANELS])
 _RAY_W = np.concatenate([0.5 * (b - a) * w for a, b, (_, w) in _RAY_PANELS])
 
 
 def a_w_rays(t, params: ModelParams, w: float):
     """Survival amplitude (eps_d = 0) from band-edge ray deformation.
 
-    The cut integral is deformed onto the two rays descending from z = -/+2
-    into the lower half-plane, where the integrand decays like e^{-ut}; the
-    substitution u = v^2/t absorbs the edge square-root.  Exact (no poles
-    are crossed at eps_d = 0); the composite Gauss rule in v (``_RAY_V``,
-    the same at every t) keeps it within 1e-13 of the Bessel route for
+    The cut integral is deformed onto the two rays z = -/+2 - i u descending
+    from the band edges into the lower half-plane, where the integrand
+    decays like e^{-ut}; the substitution u = x^2 absorbs the edge
+    square-root and makes each ray a Laplace transform,
+    INT_0^RAY_X_MAX D(-/+2 - i x^2) 2 x e^{-x^2 t} dx.  The jump D does not
+    depend on t, so it is evaluated once per call on the composite Gauss
+    rule in x (``_RAY_X``), and a block of times then costs one real exp per
+    (time, node) and one real matmul.  Exact (no poles are crossed at
+    eps_d = 0); the rule keeps it within 1e-13 of the Bessel route for
     0.05 <= g <= 1, g -> 1 included, and within 2e-13 of the cut for
-    |w| <= 2 and 0.05 <= g <= 3, at t >= 0.5 and O(1) cost per time, which
-    makes it the far-zone route of choice.  ``t`` is a time or a 1-D array
-    of times.
+    |w| <= 2 and 0.05 <= g <= 3, at O(1) cost per time, which makes it the
+    far-zone route of choice.  ``t`` is a time or a 1-D array of times in
+    [RAY_T_MIN, RAY_T_MAX]; others raise :class:`DomainError`.
     """
     if params.eps_d != 0.0:
         raise InvalidParameterError(
@@ -570,32 +578,36 @@ def a_w_rays(t, params: ModelParams, w: float):
             "it is restricted to eps_d = 0 (use a_w_cut for eps_d != 0)")
     g = params.g
     nw2 = w_norm_sq(g, w)
-    v = _RAY_V
-    weights = _RAY_W * 2.0 * v * np.exp(-v * v)
-
-    def disc_lower(z: np.ndarray) -> np.ndarray:
-        # the second sheet continues the from-above value; its reciprocal is
-        # the first-sheet value below the cut
-        sig_above = sigma1(z, SheetTag.Second)
-        return _jump(z, 1.0 / sig_above, sig_above, g, 0.0, w)
-
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise InvalidParameterError(
             f"t must be a time or a 1-D array of times, got shape {ts.shape}")
     _check_times(ts)
-    if np.any(ts < 0.5):
-        raise DomainError("ray deformation is intended for t >= ~1; got t < 0.5")
-    out = np.empty(ts.shape, dtype=complex)
-    step = max(BLOCK_NODES // len(v), 1)
+    if np.any(ts < RAY_T_MIN):
+        raise DomainError("ray deformation is intended for t >= ~1; "
+                          f"got t = {ts[ts < RAY_T_MIN][0]} < {RAY_T_MIN:g}")
+    if np.any(ts > RAY_T_MAX):
+        raise DomainError(f"the ray rule resolves t <= {RAY_T_MAX:g}; "
+                          f"got t = {ts[ts > RAY_T_MAX][0]}")
+    x2 = _RAY_X * _RAY_X
+    weights = _RAY_W * 2.0 * _RAY_X
+
+    def weighted_jump(z: np.ndarray) -> np.ndarray:
+        # the second sheet continues the from-above value; its reciprocal is
+        # the first-sheet value below the cut
+        sig_above = sigma1(z, SheetTag.Second)
+        return weights * _jump(z, 1.0 / sig_above, sig_above, g, 0.0, w)
+
+    # the t-independent part of each ray integral, once per call
+    lower, upper = weighted_jump(-2.0 - 1j * x2), weighted_jump(2.0 - 1j * x2)
+    jumps = np.column_stack((lower.real, lower.imag, upper.real, upper.imag))
+    sums = np.empty((len(ts), 4))
+    step = max(BLOCK_NODES // len(x2), 1)
     for lo in range(0, len(ts), step):
-        tb = ts[lo:lo + step]
-        u = v * v / tb[:, None]
-        lower = disc_lower(-2.0 - 1j * u) @ weights
-        upper = disc_lower(2.0 - 1j * u) @ weights
-        out[lo:lo + step] = (nw2 / (2j * math.pi)) * (
-            -1j * np.exp(2j * tb) * lower / tb
-            + 1j * np.exp(-2j * tb) * upper / tb)
+        sums[lo:lo + step] = np.exp(-ts[lo:lo + step, None] * x2) @ jumps
+    out = (nw2 / (2j * math.pi)) * (
+        -1j * np.exp(2j * ts) * (sums[:, 0] + 1j * sums[:, 1])
+        + 1j * np.exp(-2j * ts) * (sums[:, 2] + 1j * sums[:, 3]))
     return out if np.ndim(t) else complex(out[0])
 
 

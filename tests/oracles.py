@@ -4,7 +4,8 @@ The self-energy quadrature is independent of the package.  The other
 oracles are built on its run-path pieces (``sigma1``, ``_chain_split``,
 ``resolvent_dd``, ``w_norm_sq`` and ``bessel_exact_grid``), so a test that
 checks them against the CSR solve, the large-z limit or an identity checks
-those pieces too.
+those pieces too.  The ray oracles take sigma_1 from principal square roots
+instead of ``sigma1`` and integrate on a rule of their own.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from bicchain.closedform import bessel_exact_grid
+from bicchain.closedform import _GL15, _GL30, bessel_exact_grid
 from bicchain.model import ModelParams, check_coupling
 from bicchain.spectrum import _chain_split, resolvent_dd, sigma1, w_norm_sq
 
@@ -69,3 +70,41 @@ def a_w_resolvent(z: complex, params: ModelParams, w: float) -> complex:
 def bessel_exact(t: float, g: float) -> complex:
     """Exact Bessel-representation A_br at a single time (0 < g <= 1)."""
     return complex(bessel_exact_grid(np.array([float(t)]), g)[0])
+
+
+def ray_jump(z: np.ndarray, g: float, w: float) -> np.ndarray:
+    """Below-minus-above jump of C0 + Q G_dd at eps_d = 0 on the rays below
+    the band edges, with the first-sheet sigma_1 below the cut written as
+    (z - sqrt(z - 2) sqrt(z + 2))/2 and its reciprocal above."""
+    s = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)
+    sig_below = (z - s) / 2.0
+    out = 0j * z
+    for sig, sign in ((sig_below, -1.0), (1.0 / sig_below, +1.0)):
+        background, coupling = _chain_split(sig, g, w)
+        g_dd = 1.0 / (z - g * g * z * sig * sig)
+        out -= sign * (background + coupling * g_dd)
+    return out
+
+
+#: Panel edges of the v-rule: 0, each decade from 1e-11 to 0.1, 0.3, 1 and
+#: 6.5 (where e^{-v^2} < 5e-19); GL15 up to 1e-6 and GL30 above.
+_V_EDGES = [0.0] + [10.0 ** k for k in range(-11, 0)] + [0.3, 1.0, 6.5]
+_V_PANELS = [(a, b, _GL15 if b <= 1e-6 else _GL30) for a, b in zip(_V_EDGES, _V_EDGES[1:])]
+_V = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b, (x, _) in _V_PANELS])
+_V_W = np.concatenate([0.5 * (b - a) * w for a, b, (_, w) in _V_PANELS])
+
+
+def a_w_rays_v_rule(t: float, g: float, w: float) -> complex:
+    """Ray-deformation amplitude (eps_d = 0) at one time, on a 330-node
+    composite rule in v = sqrt(u t).
+
+    Independent oracle for ``a_w_rays``: its nodes move with t (u = v^2/t),
+    where the package's rule in x = sqrt(u) is fixed, and each ray integral
+    is INT_0^6.5 D(-/+2 - i v^2/t) 2 v e^{-v^2} dv / t.
+    """
+    weights = _V_W * 2.0 * _V * np.exp(-_V * _V)
+    u = _V * _V / t
+    lower = np.dot(weights, ray_jump(-2.0 - 1j * u, g, w))
+    upper = np.dot(weights, ray_jump(2.0 - 1j * u, g, w))
+    return complex((w_norm_sq(g, w) / (2j * math.pi)) * (
+        -1j * np.exp(2j * t) * lower / t + 1j * np.exp(-2j * t) * upper / t))

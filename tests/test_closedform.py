@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from bicchain.closedform import (LAWS, ApproximationTag, DivergenceError, Domain
                                  w_near_zone_g1, w_norm_sq)
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian, w_state
 from bicchain.spectrum import SheetTag, StateKind, discrete_spectrum, timescales, z_gap
-from oracles import a_w_resolvent, bessel_exact, q_of_z
+from oracles import a_w_rays_v_rule, a_w_resolvent, bessel_exact, q_of_z, ray_jump
 
 # ---------------------------------------------------------------------------
 # branch-cut quadrature
@@ -530,26 +531,15 @@ def _cut_integral_ref(h, t, abs_tol):
 
 
 def _rays_ref(ts, g, w):
-    v = closedform._RAY_V
-    weights = closedform._RAY_W * 2.0 * v * np.exp(-v * v)
-
-    def disc_lower(z):
-        s = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)
-        sig_below = (z - s) / 2.0
-        out = 0j * z
-        for sig, sign in ((sig_below, -1.0), (1.0 / sig_below, +1.0)):
-            background, coupling = closedform._chain_split(sig, g, w)
-            g_dd = 1.0 / (z - g * g * z * sig * sig)
-            out -= sign * (background + coupling * g_dd)
-        return out
-
+    x = closedform._RAY_X
+    weights = closedform._RAY_W * 2.0 * x
     out = []
     for t in ts:
-        u = v * v / t
-        lower = np.dot(weights, disc_lower(-2.0 - 1j * u))
-        upper = np.dot(weights, disc_lower(2.0 - 1j * u))
+        kernel = weights * np.exp(-x * x * t)
+        lower = np.dot(kernel, ray_jump(-2.0 - 1j * x * x, g, w))
+        upper = np.dot(kernel, ray_jump(2.0 - 1j * x * x, g, w))
         out.append((w_norm_sq(g, w) / (2j * math.pi)) * (
-            -1j * np.exp(2j * t) * lower / t + 1j * np.exp(-2j * t) * upper / t))
+            -1j * np.exp(2j * t) * lower + 1j * np.exp(-2j * t) * upper))
     return np.array(out)
 
 
@@ -572,20 +562,23 @@ def test_bessel_tail_matches_quadrature_oracle(g):
 
 
 def test_ray_rule_tiles_and_integrates_the_edge_moments():
-    # the panels cover [0, RAY_V_MAX] end to end, and the nodes ascend inside it
+    # the panels cover [0, RAY_X_MAX] end to end, and the nodes ascend inside it
     panels = closedform._RAY_PANELS
-    assert panels[0][0] == 0.0 and panels[-1][1] == closedform.RAY_V_MAX
+    assert panels[0][0] == 0.0 and panels[-1][1] == closedform.RAY_X_MAX
     assert all(b == a_next for (_, b, _), (a_next, _, _) in zip(panels[:-1], panels[1:]))
-    v, w = closedform._RAY_V, closedform._RAY_W
-    assert len(v) == sum(len(rule[0]) for _, _, rule in panels)
-    assert np.all(np.diff(v) > 0) and v[0] > 0 and v[-1] < closedform.RAY_V_MAX
+    x, w = closedform._RAY_X, closedform._RAY_W
+    assert len(x) == sum(len(rule[0]) for _, _, rule in panels)
+    assert np.all(np.diff(x) > 0) and x[0] > 0 and x[-1] < closedform.RAY_X_MAX
     assert np.all(w > 0)
-    # INT_0^V 2 v^(2m+1) e^{-v^2} dv is the lower incomplete gamma(m + 1, V^2);
-    # at V = RAY_V_MAX it is m! to a relative 1e-18 for m = 0, 2.9e-9 for m = 10
-    vmax2 = closedform.RAY_V_MAX ** 2
-    for m in range(11):
-        moment = np.sum(w * 2.0 * v ** (2 * m + 1) * np.exp(-v * v))
-        assert moment == pytest.approx(float(mpmath.gammainc(m + 1, 0, vmax2)), rel=1e-14)
+    # INT_0^X 2 x^(2m+1) e^{-x^2 t} dx is the lower incomplete gamma(m + 1, X^2 t)
+    # over t^(m + 1): the Laplace kernel at every scale 1/sqrt(t) the rule serves
+    xmax2 = closedform.RAY_X_MAX ** 2
+    for t in (0.5, 1.0, 7.3, 100.0, 3000.0, 1e6, 1e10, closedform.RAY_T_MAX):
+        kernel = w * 2.0 * x * np.exp(-x * x * t)
+        for m in range(11):
+            moment = np.sum(kernel * x ** (2 * m))
+            exact = float(mpmath.gammainc(m + 1, 0, xmax2 * t) / mpmath.mpf(t) ** (m + 1))
+            assert moment == pytest.approx(exact, rel=1e-14)
 
 
 @pytest.mark.parametrize("g", [0.5, 0.98, 1.0])
@@ -594,6 +587,41 @@ def test_rays_match_per_time_loop(g):
     for w in (0.0, 1.0):
         ref = _rays_ref(ts, g, w)
         assert np.max(np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref)) <= 1e-14
+
+
+@given(g=st.floats(0.05, 3.0), w=st.floats(-2.0, 2.0), t=st.floats(0.5, 3000.0))
+@example(g=0.05, w=-2.0, t=0.5)
+@example(g=3.0, w=2.0, t=3000.0)
+@example(g=1.0, w=1.0, t=0.5)
+def test_property_rays_match_v_rule_oracle(g, w, t):
+    # the rule in x = sqrt(u), fixed, against the rule in v = sqrt(u t), which
+    # moves with t
+    assert abs(a_w_rays(t, ModelParams(g=g), w) - a_w_rays_v_rule(t, g, w)) <= 2e-13
+
+
+@pytest.mark.parametrize("g", [0.05, 0.5, 0.98, 1.0 - 1e-12, 1.0, 1.5, 3.0])
+def test_rays_match_v_rule_oracle_to_the_largest_time(g):
+    # Near a band edge the jump is the difference of two nearly equal sides,
+    # so both routes lose digits as the weight e^{-x^2 t} moves to x ~ 1/sqrt(t):
+    # relative to the amplitude they agree to about 1.6e-14 sqrt(t), which
+    # the rule's edge moments (exact to 1e-14 out to RAY_T_MAX) do not limit
+    ts = np.geomspace(3e3, closedform.RAY_T_MAX, 40)
+    for w in (-2.0, 0.0, 1.0, 2.0):
+        ref = np.array([a_w_rays_v_rule(t, g, w) for t in ts])
+        rel = np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref) / np.abs(ref)
+        assert np.max(rel / np.sqrt(ts)) <= 1e-13
+
+
+def test_rays_refuse_times_outside_the_rule():
+    params = ModelParams(g=0.9)
+    assert np.all(np.isfinite(a_w_rays(np.array([0.5, closedform.RAY_T_MAX]), params, 1.0)))
+    for bad in (0.3, np.array([1.0, 0.49, 0.2])):
+        with pytest.raises(DomainError, match=r"got t = 0\.(3|49) < 0\.5"):
+            a_w_rays(bad, params, 1.0)
+    above = float(np.nextafter(closedform.RAY_T_MAX, math.inf))
+    for bad in (above, np.array([1.0, above, 1e30])):
+        with pytest.raises(DomainError, match=re.escape(f"t <= 1e+20; got t = {above!r}")):
+            a_w_rays(bad, params, 1.0)
 
 
 @pytest.mark.parametrize("g, eps_d, w", [(0.5, 0.0, 0.0), (0.9, 0.2, 1.0), (0.98, -0.3, 2.0),
@@ -705,9 +733,17 @@ def test_property_cut_matches_rays(t, g, w):
     assert abs(a_w_cut(t, params, w) - a_w_rays(t, params, w)) <= 1e-8
 
 
+@given(g=st.floats(0.05, 3.0), w=st.floats(-2.0, 2.0), t=st.floats(0.5, 60.0))
+@example(g=0.05, w=-2.0, t=0.5)
+@example(g=0.05, w=-2.0, t=60.0)
+def test_property_tight_cut_matches_rays(g, w, t):
+    params = ModelParams(g=g)
+    assert abs(a_w_cut(t, params, w, abs_tol=1e-13) - a_w_rays(t, params, w)) <= 2e-13
+
+
 def test_rays_near_band_edge_virtual_state():
     # the virtual bound state sits Delta_g = (1 - g)^2/g = 1e-8 below the band
-    # edge, so the integrand in v varies on the scale sqrt(Delta_g t) <= 8e-4
+    # edge, so the jump in x varies on the scale sqrt(Delta_g) = 1e-4
     ts = np.array([1.0, 10.0, 60.0])
     err = np.abs(a_w_rays(ts, ModelParams(g=0.9999), 0.0) - bessel_exact_grid(ts, 0.9999))
     assert np.max(err) <= 1e-13
