@@ -5,7 +5,8 @@ oracles are built on its run-path pieces (``sigma1``, ``_chain_split``,
 ``resolvent_dd``, ``w_norm_sq`` and ``bessel_exact_grid``), so a test that
 checks them against the CSR solve, the large-z limit or an identity checks
 those pieces too.  The ray oracles take sigma_1 from principal square roots
-instead of ``sigma1`` and integrate on a rule of their own.
+instead of ``sigma1`` and integrate on a rule of their own.  The GL30 Bessel
+tail takes J_1 from ``bessel_j01`` at every node of the package's panel grid.
 """
 
 import math
@@ -13,7 +14,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from bicchain.closedform import _GL15, _GL30, bessel_exact_grid
+from bicchain.closedform import _GL15, _GL30, _panel_width, bessel_exact_grid
+from bicchain.evolve import bessel_j01
 from bicchain.model import ModelParams, check_coupling
 from bicchain.spectrum import _chain_split, resolvent_dd, sigma1, w_norm_sq
 
@@ -108,3 +110,26 @@ def a_w_rays_v_rule(t: float, g: float, w: float) -> complex:
     upper = np.dot(weights, ray_jump(2.0 - 1j * u, g, w))
     return complex((w_norm_sq(g, w) / (2j * math.pi)) * (
         -1j * np.exp(2j * t) * lower / t + 1j * np.exp(-2j * t) * upper / t))
+
+
+def bessel_tail_gl30(ts: np.ndarray, zg: float) -> np.ndarray:
+    """INT_0^t e^{i z_g tau} J_1(2 tau)/tau d tau at each time of an ascending
+    grid, by the tail's former route: GL30 sums over the panels of width
+    ``_panel_width(zg)``, accumulated, plus one GL30 panel per time from its
+    panel edge to the time itself, with J_1 from ``bessel_j01`` at every
+    node.  No interpolation, Hankel phase factoring or blocking."""
+    x, w = _GL30
+    width = _panel_width(zg)
+    j = np.floor(ts / width)
+    j -= j * width > ts
+
+    def gl30(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        half = 0.5 * (b - a)
+        tau = half[:, None] * x + 0.5 * (a + b)[:, None]
+        _, j1 = bessel_j01(2.0 * tau)
+        f = np.where(tau > 1e-12, j1 / np.maximum(tau, 1e-12), 1.0)  # J_1(2 tau)/tau -> 1
+        return half * ((f * np.exp(1j * zg * tau)) @ w)
+
+    edges = np.arange(int(j[-1]) + 1) * width
+    cum = np.concatenate(([0j], np.cumsum(gl30(edges[:-1], edges[1:]))))
+    return cum[j.astype(int)] + gl30(j * width, ts)

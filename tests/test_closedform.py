@@ -21,7 +21,8 @@ from bicchain.closedform import (LAWS, ApproximationTag, DivergenceError, Domain
                                  w_near_zone_g1, w_norm_sq)
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian, w_state
 from bicchain.spectrum import SheetTag, StateKind, discrete_spectrum, timescales, z_gap
-from oracles import a_w_rays_v_rule, a_w_resolvent, bessel_exact, q_of_z, ray_jump
+from oracles import (a_w_rays_v_rule, a_w_resolvent, bessel_exact, bessel_tail_gl30, q_of_z,
+                     ray_jump)
 
 # ---------------------------------------------------------------------------
 # branch-cut quadrature
@@ -561,6 +562,76 @@ def test_bessel_tail_matches_quadrature_oracle(g):
     assert abs(complex(exact) - closedform._bessel_tail(np.array([0.1, t]), zg)[1]) <= 1e-15
 
 
+def _tail_grid(g, t_max, n, seed):
+    """Ascending grid to t_max: n random times, five panel edges, the Hankel
+    seam 2 tau = 25 at and just off it, a repeated time, t = 0 and t_max."""
+    width = closedform._panel_width(z_gap(g)[0])
+    rng = np.random.default_rng(seed)
+    ts = np.concatenate((rng.uniform(0.0, t_max, n),
+                         width * rng.integers(0, int(t_max / width) + 1, 5),
+                         [0.0, 12.49999, 12.5, 13.0000001, 13.0000001, t_max]))
+    return np.sort(ts[ts <= t_max])
+
+
+@given(g=st.floats(0.05, 1.0), t_max=st.floats(0.5, 3000.0), n=st.integers(1, 1500),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(g=0.05, t_max=3000.0, n=1500, seed=0)
+@example(g=1.0, t_max=12.5, n=1500, seed=1)
+@example(g=0.1, t_max=20.0, n=1400, seed=2)
+def test_property_bessel_tail_matches_gl30_oracle(g, t_max, n, seed):
+    # the partial panels from their panels' node values against a GL30 panel
+    # per time; the examples put more than PARTIAL_TIMES times in one call
+    zg, _ = z_gap(g)
+    ts = _tail_grid(g, t_max, n, seed)
+    tail = closedform._bessel_tail(ts, zg)
+    assert np.max(np.abs(tail - bessel_tail_gl30(ts, zg))) <= 2e-15
+
+
+def test_partial_weights_end_in_the_gl30_weights_and_integrate_monomials():
+    x, w = closedform._GL30
+    ends = closedform._partial_weights(np.array([-1.0, 1.0]))
+    assert np.all(ends[0] == 0.0)
+    assert np.all(np.abs(ends[1] - w) <= np.spacing(w))
+    # numpy's GL30 weights are up to 1400 ulp off the exact Gauss weights, so
+    # GL30 itself integrates x^m over [-1, 1] only to about 5e-15; the partial
+    # weights end in them, so that share, (1 + x)/2 of it, is taken out
+    xs = np.random.default_rng(7).uniform(-1.0, 1.0, 400)
+    beta = closedform._partial_weights(xs)
+    for m in range(30):
+        full = (1.0 - (-1.0) ** (m + 1)) / (m + 1)
+        gl30_error = np.sum(w * x ** m) - full
+        assert abs(gl30_error) <= 5e-15
+        exact = (xs ** (m + 1) - (-1.0) ** (m + 1)) / (m + 1)
+        assert np.max(np.abs(beta @ x ** m - exact - 0.5 * (1.0 + xs) * gl30_error)) <= 1e-15
+
+
+@pytest.mark.parametrize("g, t_max", [(0.98, 3000.0), (0.005, 200.0)])
+def test_bessel_tail_evaluates_blocks_of_nodes(monkeypatch, g, t_max):
+    # a 10^5-time grid: no node evaluation, Miller table or Hankel series,
+    # holds more than BLOCK_NODES nodes, and no block of partial weights
+    # gathers more than 4 BLOCK_NODES node values; at g = 0.005 the 250
+    # panels below the seam take two blocks
+    sizes = {"bessel_table": [], "hankel_pq": [], "_partial_weights": []}
+
+    def spy(name, arg):
+        real = getattr(closedform, name)
+
+        def wrapped(*args):
+            sizes[name].append(np.size(args[arg]))
+            return real(*args)
+        monkeypatch.setattr(closedform, name, wrapped)
+
+    spy("bessel_table", 0)
+    spy("hankel_pq", 1)
+    spy("_partial_weights", 0)
+    ts = np.linspace(0.0, t_max, 100_000)
+    assert np.all(np.isfinite(bessel_exact_grid(ts, g)))
+    assert all(sizes.values())
+    assert max(sizes["bessel_table"] + sizes["hankel_pq"]) <= closedform.BLOCK_NODES
+    assert 30 * max(sizes["_partial_weights"]) <= 4 * closedform.BLOCK_NODES
+    assert sum(sizes["_partial_weights"]) == len(ts)
+
+
 def test_ray_rule_tiles_and_integrates_the_edge_moments():
     # the panels cover [0, RAY_X_MAX] end to end, and the nodes ascend inside it
     panels = closedform._RAY_PANELS
@@ -584,6 +655,16 @@ def test_ray_rule_tiles_and_integrates_the_edge_moments():
 @pytest.mark.parametrize("g", [0.5, 0.98, 1.0])
 def test_rays_match_per_time_loop(g):
     ts = np.geomspace(1.0, 2000.0, 70)  # more than two blocks of times
+    for w in (0.0, 1.0):
+        ref = _rays_ref(ts, g, w)
+        assert np.max(np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("g", [0.5, 0.98, 1.0])
+def test_rays_window_matches_full_rule_on_unsorted_times(g):
+    # blocks of unsorted times out to RAY_T_MAX: each block's window of live
+    # nodes spans its smallest and largest time
+    ts = np.array([1.0, 1e20, 3.0, 1e6, 1.5, 2000.0, 1e12, 1.0, 40.0, 1e3, 7.0, 2.5e15])
     for w in (0.0, 1.0):
         ref = _rays_ref(ts, g, w)
         assert np.max(np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref)) <= 1e-14
