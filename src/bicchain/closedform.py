@@ -6,9 +6,10 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   resolvent N_w^2 (C0 + Q G_dd), from the chain Dyson algebra, reduced to a
   real integral over k in [0, pi] (z = -2 cos k); works for any detuning.
   One call takes a whole ascending time grid: the adaptive Gauss rule runs
-  on half-period pieces of exp(2 i t_max cos k), bisects level by level,
-  evaluates the t-independent jump once per node and carries the times as
-  an array axis (``_cut_integral``).  The discontinuity sign is pinned by
+  on two-period pieces of exp(2 i t_max cos k), bisects level by level
+  until every time's summed error estimate meets the tolerance, evaluates
+  the t-independent jump once per node and carries the times as an array
+  axis (``_cut_integral``).  The discontinuity sign is pinned by
   the t = 0 sum rule: at eps_d = 0 the cut carries the full norm for
   g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the rest).
   ``a_br_quadrature`` is this route for the perp state (w = 0, eps_d = 0)
@@ -217,17 +218,22 @@ def _rule_sums(weighted: np.ndarray, c2: np.ndarray, ts: np.ndarray, stride: int
 def _cut_integral(h, ts: np.ndarray, abs_tol: float) -> np.ndarray:
     """INT_0^pi h(k) exp(2 i t cos k) dk at every time of an ascending grid ts.
 
-    The phase 2 t_max cos k is split at multiples of pi, so each piece holds
-    at most half an oscillation at every t <= t_max; each piece starts as an
-    open interval with an equal share of ``abs_tol``.  Level by level, h is
-    evaluated once per node of every open interval, on the GL30 and GL15
-    nodes together, and a matmul with the phase exp(2 i t cos k) forms both
-    rules at every time.  An interval whose error estimate max_t |GL30 -
-    GL15| is below its tolerance, or that has been bisected MAX_DEPTH times,
-    is accepted with its GL30 values; the others are bisected, each half
-    with half the tolerance.  A non-finite error estimate raises at once,
-    since bisection cannot repair it; a time whose accepted error estimates
-    sum to more than ``abs_tol`` raises after the last level.
+    The phase 2 t_max cos k is split at multiples of 4 pi, so each piece
+    holds at most two oscillations at every t <= t_max; each piece starts
+    as an open interval with an equal share of ``abs_tol``.  Level by level,
+    h is evaluated once per node of every open interval, on the GL30 and
+    GL15 nodes together, and a matmul with the phase exp(2 i t cos k) forms
+    both rules at every time.  After a level, once the error estimates
+    |GL30 - GL15| of the accepted and the still-open intervals sum to at
+    most ``abs_tol`` at every time, the open intervals are accepted with
+    their GL30 values and the rule stops (QUADPACK's global acceptance
+    test, Piessens et al. 1983).  Otherwise an interval whose estimate
+    max_t |GL30 - GL15| is below its share, or that has been bisected
+    MAX_DEPTH times, is accepted with its GL30 values, and the others are
+    bisected, each half with half the share.  A non-finite error estimate
+    raises at once, since bisection cannot repair it; a time whose accepted
+    error estimates sum to more than ``abs_tol`` raises after the last
+    level.
 
     On an evenly spaced grid a node costs one complex exp per PHASE_STRIDE
     times (``_rule_sums``); other grids, and a single time, use a stride of
@@ -242,9 +248,9 @@ def _cut_integral(h, ts: np.ndarray, abs_tol: float) -> np.ndarray:
     # integrand at eps_d = 0 is never sampled
     pts = [0.0, 0.5 * math.pi, math.pi]
     if t_max > 0:
-        j_max = int(math.floor(2.0 * t_max / math.pi))
+        j_max = int(math.floor(t_max / (2.0 * math.pi)))
         for j in range(-j_max, j_max + 1):
-            c = 0.5 * j * math.pi / t_max
+            c = 2.0 * j * math.pi / t_max
             if -1.0 < c < 1.0:
                 pts.append(math.acos(c))
     edges = np.unique(np.asarray(pts))
@@ -264,6 +270,7 @@ def _cut_integral(h, ts: np.ndarray, abs_tol: float) -> np.ndarray:
     err_total = np.zeros(n_t)
     for depth in range(MAX_DEPTH + 1):
         done = np.empty(len(a), dtype=bool)
+        sum_open = np.zeros(n_t, dtype=complex)
         err_open = np.zeros(n_t)
         for lo in range(0, len(a), h_block):
             a_h, b_h = a[lo:lo + h_block], b[lo:lo + h_block]
@@ -282,8 +289,11 @@ def _cut_integral(h, ts: np.ndarray, abs_tol: float) -> np.ndarray:
                 done[i:i + len(ok)] = ok
                 total += np.sum(sums[ok, 0], axis=0)
                 err_total += np.sum(err[ok], axis=0)
+                sum_open += np.sum(sums[~ok, 0], axis=0)
                 err_open += np.sum(err[~ok], axis=0)
-        if done.all():
+        if done.all() or np.all(err_total + err_open <= abs_tol):
+            total += sum_open
+            err_total += err_open
             break
         a, b, tol = a[~done], b[~done], tol[~done]
         if 2 * len(a) > MAX_OPEN:
@@ -619,8 +629,11 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     [0, pi].  Valid for any detuning; bound-state poles are not included
     and must be added by the caller when present.  ``t`` is a time or an
     ascending grid of times >= 0; one call integrates every time at once
-    (``_cut_integral``), each to within ``abs_tol``.
+    (``_cut_integral``), each to a summed error estimate of at most
+    ``abs_tol``, which must be finite and positive.
     """
+    if not (math.isfinite(abs_tol) and abs_tol > 0):
+        raise InvalidParameterError(f"abs_tol must be finite and positive, got {abs_tol}")
     ts = np.asarray(t, dtype=float)
     _check_times(ts)
     if np.any(ts < 0):

@@ -731,6 +731,34 @@ def test_cut_integral_bounds_open_intervals(monkeypatch):
         closedform._cut_integral(lambda k: np.cos(k) ** 2, np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize("g, eps_d, t_max, n, most", [(0.9, 0.0, 50.0, 101, 16),
+                                                      (0.7, 0.0, 80.0, 81, 26)])
+def test_cut_integral_work_at_compare_shapes(monkeypatch, g, eps_d, t_max, n, most):
+    # two-oscillation pieces and the global stop; half-period pieces, each
+    # accepted on its own share of abs_tol, evaluate 64 and 102 intervals here
+    evaluated = []
+    rule_sums = closedform._rule_sums
+
+    def spy(weighted, *args):
+        evaluated.append(len(weighted))
+        return rule_sums(weighted, *args)
+
+    monkeypatch.setattr(closedform, "_rule_sums", spy)
+    a_w_cut(np.linspace(0.0, t_max, n), ModelParams(g=g, eps_d=eps_d), 0.0)
+    assert sum(evaluated) <= most
+
+
+@pytest.mark.parametrize("ts", [np.geomspace(0.5, 3000.0, 80)[::8], np.array([1387.87])],
+                         ids=["geomspace", "single"])
+def test_tight_cut_meets_its_tolerance_at_long_times(ts):
+    # abs_tol split evenly over the pieces left each a share below the
+    # round-off of its own GL30 - GL15 at t_max = 1387.87: the grid raised
+    # QuadratureError with a summed estimate of 2.8e-14, the single time took 35 s
+    params = ModelParams(g=0.7)
+    cut = a_w_cut(ts, params, -2.0, abs_tol=1e-13)
+    assert np.max(np.abs(cut - a_w_rays(ts, params, -2.0))) <= 2e-13
+
+
 # ---------------------------------------------------------------------------
 # input validation at the boundary
 
@@ -798,6 +826,18 @@ def test_cut_routes_reject_malformed_grids(bad):
         a_w_cut(bad, ModelParams(g=0.9), 0.0)
 
 
+@pytest.mark.parametrize("abs_tol", [-1.0, 0.0, math.nan, math.inf])
+def test_cut_routes_reject_bad_tolerance(monkeypatch, abs_tol):
+    # refused before any quadrature (exit 2): a tolerance that is never met
+    # bisected to the last level before QuadratureError, and inf accepted
+    # the first level unchecked
+    monkeypatch.setattr(closedform, "_cut_integral", lambda *args: pytest.fail("integrated"))
+    for call in (lambda: a_w_cut(np.array([1.0, 2.0]), ModelParams(g=0.9), 0.5, abs_tol),
+                 lambda: a_br_quadrature(1.0, 0.9, abs_tol)):
+        with pytest.raises(InvalidParameterError, match="abs_tol"):
+            call()
+
+
 @pytest.mark.parametrize("g", [1e-160, 1e-300, 1e155])
 def test_abr_rejects_unrepresentable_coupling(g):
     # z_g^2 = (g + 1/g)^2 overflows: the integrand or its tolerance vanishes
@@ -814,9 +854,10 @@ def test_property_cut_matches_rays(t, g, w):
     assert abs(a_w_cut(t, params, w) - a_w_rays(t, params, w)) <= 1e-8
 
 
-@given(g=st.floats(0.05, 3.0), w=st.floats(-2.0, 2.0), t=st.floats(0.5, 60.0))
+@given(g=st.floats(0.05, 3.0), w=st.floats(-2.0, 2.0), t=st.floats(0.5, 3000.0))
 @example(g=0.05, w=-2.0, t=0.5)
 @example(g=0.05, w=-2.0, t=60.0)
+@example(g=0.05, w=-2.0, t=3000.0)
 def test_property_tight_cut_matches_rays(g, w, t):
     params = ModelParams(g=g)
     assert abs(a_w_cut(t, params, w, abs_tol=1e-13) - a_w_rays(t, params, w)) <= 2e-13
@@ -876,17 +917,20 @@ def test_property_w_cut_sum_rule(g, eps_d, w):
 
 @given(g=st.floats(0.05, 3.0),
        eps_d=st.one_of(st.just(0.0), st.floats(0.01, 1.5), st.floats(-1.5, -0.01)),
-       w=st.floats(-2.0, 2.0), t_max=st.floats(0.1, 60.0), n=st.integers(2, 40),
+       w=st.floats(-2.0, 2.0), t_max=st.floats(0.1, 600.0), n=st.integers(2, 40),
        even=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 # a level with more intervals open than one block of 75 holds
+@example(g=0.0625, eps_d=0.015625, w=0.0, t_max=600.0, n=3, even=False, seed=0)
+# near the sampled window's quasi-BIC edge, where bisection runs 21 levels deep
 @example(g=0.0625, eps_d=0.015625, w=0.0, t_max=1.0, n=3, even=False, seed=0)
 def test_property_w_cut_grid_matches_per_time(g, eps_d, w, t_max, n, even, seed):
     # Evenly spaced grids take the phase stride M = 16, uneven ones M = 1.
     # The quasi-BIC window 0 < |eps_d| < 0.01 is left out, where the rule
     # misses the resonance (test_w_cut_sum_rule_near_quasi_bic).  A grid call
-    # splits k at the half-periods of t_max, a per-time call at those of t,
-    # so each is only as close to the integral as its abs_tol: at the default
-    # 1e-9 they differ by 1.1e-10 at g = 2.8125, eps_d = 0.25, t = 0.
+    # splits k where 2 t_max cos k crosses a multiple of 4 pi, a per-time
+    # call where 2 t cos k does, so each is only as close to the integral as
+    # its abs_tol: at the default 1e-9 they differ by up to 1.1e-12 over 40
+    # random grids to t_max = 600.
     if even:
         ts = np.linspace(0.0, t_max, n)
     else:
