@@ -217,12 +217,16 @@ def _cmd_compare(args) -> int:
         "fits": _compare_fits(params, survival(series), nonescape(series)),
         "meta": {"tool_version": __version__},
     }
+    # <out>.csv and <out>.json: only a .csv or .json suffix is dropped
+    # first, so a dotted name such as cmp_g0.9 keeps its dot
     out = Path(args.out)
+    if out.suffix in (".csv", ".json"):
+        out = out.with_suffix("")
     meta = {"g": params.g, "eps_d": params.eps_d, "t_max": args.tmax,
             "n_samples": series.options.n_samples, "tool_version": __version__}
-    io.write_csv(out.with_suffix(".csv"), header, columns, meta=meta,
+    io.write_csv(out.with_name(out.name + ".csv"), header, columns, meta=meta,
                  meta_time=not args.no_meta_time)
-    io.write_json(out.with_suffix(".json"), report)
+    io.write_json(out.with_name(out.name + ".json"), report)
     return 0
 
 

@@ -1,10 +1,12 @@
 import argparse
 import importlib
 import inspect
+import json
 import math
 import os
 import pkgutil
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +70,58 @@ def test_json_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# in-place rewrites
+
+WRITERS = {
+    "csv": lambda path: io.write_csv(path, ["t", "v"], [np.array([0.5, 1.5]),
+                                                        np.array([2.0, -1.0])]),
+    "json": lambda path: io.write_json(path, {"a": [1, 2]}),
+}
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_rewrite_of_a_longer_file_holds_only_the_new_bytes(tmp_path, kind):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    WRITERS[kind](fresh)
+    old.write_bytes(b"x" * 10_000)
+    inode = old.stat().st_ino
+    WRITERS[kind](old)
+    assert old.read_bytes() == fresh.read_bytes()
+    assert old.stat().st_ino == inode
+
+
+def test_writers_never_open_with_o_trunc(tmp_path, monkeypatch):
+    # truncating on open frees the old blocks, which costs about ten times
+    # the rewrite itself on ext4
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):  # create, then rewrite
+        for kind, write in WRITERS.items():
+            write(tmp_path / kind)
+    assert len(flags) == 4
+    assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_new_file_gets_the_bytes_and_mode_of_write_text(tmp_path):
+    doc = {"b": [1.5, -2.0], "a": "x"}
+    old_umask = os.umask(0o027)
+    try:
+        (tmp_path / "reference").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        io.write_json(tmp_path / "new", doc)
+    finally:
+        os.umask(old_umask)
+    ref, new = (tmp_path / "reference").stat(), (tmp_path / "new").stat()
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "reference").read_bytes()
+    assert stat.S_IMODE(new.st_mode) == stat.S_IMODE(ref.st_mode) == 0o640
+
+
+# ---------------------------------------------------------------------------
 # spectrum command
 
 def test_cli_spectrum_bound_regime(tmp_path):
@@ -106,6 +160,28 @@ def test_cli_spectrum_at_strong_coupling(tmp_path, g, eps_d):
     kinds = sorted(s["kind"] for s in io.read_json(out)["states"])
     assert kinds == (["BIC", "Bound", "Bound"] if eps_d == 0.0
                      else ["AntiResonance", "Bound", "Bound", "Resonance"])
+
+
+@pytest.mark.skipif(not Path(os.devnull).is_char_device(), reason="no null device")
+def test_cli_writes_to_the_null_device():
+    assert run_cli("spectrum", "--g", "0.9", "--out", os.devnull) == 0
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+def test_cli_writes_json_to_a_piped_stdout():
+    run = subprocess.run([sys.executable, "-m", "bicchain.cli", "spectrum", "--g", "0.9",
+                          "--out", "/dev/stdout", "--no-meta-time"],
+                         capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["meta"] == {"tool_version": bicchain.__version__}
+
+
+@pytest.mark.parametrize("target", ["existing_dir", "missing_dir/s.json"])
+def test_cli_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, target):
+    (tmp_path / "existing_dir").mkdir()
+    out = str(tmp_path / target)
+    assert run_cli("spectrum", "--g", "0.9", "--out", out) == 2
+    assert out in capsys.readouterr().err
 
 
 def test_cli_spectrum_invalid_params(tmp_path):
@@ -640,6 +716,21 @@ def test_cli_analytic_log_grid_ascends_to_tmax(tmp_path, tmax):
 
 # ---------------------------------------------------------------------------
 # compare command
+
+def test_cli_compare_keeps_dots_in_out(tmp_path):
+    for g in ("0.9", "0.7"):
+        assert run_cli("compare", "--g", g, "--tmax", "5", "--samples", "11",
+                       "--out", str(tmp_path / f"cmp_g{g}"), "--no-meta-time") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cmp_g0.7.csv", "cmp_g0.7.json", "cmp_g0.9.csv", "cmp_g0.9.json"]
+
+
+@pytest.mark.parametrize("out", ["cmp", "cmp.csv", "cmp.json"])
+def test_cli_compare_drops_only_its_own_suffix(tmp_path, out):
+    assert run_cli("compare", "--g", "0.9", "--tmax", "5", "--samples", "11",
+                   "--out", str(tmp_path / out), "--no-meta-time") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cmp.csv", "cmp.json"]
+
 
 def test_cli_compare_three_routes(tmp_path):
     base = tmp_path / "cmp"
