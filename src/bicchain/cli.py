@@ -27,6 +27,7 @@ call to parse instead of about 1.5 ms to build the parser.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
@@ -182,7 +183,20 @@ def _compare_fits(params: ModelParams, p_perp, p_1d) -> dict:
     return fits
 
 
+def _compare_stem(spec: str) -> Path:
+    """The <out> of compare's <out>.csv and <out>.json.  Only a .csv or
+    .json suffix is dropped, so a dotted name such as cmp_g0.9 keeps its
+    dot; a name that is empty, ends in a separator or names an existing
+    directory is refused."""
+    out = Path(spec)
+    if not out.name or spec.endswith(("/", os.sep)) or out.is_dir():
+        raise InvalidParameterError(
+            f"compare --out must name a file stem, not a directory: {spec!r}")
+    return out.with_suffix("") if out.suffix in (".csv", ".json") else out
+
+
 def _cmd_compare(args) -> int:
+    out = _compare_stem(args.out)
     params = ModelParams(g=args.g, eps_d=args.eps_d)
     series, label = _run_evolution(params, "perp", _evolve_options(args, "linear"))
     ts = series.times
@@ -217,11 +231,6 @@ def _cmd_compare(args) -> int:
         "fits": _compare_fits(params, survival(series), nonescape(series)),
         "meta": {"tool_version": __version__},
     }
-    # <out>.csv and <out>.json: only a .csv or .json suffix is dropped
-    # first, so a dotted name such as cmp_g0.9 keeps its dot
-    out = Path(args.out)
-    if out.suffix in (".csv", ".json"):
-        out = out.with_suffix("")
     meta = {"g": params.g, "eps_d": params.eps_d, "t_max": args.tmax,
             "n_samples": series.options.n_samples, "tool_version": __version__}
     io.write_csv(out.with_name(out.name + ".csv"), header, columns, meta=meta,

@@ -372,7 +372,7 @@ def _tail_integrand(tau: np.ndarray, zg: float) -> np.ndarray:
     Hankel seam (2 tau < 27), J_1 from one Miller table (``evolve.bessel_table``)
     over all of them."""
     x = 2.0 * tau.ravel()
-    j1 = bessel_table(x, _miller_start(x), 1)[:, 1].reshape(tau.shape)
+    j1 = bessel_table(x, _miller_start(x), 1)[1].reshape(tau.shape)
     out = np.ones_like(tau)
     m = tau > 1e-12  # J_1(2 tau)/tau -> 1
     out[m] = j1[m] / tau[m]

@@ -14,16 +14,19 @@ tridiagonal stencil (:func:`_stencil`), and v_k is kept only on the first
 moments the observables need, as in the kernel polynomial method (Weisse
 et al., Rev. Mod. Phys. 78, 275 (2006)): <psi0|v_k>, the components of v_k
 on |d> and |1>, and <v_k|v_k>.  Each sample is then a contraction of these
-moments with a Bessel table J_k(at), built by Miller's downward recurrence.
-The norm of the represented state follows exactly from the moments through
-the Toeplitz-plus-Hankel Gram identity T_j T_k = (T_{j+k} + T_{|j-k|})/2,
-evaluated with numpy's real FFT.  A table row is zero past its Miller
-seed, so its transform takes only the leading columns that cover the seed,
-rounded up to a power of two, at its own shorter FFT length
-(:func:`_norm_runs`); on a log grid most rows are far shorter than K.
+moments with a Bessel table J_k(at), built by Miller's downward recurrence
+and kept in the recurrence's own buffer: row k holds J_k at every sample
+of a block, so the samples are read from one buffer with no transposed
+copy.  The norm of the represented state follows exactly from the moments
+through the Toeplitz-plus-Hankel Gram identity
+T_j T_k = (T_{j+k} + T_{|j-k|})/2, evaluated with numpy's real FFT down
+the table's columns.  A sample's column is zero past its Miller seed, so
+its transform takes only the leading rows that cover the seed, rounded up
+to a power of two, at its own shorter FFT length (:func:`_norm_runs`); on
+a log grid most columns are far shorter than K.
 The module needs numpy alone.
 :func:`bessel_j01` gives J_0 and J_1 alone to the quadrature routes: the
-table's first two columns below x = 25 and Hankel's expansion above.
+table's first two rows below x = 25 and Hankel's expansion above.
 
 The model is the semi-infinite chain, and [b - a, b + a] encloses its
 spectrum (:func:`bicchain.model.spectral_bounds`).  A matrix element
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,7 +63,7 @@ MAX_PHASE = 2 * MAX_SITES
 
 #: samples per block are chosen so that one block's zero-padded Bessel
 #: table holds at most this many float64 words, or one sample when a single
-#: row is longer (a working set of about 2 MB)
+#: sample's padded column is longer (a working set of about 2 MB)
 BLOCK_WORDS = 1 << 15
 
 #: a run of Bessel-table rows gets its own, shorter norm transform only when
@@ -95,6 +99,10 @@ class EvolveOptions:
     ``abs_tol``, in (0, 1e-6], is the one accuracy setting: it bounds the
     norm of the dropped part of the Chebyshev series, whose order is the
     smallest K with 2 sum_{k>K} |J_k(a t_max)| below it.
+
+    ``n_samples`` and an integer ``n_sites`` must be integers in the sense
+    of ``operator.index`` (numpy integers pass and are stored as int); a
+    float, even an integral one, raises :class:`InvalidParameterError`.
     """
 
     t_max: float
@@ -106,8 +114,7 @@ class EvolveOptions:
     def __post_init__(self) -> None:
         if not (self.t_max > 0 and np.isfinite(self.t_max)):
             raise InvalidParameterError(f"t_max must be positive, got {self.t_max}")
-        if self.n_samples < 2:
-            raise InvalidParameterError(f"n_samples must be >= 2, got {self.n_samples}")
+        object.__setattr__(self, "n_samples", _count("n_samples", self.n_samples, 2))
         if not (0 < self.abs_tol <= 1e-6):
             raise InvalidParameterError(f"abs_tol must be in (0, 1e-6], got {self.abs_tol}")
         if self.grid not in ("linear", "log"):
@@ -115,14 +122,25 @@ class EvolveOptions:
         if isinstance(self.n_sites, str):
             if self.n_sites != "auto":
                 raise InvalidParameterError(f"n_sites must be an integer or 'auto', got {self.n_sites!r}")
-        elif self.n_sites < 3:
-            raise InvalidParameterError(f"n_sites must be >= 3, got {self.n_sites}")
+        else:
+            object.__setattr__(self, "n_sites", _count("n_sites", self.n_sites, 3))
 
     def times(self) -> np.ndarray:
         if self.grid == "linear":
             return np.linspace(0.0, self.t_max, self.n_samples)
         ts = np.geomspace(log_grid_start(self.t_max), self.t_max, self.n_samples - 1)
         return np.concatenate(([0.0], ts))
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value``, an integer by ``operator.index``, as an int of at least ``least``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def log_grid_start(t_max: float) -> float:
@@ -216,28 +234,29 @@ def _miller_start(x: np.ndarray) -> np.ndarray:
 
 
 def bessel_table(x: np.ndarray, seeds: np.ndarray, k_max: int) -> np.ndarray:
-    """J_k(x) for k = 0..k_max at each x >= 0, shape (len(x), k_max + 1).
+    """J_k(x) for k = 0..k_max at each x >= 0, shape (k_max + 1, len(x)).
 
     Miller's downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, seeded with
     1 at each x's own order in ``seeds`` (:func:`_miller_start` of x) and
     normalised by J_0 + 2 sum_k J_{2k} = 1.  One loop runs down over k with
-    the samples as the vector axis.  Orders above a seed are returned as zero.
+    the samples as the vector axis, so row k holds J_k; the rows are those
+    of the recurrence's own buffer, normalised in place.  Orders above a seed
+    are returned as zero.
     """
     x = np.asarray(x, dtype=float)
     rows = int(seeds.max()) + 1
     two_over_x = np.divide(2.0, x, out=np.zeros_like(x), where=seeds > 0)
-    # row k holds J_k; the two rows above the top seed stay zero
-    sol = np.zeros((rows + 2, len(x)))
+    # the two rows above the top seed, and any up to k_max, stay zero
+    sol = np.zeros((max(rows + 2, k_max + 1), len(x)))
     sol[seeds, np.arange(len(x))] = 1.0
     row = list(sol)
     for k in range(rows - 1, -1, -1):
         row[k] += (k + 1) * two_over_x * row[k + 1]
         row[k] -= row[k + 2]
     scale = sol[0] + 2.0 * sol[2:rows:2].sum(axis=0)
-    table = np.zeros((len(x), k_max + 1))
-    kept = min(rows, k_max + 1)
-    np.divide(sol[:kept].T, scale[:, None], out=table[:, :kept])
-    return table
+    kept = sol[:min(rows, k_max + 1)]
+    np.divide(kept, scale, out=kept)
+    return sol[:k_max + 1]
 
 
 #: |x| below which :func:`bessel_j01` takes J_0 and J_1 from
@@ -280,7 +299,7 @@ def hankel_pq(nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:
     """J_0(x) and J_1(x) at each real x, to within about 1e-15 absolute.
 
-    Below |x| = HANKEL_SEAM they are columns 0 and 1 of :func:`bessel_table`
+    Below |x| = HANKEL_SEAM they are rows 0 and 1 of :func:`bessel_table`
     (in blocks of about MILLER_WORDS table words), at and above it Hankel's
     expansion (:func:`hankel_pq`) with cos and sin of x itself, so no
     rounded x - pi/4 enters.  J_0 is even and J_1 odd in x.
@@ -294,7 +313,7 @@ def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, len(low), step):
         idx = low[lo:lo + step]
         table = bessel_table(ax[idx], _miller_start(ax[idx]), 1)
-        j0[idx], j1[idx] = table[:, 0], table[:, 1]
+        j0[idx], j1[idx] = table[0], table[1]
     high = ~below  # and NaN
     if high.any():
         xh = ax[high]
@@ -317,7 +336,7 @@ def chebyshev_order(x_max: float, abs_tol: float) -> int:
     """
     x = np.array([x_max])
     seeds = _miller_start(x)
-    j = np.abs(bessel_table(x, seeds, int(seeds[0]))[0])
+    j = np.abs(bessel_table(x, seeds, int(seeds[0]))[:, 0])
     tail = 2.0 * (np.cumsum(j[::-1])[::-1] - j)
     below = np.flatnonzero(tail < abs_tol)
     return int(below[0]) if len(below) else len(j) - 1
@@ -338,30 +357,40 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _stencil(params: ModelParams, center: float, half_width: float,
-             n_rows: int) -> Callable[[np.ndarray], np.ndarray]:
+def _stencil(params: ModelParams, center: float, half_width: float, n_rows: int,
+             dtype: np.dtype) -> Callable[[np.ndarray], np.ndarray]:
     """2H' = (2/a)(H - b) on the n_rows-entry chain vector as a light-cone stencil.
 
-    The returned map takes the first m >= 3 entries of a vector followed by
-    a zero, and returns the first min(m + 1, n_rows) entries of 2H' times
-    it, again followed by a zero.  The chain part is one real convolution
-    with the bond stencil, over the (re, im) pairs of a complex vector; the
-    trailing zero keeps every entry in the convolution's interior, where it
-    sums three products in column order as a CSR product does.  The rows of
-    |d> (eps_d, and -g to |2>), |1> (no bond to |d>) and |2> (the -g bond)
-    are then written out in the same order.
+    The returned map takes the first m >= 3 entries of a ``dtype`` vector
+    followed by a zero, and returns the first min(m + 1, n_rows) entries of
+    2H' times it, again followed by a zero.  The chain part is one real
+    correlation with the bond stencil, which is symmetric and so gives its
+    convolution, over the (re, im) pairs of a complex vector; the trailing
+    zero keeps every entry in the correlation's interior, where it sums
+    three products in column order as a CSR product does.  The rows of |d>
+    (eps_d, and -g to |2>), |1> (no bond to |d>) and |2> (the -g bond) are
+    then written out in the same order, from Python numbers.
     """
     c = 2.0 / half_width
-    kernel = np.array([-c, -c * center, -c])
-    kernels = {np.dtype(float): kernel, np.dtype(complex): np.insert(kernel, [1, 2], 0.0)}
+    bond, diag = -c, -c * center
     d_diag, d_bond = c * (params.eps_d - center), c * params.g
+    if dtype == complex:
+        kernel = np.array([bond, 0.0, diag, 0.0, bond])
+
+        def chain(v: np.ndarray) -> np.ndarray:
+            return np.correlate(v.view(float), kernel, "full").view(complex)
+    else:
+        kernel = np.array([bond, diag, bond])
+
+        def chain(v: np.ndarray) -> np.ndarray:
+            return np.correlate(v, kernel, "full")
 
     def apply(v: np.ndarray) -> np.ndarray:
-        full = np.convolve(v.view(float), kernels[v.dtype]).view(v.dtype)
-        out = full[1:min(len(v), n_rows) + 2]
-        out[0] = d_diag * v[0] - d_bond * v[2]
-        out[1] = kernel[1] * v[1] + kernel[2] * v[2]
-        out[2] = -d_bond * v[0] + kernel[0] * v[1] + kernel[1] * v[2] + kernel[2] * v[3]
+        out = chain(v)[1:min(len(v), n_rows) + 2]
+        v0, v1, v2, v3 = v[:4].tolist()
+        out[0] = d_diag * v0 - d_bond * v2
+        out[1] = diag * v1 + bond * v2
+        out[2] = -d_bond * v0 + bond * v1 + diag * v2 + bond * v3
         out[-1] = 0.0  # the new trailing zero, or the amplitude beyond the wall
         return out
 
@@ -371,20 +400,23 @@ def _stencil(params: ModelParams, center: float, half_width: float,
 def _moments(h2: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray, order: int):
     """Moments of v_k = T_k(H') psi0 for k <= order, with h2 applying 2H'.
 
-    h2 is a :func:`_stencil`; v_k lives on the first (support + k) entries,
-    where the support runs to psi0's last nonzero entry (at least |2>), and
-    carries one trailing zero.
+    h2 is a :func:`_stencil` of psi0's dtype; v_k lives on the first
+    (support + k) entries, where the support runs to psi0's last nonzero
+    entry (at least |2>), and carries one trailing zero.  Each step keeps
+    v_k's entries on the support, and its trailing zero, as one row of a
+    head array.
     Returns <psi0|v_k>, the components (v_k[0], v_k[1]) and <v_k|v_k>.
     """
-    overlaps = np.empty(order + 1, dtype=psi0.dtype)
-    sites = np.empty((order + 1, 2), dtype=psi0.dtype)
-    norms_sq = np.empty(order + 1)
     support = max(3, int(np.flatnonzero(psi0)[-1]) + 1)
     psi0 = np.append(psi0[:support], 0.0)
+    overlaps = np.empty(order + 1, dtype=psi0.dtype)
+    head = np.empty((order + 1, support + 1), dtype=psi0.dtype)
+    norms_sq = np.empty(order + 1)
     v_prev, v = psi0, psi0
     for k in range(order + 1):
-        overlaps[k] = np.vdot(psi0, v[:support + 1])
-        sites[k] = v[:2]
+        first = v[:support + 1]
+        head[k] = first
+        overlaps[k] = np.vdot(psi0, first)
         norms_sq[k] = np.vdot(v, v).real
         if k == 0:
             v = 0.5 * h2(v)
@@ -392,7 +424,7 @@ def _moments(h2: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray, order: in
             v_next = h2(v)
             v_next[:len(v_prev)] -= v_prev
             v_prev, v = v, v_next
-    return overlaps, sites, norms_sq
+    return overlaps, head[:, :2], norms_sq
 
 
 def _gram_weights(norms_sq: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,15 +457,15 @@ def _gram_weights(norms_sq: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndar
 
 
 def _norm_runs(seeds: np.ndarray, order: int) -> list[list[int]]:
-    """[columns, n_fft, start, stop] of the runs of rows of
+    """[rows, n_fft, start, stop] of the runs of columns (samples) of
     ``bessel_table(x, seeds, order)``, x ascending, that share one norm
     transform.
 
-    A row is zero past its Miller seed, so the Gram identity holds on any
-    leading columns that cover the seed.  The seed's count is rounded up to
+    A column is zero past its Miller seed, so the Gram identity holds on
+    any leading rows that cover the seed.  The seed's count is rounded up to
     a power of two (at most order + 1), which keeps the distinct lengths,
     and so the weight sets, logarithmic in the order; the seed rises with
-    x, so each length's rows form one run.  Going down from the longest, a
+    x, so each length's columns form one run.  Going down from the longest, a
     run whose own transform would save fewer than RUN_WORDS padded words
     joins the longer run above it.
     """
@@ -460,9 +492,11 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     Chebyshev recurrence of order ``cheb_terms``, the lowest whose Bessel
     tail at t_max is below ``opts.abs_tol`` (see the module docstring).
     ``norm`` is the exact norm of the represented state, not an error bound.
-    Bessel tables are built for blocks of about ``MILLER_WORDS`` entries and
-    transformed in blocks of about ``BLOCK_WORDS`` padded entries, so memory
-    stays O(n_sites + K) beyond the outputs.
+    Bessel tables are built for blocks of samples of about ``MILLER_WORDS``
+    entries, one buffer per block with a row per order, and the samples and
+    norms are read from its rows and columns in place: the norm transforms
+    take its columns in blocks of about ``BLOCK_WORDS`` padded entries, so
+    memory stays O(n_sites + K) beyond the outputs.
     ``light_cone_margin`` = 2N - 2 - K; for a state on {|d>, |1>, |2>} the
     samples are those of the semi-infinite chain when it is positive, which
     auto-sized chains always are.  Otherwise the output's
@@ -471,7 +505,7 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     recurrence raises :class:`IntegratorError`.
     """
     center, half_width, order = _expansion(params, opts.t_max, opts.abs_tol)
-    n = auto_sites(order) if opts.n_sites == "auto" else int(opts.n_sites)
+    n = auto_sites(order) if opts.n_sites == "auto" else opts.n_sites
     if initial.n_sites > n:
         raise InvalidParameterError(
             f"initial state has {initial.n_sites} sites, more than the {n}-site chain")
@@ -479,7 +513,7 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     if not psi0.imag.any():
         psi0 = psi0.real  # H is real: a real state keeps the recurrence real
     times = opts.times()
-    overlaps, sites, norms_sq = _moments(_stencil(params, center, half_width, n + 1),
+    overlaps, sites, norms_sq = _moments(_stencil(params, center, half_width, n + 1, psi0.dtype),
                                          psi0, order)
     if not np.all(np.isfinite(norms_sq)):
         raise IntegratorError("Chebyshev recurrence produced non-finite moments", 0.0)
@@ -497,13 +531,15 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     for lo in range(0, len(times), wide):
         hi = min(lo + wide, len(times))
         coeffs = bessel_table(x[lo:hi], seeds[lo:hi], order)
-        coeffs[:, 1:] *= 2.0
-        samples[lo:hi] = (coeffs @ weights.view(float)).view(complex)
+        coeffs[1:] *= 2.0
+        samples[lo:hi] = (coeffs.T @ weights.view(float)).view(complex)
         for (length, n_fft, start, stop), (w_abs, w_cross) in zip(runs, gram):
             step = max(1, BLOCK_WORDS // n_fft)
             for at in range(max(start, lo), min(stop, hi), step):
                 end = min(at + step, stop, hi)
-                spec = np.fft.rfft(coeffs[at - lo:end - lo, :length], n=n_fft, axis=1)
+                # one row per sample, as the weights contract it
+                spec = np.ascontiguousarray(
+                    np.fft.rfft(coeffs[:length, at - lo:end - lo], n=n_fft, axis=0).T)
                 cross = spec * np.conj(spec[:, ::-1])
                 norm_sq[at:end] = (spec.view(float) ** 2) @ w_abs + cross.view(float) @ w_cross
     samples *= np.exp(-1j * center * times)[:, None]

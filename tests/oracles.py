@@ -7,6 +7,8 @@ checks them against the CSR solve, the large-z limit or an identity checks
 those pieces too.  The ray oracles take sigma_1 from principal square roots
 instead of ``sigma1`` and integrate on a rule of their own.  The GL30 Bessel
 tail takes J_1 from ``bessel_j01`` at every node of the package's panel grid.
+The sample-major Bessel table and the per-step moment recurrence are the
+direct route's former forms, which the current ones must match bit for bit.
 """
 
 import math
@@ -133,3 +135,62 @@ def bessel_tail_gl30(ts: np.ndarray, zg: float) -> np.ndarray:
     edges = np.arange(int(j[-1]) + 1) * width
     cum = np.concatenate(([0j], np.cumsum(gl30(edges[:-1], edges[1:]))))
     return cum[j.astype(int)] + gl30(j * width, ts)
+
+
+def bessel_table_sample_major(x: np.ndarray, seeds: np.ndarray, k_max: int) -> np.ndarray:
+    """J_k(x) for k = 0..k_max at each x >= 0, shape (len(x), k_max + 1): the
+    former ``evolve.bessel_table``, which ran the same Miller recurrence and
+    normalised it into a second, transposed array."""
+    x = np.asarray(x, dtype=float)
+    rows = int(seeds.max()) + 1
+    two_over_x = np.divide(2.0, x, out=np.zeros_like(x), where=seeds > 0)
+    sol = np.zeros((rows + 2, len(x)))
+    sol[seeds, np.arange(len(x))] = 1.0
+    row = list(sol)
+    for k in range(rows - 1, -1, -1):
+        row[k] += (k + 1) * two_over_x * row[k + 1]
+        row[k] -= row[k + 2]
+    scale = sol[0] + 2.0 * sol[2:rows:2].sum(axis=0)
+    table = np.zeros((len(x), k_max + 1))
+    kept = min(rows, k_max + 1)
+    np.divide(sol[:kept].T, scale[:, None], out=table[:, :kept])
+    return table
+
+
+def moments_per_step(params: ModelParams, center: float, half_width: float, n_rows: int,
+                     psi0: np.ndarray, order: int):
+    """<psi0|v_k>, (v_k[0], v_k[1]) and <v_k|v_k> for k <= order by the
+    former recurrence step: the stencil picks its kernel by dtype at every
+    step and writes the |d>, |1> and |2> rows from numpy scalars, and each
+    step stores (v_k[0], v_k[1]) on its own."""
+    c = 2.0 / half_width
+    kernel = np.array([-c, -c * center, -c])
+    kernels = {np.dtype(float): kernel, np.dtype(complex): np.insert(kernel, [1, 2], 0.0)}
+    d_diag, d_bond = c * (params.eps_d - center), c * params.g
+
+    def h2(v: np.ndarray) -> np.ndarray:
+        full = np.convolve(v.view(float), kernels[v.dtype]).view(v.dtype)
+        out = full[1:min(len(v), n_rows) + 2]
+        out[0] = d_diag * v[0] - d_bond * v[2]
+        out[1] = kernel[1] * v[1] + kernel[2] * v[2]
+        out[2] = -d_bond * v[0] + kernel[0] * v[1] + kernel[1] * v[2] + kernel[2] * v[3]
+        out[-1] = 0.0
+        return out
+
+    overlaps = np.empty(order + 1, dtype=psi0.dtype)
+    sites = np.empty((order + 1, 2), dtype=psi0.dtype)
+    norms_sq = np.empty(order + 1)
+    support = max(3, int(np.flatnonzero(psi0)[-1]) + 1)
+    psi0 = np.append(psi0[:support], 0.0)
+    v_prev, v = psi0, psi0
+    for k in range(order + 1):
+        overlaps[k] = np.vdot(psi0, v[:support + 1])
+        sites[k] = v[:2]
+        norms_sq[k] = np.vdot(v, v).real
+        if k == 0:
+            v = 0.5 * h2(v)
+        elif k < order:
+            v_next = h2(v)
+            v_next[:len(v_prev)] -= v_prev
+            v_prev, v = v, v_next
+    return overlaps, sites, norms_sq

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from bicchain.evolve import (HANKEL_SEAM, MAX_SITES, EvolveOptions, IntegratorEr
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
                             bic_state, hamiltonian, perp_state, spectral_bounds,
                             w_state)
+from oracles import bessel_table_sample_major, moments_per_step
 
 
 def test_auto_sites_formula():
@@ -44,6 +46,22 @@ def test_auto_sites_refusal():
         auto_sites(2 * MAX_SITES)
     with pytest.raises(InvalidParameterError, match="quadrature"):
         evolve(ModelParams(g=1.3), perp_state(1.3, 2), EvolveOptions(t_max=1e6))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_sites", 3.5), ("n_sites", 7.0), ("n_sites", math.nan), ("n_sites", "7"),
+    ("n_sites", True), ("n_samples", 2.5), ("n_samples", 11.0), ("n_samples", math.inf),
+    ("n_samples", None), ("n_samples", False)])
+def test_options_refuse_sizes_that_are_not_integers(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        EvolveOptions(t_max=5.0, **{field: value})
+
+
+def test_options_take_numpy_integers_as_ints():
+    opts = EvolveOptions(t_max=5.0, n_samples=np.int64(11), n_sites=np.int32(7))
+    assert (opts.n_samples, opts.n_sites) == (11, 7)
+    assert type(opts.n_samples) is int and type(opts.n_sites) is int
+    assert evolve(ModelParams(g=0.9), perp_state(0.9, 2), opts).n_sites == 7
 
 
 def test_options_validation():
@@ -211,9 +229,24 @@ def test_bessel_table_matches_scipy():
     k_max = chebyshev_order(3000.0, 1e-13)
     assert k_max > 3000
     table = bessel_table(xs, _miller_start(xs), k_max)
-    ref = jv(np.arange(k_max + 1)[None, :], xs[:, None])
+    ref = jv(np.arange(k_max + 1)[:, None], xs[None, :])
     assert np.all(np.isfinite(table))
     assert np.max(np.abs(table - ref)) <= 1e-13
+
+
+@given(xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 3000.0)),
+                   min_size=1, max_size=40),
+       k_max=st.integers(0, 3200))
+@example(xs=[100.0, 0.0, 1e-12, 3000.0, 1e-6, 0.01, 1.0], k_max=3200)  # seeds 3000 rows apart
+@example(xs=[2500.0, 0.0, 1e-3], k_max=40)  # the top rows dropped
+def test_property_bessel_table_is_the_sample_major_table(xs, k_max):
+    # rows of the Miller buffer, normalised in place, hold the bits of the
+    # former transposed copy, zeros above each seed included
+    xs = np.array(xs)
+    seeds = _miller_start(xs)
+    table = bessel_table(xs, seeds, k_max)
+    assert table.shape == (k_max + 1, len(xs))
+    assert np.array_equal(table, bessel_table_sample_major(xs, seeds, k_max).T)
 
 
 def test_bessel_j01_matches_mpmath():
@@ -268,9 +301,12 @@ def test_property_stencil_moments_match_csr(g, eps_d, n, spread, order, real, se
     if real:
         psi0 = psi0.real
     center, half_width = spectral_bounds(params)
-    got = _moments(_stencil(params, center, half_width, n + 1), psi0, order)
+    got = _moments(_stencil(params, center, half_width, n + 1, psi0.dtype), psi0, order)
     for value, ref in zip(got, _csr_moments(params, n, psi0, order)):
         assert np.max(np.abs(value - ref)) <= 1e-13
+    # and bit for bit the former step's moments
+    for value, ref in zip(got, moments_per_step(params, center, half_width, n + 1, psi0, order)):
+        assert value.dtype == ref.dtype and np.array_equal(value, ref)
 
 
 def test_evolve_blocks_do_not_change_samples(monkeypatch):
@@ -287,6 +323,26 @@ def test_evolve_blocks_do_not_change_samples(monkeypatch):
     for run in runs[1:]:
         for name in ("overlap", "amp_d", "amp_1", "norm"):
             assert np.max(np.abs(getattr(run, name) - getattr(runs[0], name))) <= 1e-15
+
+
+def test_evolve_keeps_one_bessel_table():
+    # at the fig2b shape one Miller buffer holds the table of every sample,
+    # and the samples and norms are read from its rows in place: the traced
+    # peak stays below that of the buffer and a second, transposed copy
+    g = 0.975591
+    params, state = ModelParams(g=g), perp_state(g, 2)
+    opts = EvolveOptions(t_max=200.0, n_samples=400, grid="log")
+    series = evolve(params, state, opts)  # fills the caches first
+    x = series.spectral_half_width * series.times
+    buffer = bessel_table(x, _miller_start(x), series.cheb_terms).base
+    assert buffer.shape[1] == len(x)
+    tracemalloc.start()
+    try:
+        evolve(params, state, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * buffer.nbytes
 
 
 def test_complex_state_matches_exact_propagator():

@@ -732,6 +732,21 @@ def test_cli_compare_drops_only_its_own_suffix(tmp_path, out):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cmp.csv", "cmp.json"]
 
 
+@pytest.mark.parametrize("out", ["", ".", "{dir}", "{dir}/", "{missing}/"])
+def test_cli_compare_refuses_an_out_without_a_file_name(tmp_path, monkeypatch, capsys, out):
+    # an empty final name or an existing directory exits 2 before the
+    # evolution runs, and nothing is written beside the directory
+    (tmp_path / "dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "evolve", lambda *args: pytest.fail("compare evolved"))
+    out = out.format(dir=tmp_path / "dir", missing=tmp_path / "missing")
+    assert run_cli("compare", "--g", "0.9", "--tmax", "5", "--samples", "11",
+                   "--out", out, "--no-meta-time") == 2
+    assert "--out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
 def test_cli_compare_three_routes(tmp_path):
     base = tmp_path / "cmp"
     assert run_cli("compare", "--g", "0.9", "--eps-d", "0", "--tmax", "20",
