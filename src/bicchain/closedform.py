@@ -22,9 +22,10 @@ Routes to the survival amplitude of the BIC-orthogonal states:
 
   the integrable tau -> 0 limit J_1(2 tau)/tau -> 1 handled analytically.
   The tail integral is a GL30 sum over a uniform grid of panels
-  min(1, 10/z_g) wide, accumulated by one cumulative sum, plus, for each
-  time, the integral of its panel's interpolant from the panel's edge to
-  the time, formed from the same 30 node values.  Above the Hankel seam
+  12/(z_g + 2) wide (1.91 periods of the fastest phase e^{i(z_g + 2) tau}),
+  accumulated by one cumulative sum, plus, for each time, the integral of
+  its panel's interpolant from the panel's edge to the time, formed from
+  the same 30 node values.  Above the Hankel seam
   (2 tau >= 25) a panel takes J_1 from Hankel's expansion and factors its
   phases into one exp per panel times fixed node factors; below it one
   Miller table serves the panels' nodes.
@@ -35,12 +36,15 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   rules (GL15 on [0, 1e-16], GL30 on panels doubling from 1e-16 up to
   ``RAY_X_MAX``), carries the jump, evaluated once per call; a block of
   times then costs one real exp per (time, node) in the block's window,
-  where e^{-x^2 t} is neither 1 nor negligible, and one real matmul.
+  where x^2 t lies between 2^-10 and 44, and one real matmul.  The nodes
+  below the window add their jumps through five prefix moments (the Taylor
+  series of e^{-x^2 t}), and those above it are negligible.
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes (for the cut,
 phase exps), so memory stays flat however long the time grid.  sigma_1 is
 ``spectrum.sigma1``.  The module needs numpy alone: the GL15/GL30 rules
-of the cut, the Bessel tail and the rays come from numpy, and J_0 and J_1
+of the cut, the Bessel tail and the rays are computed at import by Newton's
+method on the Legendre recurrence (``_gauss_legendre``), and J_0 and J_1
 (``early_approx``) from ``evolve.bessel_j01``, which is Miller's
 recurrence (``evolve.bessel_table``) below x = 25 and Hankel's expansion
 (DLMF 10.17) above it; the Bessel tail takes J_1 from the same two.
@@ -66,7 +70,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 
 from .evolve import HANKEL_SEAM, _miller_start, bessel_j01, bessel_table, hankel_pq
 from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
@@ -102,8 +105,49 @@ class ApproximationTag(enum.Enum):
     WNearZoneG1 = "WNearZoneG1"
 
 
-_GL15 = np.polynomial.legendre.leggauss(15)
-_GL30 = np.polynomial.legendre.leggauss(30)
+def _legendre(x: np.ndarray, n: int) -> np.ndarray:
+    """P_0 .. P_n at each x, as the rows of an (n + 1, len(x)) array, by the
+    three-term recurrence P_{k+1} = x P_k + k/(k + 1) (x P_k - P_{k-1}),
+    which is exact at x = +/-1."""
+    p = np.empty((n + 1, len(x)))
+    p[0], p[1] = 1.0, x
+    xp = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(x, p[k], out=xp)
+        np.subtract(xp, p[k - 1], out=p[k + 1])
+        p[k + 1] *= k / (k + 1)
+        p[k + 1] += xp
+    return p
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The nodes are the roots of P_n by Newton's method from Tricomi's
+    estimates -cos(pi (k - 1/4)/(n + 1/2)), with P_n and P_{n-1} from the
+    recurrence and P_n' = n (x P_n - P_{n-1})/(x^2 - 1); they come out within
+    an ulp of the roots.  The weights are 2/((1 - x^2) P_n'(x)^2) in the
+    Christoffel form 2/SUM_{j<n} (2j + 1) P_j(x)^2, a sum of positive terms
+    that loses no digits to cancellation.  Everything is double; the weights
+    land within about 30 ulp of the exact weights at the same nodes and the
+    rule integrates x^m, m < 2n, to 7e-16 (cf. Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013) A652).
+    """
+    x = -np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(10):
+        p = _legendre(x, n)
+        step = p[n] * (x - 1.0) * (x + 1.0) / (n * (x * p[n] - p[n - 1]))
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])  # symmetric, and 0 exactly at the middle of an odd rule
+    p = _legendre(x, n - 1)
+    w = 2.0 / np.sum((2.0 * np.arange(n) + 1.0)[:, None] * p * p, axis=0)
+    return x, 0.5 * (w + w[::-1])
+
+
+_GL15 = _gauss_legendre(15)
+_GL30 = _gauss_legendre(30)
 
 #: Nodes of the adaptive cut rule on [-1, 1]: GL30 then GL15, evaluated
 #: together; row 0 of the weights forms GL30 and row 1 GL15.
@@ -112,7 +156,7 @@ _GL_WEIGHTS = np.zeros((2, len(_GL_NODES)))
 _GL_WEIGHTS[0, :30], _GL_WEIGHTS[1, 30:] = _GL30[1], _GL15[1]
 
 #: Quadrature nodes evaluated per array block: 170 GL30 panels, 113 cut
-#: intervals or the windows of 5 ray times; cut phase exps, twice as many.
+#: intervals or the windows of 18 ray times; cut phase exps, twice as many.
 #: About 80 KB per complex temporary, so the temporaries of a block stay in
 #: cache and a long grid does not raise the peak memory.
 BLOCK_NODES = 5120
@@ -128,14 +172,15 @@ def _partial_panel_rule() -> np.ndarray:
     at x times this matrix integrates the interpolant of 30 node values from
     -1 to x: zero at x = -1 and exactly the GL30 weights at x = 1, so partial
     and full panels share one set of node values.  The coefficients are the
-    inverse of the Legendre-Vandermonde matrix V: discrete orthogonality,
-    (n + 1/2) w_k P_n(x_k), gives it only to about 2e-14, since numpy's GL30
-    weights are up to 1400 ulp off the exact ones, and one Newton step
-    C (2 - V C) refines it to rounding.  The weights in row 29 stand in for
-    the exact 2 c_0, which differs from them by up to 2.4e-15.
+    inverse of the Legendre-Vandermonde matrix V (P_n at the nodes, from
+    ``_legendre``).  Discrete orthogonality, (n + 1/2) w_k P_n(x_k), is exact
+    for the Gauss rule but gives it in double only to about 5e-15, and one
+    Newton step C (2 - V C) refines it to about 1e-15.  The weights in row
+    29 stand in for the refined 2 c_0, which differs from them by up to
+    about 30 ulp.
     """
     x, w = _GL30
-    v = legvander(x, 29)
+    v = _legendre(x, 29).T
     c = v.T * w * (np.arange(30) + 0.5)[:, None]
     c = c @ (2.0 * np.eye(30) - v @ c)
     return np.vstack((c[1:] / (2.0 * np.arange(1, 30) + 1.0)[:, None], w))
@@ -155,10 +200,13 @@ PHASE_STRIDE = 16
 #: Bisection depth at which an adaptive cut interval is accepted as is.
 MAX_DEPTH = 28
 
-#: Bessel-tail panels (t_max / ``_panel_width``) above which
-#: ``bessel_exact_grid`` refuses a grid, that is t_max above 2.5e5 min(1, 10/z_g).
-#: At the cap a grid of 2 to 4000 times takes about 0.3 s and 45 MB of process
-#: memory on a 2-vCPU x86 host; fig2c, the longest figure grid, needs 3e4 panels.
+#: Cap on the Bessel tail's panels, stated in time so that the refused
+#: (g, t_max) do not depend on the panel width: ``bessel_exact_grid``
+#: refuses t_max / min(1, 10/z_g) > MAX_PANELS.  With panels 12/(z_g + 2)
+#: wide an accepted grid takes at most MAX_PANELS of them (at z_g = 10; a
+#: third of that as g -> 1).  At the cap a grid of 4000 times takes about
+#: 0.4 s and 45 MB of process memory on a 2-vCPU x86 host; fig2c, the
+#: longest figure grid, takes 10002 panels.
 MAX_PANELS = 250_000
 
 #: Open cut intervals at which the quadrature gives up (about 8 MB per
@@ -341,27 +389,31 @@ def bound_term(t, g: float):
 
 
 def _panel_width(zg: float) -> float:
-    """Bessel-tail panel width min(1, 10/z_g): under two periods (at most
-    1.91) of the integrand's fastest phase e^{i(z_g + 2) tau}."""
-    return min(1.0, 10.0 / zg)
+    """Bessel-tail panel width 12/(z_g + 2): 12 radians, 1.91 periods, of the
+    integrand's fastest phase e^{i(z_g + 2) tau}, which a GL30 panel and the
+    interpolant of its node values resolve to rounding."""
+    return 12.0 / (zg + 2.0)
+
+
+def _panel_index(ts: np.ndarray, width: float) -> np.ndarray:
+    """Index j, as a float, of the panel [j h, (j + 1) h) that holds each time."""
+    j = np.floor(ts / width)
+    j -= j * width > ts
+    return j
+
+
+def bessel_panels(t_max: float, g: float) -> tuple[float, int]:
+    """(width, count) of the GL30 panels that ``bessel_exact_grid`` evaluates
+    for a grid that ends at t_max (0 < g <= 1): the full panels below t_max
+    and the one that holds it."""
+    width = _panel_width(z_gap(g)[0])
+    return width, int(_panel_index(np.array([t_max]), width)[0]) + 1
 
 
 def _partial_weights(x: np.ndarray) -> np.ndarray:
     """(time, node) weights that integrate the interpolant of a GL30 panel's
-    node values from -1 to each x in [-1, 1] (``_partial_panel_rule``).
-
-    P_0 .. P_30 at x come from the three-term recurrence, run on the rows of
-    a (degree, time) array.
-    """
-    p = np.empty((31, len(x)))
-    p[0], p[1] = 1.0, x
-    xp = np.empty_like(x)
-    for n in range(1, 30):
-        # P_{n+1} = x P_n + n/(n + 1) (x P_n - P_{n-1}), exact at x = +/-1
-        np.multiply(x, p[n], out=xp)
-        np.subtract(xp, p[n - 1], out=p[n + 1])
-        p[n + 1] *= n / (n + 1)
-        p[n + 1] += xp
+    node values from -1 to each x in [-1, 1] (``_partial_panel_rule``)."""
+    p = _legendre(x, 30)
     p[:29] = p[2:] - p[:29]
     p[29] = 0.5 * (1.0 + x)
     return p[:30].T @ _GL30_PARTIAL
@@ -369,8 +421,8 @@ def _partial_weights(x: np.ndarray) -> np.ndarray:
 
 def _tail_integrand(tau: np.ndarray, zg: float) -> np.ndarray:
     """J_1(2 tau)/tau e^{i z_g tau} at the nodes of panels that reach below the
-    Hankel seam (2 tau < 27), J_1 from one Miller table (``evolve.bessel_table``)
-    over all of them."""
+    Hankel seam (2 tau below 25 plus two panel widths, at most 31), J_1 from
+    one Miller table (``evolve.bessel_table``) over all of them."""
     x = 2.0 * tau.ravel()
     j1 = bessel_table(x, _miller_start(x), 1)[1].reshape(tau.shape)
     out = np.ones_like(tau)
@@ -469,8 +521,7 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
     are gathered until PARTIAL_TIMES times are due, so memory stays flat.
     """
     width = _panel_width(zg)
-    j = np.floor(ts / width)
-    j -= j * width > ts
+    j = _panel_index(ts, width)
     x = 2.0 * (ts - j * width) / width - 1.0  # each time's place in its panel
     j = j.astype(int)
     n_full = int(j[-1])
@@ -513,10 +564,12 @@ def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     if ts.ndim != 1 or len(ts) == 0 or np.any(np.diff(ts) < 0) or ts[0] < 0:
         raise InvalidParameterError("ts must be a non-empty ascending grid of times >= 0")
     zg, _ = z_gap(g)
-    if ts[-1] / _panel_width(zg) > MAX_PANELS:
+    cap_width = min(1.0, 10.0 / zg)
+    if ts[-1] / cap_width > MAX_PANELS:
         raise InvalidParameterError(
-            f"Bessel representation at g = {g:g} up to t = {ts[-1]:g} needs more than "
-            f"{MAX_PANELS} quadrature panels; use a_br_quadrature")
+            f"Bessel representation at g = {g:g} up to t = {ts[-1]:g} exceeds the cap on "
+            f"its quadrature panels, t <= {MAX_PANELS} min(1, 10/z_g) = "
+            f"{MAX_PANELS * cap_width:g}; use a_br_quadrature")
     tail = _bessel_tail(ts, zg)
     i_plus = np.exp(-1j * zg * ts) * (-g - 1j * tail)
     # I(-z_g) = -conj(I(+z_g)), so A_br = -(1/2g)(I(+) - I(-)) = -Re I(+)/g
@@ -672,6 +725,10 @@ _RAY_PANELS = [(a, b, _GL15 if b <= 1e-16 else _GL30) for a, b in zip(_RAY_EDGES
 _RAY_X = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b, (x, _) in _RAY_PANELS])
 _RAY_W = np.concatenate([0.5 * (b - a) * w for a, b, (_, w) in _RAY_PANELS])
 
+#: Below x^2 t = RAY_SERIES_MAX the rays take e^{-x^2 t} from its Taylor
+#: series to RAY_MOMENTS terms, through prefix moments of the jumps.
+RAY_SERIES_MAX, RAY_MOMENTS = 2.0 ** -10, 5
+
 
 def a_w_rays(t, params: ModelParams, w: float):
     """Survival amplitude (eps_d = 0) from band-edge ray deformation.
@@ -719,18 +776,23 @@ def a_w_rays(t, params: ModelParams, w: float):
     # the t-independent part of each ray integral, once per call
     lower, upper = weighted_jump(-2.0 - 1j * x2), weighted_jump(2.0 - 1j * x2)
     jumps = np.column_stack((lower.real, lower.imag, upper.real, upper.imag))
-    # e^{-x^2 t} is exactly 1 where x^2 t < 2^-54 and below 1e-19 where
-    # x^2 t > 44: in each block of times the nodes below that window add
-    # their jumps as one prefix sum, and the nodes above it are dropped.  A
-    # time's window, x from 2^-27/sqrt(t) to 6.7/sqrt(t), meets at most 31
-    # of the doubling panels.
-    below = np.concatenate((np.zeros((1, 4)), np.cumsum(jumps, axis=0)))
+    # In each block of times, a node with x^2 t < 2^-10 at every time adds
+    # its jump through the prefix moments M_m = SUM_{i<a} D_i x_i^{2m}, as
+    # SUM_m (-t)^m/m! M_m for m <= 4 (truncation below y^5/5! <= 7.5e-18 of
+    # the jumps, y = x^2 t), and a node with x^2 t > 44 at every time, where
+    # e^{-x^2 t} < 1e-19, is dropped.  A time's exp window, x from
+    # 2^-5/sqrt(t) to 6.7/sqrt(t), meets at most 9 of the doubling panels.
+    orders = np.arange(RAY_MOMENTS)
+    moments = np.zeros((RAY_MOMENTS, len(x2) + 1, 4))
+    np.cumsum((x2 ** orders[:, None])[:, :, None] * jumps, axis=1, out=moments[:, 1:])
+    taylor = np.array([(-1.0) ** m / math.factorial(m) for m in orders])
     sums = np.empty((len(ts), 4))
-    step = max(BLOCK_NODES // (31 * 30), 1)
+    step = max(BLOCK_NODES // (9 * 30), 1)
     for lo in range(0, len(ts), step):
         block = ts[lo:lo + step]
-        a, b = np.searchsorted(x2, (2.0 ** -54 / block.max(), 44.0 / block.min()))
-        sums[lo:lo + step] = np.exp(-block[:, None] * x2[a:b]) @ jumps[a:b] + below[a]
+        a, b = np.searchsorted(x2, (RAY_SERIES_MAX / block.max(), 44.0 / block.min()))
+        series = taylor * block[:, None] ** orders
+        sums[lo:lo + step] = np.exp(-block[:, None] * x2[a:b]) @ jumps[a:b] + series @ moments[:, a]
     out = (nw2 / (2j * math.pi)) * (
         -1j * np.exp(2j * ts) * (sums[:, 0] + 1j * sums[:, 1])
         + 1j * np.exp(-2j * ts) * (sums[:, 2] + 1j * sums[:, 3]))

@@ -4,9 +4,12 @@ The self-energy quadrature is independent of the package.  The other
 oracles are built on its run-path pieces (``sigma1``, ``_chain_split``,
 ``resolvent_dd``, ``w_norm_sq`` and ``bessel_exact_grid``), so a test that
 checks them against the CSR solve, the large-z limit or an identity checks
-those pieces too.  The ray oracles take sigma_1 from principal square roots
-instead of ``sigma1`` and integrate on a rule of their own.  The GL30 Bessel
-tail takes J_1 from ``bessel_j01`` at every node of the package's panel grid.
+those pieces too.  The v-rule ray oracle takes sigma_1 from principal
+square roots instead of ``sigma1`` and integrates on a rule of its own; the
+plain-exp ray oracle shares the package's rule, takes the same jump as the
+v-rule unless asked for the package's, and forms each time's sums by a
+plain exp at every node.  The GL30 Bessel tail takes J_1 from
+``bessel_j01`` at every node of the package's panel grid.
 The sample-major Bessel table and the per-step moment recurrence are the
 direct route's former forms, which the current ones must match bit for bit.
 """
@@ -16,10 +19,11 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from bicchain.closedform import _GL15, _GL30, _panel_width, bessel_exact_grid
+from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, _jump, _panel_width,
+                                 bessel_exact_grid)
 from bicchain.evolve import bessel_j01
 from bicchain.model import ModelParams, check_coupling
-from bicchain.spectrum import _chain_split, resolvent_dd, sigma1, w_norm_sq
+from bicchain.spectrum import SheetTag, _chain_split, resolvent_dd, sigma1, w_norm_sq
 
 
 def self_energy_quadrature(z: complex, g: float) -> complex:
@@ -112,6 +116,42 @@ def a_w_rays_v_rule(t: float, g: float, w: float) -> complex:
     upper = np.dot(weights, ray_jump(2.0 - 1j * u, g, w))
     return complex((w_norm_sq(g, w) / (2j * math.pi)) * (
         -1j * np.exp(2j * t) * lower / t + 1j * np.exp(-2j * t) * upper / t))
+
+
+def a_w_rays_plain_exp(ts, g: float, w: float,
+                       package_jump: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Ray-deformation amplitude (eps_d = 0) on the package's rule in x, one
+    time at a time: e^{-x^2 t} from ``np.exp`` at every node and each ray sum
+    correctly rounded (``math.fsum``), with no exp window, prefix moments or
+    blocking.
+
+    The jump is ``ray_jump`` (sigma_1 from principal square roots), or with
+    ``package_jump`` the package's own (``sigma1`` on the second sheet and
+    ``closedform._jump``), which leaves only the package's way of forming
+    each time's sums to differ.  Also returns each time's scale
+    N_w^2/(2 pi) SUM e^{-x^2 t} (|D_-| + |D_+|), the size of the terms that
+    the ray sums add up: a double evaluation of the sums can miss them by a
+    few ulp of it.
+    """
+    x2 = _RAY_X * _RAY_X
+    weights = _RAY_W * 2.0 * _RAY_X
+
+    def weighted_jump(z: np.ndarray) -> np.ndarray:
+        if not package_jump:
+            return weights * ray_jump(z, g, w)
+        sig_above = sigma1(z, SheetTag.Second)
+        return weights * _jump(z, 1.0 / sig_above, sig_above, g, 0.0, w)
+
+    lower, upper = weighted_jump(-2.0 - 1j * x2), weighted_jump(2.0 - 1j * x2)
+    c = w_norm_sq(g, w) / (2.0 * math.pi)
+    amps, scales = [], []
+    for t in ts:
+        kernel = np.exp(-t * x2)
+        lo, lo_im, up, up_im = (math.fsum(kernel * part)
+                                for part in (lower.real, lower.imag, upper.real, upper.imag))
+        amps.append(c * (-np.exp(2j * t) * (lo + 1j * lo_im) + np.exp(-2j * t) * (up + 1j * up_im)))
+        scales.append(c * (np.dot(kernel, np.abs(lower)) + np.dot(kernel, np.abs(upper))))
+    return np.array(amps), np.array(scales)
 
 
 def bessel_tail_gl30(ts: np.ndarray, zg: float) -> np.ndarray:

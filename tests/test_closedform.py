@@ -21,8 +21,8 @@ from bicchain.closedform import (LAWS, ApproximationTag, DivergenceError, Domain
                                  w_near_zone_g1, w_norm_sq)
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian, w_state
 from bicchain.spectrum import SheetTag, StateKind, discrete_spectrum, timescales, z_gap
-from oracles import (a_w_rays_v_rule, a_w_resolvent, bessel_exact, bessel_tail_gl30, q_of_z,
-                     ray_jump)
+from oracles import (a_w_rays_plain_exp, a_w_rays_v_rule, a_w_resolvent, bessel_exact,
+                     bessel_tail_gl30, q_of_z)
 
 # ---------------------------------------------------------------------------
 # branch-cut quadrature
@@ -531,20 +531,7 @@ def _cut_integral_ref(h, t, abs_tol):
     return total
 
 
-def _rays_ref(ts, g, w):
-    x = closedform._RAY_X
-    weights = closedform._RAY_W * 2.0 * x
-    out = []
-    for t in ts:
-        kernel = weights * np.exp(-x * x * t)
-        lower = np.dot(kernel, ray_jump(-2.0 - 1j * x * x, g, w))
-        upper = np.dot(kernel, ray_jump(2.0 - 1j * x * x, g, w))
-        out.append((w_norm_sq(g, w) / (2j * math.pi)) * (
-            -1j * np.exp(2j * t) * lower + 1j * np.exp(-2j * t) * upper))
-    return np.array(out)
-
-
-@pytest.mark.parametrize("g", [0.5, 0.98, 1.0])
+@pytest.mark.parametrize("g", [0.3, 0.5, 0.98, 1.0])
 def test_bessel_tail_matches_quadrature_oracle(g):
     # times off the unit panel grid (1/3, 0.41, 12.49999, 13.0000001) and on
     # it (1, 12, 13), on both sides of the Hankel seam 2 tau = 25; > 1 block
@@ -554,12 +541,18 @@ def test_bessel_tail_matches_quadrature_oracle(g):
     zg, _ = z_gap(g)
     tail = closedform._bessel_tail(ts, zg)
     assert np.max(np.abs(tail - _bessel_tail_oracle(ts, zg))) <= 1e-14
-    # one time in 25-digit arithmetic, where the rounding did most harm
+    # three times in 25-digit arithmetic: t = 0.45033, where the rounding did
+    # most harm, and t = 40.1 and 97.3 in panels beyond the seam, whose node
+    # values come from Hankel's expansion; Gauss-Legendre on pieces at most 2
+    # wide (1.8 periods of e^{i(z_g + 2) tau}), summed in 25 digits
     mpmath.mp.dps = 25
-    t = 0.45033
-    exact = mpmath.quad(lambda x: mpmath.expj(zg * x) * mpmath.besselj(1, 2 * x) / x,
-                        [0, 0.25, t])
-    assert abs(complex(exact) - closedform._bessel_tail(np.array([0.1, t]), zg)[1]) <= 1e-15
+    ts = [0.45033, 40.1, 97.3]
+    edges = np.union1d(np.arange(0.0, ts[-1], 2.0), ts)
+    pieces = [mpmath.quad(lambda x: mpmath.expj(zg * x) * mpmath.besselj(1, 2 * x) / x,
+                          [a, b], method="gauss-legendre") for a, b in zip(edges[:-1], edges[1:])]
+    exact = [complex(mpmath.fsum(pieces[:i])) for i in np.searchsorted(edges, ts)]
+    tail = closedform._bessel_tail(np.array([0.1, *ts]), zg)[1:]
+    assert np.max(np.abs(tail - exact)) <= 1e-15
 
 
 def _tail_grid(g, t_max, n, seed):
@@ -592,24 +585,45 @@ def test_partial_weights_end_in_the_gl30_weights_and_integrate_monomials():
     ends = closedform._partial_weights(np.array([-1.0, 1.0]))
     assert np.all(ends[0] == 0.0)
     assert np.all(np.abs(ends[1] - w) <= np.spacing(w))
-    # numpy's GL30 weights are up to 1400 ulp off the exact Gauss weights, so
-    # GL30 itself integrates x^m over [-1, 1] only to about 5e-15; the partial
-    # weights end in them, so that share, (1 + x)/2 of it, is taken out
+    # the interpolant of x^m, m < 30, is x^m itself
     xs = np.random.default_rng(7).uniform(-1.0, 1.0, 400)
     beta = closedform._partial_weights(xs)
     for m in range(30):
-        full = (1.0 - (-1.0) ** (m + 1)) / (m + 1)
-        gl30_error = np.sum(w * x ** m) - full
-        assert abs(gl30_error) <= 5e-15
         exact = (xs ** (m + 1) - (-1.0) ** (m + 1)) / (m + 1)
-        assert np.max(np.abs(beta @ x ** m - exact - 0.5 * (1.0 + xs) * gl30_error)) <= 1e-15
+        assert np.max(np.abs(beta @ x ** m - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [15, 30])
+def test_gauss_rules_are_exact_to_rounding(n):
+    # the nodes are the roots of P_n to rounding: the 40-digit Newton step
+    # P_n/P_n' from each node is at most one ulp; the weights lie within
+    # 64 ulp of the 40-digit 2/((1 - x^2) P_n'(x)^2) at the same nodes
+    x, w = closedform._GL15 if n == 15 else closedform._GL30
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    mpmath.mp.dps = 40
+    for xk, wk in zip(x, w):
+        xm = mpmath.mpf(float(xk))
+        p_n = mpmath.legendre(n, xm)
+        dp = n * (xm * p_n - mpmath.legendre(n - 1, xm)) / (xm * xm - 1)
+        assert abs(p_n / dp) <= np.spacing(abs(xk))
+        assert abs(wk - float(2 / ((1 - xm * xm) * dp * dp))) <= 64 * np.spacing(wk)
+
+
+@pytest.mark.parametrize("n", [15, 30])
+def test_gauss_rules_integrate_monomials(n):
+    # x^m, m < 2n, over [-1, 1]; the products are summed exactly rounded, so
+    # what is left is the rule's own error
+    x, w = closedform._GL15 if n == 15 else closedform._GL30
+    for m in range(2 * n):
+        full = (1.0 - (-1.0) ** (m + 1)) / (m + 1)
+        assert abs(math.fsum(w * x ** m) - full) <= 1e-15
 
 
 @pytest.mark.parametrize("g, t_max", [(0.98, 3000.0), (0.005, 200.0)])
 def test_bessel_tail_evaluates_blocks_of_nodes(monkeypatch, g, t_max):
     # a 10^5-time grid: no node evaluation, Miller table or Hankel series,
     # holds more than BLOCK_NODES nodes, and no block of partial weights
-    # gathers more than 4 BLOCK_NODES node values; at g = 0.005 the 250
+    # gathers more than 4 BLOCK_NODES node values; at g = 0.005 the 211
     # panels below the seam take two blocks
     sizes = {"bessel_table": [], "hankel_pq": [], "_partial_weights": []}
 
@@ -656,7 +670,7 @@ def test_ray_rule_tiles_and_integrates_the_edge_moments():
 def test_rays_match_per_time_loop(g):
     ts = np.geomspace(1.0, 2000.0, 70)  # more than two blocks of times
     for w in (0.0, 1.0):
-        ref = _rays_ref(ts, g, w)
+        ref, _ = a_w_rays_plain_exp(ts, g, w)
         assert np.max(np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref)) <= 1e-14
 
 
@@ -666,8 +680,26 @@ def test_rays_window_matches_full_rule_on_unsorted_times(g):
     # nodes spans its smallest and largest time
     ts = np.array([1.0, 1e20, 3.0, 1e6, 1.5, 2000.0, 1e12, 1.0, 40.0, 1e3, 7.0, 2.5e15])
     for w in (0.0, 1.0):
-        ref = _rays_ref(ts, g, w)
+        ref, _ = a_w_rays_plain_exp(ts, g, w)
         assert np.max(np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref)) <= 1e-14
+
+
+@given(g=st.floats(0.05, 3.0), w=st.floats(-2.0, 2.0),
+       log_t=st.floats(math.log(0.5), math.log(closedform.RAY_T_MAX)))
+@example(g=0.05, w=-2.0, log_t=math.log(0.5))
+@example(g=3.0, w=2.0, log_t=math.log(0.5))
+@example(g=1.0, w=0.0, log_t=math.log(closedform.RAY_T_MAX))
+def test_property_rays_match_plain_exp_oracle(g, w, log_t):
+    # The exp window, the prefix moments below it (a truncated Taylor series
+    # of e^{-x^2 t}) and the blocking against a plain exp at every node, on
+    # the same rule and jump, with exactly rounded sums: within 4 ulp of the
+    # scale N_w^2/(2 pi) SUM e^{-x^2 t} (|D_-| + |D_+|) of the terms summed.
+    # Where the scale is O(1) that is 1e-15; at small g and t near 0.5 the
+    # terms reach 30 times the amplitude (scale 29 at g = 0.05, w = -2,
+    # t = 0.5), and the rounding of the ray sums alone moves it by 1e-15.
+    t = float(np.clip(math.exp(log_t), closedform.RAY_T_MIN, closedform.RAY_T_MAX))
+    ref, scale = a_w_rays_plain_exp([t], g, w, package_jump=True)
+    assert abs(a_w_rays(t, ModelParams(g=g), w) - ref[0]) <= 4.0 * np.finfo(float).eps * scale[0]
 
 
 @given(g=st.floats(0.05, 3.0), w=st.floats(-2.0, 2.0), t=st.floats(0.5, 3000.0))

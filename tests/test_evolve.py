@@ -232,6 +232,12 @@ def test_bessel_table_matches_scipy():
     ref = jv(np.arange(k_max + 1)[:, None], xs[None, :])
     assert np.all(np.isfinite(table))
     assert np.max(np.abs(table - ref)) <= 1e-13
+    # J_1 past the Hankel seam, up to x = 31, where the Bessel tail's panels
+    # that reach below the seam still take it from the table
+    xs = np.linspace(HANKEL_SEAM, 31.0, 25)
+    j1 = bessel_table(xs, _miller_start(xs), 1)[1]
+    mpmath.mp.dps = 30
+    assert np.max(np.abs(j1 - [float(mpmath.besselj(1, mpmath.mpf(x))) for x in xs])) <= 1e-15
 
 
 @given(xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 3000.0)),

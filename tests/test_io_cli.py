@@ -315,6 +315,18 @@ def test_cli_compare_loads_no_scipy_for_the_bessel_route(tmp_path):
     assert "re_A_bessel" in (tmp_path / "c.csv").read_text()
 
 
+def test_cli_import_loads_no_thread_pool_or_numpy_polynomial():
+    # every command pays its imports at start-up: the figure command's thread
+    # pool (concurrent.futures, which loads logging) is imported where it is
+    # used, and the Gauss rules are built without numpy.polynomial
+    script = (
+        "import sys\n"
+        "import bicchain.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')\n"
+        "             or m.split('.')[:2] == ['numpy', 'polynomial']))\n")
+    assert _run_fresh(script) == "[]"
+
+
 def test_only_the_csr_reference_names_scipy():
     # scipy is a test extra: test oracles live in tests/oracles.py, and only
     # model.py keeps the CSR reference Hamiltonian that tests and the
@@ -877,6 +889,18 @@ def test_cli_figure_figS3_panels(tmp_path):
     meta, data = io.read_csv(tmp_path / "figS3_w1.0_evolve.csv")
     assert meta["state"] == "w:1.0"
     assert data["P_perp"][0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bessel_panel_says_how_its_tail_was_integrated(tmp_path):
+    # the panel grid goes after every other metadata key
+    path = tmp_path / "b.csv"
+    cli._write_bessel_panel(path, 0.98, 0.1, 300.0, 50, "log", meta_time=False)
+    meta, data = io.read_csv(path)
+    assert list(meta)[-3:] == ["tool_version", "panel_width", "panels"]
+    width = 12.0 / (spectrum.z_gap(0.98)[0] + 2.0)
+    assert meta["panel_width"] == repr(width)
+    assert meta["panels"] == str(math.floor(300.0 / width) + 1) == "101"
+    assert data["t"][-1] == 300.0
 
 
 def test_version_flag(capsys):
