@@ -107,7 +107,15 @@ def _write_curves(path: str | Path, params: ModelParams, tags: list[Approximatio
     ``tags`` and ``tool_version`` keys."""
     rows: list[tuple[float, float, str, int]] = []
     for tag in tags:
-        vals, window = closedform.LAWS[tag].curve(params, ts)
+        try:
+            vals, window = closedform.LAWS[tag].curve(params, ts)
+        except ArithmeticError as exc:
+            # only a law's prefactor, a Python float of g and eps_d, can raise
+            # here: the parameters lie beyond what its closed form represents
+            raise InvalidParameterError(
+                f"{tag.value} is not representable in double precision at "
+                f"g = {params.g:g}, eps_d = {params.eps_d:g}: a power of g or eps_d "
+                "in its prefactor over- or underflows") from exc
         rows.extend((float(t), float(v), tag.value, int(w))
                     for t, v, w in zip(ts, vals, window))
     meta = {**meta, "tags": ",".join(t.value for t in tags), "tool_version": __version__}
@@ -152,10 +160,9 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
-def _compare_fits(params: ModelParams, p_perp, p_1d) -> dict:
+def _compare_fits(params: ModelParams, scales: spectrum.Timescales, p_perp, p_1d) -> dict:
     """Best-effort FitReports for the zones reachable on this grid."""
     fits: dict[str, dict] = {}
-    scales = spectrum.timescales(params.g)
     t_max = float(p_perp.times[-1])
     near_hi = min(8.0, 0.1 * scales.t_delta) if np.isfinite(scales.t_delta) else 8.0
     with suppress(ValueError):
@@ -197,6 +204,7 @@ def _compare_stem(spec: str) -> Path:
 def _cmd_compare(args) -> int:
     out = _compare_stem(args.out)
     params = ModelParams(g=args.g, eps_d=args.eps_d)
+    scales = spectrum.timescales(params.g)  # the fits need them: refuse before evolving
     series, label = _run_evolution(params, "perp", _evolve_options(args, "linear"))
     ts = series.times
     a_ode = series.overlap
@@ -227,7 +235,7 @@ def _cmd_compare(args) -> int:
         "t_max": args.tmax,
         "n_samples": series.options.n_samples,
         "max_abs_deviation": deviations,
-        "fits": _compare_fits(params, survival(series), nonescape(series)),
+        "fits": _compare_fits(params, scales, survival(series), nonescape(series)),
         "meta": {"tool_version": __version__},
     }
     meta = {"g": params.g, "eps_d": params.eps_d, "t_max": args.tmax,

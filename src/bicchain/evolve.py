@@ -538,8 +538,8 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
             for at in range(max(start, lo), min(stop, hi), step):
                 end = min(at + step, stop, hi)
                 # one row per sample, as the weights contract it
-                spec = np.ascontiguousarray(
-                    np.fft.rfft(coeffs[:length, at - lo:end - lo], n=n_fft, axis=0).T)
+                spec = np.empty((end - at, n_fft // 2 + 1), dtype=complex)
+                np.fft.rfft(coeffs[:length, at - lo:end - lo], n=n_fft, axis=0, out=spec.T)
                 cross = spec * np.conj(spec[:, ::-1])
                 norm_sq[at:end] = (spec.view(float) ** 2) @ w_abs + cross.view(float) @ w_cross
     samples *= np.exp(-1j * center * times)[:, None]

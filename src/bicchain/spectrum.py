@@ -26,12 +26,14 @@ Discrete solutions of z - eps_d - Sigma(z) = 0:
   roots are virtual bound states.
 
 Method at eps_d != 0: squaring the equation gives one quartic whose four
-roots hold every solution on both sheets (:func:`_quartic_roots`).  Each
-real root is assigned the sheet on which it has the smaller residual and is
-polished there by Newton's method.  The resonance pair is the conjugate
-pair among the roots, so it stays a pair when Im z_res is below rounding;
-it is polished on the second sheet, since the first-sheet resolvent is
-analytic off the real axis.  The polished roots keep the residual bound
+roots hold every solution on both sheets (:func:`_quartic_roots`).  The
+resonance pair is the conjugate pair among the roots, so it stays a pair
+when Im z_res is below rounding; it is polished on the second sheet, since
+the first-sheet resolvent is analytic off the real axis.  Every real root,
+a quartic root or +/- z_g at eps_d = 0, goes through :func:`_real_state`,
+which reads its sheet off sigma_1 (x - eps_d = g^2 x sigma_1^2 with
+|sigma_1| < 1 only on the first sheet) and polishes it there by Newton's
+method.  The polished roots keep the residual bound
 1e-10 and the dispersion check -2 cos k = z to 1e-12.  A root closer to a
 band edge than the residual bound can resolve in double precision raises
 :class:`RootFindError`; on the threshold itself the state is the band-edge
@@ -55,14 +57,6 @@ from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalEr
 
 class BranchPointError(ConfigError):
     """Evaluation exactly at a band edge z = +/-2 without requesting the limit."""
-
-
-class NearPoleError(NumericalError):
-    """Resolvent evaluated closer than 1e-13 to one of its poles."""
-
-    def __init__(self, z: complex) -> None:
-        super().__init__(f"resolvent evaluated within 1e-13 of a pole at z = {z}")
-        self.z = complex(z)
 
 
 class RootFindError(NumericalError):
@@ -200,15 +194,6 @@ def _self_energy_derivative(z: complex, g: float, sheet: SheetTag) -> complex:
     return g * g * sig * sig * (1.0 - 2.0 * z / s)
 
 
-def resolvent_dd(z: complex, params: ModelParams,
-                 sheet: SheetTag = SheetTag.First) -> complex:
-    """Impurity diagonal of the resolvent, 1/(z - eps_d - Sigma(z))."""
-    denom = complex(z) - params.eps_d - self_energy(z, params.g, sheet)
-    if abs(denom) < 1e-13:
-        raise NearPoleError(z)
-    return 1.0 / denom
-
-
 def z_gap(g: float) -> tuple[float, float]:
     """(z_g, delta_g): the symmetric pair energy g + 1/g and its band gap."""
     check_coupling(g)
@@ -217,10 +202,19 @@ def z_gap(g: float) -> tuple[float, float]:
 
 
 def timescales(g: float) -> Timescales:
-    """Characteristic timescales of the decay for coupling g."""
+    """Characteristic timescales of the decay for coupling g.
+
+    A g for which g^3 overflows (from about 5.6e102) or g^2 underflows to 0
+    (below about 1.5e-162) is refused with :class:`InvalidParameterError`.
+    """
     check_coupling(g)
-    delta_g = (1.0 - g) ** 2 / g
-    zeno_c = (g + g * g + g ** 3 - 1.0) / (g * g)
+    try:
+        delta_g = (1.0 - g) ** 2 / g
+        zeno_c = (g + g * g + g ** 3 - 1.0) / (g * g)
+    except ArithmeticError as exc:
+        raise InvalidParameterError(
+            f"coupling g = {g:g} has no representable timescales: g^3 overflows or "
+            "g^2 underflows to 0") from exc
     if g > 1.0:
         t_delta = t_vr = t_br = math.nan
     elif g == 1.0:
@@ -300,7 +294,7 @@ def _perp_residue(z: complex, g: float, sheet: SheetTag) -> complex:
 
 
 def _band_edge_state(z_sign: float, g: float) -> DiscreteState:
-    # degenerate g = 1 solutions at the band edges; k = pi (upper), 0 (lower)
+    # a solution on a band edge (g = 1 at eps_d = 0, or a threshold); k = pi (upper), 0 (lower)
     z = complex(2.0 * z_sign)
     return DiscreteState(z=z, sheet=SheetTag.Second,
                          kind=StateKind.VirtualBound,
@@ -364,18 +358,6 @@ def _quartic_roots(params: ModelParams) -> np.ndarray:
     return np.roots([-g2, g2 * eps, a * a, -2.0 * a * eps, eps * eps])
 
 
-def _sheet_of(z: complex, params: ModelParams) -> SheetTag:
-    """The sheet on which |z - eps_d - Sigma(z)| is smaller.
-
-    Only real roots outside the band come here, where Sigma is real on both
-    sheets and a root solves at most one of them; a tie, both residuals
-    rounding to one value, goes to the second sheet.
-    """
-    first, second = (abs(z - params.eps_d - self_energy(z, params.g, sheet))
-                     for sheet in (SheetTag.First, SheetTag.Second))
-    return SheetTag.First if first < second else SheetTag.Second
-
-
 def _classified_state(z: complex, g: float, sheet: SheetTag,
                       kind: StateKind) -> DiscreteState:
     """The state at a polished root, with its wavevector and perp residue."""
@@ -387,6 +369,28 @@ def _classified_state(z: complex, g: float, sheet: SheetTag,
         raise RootFindError(f"state not resolvable in double precision ({exc})", z) from exc
 
 
+def _real_state(x: float, params: ModelParams) -> DiscreteState:
+    """The state at a real root x of z - eps_d - Sigma(z) = 0, for any eps_d.
+
+    On a threshold 2 g^2 = 2 -/+ eps_d, where the band edge itself solves
+    the equation to 1e-10, it is the band-edge state; a root inside the band
+    solves neither sheet and is refused.  Otherwise the root's sheet is read
+    off sigma_1: x - eps_d = g^2 x sigma_1^2 with |sigma_1| < 1 only on the
+    first sheet, so x is a bound state iff |x - eps_d| < g^2 |x| (g > 1 at
+    eps_d = 0) and a virtual bound state otherwise, and it is polished there.
+    """
+    g = params.g
+    edge = math.copysign(2.0, x)
+    if abs(edge - params.eps_d - self_energy(edge, g, branch_point_limit=True)) < 1e-10:
+        return _band_edge_state(edge / 2.0, g)
+    if abs(x) <= 2.0:
+        raise RootFindError("real root inside the band", x)
+    bound = abs(x - params.eps_d) < g * g * abs(x)
+    sheet = SheetTag.First if bound else SheetTag.Second
+    kind = StateKind.Bound if bound else StateKind.VirtualBound
+    return _classified_state(complex(_polish_real_root(x, params, sheet)), g, sheet, kind)
+
+
 def _detuned_states(params: ModelParams) -> list[DiscreteState]:
     """Classified states at eps_d != 0 from the roots of the quartic.
 
@@ -396,9 +400,10 @@ def _detuned_states(params: ModelParams) -> list[DiscreteState]:
     happens when Im z_res ~ eps_d^2 is below the roots' accuracy; the two
     innermost are then the pair.  When all four roots are real and outside
     the band (far detuning at small g), the pair has met the real axis and
-    there is no resonance.  The other real roots are bound or virtual bound
-    states on the sheet where they solve the equation, or band-edge states
-    where the detuning sits on a threshold 2 g^2 = 2 -/+ eps_d.
+    there is no resonance.  The other real roots are classified by
+    :func:`_real_state`: bound or virtual bound states on the sheet that
+    sigma_1 gives them, or band-edge states where the detuning sits on a
+    threshold 2 g^2 = 2 -/+ eps_d.
     """
     g = params.g
     roots = _quartic_roots(params)
@@ -410,18 +415,7 @@ def _detuned_states(params: ModelParams) -> list[DiscreteState]:
     if len(real) < 2:
         raise RootFindError("spectrum quartic has fewer than two real roots", roots[0])
 
-    states: list[DiscreteState] = []
-    for x in real:
-        edge = math.copysign(2.0, x)
-        if abs(edge - params.eps_d - self_energy(edge, g, branch_point_limit=True)) < 1e-10:
-            states.append(_band_edge_state(edge / 2.0, g))
-            continue
-        if abs(x) <= 2.0:
-            raise RootFindError("real root inside the band", x)
-        sheet = _sheet_of(complex(x), params)
-        z_r = _polish_real_root(float(x), params, sheet)
-        kind = StateKind.Bound if sheet is SheetTag.First else StateKind.VirtualBound
-        states.append(_classified_state(complex(z_r), g, sheet, kind))
+    states = [_real_state(float(x), params) for x in real]
     if len(pair):
         z_res = _newton_complex(complex(pair[0]), params)
         res = z_res if z_res.imag < 0 else z_res.conjugate()
@@ -465,22 +459,14 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
         raise InvalidParameterError(
             f"the spectrum resolves detunings |eps_d| <= {SPECTRUM_EPS_MAX:g}, "
             f"got eps_d = {params.eps_d:g}")
-    states: list[DiscreteState] = []
-
     if params.eps_d == 0.0:
-        states.append(DiscreteState(z=0j, sheet=SheetTag.First, kind=StateKind.BIC,
-                                    k=complex(math.pi / 2.0), residue_weight=0j))
-        zg = g + 1.0 / g
-        if zg == 2.0:
-            # g = 1, or within about 1.5e-8 of it, where g + 1/g rounds to 2
-            states.append(_band_edge_state(+1.0, g))
-            states.append(_band_edge_state(-1.0, g))
-        else:
-            sheet = SheetTag.First if g > 1.0 else SheetTag.Second
-            kind = StateKind.Bound if g > 1.0 else StateKind.VirtualBound
-            for z_val in (zg, -zg):
-                z_pol = _polish_real_root(z_val, params, sheet)
-                states.append(_classified_state(complex(z_pol), g, sheet, kind))
+        zg, _ = z_gap(g)
+        # g = 1, or within about 1.5e-8 of it, where g + 1/g rounds to 2: the
+        # band-edge pair, which the edge residual alone finds only within 2.5e-11
+        pair = ([_band_edge_state(+1.0, g), _band_edge_state(-1.0, g)] if zg == 2.0
+                else [_real_state(zg, params), _real_state(-zg, params)])
+        states = [DiscreteState(z=0j, sheet=SheetTag.First, kind=StateKind.BIC,
+                                k=complex(math.pi / 2.0), residue_weight=0j), *pair]
     else:
         states = _detuned_states(params)
 

@@ -1,10 +1,13 @@
 """Test oracles: independent or compact forms that only the tests evaluate.
 
 The self-energy quadrature is independent of the package.  The other
-oracles are built on its run-path pieces (``sigma1``, ``_chain_split``,
-``resolvent_dd``, ``w_norm_sq`` and ``bessel_exact_grid``), so a test that
+oracles are built on its run-path pieces (``self_energy``, ``sigma1``,
+``_chain_split``, ``w_norm_sq`` and ``bessel_exact_grid``), so a test that
 checks them against the CSR solve, the large-z limit or an identity checks
-those pieces too.  The v-rule ray oracle takes sigma_1 from principal
+those pieces too; the impurity resolvent ``resolvent_dd`` and its
+``NearPoleError`` are among them.  ``sheet_of`` is the spectrum's former
+rule for the sheet of a real root: the sheet of the smaller residual.
+The v-rule ray oracle takes sigma_1 from principal
 square roots instead of ``sigma1`` and integrates on a rule of its own; the
 plain-exp ray oracle shares the package's rule, takes the same jump as the
 v-rule unless asked for the package's, and forms each time's sums by a
@@ -22,8 +25,37 @@ from scipy.integrate import quad
 from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, _jump, _panel_width,
                                  bessel_exact_grid)
 from bicchain.evolve import bessel_j01
-from bicchain.model import ModelParams, check_coupling
-from bicchain.spectrum import SheetTag, _chain_split, resolvent_dd, sigma1, w_norm_sq
+from bicchain.model import ModelParams, NumericalError, check_coupling
+from bicchain.spectrum import SheetTag, _chain_split, self_energy, sigma1, w_norm_sq
+
+
+class NearPoleError(NumericalError):
+    """Resolvent evaluated closer than 1e-13 to one of its poles."""
+
+    def __init__(self, z: complex) -> None:
+        super().__init__(f"resolvent evaluated within 1e-13 of a pole at z = {z}")
+        self.z = complex(z)
+
+
+def resolvent_dd(z: complex, params: ModelParams,
+                 sheet: SheetTag = SheetTag.First) -> complex:
+    """Impurity diagonal of the resolvent, 1/(z - eps_d - Sigma(z))."""
+    denom = complex(z) - params.eps_d - self_energy(z, params.g, sheet)
+    if abs(denom) < 1e-13:
+        raise NearPoleError(z)
+    return 1.0 / denom
+
+
+def sheet_of(z: complex, params: ModelParams) -> SheetTag:
+    """The sheet on which |z - eps_d - Sigma(z)| is smaller.
+
+    For real roots outside the band, where Sigma is real on both sheets and
+    a root solves at most one of them; a tie, both residuals rounding to one
+    value, goes to the second sheet.
+    """
+    first, second = (abs(z - params.eps_d - self_energy(z, params.g, sheet))
+                     for sheet in (SheetTag.First, SheetTag.Second))
+    return SheetTag.First if first < second else SheetTag.Second
 
 
 def self_energy_quadrature(z: complex, g: float) -> complex:

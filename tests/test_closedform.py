@@ -22,7 +22,7 @@ from bicchain.closedform import (LAWS, ApproximationTag, DivergenceError, Domain
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian, w_state
 from bicchain.spectrum import SheetTag, StateKind, discrete_spectrum, timescales, z_gap
 from oracles import (a_w_rays_plain_exp, a_w_rays_v_rule, a_w_resolvent, bessel_exact,
-                     bessel_tail_gl30, q_of_z)
+                     bessel_tail_gl30, q_of_z, resolvent_dd)
 
 # ---------------------------------------------------------------------------
 # branch-cut quadrature
@@ -351,7 +351,6 @@ def test_sigma1_self_energy_relation():
 
 def test_compact_form_identity_at_zero_detuning():
     # N_w^2 (sigma_1 + Q G_dd) == a_w_resolvent exactly when eps_d = 0
-    from bicchain.spectrum import resolvent_dd
     params = ModelParams(g=0.9)
     rng = np.random.default_rng(17)
     for w in (0.0, 0.5, 1.0, 2.0):

@@ -21,7 +21,8 @@ from bicchain.cli import main
 from bicchain.closedform import DivergenceError, DomainError, QuadratureError
 from bicchain.evolve import EvolveOptions, IntegratorError
 from bicchain.model import ConfigError, InvalidParameterError, NumericalError
-from bicchain.spectrum import BranchPointError, NearPoleError, RootFindError
+from bicchain.spectrum import BranchPointError, RootFindError
+from oracles import NearPoleError
 
 
 def run_cli(*argv):
@@ -204,7 +205,7 @@ def test_cli_negative_detuning_in_exponent_notation(tmp_path, value):
     assert io.read_json(out)["params"]["eps_d"] == float(value)
 
 
-@pytest.mark.parametrize("g, eps_d, expected", [
+SPECTRUM_EXTREMES = [
     (1e-200, 0.2, {2}),      # outside the resolvable couplings [1e-3, 1e3]
     (0.9, 1e300, {2}),       # beyond the resolvable detunings |eps_d| <= 100
     (1e-5, 0.3, {2}),
@@ -215,12 +216,64 @@ def test_cli_negative_detuning_in_exponent_notation(tmp_path, value):
     # 5.6e-8 above it the real root is about 1e-16 from the band edge, where
     # no double meets the residual bound and Newton can land on z = 2
     (0.9, 0.3800000562341324, {3}),
-])
+]
+#: the same (g, eps_d), and couplings whose g^3 overflows or g^2 underflows
+EXTREMES = [(g, eps_d) for g, eps_d, _ in SPECTRUM_EXTREMES] + [
+    (1e120, 0.0), (1e-200, 0.0), (5e-324, 0.1)]
+
+
+@pytest.mark.parametrize("g, eps_d, expected", SPECTRUM_EXTREMES)
 def test_cli_spectrum_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d, expected):
     code = run_cli("spectrum", "--g", repr(g), "--eps-d", repr(eps_d),
                    "--out", str(tmp_path / "x.json"), "--no-meta-time")
     assert code in expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g, eps_d", EXTREMES)
+def test_cli_analytic_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d):
+    # a closed form is evaluated or refused (exit 2), never a numerical failure
+    for tag in closedform.ApproximationTag:
+        code = run_cli("analytic", "--g", repr(g), "--eps-d", repr(eps_d), "--tags", tag.value,
+                       "--tmax", "10", "--samples", "3", "--out", str(tmp_path / "x.csv"),
+                       "--no-meta-time")
+        assert code in (0, 2), (tag, capsys.readouterr().err)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g, eps_d", EXTREMES)
+def test_cli_compare_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d):
+    code = run_cli("compare", "--g", repr(g), "--eps-d", repr(eps_d), "--tmax", "0.01",
+                   "--samples", "3", "--out", str(tmp_path / "cmp"), "--no-meta-time")
+    assert code in (0, 2), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g, eps_d, tags, named", [
+    # every tag but WNearZoneG1, which refuses any g != 1 by its own rule
+    ("1e120", "0", [t.value for t in closedform.ApproximationTag
+                    if t is not closedform.ApproximationTag.WNearZoneG1], "g = 1e+120"),
+    ("1e-200", "0", ["NearZoneAmp", "FarZoneProb", "EarlyBessel"], "g = 1e-200"),
+    ("0.9", "1e300", ["ResPolePerp"], "eps_d = 1e+300"),
+])
+def test_cli_analytic_refuses_unrepresentable_parameters(tmp_path, capsys, g, eps_d, tags,
+                                                         named):
+    # g^3 overflows, g^2 underflows or eps_d^4 overflows: refused by name
+    out = tmp_path / "x.csv"
+    for tag in tags:
+        assert run_cli("analytic", "--g", g, "--eps-d", eps_d, "--tags", tag, "--tmax", "10",
+                       "--samples", "3", "--out", str(out)) == 2, tag
+        assert named in capsys.readouterr().err, tag
+    assert not out.exists()
+
+
+def test_cli_compare_refuses_unrepresentable_coupling_before_evolving(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the fits' timescales need g^2 > 0: refused before the evolution runs
+    monkeypatch.setattr(cli, "evolve", lambda *args: pytest.fail("compare evolved"))
+    assert run_cli("compare", "--g", "1e-200", "--eps-d", "0.1", "--tmax", "1",
+                   "--samples", "3", "--out", str(tmp_path / "cmp")) == 2
+    assert "g = 1e-200" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("g", ["2000", "5e-4"])
@@ -336,7 +389,8 @@ def test_only_the_csr_reference_names_scipy():
 
 
 def test_cli_near_pole_error_exits_numerical(tmp_path, monkeypatch):
-    # a pole of the resolvent met in floating point is a numerical failure
+    # a NumericalError met below a command, here the resolvent oracle's
+    # pole guard, is a numerical failure
     def near_pole(_params):
         raise NearPoleError(0.1 + 0j)
 
@@ -364,7 +418,6 @@ ERROR_INSTANCES = [
     (DivergenceError("g = 1"), 2),
     (BranchPointError("z = 2"), 2),
     (TooFewPeaksError("no peaks"), 2),
-    (NearPoleError(0.1 + 0j), 3),
     (RootFindError("stalled", 1.0 + 0j), 3),
     (QuadratureError("no convergence", 1e-3), 3),
     (IntegratorError("non-finite moments", 0.0), 3),
@@ -375,8 +428,12 @@ def test_error_instances_cover_the_package():
     assert {type(exc) for exc, _ in ERROR_INSTANCES} == _package_errors()
 
 
-@pytest.mark.parametrize("exc, code", ERROR_INSTANCES,
-                         ids=[type(exc).__name__ for exc, _ in ERROR_INSTANCES])
+#: the package's errors, and a NumericalError of the tests' resolvent oracle
+EXIT_CASES = ERROR_INSTANCES + [(NearPoleError(0.1 + 0j), 3)]
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CASES,
+                         ids=[type(exc).__name__ for exc, _ in EXIT_CASES])
 def test_cli_exit_code_follows_the_base_class(tmp_path, monkeypatch, capsys, exc, code):
     def fail(_args):
         raise exc

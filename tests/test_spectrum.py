@@ -4,19 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from bicchain import closedform, spectrum
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian
-from bicchain.spectrum import (BranchPointError, NearPoleError, SheetTag,
-                               StateKind, discrete_spectrum, resolvent_dd,
-                               resonance_expansion, self_energy, sigma1,
-                               spectrum_report, sqrt_band, timescales, wavevector,
-                               z_gap)
-from oracles import self_energy_quadrature
+from bicchain.spectrum import (BranchPointError, RootFindError, SheetTag, StateKind,
+                               discrete_spectrum, resonance_expansion, self_energy,
+                               sigma1, spectrum_report, sqrt_band, timescales,
+                               wavevector, z_gap)
+from oracles import NearPoleError, resolvent_dd, self_energy_quadrature, sheet_of
 
 FIRST, SECOND = SheetTag.First, SheetTag.Second
 
@@ -463,3 +462,45 @@ def test_property_spectrum_over_the_whole_accepted_domain(log_g, eps_d):
     assume(min(abs(2.0 * g * g - 2.0 + eps_d), abs(2.0 * g * g - 2.0 - eps_d))
            > 3e-5 * max(1.0, g) ** 4)
     assert len(discrete_spectrum(params)) == (3 if eps_d == 0.0 else 4)
+
+
+SIGNS = st.sampled_from([1.0, -1.0])
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda u: 10.0 ** u)
+
+
+def _near_threshold(g: float, side: float, offset: float, sign: float) -> tuple[float, float]:
+    return g, side * (2.0 - 2.0 * g * g) + sign * offset
+
+
+#: (g, eps_d): g log-uniform over the accepted couplings with |eps_d| in
+#: [1e-6, 100], or g up to sqrt(51) (a threshold within |eps_d| <= 100) with
+#: eps_d within 1e-12..0.1 of a threshold 2 g^2 = 2 -/+ eps_d
+REAL_ROOT_POINTS = (
+    st.tuples(_log_uniform(-3.0, 3.0), st.builds(float.__mul__, SIGNS, _log_uniform(-6.0, 2.0)))
+    | st.builds(_near_threshold, _log_uniform(-3.0, math.log10(51.0) / 2.0), SIGNS,
+                _log_uniform(-12.0, -1.0), SIGNS))
+
+
+@settings(max_examples=300)
+@given(point=REAL_ROOT_POINTS)
+def test_property_real_root_sheet_matches_the_residual_rule(point):
+    # the sheet read off sigma_1 (|x - eps_d| < g^2 |x| on the first) is the
+    # one on which the root has the smaller residual.  A draw that raises
+    # RootFindError is skipped; it must lie in the documented exit-3 band
+    # near a threshold (see the property above), since a root polished on
+    # the wrong sheet fails there too
+    g, eps_d = point
+    assume(abs(eps_d) <= spectrum.SPECTRUM_EPS_MAX)
+    params = ModelParams(g=g, eps_d=eps_d)
+    try:
+        states = discrete_spectrum(params)
+    except RootFindError:
+        assert (min(abs(2.0 * g * g - 2.0 + eps_d), abs(2.0 * g * g - 2.0 - eps_d))
+                <= 3e-5 * max(1.0, g) ** 4)
+        reject()
+    for s in states:
+        if s.kind in (StateKind.Bound, StateKind.VirtualBound) and not s.band_edge:
+            assert s.sheet is sheet_of(s.z, params)
