@@ -107,15 +107,14 @@ def _write_curves(path: str | Path, params: ModelParams, tags: list[Approximatio
     ``tags`` and ``tool_version`` keys."""
     rows: list[tuple[float, float, str, int]] = []
     for tag in tags:
-        try:
-            vals, window = closedform.LAWS[tag].curve(params, ts)
-        except ArithmeticError as exc:
-            # only a law's prefactor, a Python float of g and eps_d, can raise
-            # here: the parameters lie beyond what its closed form represents
+        try:  # numpy raises too: an overflow is refused, not written as inf
+            with np.errstate(over="raise", divide="raise"):
+                vals, window = closedform.LAWS[tag].curve(params, ts)
+        except ArithmeticError as exc:  # beyond what the closed form represents
             raise InvalidParameterError(
                 f"{tag.value} is not representable in double precision at "
                 f"g = {params.g:g}, eps_d = {params.eps_d:g}: a power of g or eps_d "
-                "in its prefactor over- or underflows") from exc
+                "in the law over- or underflows") from exc
         rows.extend((float(t), float(v), tag.value, int(w))
                     for t, v, w in zip(ts, vals, window))
     meta = {**meta, "tags": ",".join(t.value for t in tags), "tool_version": __version__}
@@ -205,7 +204,11 @@ def _cmd_compare(args) -> int:
     out = _compare_stem(args.out)
     params = ModelParams(g=args.g, eps_d=args.eps_d)
     scales = spectrum.timescales(params.g)  # the fits need them: refuse before evolving
-    series, label = _run_evolution(params, "perp", _evolve_options(args, "linear"))
+    opts = _evolve_options(args, "linear")
+    with_bessel = params.eps_d == 0.0 and params.g <= 1.0
+    if with_bessel:
+        closedform.check_bessel_span(opts.t_max, params.g)
+    series, label = _run_evolution(params, "perp", opts)
     ts = series.times
     a_ode = series.overlap
     header = ["t", "re_A_ode", "im_A_ode"]
@@ -223,7 +226,7 @@ def _cmd_compare(args) -> int:
         header += ["re_A_cut", "im_A_cut"]
         columns += [a_cut.real, a_cut.imag]
         deviations["ode_vs_cut"] = float(np.max(np.abs(a_ode - a_cut)))
-    if params.eps_d == 0.0 and params.g <= 1.0:
+    if with_bessel:
         a_bessel = closedform.bessel_exact_grid(ts, params.g)
         header += ["re_A_bessel", "im_A_bessel"]
         columns += [a_bessel.real, a_bessel.imag]

@@ -547,6 +547,16 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
     return cum[j] + out
 
 
+def check_bessel_span(t_max: float, g: float) -> None:
+    """Refuse a Bessel grid to t_max > MAX_PANELS min(1, 10/z_g), before any work."""
+    cap_width = min(1.0, 10.0 / z_gap(g)[0])
+    if t_max / cap_width > MAX_PANELS:
+        raise InvalidParameterError(
+            f"Bessel representation at g = {g:g} up to t = {t_max:g} exceeds the cap on "
+            f"its quadrature panels, t <= {MAX_PANELS} min(1, 10/z_g) = "
+            f"{MAX_PANELS * cap_width:g}; use a_br_quadrature")
+
+
 def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     """Exact Bessel-representation A_br on an ascending time grid (0 < g <= 1).
 
@@ -563,13 +573,8 @@ def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     _check_times(ts)
     if ts.ndim != 1 or len(ts) == 0 or np.any(np.diff(ts) < 0) or ts[0] < 0:
         raise InvalidParameterError("ts must be a non-empty ascending grid of times >= 0")
+    check_bessel_span(ts[-1], g)
     zg, _ = z_gap(g)
-    cap_width = min(1.0, 10.0 / zg)
-    if ts[-1] / cap_width > MAX_PANELS:
-        raise InvalidParameterError(
-            f"Bessel representation at g = {g:g} up to t = {ts[-1]:g} exceeds the cap on "
-            f"its quadrature panels, t <= {MAX_PANELS} min(1, 10/z_g) = "
-            f"{MAX_PANELS * cap_width:g}; use a_br_quadrature")
     tail = _bessel_tail(ts, zg)
     i_plus = np.exp(-1j * zg * ts) * (-g - 1j * tail)
     # I(-z_g) = -conj(I(+z_g)), so A_br = -(1/2g)(I(+) - I(-)) = -Re I(+)/g

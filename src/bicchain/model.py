@@ -46,7 +46,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         check_coupling(self.g)
-        if not np.isfinite(self.eps_d):
+        if not math.isfinite(self.eps_d):
             raise InvalidParameterError(f"impurity energy eps_d must be finite, got {self.eps_d}")
 
     def to_dict(self) -> dict:
@@ -106,13 +106,9 @@ class TruncatedHamiltonian:
         return self.matrix
 
 
-def _coupled_norm(g: float) -> float:
-    return 1.0 / np.sqrt(1.0 + g * g)
-
-
 def check_coupling(g: float) -> None:
     """Refuse a coupling g that is not positive and finite."""
-    if not (g > 0 and np.isfinite(g)):
+    if not (g > 0 and math.isfinite(g)):
         raise InvalidParameterError(f"coupling g must be positive and finite, got {g}")
 
 
@@ -146,28 +142,24 @@ def bic_state(g: float, n_sites: int) -> StateVector:
     Exact zero-energy eigenstate of the truncated Hamiltonian at eps_d = 0.
     """
     _check_state_args(g, n_sites, 2)
-    nrm = _coupled_norm(g)
+    nrm = 1.0 / np.sqrt(1.0 + g * g)
     chain = np.zeros(n_sites, dtype=complex)
     chain[0] = -g * nrm
     return StateVector(amp_d=nrm, amp_chain=chain)
 
 
 def perp_state(g: float, n_sites: int) -> StateVector:
-    """Simplest BIC-orthogonal state: (g|d> + |1>)/sqrt(1+g^2)."""
-    _check_state_args(g, n_sites, 2)
-    nrm = _coupled_norm(g)
-    chain = np.zeros(n_sites, dtype=complex)
-    chain[0] = nrm
-    return StateVector(amp_d=g * nrm, amp_chain=chain)
+    """Simplest BIC-orthogonal state: (g|d> + |1>)/sqrt(1+g^2), the w = 0 w_state."""
+    return w_state(g, 0.0, n_sites)
 
 
 def w_state(g: float, w: float, n_sites: int) -> StateVector:
-    """Generalized BIC-orthogonal state N_w (g|d> + |1> + w|2>).
+    """Generalized BIC-orthogonal state N_w (g|d> + |1> + w|2>) on n_sites >= 3.
 
-    N_w = (1 + g^2 + w^2)^(-1/2); reduces to perp_state at w = 0.
+    N_w = (1 + g^2 + w^2)^(-1/2); w = 0 gives perp_state, on n_sites >= 2.
     Orthogonality to the BIC holds for every w because |2> has no BIC weight.
     """
-    _check_state_args(g, n_sites, 3)
+    _check_state_args(g, n_sites, 3 if w else 2)
     nrm = 1.0 / np.sqrt(inverse_w_norm_sq(g, w))
     chain = np.zeros(n_sites, dtype=complex)
     chain[0] = nrm

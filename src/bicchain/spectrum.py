@@ -9,9 +9,11 @@ reciprocal (z + s)/2 on the second; neither form cancels, as |z + s| >= 2.
 From it come the self-energy Sigma = g^2 z sigma_1^2 (-> g^2/z on the first
 sheet), its derivative, the wavevector e^{ik} = -sigma_1 of a discrete state
 and, through :func:`_chain_split`, the residues; sqrt_band, sigma1 and
-self_energy take arrays.  The second sheet continues the first through the
-cut (retarded boundary value from above equals the second-sheet value from
-below).
+self_energy take arrays.  A scalar z is a Python complex with cmath's square
+roots, which are numpy's bit for bit except on the lines Re z = +/-2 and at
+0 < |Im z| < 1e-150, where sqrt_band takes numpy's.  The second sheet
+continues the first through the cut (retarded boundary value from above
+equals the second-sheet value from below).
 
 Discrete solutions of z - eps_d - Sigma(z) = 0:
 
@@ -33,9 +35,10 @@ the first-sheet resolvent is analytic off the real axis.  Every real root,
 a quartic root or +/- z_g at eps_d = 0, goes through :func:`_real_state`,
 which reads its sheet off sigma_1 (x - eps_d = g^2 x sigma_1^2 with
 |sigma_1| < 1 only on the first sheet) and polishes it there by Newton's
-method.  The polished roots keep the residual bound
-1e-10 and the dispersion check -2 cos k = z to 1e-12.  A root closer to a
-band edge than the residual bound can resolve in double precision raises
+method, each step taking f and f' from one band root (:func:`_residual`).
+The polished roots keep the residual bound 1e-10 and the dispersion check
+-2 cos k = z to 1e-12.  A root closer to a band edge than the residual
+bound can resolve in double precision raises
 :class:`RootFindError`; on the threshold itself the state is the band-edge
 state.  That happens within about 1e-5 max(1, g)^4 of a threshold in eps_d
 (1e-5 at g <= 1, 2e-4 at g = 2, 0.04 at g = 7).  Detunings beyond
@@ -47,7 +50,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,17 +95,9 @@ class DiscreteState:
     band_edge: bool = False
 
     def to_json_dict(self) -> dict:
-        out = {
-            "re_z": float(self.z.real),
-            "im_z": float(self.z.imag),
-            "sheet": self.sheet.value,
-            "kind": self.kind.value,
-            "re_k": float(self.k.real),
-            "im_k": float(self.k.imag),
-        }
-        if self.band_edge:
-            out["band_edge"] = True
-        return out
+        out = {"re_z": float(self.z.real), "im_z": float(self.z.imag), "sheet": self.sheet.value,
+               "kind": self.kind.value, "re_k": float(self.k.real), "im_k": float(self.k.imag)}
+        return {**out, "band_edge": True} if self.band_edge else out
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ class Timescales:
     zeno_c: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields, in order; floats need no deep copy
 
 
 @dataclass(frozen=True)
@@ -135,12 +130,15 @@ class ResonancePole:
 
 def _band_input(z, what: str, branch_point_limit: bool):
     """z as a Python complex (scalar) or a complex array, refused at z = +/-2."""
-    if type(z) is not complex:  # not yet converted: sigma1 and self_energy pass z on
+    if isinstance(z, (complex, float, int)):  # Python numbers skip numpy's scalar calls
+        z = complex(z)
+        edges = [] if branch_point_limit else [e for e in (2.0, -2.0) if z == e]
+    else:
         z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
-    if not branch_point_limit and np.logical_or(z == 2.0, z == -2.0).any():
-        edge = 2.0 if np.any(z == 2.0) else -2.0
+        edges = [] if branch_point_limit else [e for e in (2.0, -2.0) if np.any(z == e)]
+    if edges:
         raise BranchPointError(
-            f"{what} evaluated exactly at the branch point z = {edge:g}; "
+            f"{what} evaluated exactly at the branch point z = {edges[0]:g}; "
             "pass branch_point_limit=True for the limit value")
     return z
 
@@ -149,9 +147,13 @@ def sqrt_band(z):
     """sqrt(z^2 - 4) with the cut on [-2, 2]; behaves like z at large |z|.
 
     The one definition of the branch; 0 at z = +/-2.  Takes a scalar (and
-    returns a Python complex) or an array, as do sigma1 and self_energy.
+    returns a Python complex) or an array, as do sigma1 and self_energy.  A
+    scalar takes cmath's roots, bit for bit numpy's, except where they round
+    differently (Re z = +/-2, or 0 < |Im z| < 1e-150): there it takes numpy's.
     """
     z = _band_input(z, "sqrt_band", branch_point_limit=True)
+    if isinstance(z, complex) and z.real not in (2.0, -2.0) and not 0.0 < abs(z.imag) < 1e-150:
+        return cmath.sqrt(z - 2.0) * cmath.sqrt(z + 2.0)
     root = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)
     return complex(root) if isinstance(z, complex) else root
 
@@ -183,15 +185,16 @@ def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
     return g * g * z * sig * sig
 
 
-def _self_energy_derivative(z: complex, g: float, sheet: SheetTag) -> complex:
-    """d Sigma/dz = g^2 sigma_1^2 (1 - 2z/s) away from the branch points.
-
-    d sigma_1/dz = -sigma_1/s with s = +sqrt(z^2-4) on the first sheet and
-    -sqrt(z^2-4) on the second.
-    """
-    sig = sigma1(z, sheet)
-    s = sqrt_band(z) if sheet is SheetTag.First else -sqrt_band(z)
-    return g * g * sig * sig * (1.0 - 2.0 * z / s)
+def _residual(z: complex, g: float, eps_d: float,
+              sheet: SheetTag) -> tuple[complex, complex, complex]:
+    """(sigma_1, f, f') at z from one band root: f = z - eps_d - Sigma(z), bit for
+    bit as self_energy gives it, and f' = 1 - g^2 sigma_1^2 (1 - 2z/s), since
+    d sigma_1/dz = -sigma_1/s with s = +/-sqrt(z^2-4) on the first/second sheet."""
+    z = complex(z)
+    root = sqrt_band(z)
+    wide = z + root
+    sig, s = (wide / 2.0, -root) if sheet is SheetTag.Second else (2.0 / wide, root)
+    return sig, z - eps_d - g * g * z * sig * sig, 1.0 - g * g * sig * sig * (1.0 - 2.0 * z / s)
 
 
 def z_gap(g: float) -> tuple[float, float]:
@@ -289,50 +292,47 @@ def _perp_residue(z: complex, g: float, sheet: SheetTag) -> complex:
     Q_0 from :func:`_chain_split` on the pole's sheet and
     Res[G_dd] = 1/(1 - Sigma').
     """
-    _, q0 = _chain_split(sigma1(z, sheet), g, 0.0)
-    return w_norm_sq(g, 0.0) * q0 / (1.0 - _self_energy_derivative(z, g, sheet))
+    sig, _, df = _residual(z, g, 0.0, sheet)
+    return w_norm_sq(g, 0.0) * _chain_split(sig, g, 0.0)[1] / df
 
 
 def _band_edge_state(z_sign: float, g: float) -> DiscreteState:
     # a solution on a band edge (g = 1 at eps_d = 0, or a threshold); k = pi (upper), 0 (lower)
     z = complex(2.0 * z_sign)
-    return DiscreteState(z=z, sheet=SheetTag.Second,
-                         kind=StateKind.VirtualBound,
-                         k=wavevector(z, g, StateKind.VirtualBound),
-                         residue_weight=0j, band_edge=True)
+    return DiscreteState(z=z, sheet=SheetTag.Second, kind=StateKind.VirtualBound,
+                         k=wavevector(z, g, StateKind.VirtualBound), residue_weight=0j,
+                         band_edge=True)
 
 
 def _polish_real_root(z0: float, params: ModelParams, sheet: SheetTag) -> float:
     z = z0
     for _ in range(60):
-        f = z - params.eps_d - self_energy(z, params.g, sheet).real
-        df = 1.0 - _self_energy_derivative(z, params.g, sheet).real
-        step = f / df
+        _, f, df = _residual(z, params.g, params.eps_d, sheet)
+        step = f.real / df.real
         z -= step
         if abs(z) <= 2.0:
             raise RootFindError("real-axis Newton polish reached the band", z)
         if abs(step) < 1e-14 * max(abs(z), 1.0):
             break
-    if abs(z - params.eps_d - self_energy(z, params.g, sheet)) > 1e-10:
+    if abs(_residual(z, params.g, params.eps_d, sheet)[1]) > 1e-10:
         raise RootFindError("real-axis Newton polish did not reach residual 1e-10", z)
     return z
 
 
 def _newton_complex(z0: complex, params: ModelParams) -> complex:
     """Damped Newton iteration for a second-sheet complex root of z - eps_d - Sigma."""
-    sheet = SheetTag.Second
+    g, eps_d, sheet = params.g, params.eps_d, SheetTag.Second
     z = complex(z0)
-    f = z - params.eps_d - self_energy(z, params.g, sheet)
+    _, f, df = _residual(z, g, eps_d, sheet)
     for _ in range(200):
-        df = 1.0 - _self_energy_derivative(z, params.g, sheet)
         step = f / df
         lam = 1.0
         for _ in range(30):
             z_new = z - lam * step
-            f_new = z_new - params.eps_d - self_energy(z_new, params.g, sheet)
+            _, f_new, df_new = _residual(z_new, g, eps_d, sheet)
             # a seed already at the tolerance may not improve in rounding
             if abs(f_new) < abs(f) or abs(f_new) < 1e-13:
-                z, f = z_new, f_new
+                z, f, df = z_new, f_new, df_new
                 break
             lam *= 0.5
         else:

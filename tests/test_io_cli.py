@@ -254,10 +254,12 @@ def test_cli_compare_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d)
                     if t is not closedform.ApproximationTag.WNearZoneG1], "g = 1e+120"),
     ("1e-200", "0", ["NearZoneAmp", "FarZoneProb", "EarlyBessel"], "g = 1e-200"),
     ("0.9", "1e300", ["ResPolePerp"], "eps_d = 1e+300"),
+    # 1/g^2 overflows in the law's numpy values, which wrote rows of inf
+    ("1e-160", "0", ["NearZoneEarlyProb", "NearZoneAmp", "EarlyBessel"], "g = 1e-160"),
 ])
 def test_cli_analytic_refuses_unrepresentable_parameters(tmp_path, capsys, g, eps_d, tags,
                                                          named):
-    # g^3 overflows, g^2 underflows or eps_d^4 overflows: refused by name
+    # g^3 overflows, g^2 underflows, 1/g^2 or eps_d^4 overflows: refused by name
     out = tmp_path / "x.csv"
     for tag in tags:
         assert run_cli("analytic", "--g", g, "--eps-d", eps_d, "--tags", tag, "--tmax", "10",
@@ -273,6 +275,24 @@ def test_cli_compare_refuses_unrepresentable_coupling_before_evolving(tmp_path, 
     assert run_cli("compare", "--g", "1e-200", "--eps-d", "0.1", "--tmax", "1",
                    "--samples", "3", "--out", str(tmp_path / "cmp")) == 2
     assert "g = 1e-200" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_compare_refuses_the_bessel_panel_cap_before_evolving(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the cap depends on g and t_max alone, so compare checks it first
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    evolve = cli.evolve
+    monkeypatch.setattr(cli, "evolve", counted)
+    assert run_cli("compare", "--g", "1e-100", "--eps-d", "0", "--tmax", "1",
+                   "--samples", "3", "--out", str(tmp_path / "cmp")) == 2
+    assert calls == []
+    assert "g = 1e-100 up to t = 1 exceeds the cap" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -332,6 +332,63 @@ def test_property_array_call_matches_scalar_calls(zs, g, sheet):
     assert np.all(np.abs(self_energy(zs, g, sheet) - sigma) <= 1e-15 * scale)
 
 
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _numpy_band(z, g, sheet):
+    """sqrt_band, sigma_1 and Sigma at a Python complex z from numpy's square roots."""
+    root = complex(np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
+    wide = z + root
+    sig = wide / 2.0 if sheet is SECOND else 2.0 / wide
+    return root, sig, g * g * z * sig * sig
+
+
+#: complex z with |Re z|, |Im z| <= 1e6, on the lines Re z = +/-2 too, and
+#: imaginary parts small enough to give a root a subnormal part
+ANY_Z = st.builds(complex, st.floats(-1e6, 1e6) | st.sampled_from([2.0, -2.0]),
+                  st.floats(-1e6, 1e6) | st.floats(-1e-305, 1e-305))
+
+
+@settings(max_examples=300)
+@given(z=ANY_Z, g=COUPLINGS, sheet=SHEETS)
+def test_property_scalar_calls_equal_the_numpy_formula(z, g, sheet):
+    # cmath's roots, or numpy's where cmath rounds differently: bit for bit
+    root, sig, sigma = _numpy_band(z, g, sheet)
+    assert _bits(sqrt_band(z)) == _bits(root)
+    assert _bits(sigma1(z, sheet, branch_point_limit=True)) == _bits(sig)
+    assert _bits(self_energy(z, g, sheet, branch_point_limit=True)) == _bits(sigma)
+
+
+def test_sqrt_band_takes_numpys_roots_where_cmath_rounds_differently():
+    # cmath.sqrt(1j) is 1 ulp below numpy's in its imaginary part; z - 2 = 1j
+    # at z = 2 + 1j, so the scalar takes numpy's roots on the lines Re z = +/-2
+    assert cmath.sqrt(1j) != complex(np.sqrt(1j))
+    assert sqrt_band(2 + 1j) == complex(1.2496210676876534, 1.6004851804402411)
+    assert sqrt_band(-2 + 1j) == complex(-1.2496210676876534, 1.6004851804402411)
+    assert sqrt_band(2 + 1j) == complex(np.sqrt(1j) * np.sqrt(4 + 1j))
+    # and where a root has a subnormal part: cmath's real part here is 1.1e-322
+    z = complex(2.4346790964764716e-14, -8.59747351107418e-309)
+    assert sqrt_band(z) == complex(1e-322, -2.0)
+
+
+@given(zs=st.lists(OFF_AXIS | OFF_BAND, min_size=1, max_size=40), g=COUPLINGS,
+       eps_d=st.floats(-100.0, 100.0), sheet=SHEETS)
+def test_property_residual_matches_the_band_functions(zs, g, eps_d, sheet):
+    # f is bit for bit z - eps_d - Sigma; f' = 1 - Sigma' from the array path,
+    # Sigma' = g^2 sigma_1^2 (1 - 2z/s), held to 1e-15 of the magnitudes it sums
+    terms = [spectrum._residual(z, g, eps_d, sheet) for z in zs]
+    for z, (sig, f, _) in zip(zs, terms):
+        assert _bits(sig) == _bits(sigma1(z, sheet))
+        assert _bits(f) == _bits(z - eps_d - self_energy(z, g, sheet))
+    zs = np.array(zs, dtype=complex)
+    sig, root = sigma1(zs, sheet), sqrt_band(zs)
+    s = root if sheet is FIRST else -root
+    df = np.array([t[2] for t in terms])
+    scale = 1.0 + g * g * np.abs(sig) ** 2 * (1.0 + 2.0 * np.abs(zs / root))
+    assert np.all(np.abs(df - (1.0 - g * g * sig * sig * (1.0 - 2.0 * zs / s))) <= 1e-15 * scale)
+
+
 @given(zs=st.lists(OFF_AXIS, min_size=1, max_size=10), at=st.integers(0, 10),
        edge=st.sampled_from([2.0, -2.0]), g=COUPLINGS, sheet=SHEETS)
 def test_property_branch_point_guard_is_elementwise(zs, at, edge, g, sheet):
