@@ -550,7 +550,8 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
 def check_bessel_span(t_max: float, g: float) -> None:
     """Refuse a Bessel grid to t_max > MAX_PANELS min(1, 10/z_g), before any work."""
     cap_width = min(1.0, 10.0 / z_gap(g)[0])
-    if t_max / cap_width > MAX_PANELS:
+    # a product, not t_max / cap_width: z_g = inf (g below about 1e-308) gives a width of 0
+    if t_max > MAX_PANELS * cap_width:
         raise InvalidParameterError(
             f"Bessel representation at g = {g:g} up to t = {t_max:g} exceeds the cap on "
             f"its quadrature panels, t <= {MAX_PANELS} min(1, 10/z_g) = "

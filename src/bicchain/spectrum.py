@@ -7,7 +7,7 @@ which puts the cut exactly on the band [-2, 2] and behaves like z at large
 |z|, sigma_1 is 2/(z + s) on the first sheet (|sigma_1| <= 1) and the
 reciprocal (z + s)/2 on the second; neither form cancels, as |z + s| >= 2.
 From it come the self-energy Sigma = g^2 z sigma_1^2 (-> g^2/z on the first
-sheet), its derivative, the wavevector e^{ik} = -sigma_1 of a discrete state
+sheet), the wavevector e^{ik} = -sigma_1 of a discrete state
 and, through :func:`_chain_split`, the residues; sqrt_band, sigma1 and
 self_energy take arrays.  A scalar z is a Python complex with cmath's square
 roots, which are numpy's bit for bit except on the lines Re z = +/-2 and at
@@ -27,22 +27,28 @@ Discrete solutions of z - eps_d - Sigma(z) = 0:
   above (below) the band iff 2 g^2 > 2 - eps_d (2 + eps_d); the other real
   roots are virtual bound states.
 
-Method at eps_d != 0: squaring the equation gives one quartic whose four
-roots hold every solution on both sheets (:func:`_quartic_roots`).  The
-resonance pair is the conjugate pair among the roots, so it stays a pair
-when Im z_res is below rounding; it is polished on the second sheet, since
-the first-sheet resolvent is analytic off the real axis.  Every real root,
-a quartic root or +/- z_g at eps_d = 0, goes through :func:`_real_state`,
-which reads its sheet off sigma_1 (x - eps_d = g^2 x sigma_1^2 with
-|sigma_1| < 1 only on the first sheet) and polishes it there by Newton's
-method, each step taking f and f' from one band root (:func:`_residual`).
-The polished roots keep the residual bound 1e-10 and the dispersion check
--2 cos k = z to 1e-12.  A root closer to a band edge than the residual
-bound can resolve in double precision raises
+Method: with z = sigma + 1/sigma, sigma being sigma_1 on the state's sheet,
+z - eps_d - Sigma(z) = -P(sigma)/sigma exactly on both sheets, with
+P(sigma) = g^2 sigma^4 + (g^2 - 1) sigma^2 + eps_d sigma - 1.  Nothing is
+squared, so P's four roots are exactly the solutions, and |sigma| < 1 is the
+first sheet; P's constant term is -1, so no root sits at 0.  They are the
+eigenvalues of P's companion matrix, each polished by at most 6 Newton steps
+on P.  A real root is a bound state iff |sigma| < 1, else a virtual bound
+state; on a threshold 2 g^2 = 2 -/+ eps_d (|P(+/-1)| < 1e-10) the real root
+nearest +/-1 is the band-edge state.  The complex pair is the resonance pair
+on the second sheet, since the first-sheet resolvent is analytic off the real
+axis; it stays a pair when Im z_res is below rounding.  At eps_d = 0,
+P = (g^2 sigma^2 - 1)(sigma^2 + 1): +/- i is the BIC and +/- 1/g the pair at
++/- z_g.  Each state takes k = -i log(-sigma) and the perp residue
+N_0^2 Q_0(sigma) Res[G_dd] with Res[G_dd] = -(sigma^2 - 1)/(sigma P'(sigma)),
+with no square root.  Every state meets the residual bound 1e-10 at its
+reported z (where sigma + 1/sigma misses it, after one Newton step in z) and
+the dispersion check -2 cos k = z to 1e-12.  A root closer to a band edge
+than the residual bound can resolve in double precision raises
 :class:`RootFindError`; on the threshold itself the state is the band-edge
 state.  That happens within about 1e-5 max(1, g)^4 of a threshold in eps_d
-(1e-5 at g <= 1, 2e-4 at g = 2, 0.04 at g = 7).  Detunings beyond
-``SPECTRUM_EPS_MAX`` are refused.
+(1e-5 at g <= 1, 2e-4 at g = 2, 0.04 at g = 7).  Couplings outside
+``SPECTRUM_G_RANGE`` and detunings beyond ``SPECTRUM_EPS_MAX`` are refused.
 """
 
 from __future__ import annotations
@@ -185,18 +191,6 @@ def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
     return g * g * z * sig * sig
 
 
-def _residual(z: complex, g: float, eps_d: float,
-              sheet: SheetTag) -> tuple[complex, complex, complex]:
-    """(sigma_1, f, f') at z from one band root: f = z - eps_d - Sigma(z), bit for
-    bit as self_energy gives it, and f' = 1 - g^2 sigma_1^2 (1 - 2z/s), since
-    d sigma_1/dz = -sigma_1/s with s = +/-sqrt(z^2-4) on the first/second sheet."""
-    z = complex(z)
-    root = sqrt_band(z)
-    wide = z + root
-    sig, s = (wide / 2.0, -root) if sheet is SheetTag.Second else (2.0 / wide, root)
-    return sig, z - eps_d - g * g * z * sig * sig, 1.0 - g * g * sig * sig * (1.0 - 2.0 * z / s)
-
-
 def z_gap(g: float) -> tuple[float, float]:
     """(z_g, delta_g): the symmetric pair energy g + 1/g and its band gap."""
     check_coupling(g)
@@ -251,7 +245,12 @@ def wavevector(z: complex, g: float, kind: StateKind) -> complex:
     if kind is StateKind.BIC:
         return complex(math.pi / 2.0)
     sheet = SheetTag.First if kind is StateKind.Bound else SheetTag.Second
-    k = -1j * cmath.log(-sigma1(z, sheet, branch_point_limit=True))
+    return _wavenumber(sigma1(z, sheet, branch_point_limit=True))
+
+
+def _wavenumber(sig: complex) -> complex:
+    """k = -i log(-sigma_1), with Re k normalized into [0, 2 pi)."""
+    k = -1j * cmath.log(-sig)
     if k.real < -1e-15:
         k += 2.0 * math.pi
     return k
@@ -285,17 +284,6 @@ def w_norm_sq(g: float, w: float) -> float:
     return 1.0 / inverse_w_norm_sq(g, w)
 
 
-def _perp_residue(z: complex, g: float, sheet: SheetTag) -> complex:
-    """Residue of <psi_perp |(z-H)^-1| psi_perp> at a simple pole z.
-
-    The perp state is the w = 0 state, so this is N_0^2 Q_0 Res[G_dd] with
-    Q_0 from :func:`_chain_split` on the pole's sheet and
-    Res[G_dd] = 1/(1 - Sigma').
-    """
-    sig, _, df = _residual(z, g, 0.0, sheet)
-    return w_norm_sq(g, 0.0) * _chain_split(sig, g, 0.0)[1] / df
-
-
 def _band_edge_state(z_sign: float, g: float) -> DiscreteState:
     # a solution on a band edge (g = 1 at eps_d = 0, or a threshold); k = pi (upper), 0 (lower)
     z = complex(2.0 * z_sign)
@@ -304,123 +292,98 @@ def _band_edge_state(z_sign: float, g: float) -> DiscreteState:
                          band_edge=True)
 
 
-def _polish_real_root(z0: float, params: ModelParams, sheet: SheetTag) -> float:
-    z = z0
-    for _ in range(60):
-        _, f, df = _residual(z, params.g, params.eps_d, sheet)
-        step = f.real / df.real
-        z -= step
-        if abs(z) <= 2.0:
-            raise RootFindError("real-axis Newton polish reached the band", z)
-        if abs(step) < 1e-14 * max(abs(z), 1.0):
+def _band_poly(sig, g2: float, eps_d: float):
+    """P(sigma) = g^2 sigma^4 + (g^2 - 1) sigma^2 + eps_d sigma - 1 and P'(sigma)."""
+    s2 = sig * sig
+    return ((g2 * s2 + (g2 - 1.0)) * s2 + eps_d * sig - 1.0,
+            (4.0 * g2 * s2 + 2.0 * (g2 - 1.0)) * sig + eps_d)
+
+
+def _band_root(sig, g2: float, eps_d: float):
+    """(sigma, Res[G_dd]) at a root sigma of P, polished by at most 6 Newton steps
+    on P, each taken only if it lowers |P| (near a double root a step can throw
+    sigma far off).  The residue of G_dd is 1/f'(z) = -(sigma^2 - 1)/(sigma P'(sigma))."""
+    p, dp = _band_poly(sig, g2, eps_d)
+    for _ in range(6):
+        new = sig - p / dp
+        p_new, dp_new = _band_poly(new, g2, eps_d)
+        if not abs(p_new) < abs(p):
             break
-    if abs(_residual(z, params.g, params.eps_d, sheet)[1]) > 1e-10:
-        raise RootFindError("real-axis Newton polish did not reach residual 1e-10", z)
-    return z
+        sig, p, dp = new, p_new, dp_new
+    return sig, (1.0 - sig * sig) / (sig * dp)
 
 
-def _newton_complex(z0: complex, params: ModelParams) -> complex:
-    """Damped Newton iteration for a second-sheet complex root of z - eps_d - Sigma."""
-    g, eps_d, sheet = params.g, params.eps_d, SheetTag.Second
-    z = complex(z0)
-    _, f, df = _residual(z, g, eps_d, sheet)
-    for _ in range(200):
-        step = f / df
-        lam = 1.0
-        for _ in range(30):
-            z_new = z - lam * step
-            _, f_new, df_new = _residual(z_new, g, eps_d, sheet)
-            # a seed already at the tolerance may not improve in rounding
-            if abs(f_new) < abs(f) or abs(f_new) < 1e-13:
-                z, f, df = z_new, f_new, df_new
-                break
-            lam *= 0.5
+def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
+                kind: StateKind) -> DiscreteState:
+    """The state at a root sigma of P: z = sigma + 1/sigma, e^{ik} = -sigma, and the
+    perp residue N_0^2 Q_0 Res[G_dd] with Q_0 from :func:`_chain_split`.
+
+    z must meet the residual bound |z - eps_d - Sigma(z)| < 1e-10 on its sheet.
+    Where sigma + 1/sigma misses it, z takes one Newton step in z, whose 1/f'(z)
+    is Res[G_dd]: z carries a rounding error of about 1e-16 |sigma| that
+    f' ~ g^2 amplifies (the resonance pair at large g).  Near a double root,
+    where f' ~ 0, the step would amplify the residual's own rounding instead,
+    so it is taken only where needed.
+    """
+    def residual(z: complex) -> tuple[complex, complex]:
+        if kind is StateKind.Resonance:  # Im z below rounding may take either sign
+            z = complex(z.real, -abs(z.imag))
+        return z, z - params.eps_d - self_energy(z, params.g, sheet, branch_point_limit=True)
+
+    z, f = residual(complex(sig + 1.0 / sig))
+    if abs(f) > 1e-10:
+        z, f = residual(z - f * r_dd)
+    if abs(f) > 1e-10:
+        raise RootFindError("state misses the residual bound 1e-10 on its sheet", z)
+    residue = w_norm_sq(params.g, 0.0) * _chain_split(sig, params.g, 0.0)[1] * r_dd
+    return DiscreteState(z=z, sheet=sheet, kind=kind, k=_wavenumber(sig),
+                         residue_weight=complex(residue))
+
+
+def _band_root_states(params: ModelParams) -> list[DiscreteState]:
+    """Classified states from the four roots sigma of P (see the module docstring).
+
+    A real root is a bound state (first sheet) iff |sigma| < 1, else a virtual
+    bound state.  Where the detuning sits on a threshold 2 g^2 = 2 -/+ eps_d,
+    the real root nearest sigma = +/-1 is the band-edge state.  The complex
+    pair is the resonance pair on the second sheet, the root with Im sigma < 0
+    the resonance (Im z has the sign of Im sigma where |sigma| > 1), written as
+    exact conjugates, so Im z below rounding keeps both kinds; the
+    anti-resonance's residual is the conjugate of the resonance's (Schwarz
+    reflection).  At eps_d = 0 the pair is +/- i, the BIC.
+    """
+    g, eps_d = params.g, params.eps_d
+    g2 = g * g
+    # the eigenvalues of P's companion matrix, as numpy.roots takes them
+    roots = np.linalg.eigvals(np.array([[0.0, (1.0 - g2) / g2, -eps_d / g2, 1.0 / g2],
+                                        [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                        [0.0, 0.0, 1.0, 0.0]])).tolist()
+    # the band edges that solve the equation to 1e-10 (the edge residual is
+    # |P(+/-1)|), and at eps_d = 0 both where z_g = g + 1/g rounds to 2 (g within
+    # about 1.5e-8 of 1), which the edge residual alone finds only within 2.5e-11
+    edges = [e for e in (2.0, -2.0)
+             if abs(e - eps_d - e * g2) < 1e-10 or (eps_d == 0.0 and z_gap(g)[0] == 2.0)]
+    states = []
+    for x in sorted((r.real for r in roots if r.imag == 0.0), key=lambda r: abs(abs(r) - 1.0)):
+        sig, r_dd = _band_root(x, g2, eps_d)
+        edge = math.copysign(2.0, sig)
+        if edge in edges:
+            edges.remove(edge)
+            states.append(_band_edge_state(edge / 2.0, g))
+        elif abs(sig) < 1.0:
+            states.append(_pole_state(sig, r_dd, params, SheetTag.First, StateKind.Bound))
         else:
-            raise RootFindError("damped Newton stalled", z)
-        if abs(f) < 1e-13:
-            return z
-    raise RootFindError("complex Newton did not converge", z)
-
-
-def _quartic_roots(params: ModelParams) -> np.ndarray:
-    """The four roots of the polynomial that z - eps_d - Sigma(z) squares to.
-
-    Moving the root term of Sigma to one side and squaring cancels z^6:
-
-        -g^2 z^4 + g^2 eps_d z^3 + (1+g^2)^2 z^2 - 2(1+g^2) eps_d z + eps_d^2 = 0,
-
-    so every solution on either sheet is a root.  numpy's companion-matrix
-    eigenvalues return real roots with a zero imaginary part and complex
-    roots as exact conjugates.
-    """
-    g2, eps = params.g * params.g, params.eps_d
-    a = 1.0 + g2
-    return np.roots([-g2, g2 * eps, a * a, -2.0 * a * eps, eps * eps])
-
-
-def _classified_state(z: complex, g: float, sheet: SheetTag,
-                      kind: StateKind) -> DiscreteState:
-    """The state at a polished root, with its wavevector and perp residue."""
-    try:
-        return DiscreteState(z=z, sheet=sheet, kind=kind, k=wavevector(z, g, kind),
-                             residue_weight=_perp_residue(z, g, sheet))
-    except (ArithmeticError, ValueError) as exc:
-        # far from the band sigma_1^2 over- or underflows
-        raise RootFindError(f"state not resolvable in double precision ({exc})", z) from exc
-
-
-def _real_state(x: float, params: ModelParams) -> DiscreteState:
-    """The state at a real root x of z - eps_d - Sigma(z) = 0, for any eps_d.
-
-    On a threshold 2 g^2 = 2 -/+ eps_d, where the band edge itself solves
-    the equation to 1e-10, it is the band-edge state; a root inside the band
-    solves neither sheet and is refused.  Otherwise the root's sheet is read
-    off sigma_1: x - eps_d = g^2 x sigma_1^2 with |sigma_1| < 1 only on the
-    first sheet, so x is a bound state iff |x - eps_d| < g^2 |x| (g > 1 at
-    eps_d = 0) and a virtual bound state otherwise, and it is polished there.
-    """
-    g = params.g
-    edge = math.copysign(2.0, x)
-    if abs(edge - params.eps_d - self_energy(edge, g, branch_point_limit=True)) < 1e-10:
-        return _band_edge_state(edge / 2.0, g)
-    if abs(x) <= 2.0:
-        raise RootFindError("real root inside the band", x)
-    bound = abs(x - params.eps_d) < g * g * abs(x)
-    sheet = SheetTag.First if bound else SheetTag.Second
-    kind = StateKind.Bound if bound else StateKind.VirtualBound
-    return _classified_state(complex(_polish_real_root(x, params, sheet)), g, sheet, kind)
-
-
-def _detuned_states(params: ModelParams) -> list[DiscreteState]:
-    """Classified states at eps_d != 0 from the roots of the quartic.
-
-    The resonance pair is the conjugate pair among the roots.  A real root
-    inside the band solves neither sheet (Sigma is complex there), so real
-    roots inside it are that pair split onto the axis by rounding, which
-    happens when Im z_res ~ eps_d^2 is below the roots' accuracy; the two
-    innermost are then the pair.  When all four roots are real and outside
-    the band (far detuning at small g), the pair has met the real axis and
-    there is no resonance.  The other real roots are classified by
-    :func:`_real_state`: bound or virtual bound states on the sheet that
-    sigma_1 gives them, or band-edge states where the detuning sits on a
-    threshold 2 g^2 = 2 -/+ eps_d.
-    """
-    g = params.g
-    roots = _quartic_roots(params)
-    pair = roots[roots.imag != 0.0]
-    real = roots[roots.imag == 0.0].real
-    real = real[np.argsort(np.abs(real))]
-    if len(pair) == 0 and abs(real[0]) < 2.0:
-        pair, real = real[:2].mean(keepdims=True), real[2:]
-    if len(real) < 2:
-        raise RootFindError("spectrum quartic has fewer than two real roots", roots[0])
-
-    states = [_real_state(float(x), params) for x in real]
-    if len(pair):
-        z_res = _newton_complex(complex(pair[0]), params)
-        res = z_res if z_res.imag < 0 else z_res.conjugate()
-        for z, kind in ((res, StateKind.Resonance), (res.conjugate(), StateKind.AntiResonance)):
-            states.append(_classified_state(z, g, SheetTag.Second, kind))
+            states.append(_pole_state(sig, r_dd, params, SheetTag.Second, StateKind.VirtualBound))
+    pair = [r for r in roots if r.imag < 0.0]
+    if pair and eps_d == 0.0:
+        states.append(DiscreteState(z=0j, sheet=SheetTag.First, kind=StateKind.BIC,
+                                    k=complex(math.pi / 2.0), residue_weight=0j))
+    elif pair:
+        sig, r_dd = _band_root(pair[0], g2, eps_d)
+        res = _pole_state(sig, r_dd, params, SheetTag.Second, StateKind.Resonance)
+        states += [res, DiscreteState(z=res.z.conjugate(), sheet=SheetTag.Second,
+                                      kind=StateKind.AntiResonance, k=_wavenumber(sig.conjugate()),
+                                      residue_weight=res.residue_weight.conjugate())]
     return states
 
 
@@ -431,12 +394,16 @@ def _detuned_states(params: ModelParams) -> list[DiscreteState]:
 #: and |eps_d| in [0.01, 1.5] (3000 log-spaced g per eps_d).
 SPECTRUM_G_RANGE = (1e-3, 1e3)
 
-#: largest |eps_d| that :func:`discrete_spectrum` accepts.  From about
-#: |eps_d| = 186 the complex polish of the resonance pair stalls at some g
-#: between 0.38 and 2.9 ("damped Newton stalled", exit 3), away from any
-#: threshold.  Up to 100 no point failed: 40,000 random (g, eps_d) with g
-#: log-uniform over SPECTRUM_G_RANGE, and 802 log-spaced g at |eps_d| = 100.
-SPECTRUM_EPS_MAX = 100.0
+#: largest |eps_d| that :func:`discrete_spectrum` accepts.  Beyond it the
+#: states lie near |z| ~ |eps_d| > 1000, where (as for SPECTRUM_G_RANGE) correct
+#: states failed the absolute 1e-12 dispersion check, from |eps_d| of about 2170.
+#: Up to 1000 every point outside the documented threshold band passed: 140,000
+#: random (g, eps_d) with g log-uniform over SPECTRUM_G_RANGE (20,000 of them at
+#: g >= 550) and |eps_d| log-uniform in [100, 1000], 802 log-spaced g at each of
+#: 22 eps_d with |eps_d| in [100, 1000], and 58,072 points within 1e-14..0.1
+#: (relative, in g) of the curve where the far-detuned pair meets the real axis
+#: (a double root), at |eps_d| in [2.5, 1000].
+SPECTRUM_EPS_MAX = 1000.0
 
 
 def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
@@ -459,17 +426,10 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
         raise InvalidParameterError(
             f"the spectrum resolves detunings |eps_d| <= {SPECTRUM_EPS_MAX:g}, "
             f"got eps_d = {params.eps_d:g}")
-    if params.eps_d == 0.0:
-        zg, _ = z_gap(g)
-        # g = 1, or within about 1.5e-8 of it, where g + 1/g rounds to 2: the
-        # band-edge pair, which the edge residual alone finds only within 2.5e-11
-        pair = ([_band_edge_state(+1.0, g), _band_edge_state(-1.0, g)] if zg == 2.0
-                else [_real_state(zg, params), _real_state(-zg, params)])
-        states = [DiscreteState(z=0j, sheet=SheetTag.First, kind=StateKind.BIC,
-                                k=complex(math.pi / 2.0), residue_weight=0j), *pair]
-    else:
-        states = _detuned_states(params)
-
+    try:
+        states = _band_root_states(params)
+    except ArithmeticError as exc:  # P'(sigma) = 0: an exact double root
+        raise RootFindError(f"spectrum polynomial root not resolvable ({exc})", 0j) from exc
     for st in states:
         if abs(-2.0 * cmath.cos(st.k) - st.z) > 1e-12:
             raise RootFindError("dispersion consistency -2 cos k = z violated", st.z)

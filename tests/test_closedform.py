@@ -112,6 +112,10 @@ def test_bessel_grid_refuses_beyond_panel_cap():
     assert "g = 1e-06" in str(info.value) and "t = 3000" in str(info.value)
     # the same time span at a coupling that needs few panels still runs
     assert np.all(np.isfinite(bessel_exact_grid(np.array([1.0, 3e3]), 0.5)))
+    # where z_g = g + 1/g overflows the cap width is 0: refused, with no
+    # division by zero on the way
+    with pytest.raises(InvalidParameterError, match="quadrature panels"):
+        bessel_exact_grid(np.array([0.0, 1.0]), 5e-324)
 
 
 @pytest.mark.parametrize("g", [1e-6, 1e-3, 0.05, 0.3])

@@ -207,7 +207,7 @@ def test_cli_negative_detuning_in_exponent_notation(tmp_path, value):
 
 SPECTRUM_EXTREMES = [
     (1e-200, 0.2, {2}),      # outside the resolvable couplings [1e-3, 1e3]
-    (0.9, 1e300, {2}),       # beyond the resolvable detunings |eps_d| <= 100
+    (0.9, 1e300, {2}),       # beyond the resolvable detunings |eps_d| <= 1000
     (1e-5, 0.3, {2}),
     (1e5, 0.3, {2}),
     (0.9, 1e-300, {0}),
@@ -216,6 +216,8 @@ SPECTRUM_EXTREMES = [
     # 5.6e-8 above it the real root is about 1e-16 from the band edge, where
     # no double meets the residual bound and Newton can land on z = 2
     (0.9, 0.3800000562341324, {3}),
+    # far detuning, where a damped complex Newton in z stalls on the resonance pair
+    (1.2509949159616216, 186.0, {0}),
 ]
 #: the same (g, eps_d), and couplings whose g^3 overflows or g^2 underflows
 EXTREMES = [(g, eps_d) for g, eps_d, _ in SPECTRUM_EXTREMES] + [
@@ -305,13 +307,14 @@ def test_cli_spectrum_refuses_unresolvable_coupling(tmp_path, capsys, g):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("eps_d", ["100.5", "-1e3"])
+@pytest.mark.parametrize("eps_d", ["1000.5", "-1e4"])
 def test_cli_spectrum_refuses_unresolvable_detuning(tmp_path, capsys, eps_d):
-    # from |eps_d| ~ 186 the resonance polish stalls at some g; the limit
-    # is refused up front and named
+    # beyond |eps_d| = 1000 the states lie near |z| ~ |eps_d|, where correct
+    # states fail the absolute 1e-12 dispersion check (from about 2170); the
+    # limit is refused up front and named
     assert run_cli("spectrum", "--g", "1.2", "--eps-d", eps_d,
                    "--out", str(tmp_path / "x.json")) == 2
-    assert "|eps_d| <= 100" in capsys.readouterr().err
+    assert "|eps_d| <= 1000," in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
