@@ -113,8 +113,8 @@ def _write_curves(path: str | Path, params: ModelParams, tags: list[Approximatio
         except ArithmeticError as exc:  # beyond what the closed form represents
             raise InvalidParameterError(
                 f"{tag.value} is not representable in double precision at "
-                f"g = {params.g:g}, eps_d = {params.eps_d:g}: a power of g or eps_d "
-                "in the law over- or underflows") from exc
+                f"g = {params.g:g}, eps_d = {params.eps_d:g}, t = {ts[0]:g} to {ts[-1]:g}: "
+                "a power of g, eps_d or t in the law over- or underflows") from exc
         rows.extend((float(t), float(v), tag.value, int(w))
                     for t, v, w in zip(ts, vals, window))
     meta = {**meta, "tags": ",".join(t.value for t in tags), "tool_version": __version__}
@@ -482,7 +482,11 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     else:
         return argv
     tokens: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -8,10 +8,11 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   One call takes a whole ascending time grid: the adaptive Gauss rule runs
   on two-period pieces of exp(2 i t_max cos k), bisects level by level
   until every time's summed error estimate meets the tolerance, evaluates
-  the t-independent jump once per node and carries the times as an array
-  axis (``_cut_integral``).  The discontinuity sign is pinned by
-  the t = 0 sum rule: at eps_d = 0 the cut carries the full norm for
-  g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the rest).
+  the t-independent jump once per node from one boundary value, the one
+  above the band (the value below is its complex conjugate), and carries
+  the times as an array axis (``_cut_integral``).  The discontinuity sign
+  is pinned by the t = 0 sum rule: at eps_d = 0 the cut carries the full
+  norm for g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the rest).
   ``a_br_quadrature`` is this route for the perp state (w = 0, eps_d = 0)
   at couplings whose z_g^2 is finite.
 * ``bessel_exact_grid`` -- the exact Bessel-function representation
@@ -657,39 +658,27 @@ def res_pole_1d(params: ModelParams) -> tuple[float, float]:
     return amp, resonance_expansion(params).gamma
 
 
-def _jump(z, sig_below, sig_above, g: float, eps_d: float, w: float):
-    """Below-minus-above jump of C0 + Q G_dd, given sigma_1 on either side.
+def _boundary_value(z, sig, g: float, eps_d: float, w: float):
+    """C0 + Q G_dd of the w-state resolvent at z, given sigma_1 there.
 
-    Sigma = g^2 z sigma_1^2 on either side, so G_dd = 1/(z - eps_d - Sigma).
+    Sigma = g^2 z sigma_1^2, so G_dd = 1/(z - eps_d - Sigma).
     """
-
-    def side(sig):
-        background, coupling = _chain_split(sig, g, w)
-        g_dd = 1.0 / (z - eps_d - g * g * z * sig * sig)
-        return background + coupling * g_dd
-
-    return side(sig_below) - side(sig_above)
-
-
-def _disc_on_cut(k: np.ndarray, g: float, eps_d: float, w: float) -> np.ndarray:
-    """Below-minus-above jump of the w-state resolvent across the band.
-
-    On the cut z = -2 cos k the boundary values of sigma_1 are -e^{+/- i k}
-    (above/below).
-    """
-    return _jump(-2.0 * np.cos(k), -np.exp(-1j * k), -np.exp(1j * k), g, eps_d, w)
+    background, coupling = _chain_split(sig, g, w)
+    return background + coupling * (1.0 / (z - eps_d - g * g * z * sig * sig))
 
 
 def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     """Survival amplitude of the w-state from the branch-cut contour.
 
     Reduces the counter-clockwise contour around the band to the jump of
-    N_w^2 (sigma_1 + Q G_dd) across the cut and integrates over k in
-    [0, pi].  Valid for any detuning; bound-state poles are not included
-    and must be added by the caller when present.  ``t`` is a time or an
-    ascending grid of times >= 0; one call integrates every time at once
-    (``_cut_integral``), each to a summed error estimate of at most
-    ``abs_tol``, which must be finite and positive.
+    N_w^2 (C0 + Q G_dd) across the cut and integrates over k in [0, pi].
+    Each node evaluates one boundary value, the one above the band; the
+    value below is its complex conjugate.  Valid for any detuning;
+    bound-state poles are not included and must be added by the caller when
+    present.  ``t`` is a time or an ascending grid of times >= 0; one call
+    integrates every time at once (``_cut_integral``), each to a summed
+    error estimate of at most ``abs_tol``, which must be finite and
+    positive.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0):
         raise InvalidParameterError(f"abs_tol must be finite and positive, got {abs_tol}")
@@ -705,7 +694,10 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     nw2 = w_norm_sq(g, w)
 
     def h(k: np.ndarray) -> np.ndarray:
-        return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * _disc_on_cut(k, g, eps_d, w)
+        # z = -2 cos k and the coefficients are real, so the value below the
+        # cut (sigma_1 = -e^{-ik}) is exactly the conjugate of the one above
+        above = _boundary_value(-2.0 * np.cos(k), -np.exp(1j * k), g, eps_d, w)
+        return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * (np.conj(above) - above)
 
     out = _cut_integral(h, grid, abs_tol)
     return out if ts.ndim else complex(out[0])
@@ -777,7 +769,8 @@ def a_w_rays(t, params: ModelParams, w: float):
         # the second sheet continues the from-above value; its reciprocal is
         # the first-sheet value below the cut
         sig_above = sigma1(z, SheetTag.Second)
-        return weights * _jump(z, 1.0 / sig_above, sig_above, g, 0.0, w)
+        return weights * (_boundary_value(z, 1.0 / sig_above, g, 0.0, w)
+                          - _boundary_value(z, sig_above, g, 0.0, w))
 
     # the t-independent part of each ray integral, once per call
     lower, upper = weighted_jump(-2.0 - 1j * x2), weighted_jump(2.0 - 1j * x2)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, _jump, _panel_width,
+from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, _boundary_value, _panel_width,
                                  bessel_exact_grid)
 from bicchain.evolve import bessel_j01
 from bicchain.model import ModelParams, NumericalError, check_coupling
@@ -159,11 +159,11 @@ def a_w_rays_plain_exp(ts, g: float, w: float,
 
     The jump is ``ray_jump`` (sigma_1 from principal square roots), or with
     ``package_jump`` the package's own (``sigma1`` on the second sheet and
-    ``closedform._jump``), which leaves only the package's way of forming
-    each time's sums to differ.  Also returns each time's scale
-    N_w^2/(2 pi) SUM e^{-x^2 t} (|D_-| + |D_+|), the size of the terms that
-    the ray sums add up: a double evaluation of the sums can miss them by a
-    few ulp of it.
+    the difference of ``closedform._boundary_value`` on either side), which
+    leaves only the package's way of forming each time's sums to differ.
+    Also returns each time's scale N_w^2/(2 pi) SUM e^{-x^2 t} (|D_-| +
+    |D_+|), the size of the terms that the ray sums add up: a double
+    evaluation of the sums can miss them by a few ulp of it.
     """
     x2 = _RAY_X * _RAY_X
     weights = _RAY_W * 2.0 * _RAY_X
@@ -172,7 +172,8 @@ def a_w_rays_plain_exp(ts, g: float, w: float,
         if not package_jump:
             return weights * ray_jump(z, g, w)
         sig_above = sigma1(z, SheetTag.Second)
-        return weights * _jump(z, 1.0 / sig_above, sig_above, g, 0.0, w)
+        return weights * (_boundary_value(z, 1.0 / sig_above, g, 0.0, w)
+                          - _boundary_value(z, sig_above, g, 0.0, w))
 
     lower, upper = weighted_jump(-2.0 - 1j * x2), weighted_jump(2.0 - 1j * x2)
     c = w_norm_sq(g, w) / (2.0 * math.pi)

@@ -746,7 +746,8 @@ def test_cut_integral_matches_recursive_adaptive_gauss(g, eps_d, w):
     nw2 = w_norm_sq(g, w)
 
     def h(k):
-        return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * closedform._disc_on_cut(k, g, eps_d, w)
+        above = closedform._boundary_value(-2.0 * np.cos(k), -np.exp(1j * k), g, eps_d, w)
+        return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * (np.conj(above) - above)
 
     for t in (0.0, 2.5, 40.0):
         for tol in (1e-9, 1e-12):
@@ -781,6 +782,52 @@ def test_cut_integral_work_at_compare_shapes(monkeypatch, g, eps_d, t_max, n, mo
     monkeypatch.setattr(closedform, "_rule_sums", spy)
     a_w_cut(np.linspace(0.0, t_max, n), ModelParams(g=g, eps_d=eps_d), 0.0)
     assert sum(evaluated) <= most
+
+
+def test_cut_evaluates_one_boundary_value_per_node(monkeypatch):
+    # the value below the band is the conjugate of the one above, so each
+    # evaluated interval evaluates one boundary value at each of its 45 GL30
+    # and GL15 nodes
+    evaluated, nodes = [], []
+    rule_sums, boundary_value = closedform._rule_sums, closedform._boundary_value
+
+    def spy_sums(weighted, *args):
+        evaluated.append(len(weighted))
+        return rule_sums(weighted, *args)
+
+    def spy_value(z, sig, *args):
+        nodes.append(np.size(sig))
+        return boundary_value(z, sig, *args)
+
+    monkeypatch.setattr(closedform, "_rule_sums", spy_sums)
+    monkeypatch.setattr(closedform, "_boundary_value", spy_value)
+    a_w_cut(np.linspace(0.0, 40.0, 51), ModelParams(g=0.9, eps_d=0.2), 0.0)
+    assert sum(evaluated) > 0
+    assert sum(nodes) == 45 * sum(evaluated)
+
+
+@given(g=st.floats(0.05, 3.0), eps_d=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       w=st.floats(-3.0, 3.0),
+       k=st.lists(st.floats(1e-300, math.pi, exclude_max=True), min_size=1, max_size=20))
+@example(g=0.9, eps_d=0.0, w=1.0, k=[1e-300, 0.5 * math.pi - 1e-3, math.pi - 1e-16])
+@example(g=1.3, eps_d=0.4, w=-3.0, k=[0.5 * math.pi, 1.0, 3.0])
+@example(g=0.5, eps_d=0.0, w=-0.625, k=[1.011585280309123e-09, 9.06731574987707e-05])
+def test_property_boundary_value_below_the_band_is_the_conjugate_above(g, eps_d, w, k):
+    # z = -2 cos k is real and so are g, eps_d and w: the cut's one-sided
+    # evaluation rests on this holding bit for bit.  Only the sign of an
+    # exact zero may differ: an imaginary part that cancels to x - x is +0
+    # on either side (g = 0.5, w = -0.625 near the band edge), and the cut
+    # adds such a zero into nonzero sums.  At eps_d = 0 the BIC point
+    # k = pi/2 is removable and never sampled by the cut; nor are the
+    # subnormal k below 1e-300, where 1/(z - eps_d - Sigma) overflows at g = 1.
+    k = np.array(k)
+    if eps_d == 0.0:
+        k = k[np.abs(k - 0.5 * math.pi) > 1e-3]
+    z = -2.0 * np.cos(k)
+    above = closedform._boundary_value(z, -np.exp(1j * k), g, eps_d, w)
+    below = closedform._boundary_value(z, -np.exp(-1j * k), g, eps_d, w)
+    # finite doubles that compare equal are the same bits, zeros aside
+    assert np.all(np.isfinite(above)) and np.array_equal(below, np.conj(above))
 
 
 @pytest.mark.parametrize("ts", [np.geomspace(0.5, 3000.0, 80)[::8], np.array([1387.87])],

@@ -270,6 +270,21 @@ def test_cli_analytic_refuses_unrepresentable_parameters(tmp_path, capsys, g, ep
     assert not out.exists()
 
 
+@pytest.mark.parametrize("g, tag, tmax, span", [
+    ("0.9", "NearZoneAmp", "1e308", "t = 1e+304 to 1e+308"),  # 2 t overflows
+    ("0.5", "WFarZone", "1e-300", "t = 1e-304 to 1e-300"),  # t^3 underflows
+])
+def test_cli_analytic_names_the_time_span_that_over_or_underflows(tmp_path, capsys, g, tag,
+                                                                  tmax, span):
+    # representable g and eps_d: the message names the grid's span as well
+    out = tmp_path / "x.csv"
+    assert run_cli("analytic", "--g", g, "--tags", tag, "--tmax", tmax, "--samples", "3",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert span in err and "over- or underflows" in err
+    assert not out.exists()
+
+
 def test_cli_compare_refuses_unrepresentable_coupling_before_evolving(tmp_path, monkeypatch,
                                                                       capsys):
     # the fits' timescales need g^2 > 0: refused before the evolution runs
@@ -649,6 +664,15 @@ def test_cli_config_file_either_spelling(tmp_path, spelling):
     assert meta["n_samples"] == "11" and len(data["t"]) == 11
     assert run_cli("evolve", *config(tmp_path / "none.cfg"), "--g", "0.5", "--tmax", "3",
                    "--out", str(tmp_path / "b.csv"), "--no-meta-time") == 2
+
+
+def test_cli_config_file_that_is_not_utf8_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"tmax=5\n\xff\xfe=1\n")
+    out = tmp_path / "e.csv"
+    assert run_cli("evolve", "--config", str(cfg), "--g", "0.9", "--out", str(out)) == 2
+    assert f"config file {cfg} is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_determinism(tmp_path):
