@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalError,
                     StateVector, TruncatedHamiltonian, bic_state, hamiltonian,
                     perp_state, w_state)
-from .spectrum import (BranchPointError, DiscreteState, ResonancePole,
-                       RootFindError, SheetTag, StateKind, Timescales,
-                       discrete_spectrum, resonance_expansion, self_energy,
-                       sigma1, spectrum_report, timescales, w_norm_sq,
-                       wavevector, z_gap)
+from .spectrum import (DiscreteState, ResonancePole, RootFindError, SheetTag,
+                       StateKind, Timescales, discrete_spectrum,
+                       resonance_expansion, self_energy, sigma1,
+                       spectrum_report, timescales, w_norm_sq, z_gap)
 from .evolve import (AmplitudeSeries, EvolveOptions, IntegratorError,
                      ProbabilitySeries, auto_sites, evolve, nonescape,
                      survival)

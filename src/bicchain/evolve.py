@@ -119,6 +119,8 @@ class EvolveOptions:
             raise InvalidParameterError(f"abs_tol must be in (0, 1e-6], got {self.abs_tol}")
         if self.grid not in ("linear", "log"):
             raise InvalidParameterError(f"grid must be 'linear' or 'log', got {self.grid!r}")
+        if self.grid == "log":
+            log_grid_start(self.t_max)  # refuses a t_max whose grid cannot start
         if isinstance(self.n_sites, str):
             if self.n_sites != "auto":
                 raise InvalidParameterError(f"n_sites must be an integer or 'auto', got {self.n_sites!r}")
@@ -145,8 +147,18 @@ def _count(name: str, value, least: int) -> int:
 
 def log_grid_start(t_max: float) -> float:
     """First positive time of a log grid ending at t_max: max(1e-4 t_max, 0.01),
-    or 1e-4 t_max when t_max is below 0.01, so the grid never passes t_max."""
-    return max(1e-4 * t_max, 1e-2) if t_max >= 1e-2 else 1e-4 * t_max
+    or 1e-4 t_max when t_max is below 0.01, so the grid never passes t_max.
+
+    A t_max so small that 1e-4 t_max rounds to 0 (below about 5e-320) has no
+    such time and raises :class:`InvalidParameterError`.
+    """
+    if t_max >= 1e-2:
+        return max(1e-4 * t_max, 1e-2)
+    if not 1e-4 * t_max > 0.0:
+        raise InvalidParameterError(
+            f"t_max = {t_max:g} is too small for a log grid: its first time "
+            "1e-4 t_max rounds to 0")
+    return 1e-4 * t_max
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ which puts the cut exactly on the band [-2, 2] and behaves like z at large
 reciprocal (z + s)/2 on the second; neither form cancels, as |z + s| >= 2.
 From it come the self-energy Sigma = g^2 z sigma_1^2 (-> g^2/z on the first
 sheet), the wavevector e^{ik} = -sigma_1 of a discrete state
-and, through :func:`_chain_split`, the residues; sqrt_band, sigma1 and
-self_energy take arrays.  A scalar z is a Python complex with cmath's square
-roots, which are numpy's bit for bit except on the lines Re z = +/-2 and at
-0 < |Im z| < 1e-150, where sqrt_band takes numpy's.  The second sheet
+and, through :func:`_chain_split`, the residues.  sqrt_band, sigma1 and
+self_energy take a scalar (returned as a Python complex) or an array, on the
+same numpy square roots.  At the band edges z = +/-2 the root is exactly 0,
+so the formulas themselves give the limits sigma_1 = z/2 and
+Sigma = z g^2 (z^2 - 2)/2 on both sheets.  The second sheet
 continues the first through the cut (retarded boundary value from above
 equals the second-sheet value from below).
 
@@ -60,12 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalError,
-                    check_coupling, inverse_w_norm_sq)
-
-
-class BranchPointError(ConfigError):
-    """Evaluation exactly at a band edge z = +/-2 without requesting the limit."""
+from .model import (InvalidParameterError, ModelParams, NumericalError, check_coupling,
+                    inverse_w_norm_sq)
 
 
 class RootFindError(NumericalError):
@@ -134,60 +131,45 @@ class ResonancePole:
     gamma: float
 
 
-def _band_input(z, what: str, branch_point_limit: bool):
-    """z as a Python complex (scalar) or a complex array, refused at z = +/-2."""
+def _band_input(z):
+    """z as a Python complex (a number or 0-d input) or else a complex array."""
     if isinstance(z, (complex, float, int)):  # Python numbers skip numpy's scalar calls
-        z = complex(z)
-        edges = [] if branch_point_limit else [e for e in (2.0, -2.0) if z == e]
-    else:
-        z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
-        edges = [] if branch_point_limit else [e for e in (2.0, -2.0) if np.any(z == e)]
-    if edges:
-        raise BranchPointError(
-            f"{what} evaluated exactly at the branch point z = {edges[0]:g}; "
-            "pass branch_point_limit=True for the limit value")
-    return z
+        return complex(z)
+    return complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
 
 
 def sqrt_band(z):
-    """sqrt(z^2 - 4) with the cut on [-2, 2]; behaves like z at large |z|.
+    """sqrt(z^2 - 4) = sqrt(z - 2) sqrt(z + 2) from numpy's principal roots.
 
-    The one definition of the branch; 0 at z = +/-2.  Takes a scalar (and
-    returns a Python complex) or an array, as do sigma1 and self_energy.  A
-    scalar takes cmath's roots, bit for bit numpy's, except where they round
-    differently (Re z = +/-2, or 0 < |Im z| < 1e-150): there it takes numpy's.
+    The one definition of the branch: the cut lies on [-2, 2], the root is 0
+    at z = +/-2 and behaves like z at large |z|.  Takes a scalar (and returns
+    a Python complex) or an array, as do sigma1 and self_energy.
     """
-    z = _band_input(z, "sqrt_band", branch_point_limit=True)
-    if isinstance(z, complex) and z.real not in (2.0, -2.0) and not 0.0 < abs(z.imag) < 1e-150:
-        return cmath.sqrt(z - 2.0) * cmath.sqrt(z + 2.0)
+    z = _band_input(z)
     root = np.sqrt(z - 2.0) * np.sqrt(z + 2.0)
     return complex(root) if isinstance(z, complex) else root
 
 
-def sigma1(z, sheet: SheetTag = SheetTag.First, *, branch_point_limit: bool = False):
+def sigma1(z, sheet: SheetTag = SheetTag.First):
     """Chain edge resolvent factor: the root of sigma_1 + 1/sigma_1 = z.
 
     2/(z + sqrt(z^2-4)) on the first sheet, where |sigma_1| <= 1, and the
     reciprocal (z + sqrt(z^2-4))/2 on the second; neither form cancels.
-    The limit z/2 at z = +/-2 needs branch_point_limit, as in
-    :func:`self_energy`.
+    At z = +/-2 both give the limit z/2.
     """
-    z = _band_input(z, "sigma_1", branch_point_limit)
+    z = _band_input(z)
     wide = z + sqrt_band(z)
     return wide / 2.0 if sheet is SheetTag.Second else 2.0 / wide
 
 
-def self_energy(z, g: float, sheet: SheetTag = SheetTag.First,
-                *, branch_point_limit: bool = False):
+def self_energy(z, g: float, sheet: SheetTag = SheetTag.First):
     """Impurity self-energy Sigma(z) = g^2 z sigma_1(z)^2 on the requested sheet.
 
-    At the branch points z = +/-2 both sheets share the limit
-    z g^2 (z^2 - 2)/2, returned only when branch_point_limit is set;
-    otherwise a BranchPointError is raised.
+    At the branch points z = +/-2 both sheets give the limit z g^2 (z^2 - 2)/2.
     """
     check_coupling(g)
-    z = _band_input(z, "Sigma", branch_point_limit)
-    sig = sigma1(z, sheet, branch_point_limit=True)
+    z = _band_input(z)
+    sig = sigma1(z, sheet)
     return g * g * z * sig * sig
 
 
@@ -233,21 +215,6 @@ def resonance_expansion(params: ModelParams) -> ResonancePole:
     return ResonancePole(e_res=e_res, gamma=gamma)
 
 
-def wavevector(z: complex, g: float, kind: StateKind) -> complex:
-    """Complex wavevector with -2 cos k = z for a discrete solution.
-
-    e^{ik} = -sigma_1(z): bound states take the first sheet (|e^{ik}| < 1,
-    Im k > 0); virtual bound states, resonances and anti-resonances the
-    second.  A band-edge state z = +/-2 has k = pi or 0.  Re k is
-    normalized into [0, 2 pi).
-    """
-    check_coupling(g)
-    if kind is StateKind.BIC:
-        return complex(math.pi / 2.0)
-    sheet = SheetTag.First if kind is StateKind.Bound else SheetTag.Second
-    return _wavenumber(sigma1(z, sheet, branch_point_limit=True))
-
-
 def _wavenumber(sig: complex) -> complex:
     """k = -i log(-sigma_1), with Re k normalized into [0, 2 pi)."""
     k = -1j * cmath.log(-sig)
@@ -284,12 +251,12 @@ def w_norm_sq(g: float, w: float) -> float:
     return 1.0 / inverse_w_norm_sq(g, w)
 
 
-def _band_edge_state(z_sign: float, g: float) -> DiscreteState:
-    # a solution on a band edge (g = 1 at eps_d = 0, or a threshold); k = pi (upper), 0 (lower)
-    z = complex(2.0 * z_sign)
-    return DiscreteState(z=z, sheet=SheetTag.Second, kind=StateKind.VirtualBound,
-                         k=wavevector(z, g, StateKind.VirtualBound), residue_weight=0j,
-                         band_edge=True)
+def _band_edge_state(z_sign: float) -> DiscreteState:
+    # a solution on a band edge (g = 1 at eps_d = 0, or a threshold), where
+    # sigma_1 = z/2 = z_sign; k = pi (upper), 0 (lower)
+    return DiscreteState(z=complex(2.0 * z_sign), sheet=SheetTag.Second,
+                         kind=StateKind.VirtualBound, k=_wavenumber(complex(z_sign)),
+                         residue_weight=0j, band_edge=True)
 
 
 def _band_poly(sig, g2: float, eps_d: float):
@@ -328,7 +295,7 @@ def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
     def residual(z: complex) -> tuple[complex, complex]:
         if kind is StateKind.Resonance:  # Im z below rounding may take either sign
             z = complex(z.real, -abs(z.imag))
-        return z, z - params.eps_d - self_energy(z, params.g, sheet, branch_point_limit=True)
+        return z, z - params.eps_d - self_energy(z, params.g, sheet)
 
     z, f = residual(complex(sig + 1.0 / sig))
     if abs(f) > 1e-10:
@@ -369,7 +336,7 @@ def _band_root_states(params: ModelParams) -> list[DiscreteState]:
         edge = math.copysign(2.0, sig)
         if edge in edges:
             edges.remove(edge)
-            states.append(_band_edge_state(edge / 2.0, g))
+            states.append(_band_edge_state(edge / 2.0))
         elif abs(sig) < 1.0:
             states.append(_pole_state(sig, r_dd, params, SheetTag.First, StateKind.Bound))
         else:

@@ -390,7 +390,7 @@ def test_criterion_11_spectrum_sweep():
         pair = [s for s in states if s.kind is not StateKind.BIC]
         assert len(pair) == 2
         for st in pair:
-            sigma = self_energy(st.z, g, st.sheet, branch_point_limit=True)
+            sigma = self_energy(st.z, g, st.sheet)
             worst_resid = max(worst_resid, abs(st.z - sigma))
             worst_eig = max(worst_eig, abs(abs(st.z.real) - zg))
             expected = StateKind.Bound if g > 1.0 else StateKind.VirtualBound

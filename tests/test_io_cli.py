@@ -21,7 +21,7 @@ from bicchain.cli import main
 from bicchain.closedform import DivergenceError, DomainError, QuadratureError
 from bicchain.evolve import EvolveOptions, IntegratorError
 from bicchain.model import ConfigError, InvalidParameterError, NumericalError
-from bicchain.spectrum import BranchPointError, RootFindError
+from bicchain.spectrum import RootFindError
 from oracles import NearPoleError
 
 
@@ -285,6 +285,19 @@ def test_cli_analytic_names_the_time_span_that_over_or_underflows(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--g", "0.9", "--grid", "log"],
+    ["analytic", "--g", "0.9", "--tags", "NearZoneAmp"],  # log grid by default
+], ids=["evolve", "analytic"])
+def test_cli_log_grid_whose_start_underflows_is_refused(tmp_path, capsys, argv):
+    # the grid's first time 1e-4 t_max rounds to 0
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--tmax", "1e-320", "--samples", "3", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "t_max = 9.99989e-321 is too small for a log grid" in err
+    assert not out.exists()
+
+
 def test_cli_compare_refuses_unrepresentable_coupling_before_evolving(tmp_path, monkeypatch,
                                                                       capsys):
     # the fits' timescales need g^2 > 0: refused before the evolution runs
@@ -454,7 +467,6 @@ ERROR_INSTANCES = [
     (InvalidParameterError("bad g"), 2),
     (DomainError("t <= 0"), 2),
     (DivergenceError("g = 1"), 2),
-    (BranchPointError("z = 2"), 2),
     (TooFewPeaksError("no peaks"), 2),
     (RootFindError("stalled", 1.0 + 0j), 3),
     (QuadratureError("no convergence", 1e-3), 3),

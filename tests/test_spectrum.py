@@ -12,10 +12,9 @@ from scipy.sparse.linalg import spsolve
 
 from bicchain import closedform, spectrum
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian
-from bicchain.spectrum import (BranchPointError, RootFindError, SheetTag, StateKind,
-                               discrete_spectrum, resonance_expansion, self_energy,
-                               sigma1, spectrum_report, sqrt_band, timescales,
-                               wavevector, z_gap)
+from bicchain.spectrum import (RootFindError, SheetTag, StateKind, discrete_spectrum,
+                               resonance_expansion, self_energy, sigma1, spectrum_report,
+                               sqrt_band, timescales, z_gap)
 from oracles import NearPoleError, resolvent_dd, self_energy_quadrature, sheet_of
 
 FIRST, SECOND = SheetTag.First, SheetTag.Second
@@ -85,13 +84,6 @@ def test_self_energy_is_odd():
         assert self_energy(-z, 0.8, FIRST) == pytest.approx(-self_energy(z, 0.8, FIRST), abs=1e-13)
 
 
-def test_branch_point_handling():
-    with pytest.raises(BranchPointError):
-        self_energy(2.0, 0.9, FIRST)
-    limit = self_energy(2.0, 0.9, FIRST, branch_point_limit=True)
-    assert limit == pytest.approx(2.0 * 0.81, abs=1e-14)
-
-
 def test_schwarz_reflection_of_resolvent():
     params = ModelParams(g=0.8, eps_d=0.1)
     for z in (1.5 + 0.8j, -2.5 + 0.3j):
@@ -159,13 +151,13 @@ def test_resonance_expansion_values():
 
 
 def test_wavevector_examples():
-    g = 1.1
-    k = wavevector(g + 1 / g, g, StateKind.Bound)
-    assert k == pytest.approx(math.pi + 1j * math.log(1.1), abs=1e-12)
-    g = 0.9
-    k = wavevector(-(g + 1 / g), g, StateKind.VirtualBound)
-    assert k == pytest.approx(1j * math.log(0.9), abs=1e-12)
-    assert k.imag < 0
+    bound = discrete_spectrum(ModelParams(g=1.1))[-1]  # the bound state at z = g + 1/g
+    assert bound.kind is StateKind.Bound
+    assert bound.k == pytest.approx(math.pi + 1j * math.log(1.1), abs=1e-12)
+    virtual = discrete_spectrum(ModelParams(g=0.9))[0]  # the virtual state at -(g + 1/g)
+    assert virtual.kind is StateKind.VirtualBound
+    assert virtual.k == pytest.approx(1j * math.log(0.9), abs=1e-12)
+    assert virtual.k.imag < 0
 
 
 @pytest.mark.parametrize("g", [0.7, 1.3])
@@ -239,7 +231,7 @@ def test_root_residuals():
     for g in (0.4, 0.9, 1.0, 1.6):
         for eps_d in (0.0, 0.2):
             for st in discrete_spectrum(ModelParams(g=g, eps_d=eps_d)):
-                sigma = self_energy(st.z, g, st.sheet, branch_point_limit=True)
+                sigma = self_energy(st.z, g, st.sheet)
                 assert abs(st.z - eps_d - sigma) < 1e-10
 
 
@@ -385,16 +377,16 @@ ANY_Z = st.builds(complex, st.floats(-1e6, 1e6) | st.sampled_from([2.0, -2.0]),
 @settings(max_examples=300)
 @given(z=ANY_Z, g=COUPLINGS, sheet=SHEETS)
 def test_property_scalar_calls_equal_the_numpy_formula(z, g, sheet):
-    # cmath's roots, or numpy's where cmath rounds differently: bit for bit
+    # numpy's roots, bit for bit, on a scalar as on an array
     root, sig, sigma = _numpy_band(z, g, sheet)
     assert _bits(sqrt_band(z)) == _bits(root)
-    assert _bits(sigma1(z, sheet, branch_point_limit=True)) == _bits(sig)
-    assert _bits(self_energy(z, g, sheet, branch_point_limit=True)) == _bits(sigma)
+    assert _bits(sigma1(z, sheet)) == _bits(sig)
+    assert _bits(self_energy(z, g, sheet)) == _bits(sigma)
 
 
-def test_sqrt_band_takes_numpys_roots_where_cmath_rounds_differently():
-    # cmath.sqrt(1j) is 1 ulp below numpy's in its imaginary part; z - 2 = 1j
-    # at z = 2 + 1j, so the scalar takes numpy's roots on the lines Re z = +/-2
+def test_sqrt_band_takes_numpys_roots_on_re_z_2_and_at_subnormal_im_z():
+    # pinned where cmath's roots round differently: cmath.sqrt(1j) is 1 ulp
+    # below numpy's in its imaginary part, and z - 2 = 1j at z = 2 + 1j
     assert cmath.sqrt(1j) != complex(np.sqrt(1j))
     assert sqrt_band(2 + 1j) == complex(1.2496210676876534, 1.6004851804402411)
     assert sqrt_band(-2 + 1j) == complex(-1.2496210676876534, 1.6004851804402411)
@@ -406,18 +398,20 @@ def test_sqrt_band_takes_numpys_roots_where_cmath_rounds_differently():
 
 @given(zs=st.lists(OFF_AXIS, min_size=1, max_size=10), at=st.integers(0, 10),
        edge=st.sampled_from([2.0, -2.0]), g=COUPLINGS, sheet=SHEETS)
-def test_property_branch_point_guard_is_elementwise(zs, at, edge, g, sheet):
+def test_property_band_edges_give_the_formula_limits(zs, at, edge, g, sheet):
+    # the root is exactly 0 at z = +/-2, so the formulas give sigma_1 = z/2 and
+    # Sigma = z g^2 (z^2 - 2)/2 there, as a scalar and anywhere in an array
+    sigma_limit = edge * g * g * (edge * edge - 2.0) / 2.0
+    assert sigma1(edge, sheet) == edge / 2.0
+    assert self_energy(edge, g, sheet) == sigma_limit
     at = min(at, len(zs))
-    zs = np.insert(np.array(zs), at, edge)
-    with pytest.raises(BranchPointError, match=f"z = {edge:g};"):
-        self_energy(zs, g, sheet)
-    with pytest.raises(BranchPointError, match=f"z = {edge:g};"):
-        sigma1(zs, sheet)
-    limit = self_energy(zs, g, sheet, branch_point_limit=True)
-    assert limit[at] == edge * g * g * (edge * edge - 2.0) / 2.0
-    assert sigma1(zs, sheet, branch_point_limit=True)[at] == edge / 2.0
-    others = np.delete(zs, at)
-    assert np.array_equal(np.delete(limit, at), self_energy(others, g, sheet))
+    others = np.array(zs)
+    zs = np.insert(others, at, edge)
+    sig, sigma = sigma1(zs, sheet), self_energy(zs, g, sheet)
+    assert sig[at] == edge / 2.0
+    assert sigma[at] == sigma_limit
+    assert np.array_equal(np.delete(sig, at), sigma1(others, sheet))
+    assert np.array_equal(np.delete(sigma, at), self_energy(others, g, sheet))
 
 
 # ---------------------------------------------------------------------------
