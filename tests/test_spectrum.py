@@ -84,6 +84,17 @@ def test_self_energy_is_odd():
         assert self_energy(-z, 0.8, FIRST) == pytest.approx(-self_energy(z, 0.8, FIRST), abs=1e-13)
 
 
+def test_branch_point_handling():
+    # the root is exactly 0 at z = +/-2, so the formulas give sigma_1 = z/2 and
+    # Sigma = z g^2 (z^2 - 2)/2 there, on either sheet
+    for edge in (2.0, -2.0):
+        assert sqrt_band(edge) == 0.0
+        for sheet in (FIRST, SECOND):
+            assert sigma1(edge, sheet) == edge / 2.0
+            assert self_energy(edge, 0.9, sheet) == edge * 0.81 * (edge * edge - 2.0) / 2.0
+    assert self_energy(2.0, 0.9, FIRST) == pytest.approx(2.0 * 0.81, abs=1e-14)
+
+
 def test_schwarz_reflection_of_resolvent():
     params = ModelParams(g=0.8, eps_d=0.1)
     for z in (1.5 + 0.8j, -2.5 + 0.3j):
@@ -398,9 +409,9 @@ def test_sqrt_band_takes_numpys_roots_on_re_z_2_and_at_subnormal_im_z():
 
 @given(zs=st.lists(OFF_AXIS, min_size=1, max_size=10), at=st.integers(0, 10),
        edge=st.sampled_from([2.0, -2.0]), g=COUPLINGS, sheet=SHEETS)
-def test_property_band_edges_give_the_formula_limits(zs, at, edge, g, sheet):
-    # the root is exactly 0 at z = +/-2, so the formulas give sigma_1 = z/2 and
-    # Sigma = z g^2 (z^2 - 2)/2 there, as a scalar and anywhere in an array
+def test_property_branch_point_guard_is_elementwise(zs, at, edge, g, sheet):
+    # the band edge anywhere in an array takes the formula limits, as a scalar
+    # does, and leaves the other elements as a call without it gives them
     sigma_limit = edge * g * g * (edge * edge - 2.0) / 2.0
     assert sigma1(edge, sheet) == edge / 2.0
     assert self_energy(edge, g, sheet) == sigma_limit
