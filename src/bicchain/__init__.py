@@ -12,13 +12,12 @@ from .spectrum import (DiscreteState, ResonancePole, RootFindError, SheetTag,
 from .evolve import (AmplitudeSeries, EvolveOptions, IntegratorError,
                      ProbabilitySeries, auto_sites, evolve, nonescape,
                      survival)
-from .closedform import (ApproximationTag, DivergenceError, DomainError,
-                         QuadratureError, a_br_quadrature, a_w_cut,
-                         a_w_rays, bessel_exact_grid, bound_term,
-                         early_approx, far_zone_coefficient, far_zone_prob,
-                         near_zone_amp, near_zone_prob, res_pole_1d,
-                         res_pole_perp, w_far_zone, w_far_zone_coefficient,
-                         w_near_zone_g1)
+from .closedform import (DivergenceError, DomainError, QuadratureError,
+                         a_br_quadrature, a_w_cut, a_w_rays,
+                         bessel_exact_grid, bound_term, early_approx,
+                         far_zone_coefficient, far_zone_prob, near_zone_amp,
+                         near_zone_prob, res_pole_1d, res_pole_perp,
+                         w_far_zone, w_far_zone_coefficient, w_near_zone_g1)
 from .analysis import (FitKind, FitReport, TooFewPeaksError, find_peaks,
                        find_troughs, fit_exponential, fit_phase,
                        fit_power_law, oscillation_contrast)

@@ -69,7 +69,8 @@ def _extrema(series: ProbabilitySeries, t_lo: float, t_hi: float,
     ys = sign * np.asarray(series.values, dtype=float)
     out_t, out_y = [], []
     for i in range(1, len(ts) - 1):
-        if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1] and not (ys[i] == ys[i - 1] == ys[i + 1]):
+        # a strict rise in, so a flat top of equal samples counts once
+        if ys[i] > ys[i - 1] and ys[i] >= ys[i + 1]:
             t_ref, y_ref = _refine(ts, ys, i)
             if t_lo <= t_ref <= t_hi:
                 out_t.append(t_ref)

@@ -7,16 +7,17 @@ routes, CSV + JSON), ``figure`` (regenerate the data behind a named
 figure as one CSV per panel).
 
 ``FIGURES`` is the one table of figures: each figure id maps to its panels,
-and a panel ``(kind, name, *args)`` is written to ``<name>.csv`` by
-``PANEL_WRITERS[kind](path, *args)``, for kind ``spectrum``, ``evolve``,
-``overlay`` (closed-form curves by tag, from ``closedform.LAWS``) or ``bessel``.
+and a panel row ``(writer, name, *args)`` starts with its writer, which
+``writer(<name>.csv, *args)`` calls: ``_fig1``, ``_evolution``,
+``_overlay`` (closed-form curves by tag name, the keys of ``closedform.LAWS``)
+or ``_bessel``.
 
 Exit codes: 0 success; 2 for a ``ConfigError`` (invalid configuration or
-request) or an ``OSError``; 3 for a ``NumericalError`` or an arithmetic
-overflow.  Any other exception is a bug and ends in a traceback (exit 1).
-Data rows never carry timestamps; metadata carries one only without
-``--no-meta-time``, so repeated identical invocations with the flag produce
-byte-identical files.
+request), an ``OSError`` or a ``MemoryError`` (a request too large to
+allocate); 3 for a ``NumericalError`` or an arithmetic overflow.  Any other
+exception is a bug and ends in a traceback (exit 1).  Data rows never carry
+timestamps; metadata carries one only without ``--no-meta-time``, so
+repeated identical invocations with the flag produce byte-identical files.
 
 :func:`main` builds its parser once per process (:func:`build_parser` is
 cached) and finds the handler ``_cmd_<command>`` by name when it dispatches,
@@ -36,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, closedform, io, spectrum
-from .closedform import ApproximationTag
 from .evolve import (AmplitudeSeries, EvolveOptions, ProbabilitySeries, evolve,
                      log_grid_start, nonescape, survival)
 from .model import (ConfigError, InvalidParameterError, ModelParams, NumericalError,
@@ -92,16 +92,17 @@ def _grid(t_lo: float, t_hi: float, n: int, grid: str) -> np.ndarray:
     return np.geomspace(t_lo, t_hi, n) if grid == "log" else np.linspace(t_lo, t_hi, n)
 
 
-def _parse_tags(spec: str) -> list[ApproximationTag]:
-    """Parse a comma-separated list of ApproximationTag names."""
-    try:
-        return [ApproximationTag(name) for name in spec.split(",")]
-    except ValueError as exc:
-        valid = ", ".join(t.value for t in ApproximationTag)
-        raise InvalidParameterError(f"{exc}; valid tags: {valid}") from exc
+def _parse_tags(spec: str) -> list[str]:
+    """The comma-separated law names of ``spec``, each a key of ``closedform.LAWS``."""
+    tags = spec.split(",")
+    for tag in tags:
+        if tag not in closedform.LAWS:
+            raise InvalidParameterError(
+                f"{tag!r} is not a law name; valid tags: {', '.join(closedform.LAWS)}")
+    return tags
 
 
-def _write_curves(path: str | Path, params: ModelParams, tags: list[ApproximationTag],
+def _write_curves(path: str | Path, params: ModelParams, tags: list[str],
                   ts: np.ndarray, meta: dict, meta_time: bool) -> None:
     """Analytic CSV of every tag's curve on ``ts``; ``meta`` gains the
     ``tags`` and ``tool_version`` keys."""
@@ -112,12 +113,12 @@ def _write_curves(path: str | Path, params: ModelParams, tags: list[Approximatio
                 vals, window = closedform.LAWS[tag].curve(params, ts)
         except ArithmeticError as exc:  # beyond what the closed form represents
             raise InvalidParameterError(
-                f"{tag.value} is not representable in double precision at "
+                f"{tag} is not representable in double precision at "
                 f"g = {params.g:g}, eps_d = {params.eps_d:g}, t = {ts[0]:g} to {ts[-1]:g}: "
                 "a power of g, eps_d or t in the law over- or underflows") from exc
-        rows.extend((float(t), float(v), tag.value, int(w))
+        rows.extend((float(t), float(v), tag, int(w))
                     for t, v, w in zip(ts, vals, window))
-    meta = {**meta, "tags": ",".join(t.value for t in tags), "tool_version": __version__}
+    meta = {**meta, "tags": ",".join(tags), "tool_version": __version__}
     io.write_analytic_csv(path, rows, meta, meta_time=meta_time)
 
 
@@ -211,26 +212,22 @@ def _cmd_compare(args) -> int:
     series, label = _run_evolution(params, "perp", opts)
     ts = series.times
     a_ode = series.overlap
-    header = ["t", "re_A_ode", "im_A_ode"]
-    columns = [ts, a_ode.real, a_ode.imag]
-    deviations: dict[str, float] = {}
+    routes = {"ode": a_ode}  # route name -> amplitude, in column order
 
     # z - eps_d - Sigma(z) rises monotonically on each first-sheet segment
     # |z| > 2, so a bound state lies above (below) the band iff
     # 2 g^2 > 2 - eps_d (2 + eps_d); no root finding, even at a threshold
     has_bound = params.eps_d != 0.0 and 2.0 * params.g ** 2 > 2.0 - abs(params.eps_d)
     if not has_bound:
-        a_cut = closedform.a_w_cut(ts, params, 0.0)
+        routes["cut"] = closedform.a_w_cut(ts, params, 0.0)
         if params.eps_d == 0.0:
-            a_cut = a_cut + closedform.bound_term(ts, params.g)
-        header += ["re_A_cut", "im_A_cut"]
-        columns += [a_cut.real, a_cut.imag]
-        deviations["ode_vs_cut"] = float(np.max(np.abs(a_ode - a_cut)))
+            routes["cut"] = routes["cut"] + closedform.bound_term(ts, params.g)
     if with_bessel:
-        a_bessel = closedform.bessel_exact_grid(ts, params.g)
-        header += ["re_A_bessel", "im_A_bessel"]
-        columns += [a_bessel.real, a_bessel.imag]
-        deviations["ode_vs_bessel"] = float(np.max(np.abs(a_ode - a_bessel)))
+        routes["bessel"] = closedform.bessel_exact_grid(ts, params.g)
+    header = ["t", *(f"{part}_A_{name}" for name in routes for part in ("re", "im"))]
+    columns = [ts, *(part for amp in routes.values() for part in (amp.real, amp.imag))]
+    deviations = {f"ode_vs_{name}": float(np.max(np.abs(a_ode - amp)))
+                  for name, amp in routes.items() if name != "ode"}
 
     report = {
         "params": params.to_dict(),
@@ -252,7 +249,8 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # figures
 
-def _write_fig1(path: Path, *, meta_time: bool) -> None:
+def _fig1(path: Path, *, meta_time: bool) -> None:
+    """The eps_d = 0 discrete spectrum against g."""
     gs = np.round(np.arange(0.01, 2.0000001, 0.01), 10)
     zg = gs + 1.0 / gs  # spectrum.z_gap at each g, elementwise
     meta = {"figure": "fig1", "eps_d": 0.0, "g_range": "0.01:2.0:0.01",
@@ -262,8 +260,9 @@ def _write_fig1(path: Path, *, meta_time: bool) -> None:
                  meta=meta, meta_time=meta_time)
 
 
-def _write_evolve_panel(path: Path, g: float, eps_d: float, state_spec: str,
-                        t_max: float, n_samples: int, grid: str, *, meta_time: bool) -> None:
+def _evolution(path: Path, g: float, eps_d: float, state_spec: str, t_max: float,
+               n_samples: int, grid: str, *, meta_time: bool) -> None:
+    """An evolve panel, with the separation time of a detuned run."""
     series, label = _run_evolution(ModelParams(g=g, eps_d=eps_d), state_spec,
                                    EvolveOptions(t_max=t_max, n_samples=n_samples, grid=grid))
     extra_meta = {"figure_panel": path.stem}
@@ -294,15 +293,17 @@ def _separation_time(p_perp: ProbabilitySeries, p_1d: ProbabilitySeries) -> floa
     return float(t_tr[idx[0]]) if len(idx) else None
 
 
-def _write_overlay_panel(path: Path, g: float, eps_d: float, tags: str, t_lo: float,
-                         t_hi: float, n_samples: int, grid: str, *, meta_time: bool) -> None:
+def _overlay(path: Path, g: float, eps_d: float, tags: str, t_lo: float, t_hi: float,
+             n_samples: int, grid: str, *, meta_time: bool) -> None:
+    """Closed-form curves of the comma-separated law names ``tags``."""
     _write_curves(path, ModelParams(g=g, eps_d=eps_d), _parse_tags(tags),
                   _grid(t_lo, t_hi, n_samples, grid),
                   {"figure_panel": path.stem, "g": g, "eps_d": eps_d}, meta_time)
 
 
-def _write_bessel_panel(path: Path, g: float, t_lo: float, t_hi: float, n_samples: int,
-                        grid: str, *, meta_time: bool) -> None:
+def _bessel(path: Path, g: float, t_lo: float, t_hi: float, n_samples: int, grid: str, *,
+            meta_time: bool) -> None:
+    """P_perp from the exact Bessel representation (eps_d = 0)."""
     # far times of g = 0.98 (T_Delta = 2450) are out of desk scale for the
     # direct evolution; the exact Bessel representation supplies the curve
     ts = _grid(t_lo, t_hi, n_samples, grid)
@@ -316,67 +317,60 @@ def _write_bessel_panel(path: Path, g: float, t_lo: float, t_hi: float, n_sample
     io.write_csv(path, ["t", "P_perp"], [ts, p], meta=meta, meta_time=meta_time)
 
 
-PANEL_WRITERS = {
-    "spectrum": _write_fig1,
-    "evolve": _write_evolve_panel,
-    "overlay": _write_overlay_panel,
-    "bessel": _write_bessel_panel,
-}
-
 FIGURES: dict[str, list[tuple]] = {
-    "fig1": [("spectrum", "fig1_spectrum")],
+    "fig1": [(_fig1, "fig1_spectrum")],
     "fig2a": [
-        ("evolve", "fig2a_evolve", 1.1, 0.0, "perp", 200.0, 4001, "linear"),
-        ("overlay", "fig2a_overlays", 1.1, 0.0, "BoundTerm", 0.05, 200.0, 2000, "linear"),
+        (_evolution, "fig2a_evolve", 1.1, 0.0, "perp", 200.0, 4001, "linear"),
+        (_overlay, "fig2a_overlays", 1.1, 0.0, "BoundTerm", 0.05, 200.0, 2000, "linear"),
     ],
     "fig2b": [
-        ("evolve", "fig2b_evolve", 1.0, 0.0, "perp", 1000.0, 4000, "log"),
-        ("overlay", "fig2b_overlays", 1.0, 0.0, "NearZoneEarlyProb", 0.5, 1000.0, 1000, "log"),
+        (_evolution, "fig2b_evolve", 1.0, 0.0, "perp", 1000.0, 4000, "log"),
+        (_overlay, "fig2b_overlays", 1.0, 0.0, "NearZoneEarlyProb", 0.5, 1000.0, 1000, "log"),
     ],
     "fig2cde": [
-        ("evolve", "fig2c_evolve", 0.98, 0.0, "perp", 1000.0, 4000, "log"),
-        ("bessel", "fig2c_bessel", 0.98, 0.1, 30000.0, 4000, "log"),
-        ("evolve", "fig2d_evolve", 0.98, 0.0, "perp", 30.0, 3000, "linear"),
-        ("overlay", "fig2d_overlays", 0.98, 0.0, "NearZoneEarlyProb,NearZoneAmp,EarlyBessel",
+        (_evolution, "fig2c_evolve", 0.98, 0.0, "perp", 1000.0, 4000, "log"),
+        (_bessel, "fig2c_bessel", 0.98, 0.1, 30000.0, 4000, "log"),
+        (_evolution, "fig2d_evolve", 0.98, 0.0, "perp", 30.0, 3000, "linear"),
+        (_overlay, "fig2d_overlays", 0.98, 0.0, "NearZoneEarlyProb,NearZoneAmp,EarlyBessel",
          1.0, 30.0, 2900, "linear"),
         # a resolved far-zone close-up at 5 T_Delta, about 25 oscillation periods
-        ("bessel", "fig2e_bessel", 0.98, 12250.0, 12290.0, 4001, "linear"),
-        ("overlay", "fig2e_overlays", 0.98, 0.0, "FarZoneProb", 12250.0, 12290.0, 2000, "linear"),
+        (_bessel, "fig2e_bessel", 0.98, 12250.0, 12290.0, 4001, "linear"),
+        (_overlay, "fig2e_overlays", 0.98, 0.0, "FarZoneProb", 12250.0, 12290.0, 2000, "linear"),
     ],
-    "fig3a": [("evolve", "fig3a_evolve", 0.9, 0.005, "perp", 400.0, 3000, "log")],
+    "fig3a": [(_evolution, "fig3a_evolve", 0.9, 0.005, "perp", 400.0, 3000, "log")],
     "fig3b": [
-        ("evolve", "fig3b_evolve", 0.9, 0.2, "perp", 400.0, 3000, "log"),
-        ("overlay", "fig3b_overlays", 0.9, 0.2, "ResPole1d,ResPolePerp", 1.0, 400.0, 800, "log"),
+        (_evolution, "fig3b_evolve", 0.9, 0.2, "perp", 400.0, 3000, "log"),
+        (_overlay, "fig3b_overlays", 0.9, 0.2, "ResPole1d,ResPolePerp", 1.0, 400.0, 800, "log"),
     ],
-    "fig3c": [("evolve", "fig3c_evolve", 0.9, 0.35, "perp", 400.0, 3000, "log")],
+    "fig3c": [(_evolution, "fig3c_evolve", 0.9, 0.35, "perp", 400.0, 3000, "log")],
     "figS1": [
-        ("evolve", "figS1_g0.9_evolve", 0.9, 0.0, "perp", 300.0, 3000, "log"),
-        ("overlay", "figS1_g0.9_overlays", 0.9, 0.0, "NearZoneEarlyProb,FarZoneProb",
+        (_evolution, "figS1_g0.9_evolve", 0.9, 0.0, "perp", 300.0, 3000, "log"),
+        (_overlay, "figS1_g0.9_overlays", 0.9, 0.0, "NearZoneEarlyProb,FarZoneProb",
          0.5, 300.0, 1500, "log"),
-        ("evolve", "figS1_g0.7_evolve", 0.7, 0.0, "perp", 300.0, 3000, "log"),
-        ("overlay", "figS1_g0.7_overlays", 0.7, 0.0, "NearZoneEarlyProb,FarZoneProb",
+        (_evolution, "figS1_g0.7_evolve", 0.7, 0.0, "perp", 300.0, 3000, "log"),
+        (_overlay, "figS1_g0.7_overlays", 0.7, 0.0, "NearZoneEarlyProb,FarZoneProb",
          0.5, 300.0, 1500, "log"),
     ],
     "figS2": [
-        ("evolve", "figS2_evolve", 0.9, 0.0, "perp", 20.0, 4000, "linear"),
-        ("overlay", "figS2_overlays", 0.9, 0.0, "EarlyBessel,NearZoneEarlyProb",
+        (_evolution, "figS2_evolve", 0.9, 0.0, "perp", 20.0, 4000, "linear"),
+        (_overlay, "figS2_overlays", 0.9, 0.0, "EarlyBessel,NearZoneEarlyProb",
          0.5, 20.0, 2000, "linear"),
     ],
-    "figS3": [("evolve", f"figS3_w{w}_evolve", 0.9, 0.0, f"w:{w}", 200.0, 3000, "log")
+    "figS3": [(_evolution, f"figS3_w{w}_evolve", 0.9, 0.0, f"w:{w}", 200.0, 3000, "log")
               for w in (0.1, 0.5, 1.0, 2.0)],
     "figS4": [
-        *(("evolve", f"figS4_g{g}_evolve", g, 0.0, "w:1.0", 300.0, 3000, "log")
+        *((_evolution, f"figS4_g{g}_evolve", g, 0.0, "w:1.0", 300.0, 3000, "log")
           for g in (0.7, 0.9, 1.0, 1.1)),
-        ("overlay", "figS4_g1.0_overlays", 1.0, 0.0, "WNearZoneG1", 1.0, 300.0, 1000, "log"),
-        ("overlay", "figS4_g0.7_overlays", 0.7, 0.0, "WFarZone", 1.0, 300.0, 1000, "log"),
-        ("overlay", "figS4_g0.9_overlays", 0.9, 0.0, "WFarZone", 1.0, 300.0, 1000, "log"),
+        (_overlay, "figS4_g1.0_overlays", 1.0, 0.0, "WNearZoneG1", 1.0, 300.0, 1000, "log"),
+        (_overlay, "figS4_g0.7_overlays", 0.7, 0.0, "WFarZone", 1.0, 300.0, 1000, "log"),
+        (_overlay, "figS4_g0.9_overlays", 0.9, 0.0, "WFarZone", 1.0, 300.0, 1000, "log"),
     ],
 }
 
 
 def _write_panel(outdir: Path, meta_time: bool, panel: tuple) -> None:
-    kind, name, *args = panel
-    PANEL_WRITERS[kind](outdir / f"{name}.csv", *args, meta_time=meta_time)
+    writer, name, *args = panel
+    writer(outdir / f"{name}.csv", *args, meta_time=meta_time)
 
 
 def _cmd_figure(args) -> int:
@@ -443,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analytic", help="closed-form overlay CSV")
     add_model_args(p_an)
     p_an.add_argument("--tags", required=True,
-                      help="comma-separated ApproximationTag names")
+                      help="comma-separated law names")
     p_an.add_argument("--tmax", type=float, required=True)
     p_an.add_argument("--samples", type=int, default=1000)
     p_an.add_argument("--grid", choices=("linear", "log"), default="log")
@@ -533,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

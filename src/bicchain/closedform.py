@@ -59,13 +59,13 @@ Closed-form approximations:
 * resonance-pole exponential prefactors (``res_pole_perp`` / ``res_pole_1d``),
 * w = 1 decoherence laws (``w_far_zone`` / ``w_near_zone_g1``).
 
-``LAWS`` maps each ``ApproximationTag`` to its law, validity window and
-precondition; ``LAWS[tag].curve(params, ts)`` gives values and window mask.
+``LAWS`` maps each tag name (``"EarlyBessel"``, ...) to its law, validity
+window and precondition; ``LAWS[tag].curve(params, ts)`` gives values and
+window mask.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from typing import Callable, NamedTuple
@@ -92,18 +92,6 @@ class DomainError(ConfigError):
 
 class DivergenceError(ConfigError):
     """Closed form diverges at these parameters; a different law applies."""
-
-
-class ApproximationTag(enum.Enum):
-    EarlyBessel = "EarlyBessel"
-    NearZoneAmp = "NearZoneAmp"
-    NearZoneEarlyProb = "NearZoneEarlyProb"
-    FarZoneProb = "FarZoneProb"
-    BoundTerm = "BoundTerm"
-    ResPolePerp = "ResPolePerp"
-    ResPole1d = "ResPole1d"
-    WFarZone = "WFarZone"
-    WNearZoneG1 = "WNearZoneG1"
 
 
 def _legendre(x: np.ndarray, n: int) -> np.ndarray:
@@ -850,26 +838,25 @@ def _pole_decay(pole: tuple[float, float], ts: np.ndarray) -> np.ndarray:
     return amp * np.exp(-rate * ts)
 
 
-LAWS: dict[ApproximationTag, Law] = {
-    ApproximationTag.EarlyBessel: Law(lambda ts, p: np.abs(early_approx(ts, p.g)) ** 2,
-                                      lambda s: (-math.inf, s.t_br)),
-    ApproximationTag.NearZoneAmp: Law(lambda ts, p: np.abs(near_zone_amp(ts, p.g)) ** 2,
-                                      lambda s: (s.t_zeno, s.t_br)),
-    ApproximationTag.NearZoneEarlyProb: Law(lambda ts, p: near_zone_prob(ts, p.g),
-                                            lambda s: (s.t_zeno, s.t_br)),
-    ApproximationTag.FarZoneProb: Law(lambda ts, p: far_zone_prob(ts, p.g),
-                                      lambda s: (5.0 * s.t_delta, math.inf)),
+LAWS: dict[str, Law] = {
+    "EarlyBessel": Law(lambda ts, p: np.abs(early_approx(ts, p.g)) ** 2,
+                       lambda s: (-math.inf, s.t_br)),
+    "NearZoneAmp": Law(lambda ts, p: np.abs(near_zone_amp(ts, p.g)) ** 2,
+                       lambda s: (s.t_zeno, s.t_br)),
+    "NearZoneEarlyProb": Law(lambda ts, p: near_zone_prob(ts, p.g),
+                             lambda s: (s.t_zeno, s.t_br)),
+    "FarZoneProb": Law(lambda ts, p: far_zone_prob(ts, p.g),
+                       lambda s: (5.0 * s.t_delta, math.inf)),
     # libm pow, as for a Python float ** 2; numpy's ** 2 is x * x (last bit differs)
-    ApproximationTag.BoundTerm: Law(
+    "BoundTerm": Law(
         lambda ts, p: np.float_power(bound_term(ts, p.g), 2), lambda s: (-math.inf, math.inf),
         (lambda g: g > 1.0, "BoundTerm requires g > 1 (no bound states otherwise)")),
-    ApproximationTag.ResPolePerp: Law(lambda ts, p: _pole_decay(res_pole_perp(p), ts),
-                                      lambda s: (-math.inf, math.inf)),
-    ApproximationTag.ResPole1d: Law(lambda ts, p: _pole_decay(res_pole_1d(p), ts),
-                                    lambda s: (-math.inf, math.inf)),
-    ApproximationTag.WFarZone: Law(lambda ts, p: w_far_zone(ts, p.g),
-                                   lambda s: (5.0 * s.t_delta, math.inf)),
-    ApproximationTag.WNearZoneG1: Law(
+    "ResPolePerp": Law(lambda ts, p: _pole_decay(res_pole_perp(p), ts),
+                       lambda s: (-math.inf, math.inf)),
+    "ResPole1d": Law(lambda ts, p: _pole_decay(res_pole_1d(p), ts),
+                     lambda s: (-math.inf, math.inf)),
+    "WFarZone": Law(lambda ts, p: w_far_zone(ts, p.g), lambda s: (5.0 * s.t_delta, math.inf)),
+    "WNearZoneG1": Law(
         lambda ts, p: w_near_zone_g1(ts), lambda s: (s.t_zeno, math.inf),
         (lambda g: g == 1.0, "WNearZoneG1 is the g = 1 law; got g != 1")),
 }

@@ -90,11 +90,11 @@ class EvolveOptions:
     """Configuration of one evolution run.
 
     ``n_sites="auto"`` runs the shortest chain on which the expansion is
-    that of the semi-infinite chain (:func:`auto_sites`); an integer fixes
-    the chain, which then bounds the initial state's sites.  The sample grid
-    is uniform by default; ``grid="log"`` prepends t = 0 to a geometric grid
-    starting at :func:`log_grid_start` for log-log figures spanning several
-    decades.
+    that of the semi-infinite chain (:func:`auto_sites`); an integer, at most
+    ``MAX_SITES``, fixes the chain, which then bounds the initial state's
+    sites.  The sample grid is uniform by default; ``grid="log"`` prepends
+    t = 0 to a geometric grid starting at :func:`log_grid_start` for log-log
+    figures spanning several decades.
 
     ``abs_tol``, in (0, 1e-6], is the one accuracy setting: it bounds the
     norm of the dropped part of the Chebyshev series, whose order is the
@@ -126,6 +126,10 @@ class EvolveOptions:
                 raise InvalidParameterError(f"n_sites must be an integer or 'auto', got {self.n_sites!r}")
         else:
             object.__setattr__(self, "n_sites", _count("n_sites", self.n_sites, 3))
+            if self.n_sites > MAX_SITES:
+                raise InvalidParameterError(
+                    f"n_sites must be <= {MAX_SITES} for direct evolution, got {self.n_sites}; "
+                    "use the semi-analytic quadrature routes instead")
 
     def times(self) -> np.ndarray:
         if self.grid == "linear":

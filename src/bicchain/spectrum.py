@@ -109,7 +109,8 @@ class Timescales:
 
     t_delta, t_vr and t_br only characterize the non-exponential zones of
     the decaying regime g <= 1; for g > 1 they are reported as NaN.  At
-    g = 1 the gap closes and t_delta is +inf.
+    g = 1 the gap closes and t_delta is +inf.  JSON has neither NaN nor
+    inf, so :meth:`to_json_dict` writes such an undefined timescale as null.
     """
 
     t_zeno: float
@@ -120,7 +121,8 @@ class Timescales:
     zeno_c: float
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))  # the fields, in order; floats need no deep copy
+        # the fields, in order; floats need no deep copy
+        return {key: value if math.isfinite(value) else None for key, value in vars(self).items()}
 
 
 @dataclass(frozen=True)

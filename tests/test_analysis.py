@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bicchain.analysis import (FitKind, FitReport, TooFewPeaksError, find_peaks,
                                find_troughs, fit_exponential, fit_phase,
@@ -122,6 +124,30 @@ def test_peaks_and_troughs_refinement():
     assert np.max(np.abs(np.asarray(expected) - t_pk)) < 5e-3
     assert np.all(v_pk > 0.999)
     assert np.all(v_tr < 1e-3)
+
+
+def test_flat_topped_extremum_is_found_once():
+    # two equal samples at a peak or a trough are one extremum, refined
+    # to the midpoint of the parabola through the three samples
+    peaks = ProbabilitySeries(times=np.arange(4.0), values=[0.0, 1.0, 1.0, 0.0])
+    t_pk, v_pk = find_peaks(peaks, 0.0, 3.0)
+    assert t_pk.tolist() == [1.5] and v_pk.tolist() == [1.125]
+    troughs = ProbabilitySeries(times=np.arange(5.0), values=[1.0, 0.5, 0.5, 1.0, 0.2])
+    t_tr, _ = find_troughs(troughs, 0.0, 4.0)
+    assert t_tr.tolist() == [1.5]
+
+
+@given(step=st.floats(0.01, 0.2), phase=st.floats(0.0, math.pi))
+@example(step=0.125, phase=2.125)  # the samples at t = 1 and 1.125 straddle a peak exactly
+def test_extrema_of_a_sampled_carrier_are_distinct_and_near_the_true_ones(step, phase):
+    ts = np.arange(0.0, 10.0, step)
+    series = ProbabilitySeries(times=ts, values=np.cos(2.0 * ts - phase) ** 2)
+    # cos^2(2t - phase) peaks at 2t - phase = m pi and has troughs half a period on
+    for find, offset in ((find_peaks, 0.0), (find_troughs, 0.5 * math.pi)):
+        t_ext, _ = find(series, 0.0, 10.0)
+        assert np.all(np.diff(t_ext) > 0.0)
+        m = np.round((2.0 * t_ext - phase - offset) / math.pi)
+        assert np.all(np.abs(t_ext - (m * math.pi + phase + offset) / 2.0) <= step)
 
 
 def test_phase_of_early_near_zone_dynamics():

@@ -235,8 +235,8 @@ def test_cli_spectrum_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d
 @pytest.mark.parametrize("g, eps_d", EXTREMES)
 def test_cli_analytic_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d):
     # a closed form is evaluated or refused (exit 2), never a numerical failure
-    for tag in closedform.ApproximationTag:
-        code = run_cli("analytic", "--g", repr(g), "--eps-d", repr(eps_d), "--tags", tag.value,
+    for tag in closedform.LAWS:
+        code = run_cli("analytic", "--g", repr(g), "--eps-d", repr(eps_d), "--tags", tag,
                        "--tmax", "10", "--samples", "3", "--out", str(tmp_path / "x.csv"),
                        "--no-meta-time")
         assert code in (0, 2), (tag, capsys.readouterr().err)
@@ -252,8 +252,7 @@ def test_cli_compare_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d)
 
 @pytest.mark.parametrize("g, eps_d, tags, named", [
     # every tag but WNearZoneG1, which refuses any g != 1 by its own rule
-    ("1e120", "0", [t.value for t in closedform.ApproximationTag
-                    if t is not closedform.ApproximationTag.WNearZoneG1], "g = 1e+120"),
+    ("1e120", "0", [tag for tag in closedform.LAWS if tag != "WNearZoneG1"], "g = 1e+120"),
     ("1e-200", "0", ["NearZoneAmp", "FarZoneProb", "EarlyBessel"], "g = 1e-200"),
     ("0.9", "1e300", ["ResPolePerp"], "eps_d = 1e+300"),
     # 1/g^2 overflows in the law's numpy values, which wrote rows of inf
@@ -344,6 +343,33 @@ def test_cli_spectrum_refuses_unresolvable_detuning(tmp_path, capsys, eps_d):
                    "--out", str(tmp_path / "x.json")) == 2
     assert "|eps_d| <= 1000," in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def _standard_json(path: Path) -> dict:
+    """The JSON document at ``path``, refusing NaN, Infinity and -Infinity
+    as RFC 8259 and JSON.parse do."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-standard token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("eps_d", [0.0, 0.2])
+@pytest.mark.parametrize("g", [0.9, 1.0, 1.1])
+def test_cli_spectrum_writes_standard_json(tmp_path, g, eps_d):
+    # at g = 1 t_delta is inf, above it NaN: an undefined timescale is null
+    out = tmp_path / "spec.json"
+    assert run_cli("spectrum", "--g", repr(g), "--eps-d", repr(eps_d), "--out", str(out),
+                   "--no-meta-time") == 0
+    written = _standard_json(out)["timescales"]
+    for key, value in vars(spectrum.timescales(g)).items():
+        assert written[key] == (value if math.isfinite(value) else None), key
+
+
+@pytest.mark.parametrize("g, eps_d", [(0.9, 0.0), (1.0, 0.0), (1.1, 0.0), (0.9, 0.2)])
+def test_cli_compare_writes_standard_json(tmp_path, g, eps_d):
+    assert run_cli("compare", "--g", repr(g), "--eps-d", repr(eps_d), "--tmax", "5",
+                   "--samples", "11", "--out", str(tmp_path / "cmp"), "--no-meta-time") == 0
+    assert _standard_json(tmp_path / "cmp.json")["max_abs_deviation"]
 
 
 @pytest.mark.parametrize("g, expected", [
@@ -592,6 +618,30 @@ def test_cli_sites_must_be_auto_or_an_integer(tmp_path, capsys, command, sites):
                    "--out", str(tmp_path / "x"), "--no-meta-time") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --sites ") and repr(sites) in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sites", ["1000001", "1000000000000000"])
+def test_cli_evolve_refuses_sites_beyond_the_cap(tmp_path, capsys, sites):
+    # an explicit chain meets the MAX_SITES cap of an auto-sized one; the
+    # larger value would otherwise end in numpy's allocation traceback
+    out = tmp_path / "e.csv"
+    assert run_cli("evolve", "--g", "0.9", "--tmax", "1", "--samples", "3", "--sites", sites,
+                   "--out", str(out), "--no-meta-time") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_sites must be <= 1000000 ") and sites in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [("evolve", []),
+                                            ("analytic", ["--tags", "NearZoneAmp"]),
+                                            ("compare", [])])
+def test_cli_refuses_a_request_too_large_to_allocate(tmp_path, capsys, command, extra):
+    # numpy refuses 7.11 PiB of samples before it allocates any of it
+    assert run_cli(command, "--g", "0.9", "--tmax", "10", "--samples", str(10 ** 15), *extra,
+                   "--out", str(tmp_path / "x"), "--no-meta-time") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -941,12 +991,11 @@ def test_cli_figure_rejects_jobs_below_one(tmp_path, capsys, jobs):
 def test_figure_table_is_well_formed():
     names = []
     for panels in cli.FIGURES.values():
-        for kind, name, *args in panels:
-            writer = cli.PANEL_WRITERS[kind]
+        for writer, name, *args in panels:
             inspect.signature(writer).bind(Path(f"{name}.csv"), *args, meta_time=False)
-            if kind == "overlay":
+            if writer is cli._overlay:
                 cli._parse_tags(args[2])
-            if kind == "evolve":
+            if writer is cli._evolution:
                 cli._parse_state(args[2], args[0])
             names.append(name)
     assert len(names) == len(set(names))
@@ -1010,7 +1059,7 @@ def test_cli_figure_figS3_panels(tmp_path):
 def test_bessel_panel_says_how_its_tail_was_integrated(tmp_path):
     # the panel grid goes after every other metadata key
     path = tmp_path / "b.csv"
-    cli._write_bessel_panel(path, 0.98, 0.1, 300.0, 50, "log", meta_time=False)
+    cli._bessel(path, 0.98, 0.1, 300.0, 50, "log", meta_time=False)
     meta, data = io.read_csv(path)
     assert list(meta)[-3:] == ["tool_version", "panel_width", "panels"]
     width = 12.0 / (spectrum.z_gap(0.98)[0] + 2.0)
