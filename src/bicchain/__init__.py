@@ -13,7 +13,7 @@ from .evolve import (AmplitudeSeries, EvolveOptions, IntegratorError,
                      ProbabilitySeries, auto_sites, evolve, nonescape,
                      survival)
 from .closedform import (DivergenceError, DomainError, QuadratureError,
-                         a_br_quadrature, a_w_cut, a_w_rays,
+                         a_br_quadrature, a_w_cut, a_w_poles, a_w_rays,
                          bessel_exact_grid, bound_term, early_approx,
                          far_zone_coefficient, far_zone_prob, near_zone_amp,
                          near_zone_prob, res_pole_1d, res_pole_perp,

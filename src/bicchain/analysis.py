@@ -1,9 +1,9 @@
 """Quantitative signature extraction from probability series.
 
-Peaks are located by a 3-point local-maximum test on the sampled grid with
-parabolic sub-sample refinement; envelope comparisons use the refined peak
-values.  The oscillation carrier frequency is fixed at 2 by the model (band
-edges at +/-2), so phase fits never estimate a frequency.
+Peaks are located on the sampled grid as runs of equal samples above the runs
+on both sides, with parabolic sub-sample refinement; envelope comparisons use
+the refined peak values.  The oscillation carrier frequency is fixed at 2 by
+the model (band edges at +/-2), so phase fits never estimate a frequency.
 """
 
 from __future__ import annotations
@@ -67,14 +67,17 @@ def _extrema(series: ProbabilitySeries, t_lo: float, t_hi: float,
              sign: float) -> tuple[np.ndarray, np.ndarray]:
     ts = np.asarray(series.times, dtype=float)
     ys = sign * np.asarray(series.values, dtype=float)
+    # the first sample of each run of equal values; an extremum is a run above
+    # the runs on both sides, so a flat top counts once, at its first sample,
+    # and a level step inside a monotone rise or fall not at all
+    first = np.flatnonzero(ys != np.r_[np.nan, ys[:-1]])
+    runs = ys[first]
     out_t, out_y = [], []
-    for i in range(1, len(ts) - 1):
-        # a strict rise in, so a flat top of equal samples counts once
-        if ys[i] > ys[i - 1] and ys[i] >= ys[i + 1]:
-            t_ref, y_ref = _refine(ts, ys, i)
-            if t_lo <= t_ref <= t_hi:
-                out_t.append(t_ref)
-                out_y.append(sign * y_ref)
+    for i in first[1:-1][(runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])].tolist():
+        t_ref, y_ref = _refine(ts, ys, i)
+        if t_lo <= t_ref <= t_hi:
+            out_t.append(t_ref)
+            out_y.append(sign * y_ref)
     return np.asarray(out_t), np.asarray(out_y)
 
 

@@ -212,16 +212,9 @@ def _cmd_compare(args) -> int:
     series, label = _run_evolution(params, "perp", opts)
     ts = series.times
     a_ode = series.overlap
-    routes = {"ode": a_ode}  # route name -> amplitude, in column order
-
-    # z - eps_d - Sigma(z) rises monotonically on each first-sheet segment
-    # |z| > 2, so a bound state lies above (below) the band iff
-    # 2 g^2 > 2 - eps_d (2 + eps_d); no root finding, even at a threshold
-    has_bound = params.eps_d != 0.0 and 2.0 * params.g ** 2 > 2.0 - abs(params.eps_d)
-    if not has_bound:
-        routes["cut"] = closedform.a_w_cut(ts, params, 0.0)
-        if params.eps_d == 0.0:
-            routes["cut"] = routes["cut"] + closedform.bound_term(ts, params.g)
+    # route name -> amplitude, in column order; the cut route adds the bound states
+    routes = {"ode": a_ode,
+              "cut": closedform.a_w_cut(ts, params, 0.0) + closedform.a_w_poles(ts, params, 0.0)}
     if with_bessel:
         routes["bessel"] = closedform.bessel_exact_grid(ts, params.g)
     header = ["t", *(f"{part}_A_{name}" for name in routes for part in ("re", "im"))]
@@ -237,6 +230,8 @@ def _cmd_compare(args) -> int:
         "max_abs_deviation": deviations,
         "fits": _compare_fits(params, scales, survival(series), nonescape(series)),
         "meta": {"tool_version": __version__},
+        "poles": [{"re_z": z.real, "im_z": z.imag, "re_residue": r.real, "im_residue": r.imag}
+                  for z, r in spectrum.first_sheet_poles(params, 0.0)],
     }
     meta = {"g": params.g, "eps_d": params.eps_d, "t_max": args.tmax,
             "n_samples": series.options.n_samples, "tool_version": __version__}

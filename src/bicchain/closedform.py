@@ -15,6 +15,8 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   norm for g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the rest).
   ``a_br_quadrature`` is this route for the perp state (w = 0, eps_d = 0)
   at couplings whose z_g^2 is finite.
+* ``a_w_poles`` -- the bound-state poles that the cut leaves out, at any
+  detuning (``spectrum.first_sheet_poles``); the two sum to the amplitude.
 * ``bessel_exact_grid`` -- the exact Bessel-function representation
   obtained by fraction decomposition: A_br = -(1/2g)(I(+z_g) - I(-z_g)) with
 
@@ -74,8 +76,8 @@ import numpy as np
 
 from .evolve import HANKEL_SEAM, _miller_start, bessel_j01, bessel_table, hankel_pq
 from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
-from .spectrum import (SheetTag, Timescales, _chain_split, resonance_expansion, sigma1,
-                       timescales, w_norm_sq, z_gap)
+from .spectrum import (SheetTag, Timescales, _chain_split, first_sheet_poles,
+                       resonance_expansion, sigma1, timescales, w_norm_sq, z_gap)
 
 
 class QuadratureError(NumericalError):
@@ -662,11 +664,10 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     N_w^2 (C0 + Q G_dd) across the cut and integrates over k in [0, pi].
     Each node evaluates one boundary value, the one above the band; the
     value below is its complex conjugate.  Valid for any detuning;
-    bound-state poles are not included and must be added by the caller when
-    present.  ``t`` is a time or an ascending grid of times >= 0; one call
-    integrates every time at once (``_cut_integral``), each to a summed
-    error estimate of at most ``abs_tol``, which must be finite and
-    positive.
+    bound-state poles are not included: ``a_w_poles`` adds them.  ``t`` is a
+    time or an ascending grid of times >= 0; one call integrates every time
+    at once (``_cut_integral``), each to a summed error estimate of at most
+    ``abs_tol``, which must be finite and positive.
     """
     if not (math.isfinite(abs_tol) and abs_tol > 0):
         raise InvalidParameterError(f"abs_tol must be finite and positive, got {abs_tol}")
@@ -689,6 +690,20 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
 
     out = _cut_integral(h, grid, abs_tol)
     return out if ts.ndim else complex(out[0])
+
+
+def a_w_poles(t, params: ModelParams, w: float):
+    """Bound-state part of the w-state survival amplitude, which ``a_w_cut`` leaves out.
+
+    SUM_j r_j exp(-i z_j t) over ``spectrum.first_sheet_poles``, continuous
+    through every threshold.  ``t`` is a time or an array of times.
+    """
+    ts = np.asarray(t, dtype=float)
+    _check_times(ts)
+    out = np.zeros(ts.shape, dtype=complex)
+    for z, residue in first_sheet_poles(params, w):
+        out += residue * np.exp(-1j * z * ts)
+    return out if ts.ndim else complex(out)
 
 
 #: Times the ray rule is built for: from RAY_T_MIN, where e^{-x^2 t} at

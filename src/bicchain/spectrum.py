@@ -34,7 +34,8 @@ P(sigma) = g^2 sigma^4 + (g^2 - 1) sigma^2 + eps_d sigma - 1.  Nothing is
 squared, so P's four roots are exactly the solutions, and |sigma| < 1 is the
 first sheet; P's constant term is -1, so no root sits at 0.  They are the
 eigenvalues of P's companion matrix, each polished by at most 6 Newton steps
-on P.  A real root is a bound state iff |sigma| < 1, else a virtual bound
+on P (:func:`_band_roots`, the one root stage, which :func:`first_sheet_poles`
+shares).  A real root is a bound state iff |sigma| < 1, else a virtual bound
 state; on a threshold 2 g^2 = 2 -/+ eps_d (|P(+/-1)| < 1e-10) the real root
 nearest +/-1 is the band-edge state.  The complex pair is the resonance pair
 on the second sheet, since the first-sheet resolvent is analytic off the real
@@ -282,10 +283,38 @@ def _band_root(sig, g2: float, eps_d: float):
     return sig, (1.0 - sig * sig) / (sig * dp)
 
 
+def _band_roots(g: float, eps_d: float) -> tuple[list, complex | None]:
+    """The real roots of P as (sigma, Res[G_dd]) from :func:`_band_root`, nearest
+    |sigma| = 1 first, and the complex pair's root with Im sigma < 0, unpolished, or None."""
+    g2 = g * g
+    # the eigenvalues of P's companion matrix, as numpy.roots takes them
+    roots = np.linalg.eigvals(np.array([[0.0, (1.0 - g2) / g2, -eps_d / g2, 1.0 / g2],
+                                        [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                        [0.0, 0.0, 1.0, 0.0]])).tolist()
+    real = sorted((r.real for r in roots if r.imag == 0.0), key=lambda r: abs(abs(r) - 1.0))
+    pair = [r for r in roots if r.imag < 0.0]
+    return [_band_root(x, g2, eps_d) for x in real], (pair[0] if pair else None)
+
+
+def _pole_residue(sig, r_dd, g: float, w: float):
+    """Residue N_w^2 Q_w(sigma) Res[G_dd] of the w-state resolvent at a root sigma of P."""
+    return w_norm_sq(g, w) * _chain_split(sig, g, w)[1] * r_dd
+
+
+def first_sheet_poles(params: ModelParams, w: float) -> list[tuple[float, float]]:
+    """(z, residue) at each bound state, z = sigma + 1/sigma at a real root |sigma| < 1
+    of P, unchecked: Res[G_dd] carries 1 - sigma^2, so it falls to 0 at a threshold."""
+    try:
+        return [(sig + 1.0 / sig, _pole_residue(sig, r_dd, params.g, w))
+                for sig, r_dd in _band_roots(params.g, params.eps_d)[0] if abs(sig) < 1.0]
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # extreme g: overflow, lost roots
+        raise RootFindError(f"roots of P not resolvable at g = {params.g:g}", 0j) from exc
+
+
 def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
                 kind: StateKind) -> DiscreteState:
     """The state at a root sigma of P: z = sigma + 1/sigma, e^{ik} = -sigma, and the
-    perp residue N_0^2 Q_0 Res[G_dd] with Q_0 from :func:`_chain_split`.
+    perp residue :func:`_pole_residue` at w = 0.
 
     z must meet the residual bound |z - eps_d - Sigma(z)| < 1e-10 on its sheet.
     Where sigma + 1/sigma misses it, z takes one Newton step in z, whose 1/f'(z)
@@ -304,13 +333,12 @@ def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
         z, f = residual(z - f * r_dd)
     if abs(f) > 1e-10:
         raise RootFindError("state misses the residual bound 1e-10 on its sheet", z)
-    residue = w_norm_sq(params.g, 0.0) * _chain_split(sig, params.g, 0.0)[1] * r_dd
     return DiscreteState(z=z, sheet=sheet, kind=kind, k=_wavenumber(sig),
-                         residue_weight=complex(residue))
+                         residue_weight=complex(_pole_residue(sig, r_dd, params.g, 0.0)))
 
 
 def _band_root_states(params: ModelParams) -> list[DiscreteState]:
-    """Classified states from the four roots sigma of P (see the module docstring).
+    """Classified states from the roots of :func:`_band_roots` (see the module docstring).
 
     A real root is a bound state (first sheet) iff |sigma| < 1, else a virtual
     bound state.  Where the detuning sits on a threshold 2 g^2 = 2 -/+ eps_d,
@@ -323,18 +351,14 @@ def _band_root_states(params: ModelParams) -> list[DiscreteState]:
     """
     g, eps_d = params.g, params.eps_d
     g2 = g * g
-    # the eigenvalues of P's companion matrix, as numpy.roots takes them
-    roots = np.linalg.eigvals(np.array([[0.0, (1.0 - g2) / g2, -eps_d / g2, 1.0 / g2],
-                                        [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                                        [0.0, 0.0, 1.0, 0.0]])).tolist()
+    real, pair = _band_roots(g, eps_d)
     # the band edges that solve the equation to 1e-10 (the edge residual is
     # |P(+/-1)|), and at eps_d = 0 both where z_g = g + 1/g rounds to 2 (g within
     # about 1.5e-8 of 1), which the edge residual alone finds only within 2.5e-11
     edges = [e for e in (2.0, -2.0)
              if abs(e - eps_d - e * g2) < 1e-10 or (eps_d == 0.0 and z_gap(g)[0] == 2.0)]
     states = []
-    for x in sorted((r.real for r in roots if r.imag == 0.0), key=lambda r: abs(abs(r) - 1.0)):
-        sig, r_dd = _band_root(x, g2, eps_d)
+    for sig, r_dd in real:
         edge = math.copysign(2.0, sig)
         if edge in edges:
             edges.remove(edge)
@@ -343,12 +367,11 @@ def _band_root_states(params: ModelParams) -> list[DiscreteState]:
             states.append(_pole_state(sig, r_dd, params, SheetTag.First, StateKind.Bound))
         else:
             states.append(_pole_state(sig, r_dd, params, SheetTag.Second, StateKind.VirtualBound))
-    pair = [r for r in roots if r.imag < 0.0]
-    if pair and eps_d == 0.0:
+    if pair is not None and eps_d == 0.0:
         states.append(DiscreteState(z=0j, sheet=SheetTag.First, kind=StateKind.BIC,
                                     k=complex(math.pi / 2.0), residue_weight=0j))
-    elif pair:
-        sig, r_dd = _band_root(pair[0], g2, eps_d)
+    elif pair is not None:
+        sig, r_dd = _band_root(pair, g2, eps_d)
         res = _pole_state(sig, r_dd, params, SheetTag.Second, StateKind.Resonance)
         states += [res, DiscreteState(z=res.z.conjugate(), sheet=SheetTag.Second,
                                       kind=StateKind.AntiResonance, k=_wavenumber(sig.conjugate()),

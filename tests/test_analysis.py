@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicchain.analysis import (FitKind, FitReport, TooFewPeaksError, find_peaks,
+from bicchain.analysis import (FitKind, FitReport, TooFewPeaksError, _refine, find_peaks,
                                find_troughs, fit_exponential, fit_phase,
                                fit_power_law, oscillation_contrast)
 from bicchain.evolve import ProbabilitySeries
@@ -135,6 +135,42 @@ def test_flat_topped_extremum_is_found_once():
     troughs = ProbabilitySeries(times=np.arange(5.0), values=[1.0, 0.5, 0.5, 1.0, 0.2])
     t_tr, _ = find_troughs(troughs, 0.0, 4.0)
     assert t_tr.tolist() == [1.5]
+
+
+def test_level_step_in_a_monotone_run_is_no_extremum():
+    # two equal samples inside a rise or a fall are not a flat top: the
+    # samples past them keep going the same way
+    rise = ProbabilitySeries(times=np.arange(5.0), values=[0.0, 1.0, 1.0, 2.0, 3.0])
+    assert find_peaks(rise, 0.0, 4.0)[0].size == 0
+    fall = ProbabilitySeries(times=np.arange(5.0), values=[3.0, 2.0, 2.0, 1.0, 0.0])
+    assert find_troughs(fall, 0.0, 4.0)[0].size == 0
+
+
+def _extrema_by_walk(ys: list) -> list[int]:
+    """Sample indices of the maxima of ys: a strict rise in, and past any run
+    of samples equal to it, a strictly lower sample."""
+    found = []
+    for i in range(1, len(ys) - 1):
+        if not ys[i] > ys[i - 1]:
+            continue
+        j = i + 1
+        while j < len(ys) - 1 and ys[j] == ys[i]:
+            j += 1
+        if ys[j] < ys[i]:
+            found.append(i)
+    return found
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, math.nan]), max_size=12))
+def test_extrema_match_a_walk_over_the_samples(values):
+    # level runs, monotone steps and NaN, against the sample-by-sample walk
+    ts = np.arange(float(len(values)))
+    series = ProbabilitySeries(times=ts, values=values)
+    for find, sign in ((find_peaks, 1.0), (find_troughs, -1.0)):
+        ys = sign * np.asarray(values)
+        expected = [_refine(ts, ys, i)[0] for i in _extrema_by_walk(ys.tolist())]
+        assert find(series, -1.0, float(len(values)))[0].tolist() == expected
 
 
 @given(step=st.floats(0.01, 0.2), phase=st.floats(0.0, math.pi))

@@ -6,13 +6,13 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import fft, sparse
 from scipy.linalg import expm
 from scipy.special import jv
 
-from bicchain.closedform import a_br_quadrature, a_w_cut, bessel_exact_grid, bound_term
+from bicchain.closedform import a_br_quadrature, a_w_cut, a_w_poles, bessel_exact_grid, bound_term
 from bicchain.evolve import (HANKEL_SEAM, MAX_SITES, EvolveOptions, IntegratorError,
                              ProbabilitySeries, _miller_start, _moments, _next_fast_len,
                              _stencil, auto_sites, bessel_j01, bessel_table, chebyshev_order,
@@ -476,9 +476,11 @@ def test_property_overlap_matches_bessel_representation(g, t_max):
     assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
 
 
-# g <= 1 follows from 2 g^2 <= 2 - |eps_d|; the near-threshold examples sit
-# on it and at the edges of the excluded window
-@given(g=st.floats(0.05, 1.0),
+# the near-threshold examples sit on 2 g^2 = 2 - |eps_d| and at the edges of
+# the excluded window; the others have bound states, among them a double
+# root of the far-detuned pair (0.0153376, 25.1129) and a bound state far
+# above the band (7, 96.01)
+@given(g=st.floats(0.05, 3.0),
        eps_d=st.one_of(st.just(0.0), st.floats(0.01, 1.5), st.floats(-1.5, -0.01)),
        w=st.floats(-2.0, 2.0), t_max=st.floats(0.5, 60.0), grid=st.sampled_from(["linear", "log"]))
 @example(g=1.0, eps_d=0.0, w=0.0, t_max=60.0, grid="log")
@@ -487,17 +489,24 @@ def test_property_overlap_matches_bessel_representation(g, t_max):
 @example(g=0.5, eps_d=-1.5, w=2.0, t_max=60.0, grid="linear")
 @example(g=0.9, eps_d=0.01, w=0.0, t_max=60.0, grid="log")
 @example(g=0.9, eps_d=-0.01, w=1.0, t_max=60.0, grid="linear")
+@example(g=1.1, eps_d=0.0, w=0.0, t_max=40.0, grid="linear")
+@example(g=1.3, eps_d=0.4, w=0.0, t_max=40.0, grid="linear")
+@example(g=2.0, eps_d=0.7, w=0.5, t_max=40.0, grid="log")
+@example(g=1.2, eps_d=-0.9, w=1.0, t_max=40.0, grid="linear")
+@example(g=3.0, eps_d=2.0, w=-1.0, t_max=40.0, grid="log")
+@example(g=0.0153376, eps_d=25.1129, w=0.0, t_max=40.0, grid="linear")
+@example(g=7.0, eps_d=96.01, w=0.0, t_max=5.0, grid="linear")
 def test_property_overlap_matches_cut(g, eps_d, w, t_max, grid):
-    # Without a Bound state (2 g^2 <= 2 - |eps_d|) the branch cut is the
-    # whole amplitude, so the direct route must meet the cut at the
-    # three-route gate.  The quasi-BIC window 0 < |eps_d| < 0.01 is left
-    # out: there the cut rule misses the narrow resonance and loses its
-    # weight (test_w_cut_sum_rule_near_quasi_bic, xfailed).
-    assume(2.0 * g * g <= 2.0 - abs(eps_d))
+    # The branch cut plus the first-sheet poles is the whole amplitude, so
+    # the direct route must meet it at the three-route gate.  The quasi-BIC
+    # window 0 < |eps_d| < 0.01 is left out: there the cut rule misses the
+    # narrow resonance and loses its weight
+    # (test_w_cut_sum_rule_near_quasi_bic, xfailed).
     params = ModelParams(g=g, eps_d=eps_d)
     opts = EvolveOptions(t_max=t_max, n_samples=31, grid=grid)
     series = evolve(params, w_state(g, w, 3), opts)
-    assert np.max(np.abs(series.overlap - a_w_cut(series.times, params, w))) <= 1e-6
+    routes = a_w_cut(series.times, params, w) + a_w_poles(series.times, params, w)
+    assert np.max(np.abs(series.overlap - routes)) <= 1e-6
 
 
 @given(g=st.floats(0.0, 3.0, exclude_min=True), eps_d=st.floats(-1.0, 1.0),

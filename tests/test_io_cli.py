@@ -250,6 +250,15 @@ def test_cli_compare_extreme_parameters_exit_cleanly(tmp_path, capsys, g, eps_d)
     assert code in (0, 2), capsys.readouterr().err
 
 
+def test_cli_compare_where_the_roots_of_p_are_out_of_reach(tmp_path, capsys):
+    # at g = 1e-160 the companion matrix of P overflows, so the bound-state
+    # poles cannot be found: a numerical failure, not a traceback
+    code = run_cli("compare", "--g", "1e-160", "--eps-d", "3", "--tmax", "0.01",
+                   "--samples", "3", "--out", str(tmp_path / "cmp"), "--no-meta-time")
+    assert code == 3
+    assert "roots of P not resolvable" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("g, eps_d, tags, named", [
     # every tag but WNearZoneG1, which refuses any g != 1 by its own rule
     ("1e120", "0", [tag for tag in closedform.LAWS if tag != "WNearZoneG1"], "g = 1e+120"),
@@ -463,6 +472,21 @@ def test_only_the_csr_reference_names_scipy():
     # benchmark build
     modules = Path(bicchain.__file__).parent.glob("*.py")
     assert sorted(p.name for p in modules if "scipy" in p.read_text()) == ["model.py"]
+
+
+def test_every_traced_name_is_a_package_callable():
+    # the benchmark's span recorder wraps these names and counts a missing one
+    # as a failed operation; its source is read, not imported, so nothing is
+    # written next to it
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    assert spans["TARGETS"]
+    for module_name, attr, _hook in spans["TARGETS"]:
+        owner = importlib.import_module(f"bicchain.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
 
 
 def test_cli_near_pole_error_exits_numerical(tmp_path, monkeypatch):
@@ -965,12 +989,30 @@ def test_cli_compare_integrates_the_cut_once(tmp_path, monkeypatch, eps_d):
 @pytest.mark.parametrize("eps_d", ["1e-6", "-1e-6"])
 def test_cli_compare_next_to_a_threshold(tmp_path, eps_d):
     # at g = 1 a bound state sits within 1e-12 of a band edge, where no double
-    # meets the spectrum's residual check; compare only needs to know that it
-    # exists, and drops the cut route
+    # meets the spectrum's residual check; the pole sum makes no such check,
+    # and the cut route adds the state's small weight
     base = tmp_path / "cmp"
     assert run_cli("compare", "--g", "1.0", "--eps-d", eps_d, "--tmax", "5",
                    "--samples", "11", "--out", str(base), "--no-meta-time") == 0
-    assert "ode_vs_cut" not in io.read_json(base.with_suffix(".json"))["max_abs_deviation"]
+    report = io.read_json(base.with_suffix(".json"))
+    assert report["max_abs_deviation"]["ode_vs_cut"] <= 1e-6
+    _, data = io.read_csv(base.with_suffix(".csv"))
+    assert {"re_A_cut", "im_A_cut"} <= set(data)
+    [pole] = report["poles"]
+    assert pole["re_z"] == pytest.approx(math.copysign(2.0, float(eps_d)), abs=1e-9)
+    assert pole["im_z"] == 0.0
+
+
+@pytest.mark.parametrize("g, eps_d, t_max", [("1.3", "0.4", "40"), ("7", "96.01", "5")])
+def test_cli_compare_with_bound_states(tmp_path, g, eps_d, t_max):
+    # a bound state on each side of the band at (1.3, 0.4); one far above it
+    # at (7, 96.01), where the spectrum command exits 3
+    base = tmp_path / "cmp"
+    assert run_cli("compare", "--g", g, "--eps-d", eps_d, "--tmax", t_max,
+                   "--samples", "41", "--out", str(base), "--no-meta-time") == 0
+    report = io.read_json(base.with_suffix(".json"))
+    assert report["max_abs_deviation"]["ode_vs_cut"] <= 1e-6
+    assert len(report["poles"]) == (2 if g == "1.3" else 1)
 
 
 # ---------------------------------------------------------------------------
