@@ -12,7 +12,7 @@ from .spectrum import (DiscreteState, ResonancePole, RootFindError, SheetTag,
 from .evolve import (AmplitudeSeries, EvolveOptions, IntegratorError,
                      ProbabilitySeries, auto_sites, evolve, nonescape,
                      survival)
-from .closedform import (DivergenceError, DomainError, QuadratureError,
+from .closedform import (DivergenceError, DomainError,
                          a_br_quadrature, a_w_cut, a_w_poles, a_w_rays,
                          bessel_exact_grid, bound_term, early_approx,
                          far_zone_coefficient, far_zone_prob, near_zone_amp,

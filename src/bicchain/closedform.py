@@ -4,17 +4,16 @@ Routes to the survival amplitude of the BIC-orthogonal states:
 
 * ``a_w_cut`` -- the branch-cut contour of the generalized w-state
   resolvent N_w^2 (C0 + Q G_dd), from the chain Dyson algebra, reduced to a
-  real integral over k in [0, pi] (z = -2 cos k); works for any detuning.
-  One call takes a whole ascending time grid: the adaptive Gauss rule runs
-  on two-period pieces of exp(2 i t_max cos k), bisects level by level
-  until every time's summed error estimate meets the tolerance, evaluates
-  the t-independent jump once per node from one boundary value, the one
-  above the band (the value below is its complex conjugate), and carries
-  the times as an array axis (``_cut_integral``).  The discontinuity sign
-  is pinned by the t = 0 sum rule: at eps_d = 0 the cut carries the full
-  norm for g <= 1 and 1/g^2 for g > 1 (the bound-state pair takes the rest).
-  ``a_br_quadrature`` is this route for the perp state (w = 0, eps_d = 0)
-  at couplings whose z_g^2 is finite.
+  real integral over k in [0, pi] (z = -2 cos k) of the jump times
+  e^{2 i t cos k}; works for any detuning.  By Jacobi-Anger the integral is
+  SUM_n i^n eps_n J_n(2t) m_n, and the Chebyshev moments m_n of the jump are
+  sums of residues in closed form, geometric sequences in the poles of the
+  resolvent (``spectrum.partial_fractions``) plus low-order terms from
+  s = 0 (``_cut_moments``); one Bessel table per block of times carries
+  J_n(2t).  At eps_d = 0 the cut carries the full norm for g <= 1 and 1/g^2
+  for g > 1 (the bound-state pair takes the rest).  ``a_br_quadrature`` is
+  this route for the perp state (w = 0, eps_d = 0) at couplings whose
+  z_g^2 is finite.
 * ``a_w_poles`` -- the bound-state poles that the cut leaves out, at any
   detuning (``spectrum.first_sheet_poles``); the two sum to the amplitude.
 * ``bessel_exact_grid`` -- the exact Bessel-function representation
@@ -43,14 +42,15 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   below the window add their jumps through five prefix moments (the Taylor
   series of e^{-x^2 t}), and those above it are negligible.
 
-Array blocks hold at most ``BLOCK_NODES`` quadrature nodes (for the cut,
-phase exps), so memory stays flat however long the time grid.  sigma_1 is
-``spectrum.sigma1``.  The module needs numpy alone: the GL15/GL30 rules
-of the cut, the Bessel tail and the rays are computed at import by Newton's
-method on the Legendre recurrence (``_gauss_legendre``), and J_0 and J_1
-(``early_approx``) from ``evolve.bessel_j01``, which is Miller's
-recurrence (``evolve.bessel_table``) below x = 25 and Hankel's expansion
-(DLMF 10.17) above it; the Bessel tail takes J_1 from the same two.
+Array blocks hold at most ``BLOCK_NODES`` quadrature nodes, and the cut's
+Bessel tables about ``evolve.MILLER_WORDS`` entries, so memory stays flat
+however long the time grid.  sigma_1 is ``spectrum.sigma1``.  The module
+needs numpy alone: the GL15/GL30 rules of the Bessel tail and the rays are
+computed at import by Newton's method on the Legendre recurrence
+(``_gauss_legendre``), and J_0 and J_1 (``early_approx``) from
+``evolve.bessel_j01``, which is Miller's recurrence (``evolve.bessel_table``)
+below x = 25 and Hankel's expansion (DLMF 10.17) above it; the Bessel tail
+takes J_1 from the same two.
 
 Closed-form approximations:
 
@@ -74,18 +74,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .evolve import HANKEL_SEAM, _miller_start, bessel_j01, bessel_table, hankel_pq
-from .model import ConfigError, InvalidParameterError, ModelParams, NumericalError
+from .evolve import HANKEL_SEAM, MILLER_WORDS, _miller_start, bessel_j01, bessel_table, hankel_pq
+from .model import ConfigError, InvalidParameterError, ModelParams
 from .spectrum import (SheetTag, Timescales, _chain_split, first_sheet_poles,
-                       resonance_expansion, sigma1, timescales, w_norm_sq, z_gap)
-
-
-class QuadratureError(NumericalError):
-    """Oscillatory quadrature failed to reach the requested accuracy."""
-
-    def __init__(self, message: str, error_estimate: float) -> None:
-        super().__init__(f"{message} (achieved error estimate {error_estimate:.3e})")
-        self.error_estimate = error_estimate
+                       partial_fractions, resonance_expansion, sigma1, timescales, w_norm_sq,
+                       z_gap)
 
 
 class DomainError(ConfigError):
@@ -140,16 +133,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _GL15 = _gauss_legendre(15)
 _GL30 = _gauss_legendre(30)
 
-#: Nodes of the adaptive cut rule on [-1, 1]: GL30 then GL15, evaluated
-#: together; row 0 of the weights forms GL30 and row 1 GL15.
-_GL_NODES = np.concatenate((_GL30[0], _GL15[0]))
-_GL_WEIGHTS = np.zeros((2, len(_GL_NODES)))
-_GL_WEIGHTS[0, :30], _GL_WEIGHTS[1, 30:] = _GL30[1], _GL15[1]
-
-#: Quadrature nodes evaluated per array block: 170 GL30 panels, 113 cut
-#: intervals or the windows of 18 ray times; cut phase exps, twice as many.
-#: About 80 KB per complex temporary, so the temporaries of a block stay in
-#: cache and a long grid does not raise the peak memory.
+#: Quadrature nodes evaluated per array block: 170 GL30 panels or the
+#: windows of 18 ray times.  About 80 KB per complex temporary, so the
+#: temporaries of a block stay in cache and a long grid does not raise the
+#: peak memory.
 BLOCK_NODES = 5120
 
 
@@ -183,14 +170,6 @@ _GL30_PARTIAL = _partial_panel_rule()
 #: values hold 4 BLOCK_NODES complex entries.
 PARTIAL_TIMES = 4 * BLOCK_NODES // 30
 
-#: Stride of the cut rule's phase on an evenly spaced grid: the phase at
-#: t_{j + r}, j a multiple of the stride, is the exact exp at t_j times the
-#: exact exp at the offset r dt, so one exp per node serves stride times.
-PHASE_STRIDE = 16
-
-#: Bisection depth at which an adaptive cut interval is accepted as is.
-MAX_DEPTH = 28
-
 #: Cap on the Bessel tail's panels, stated in time so that the refused
 #: (g, t_max) do not depend on the panel width: ``bessel_exact_grid``
 #: refuses t_max / min(1, 10/z_g) > MAX_PANELS.  With panels 12/(z_g + 2)
@@ -199,12 +178,6 @@ MAX_DEPTH = 28
 #: 0.4 s and 45 MB of process memory on a 2-vCPU x86 host; fig2c, the
 #: longest figure grid, takes 10002 panels.
 MAX_PANELS = 250_000
-
-#: Open cut intervals at which the quadrature gives up (about 8 MB per
-#: interval array); a tolerance that round-off cannot meet would otherwise
-#: double the open set at every level.
-MAX_OPEN = 1 << 20
-
 
 def _check_times(t) -> None:
     bad = np.asarray(t, dtype=float)[~np.isfinite(t)]
@@ -220,153 +193,23 @@ def _positive_times(t, refusal: str) -> np.ndarray:
     return t
 
 
-def _phase_stride(ts: np.ndarray) -> tuple[int, float]:
-    """(M, dt): M = PHASE_STRIDE on an evenly spaced grid of step dt (every time
-    within 4 ulp of t_0 + j dt), else M = 1 with no offsets."""
-    if len(ts) < 2:
-        return 1, 0.0
-    dt = (ts[-1] - ts[0]) / (len(ts) - 1)
-    off_grid = np.max(np.abs(ts - (ts[0] + dt * np.arange(len(ts)))))
-    return (PHASE_STRIDE, dt) if off_grid <= 4.0 * np.spacing(ts[-1]) else (1, 0.0)
-
-
-def _rule_sums(weighted: np.ndarray, c2: np.ndarray, ts: np.ndarray, stride: int,
-               dt: float) -> np.ndarray:
-    """(interval, rule, time) sums of weighted * exp(i c2 t) over the nodes.
-
-    ``weighted`` is (interval, rule, node) and ``c2`` = 2 cos k is (interval,
-    node).  The phase at t_{j + r}, j a multiple of ``stride``, is the exact
-    exp at t_j times the exact exp at the offset r dt.  The offset factors
-    are folded into the weights, so one matmul with the exps at every
-    stride-th time forms every sum, and no (node, time) phase array is
-    built.  A block of exps holds at most 2 BLOCK_NODES entries.
-    """
-    n_i, n_r, n_n = weighted.shape
-    offsets = np.exp(1j * c2[:, None, :] * (dt * np.arange(stride))[:, None])
-    mixed = (weighted[:, :, None, :] * offsets[:, None]).reshape(n_i, n_r * stride, n_n)
-    base = ts[::stride]
-    q_block = max(2 * BLOCK_NODES // (n_i * n_n), 1)
-    out = np.empty((n_i, n_r, len(base), stride), dtype=complex)
-    for q in range(0, len(base), q_block):
-        phase = np.exp(1j * c2[..., None] * base[q:q + q_block])
-        sums = (mixed @ phase).reshape(n_i, n_r, stride, -1)
-        out[:, :, q:q + q_block] = sums.transpose(0, 1, 3, 2)
-    return out.reshape(n_i, n_r, -1)[..., :len(ts)]
-
-
-def _cut_integral(h, ts: np.ndarray, abs_tol: float) -> np.ndarray:
-    """INT_0^pi h(k) exp(2 i t cos k) dk at every time of an ascending grid ts.
-
-    The phase 2 t_max cos k is split at multiples of 4 pi, so each piece
-    holds at most two oscillations at every t <= t_max; each piece starts
-    as an open interval with an equal share of ``abs_tol``.  Level by level,
-    h is evaluated once per node of every open interval, on the GL30 and
-    GL15 nodes together, and a matmul with the phase exp(2 i t cos k) forms
-    both rules at every time.  After a level, once the error estimates
-    |GL30 - GL15| of the accepted and the still-open intervals sum to at
-    most ``abs_tol`` at every time, the open intervals are accepted with
-    their GL30 values and the rule stops (QUADPACK's global acceptance
-    test, Piessens et al. 1983).  Otherwise an interval whose estimate
-    max_t |GL30 - GL15| is below its share, or that has been bisected
-    MAX_DEPTH times, is accepted with its GL30 values, and the others are
-    bisected, each half with half the share.  A non-finite error estimate
-    raises at once, since bisection cannot repair it; a time whose accepted
-    error estimates sum to more than ``abs_tol`` raises after the last
-    level.
-
-    On an evenly spaced grid a node costs one complex exp per PHASE_STRIDE
-    times (``_rule_sums``); other grids, and a single time, use a stride of
-    1.  No (node, time) phase array is built, a block of exps or of folded
-    weights holds at most about 2 BLOCK_NODES entries, and accepted
-    intervals are summed block by block, so memory stays flat in the number
-    of times.
-    """
-    t_max = float(ts[-1])
-    # k = pi/2 (z = 0) is always an interval boundary: quadrature nodes are
-    # strictly interior, so the removable BIC-point 0/0 of the w-state
-    # integrand at eps_d = 0 is never sampled
-    pts = [0.0, 0.5 * math.pi, math.pi]
-    if t_max > 0:
-        j_max = int(math.floor(t_max / (2.0 * math.pi)))
-        for j in range(-j_max, j_max + 1):
-            c = 2.0 * j * math.pi / t_max
-            if -1.0 < c < 1.0:
-                pts.append(math.acos(c))
-    edges = np.unique(np.asarray(pts))
-    a, b = edges[:-1], edges[1:]
-    tol = np.full(len(a), abs_tol / len(a))
-
-    n_t, n_nodes = len(ts), len(_GL_NODES)
-    stride, dt = _phase_stride(ts)
-    # intervals whose exps at every stride-th time, and whose weights times
-    # the offset exps, fill one block of 2 BLOCK_NODES (at least one); and a
-    # multiple of them per evaluation of h
-    per_interval = n_nodes * max(-(-n_t // stride), len(_GL_WEIGHTS) * stride)
-    i_block = max(2 * BLOCK_NODES // per_interval, 1)
-    h_block = i_block * max(BLOCK_NODES // (n_nodes * i_block), 1)
-
-    total = np.zeros(n_t, dtype=complex)
-    err_total = np.zeros(n_t)
-    for depth in range(MAX_DEPTH + 1):
-        done = np.empty(len(a), dtype=bool)
-        sum_open = np.zeros(n_t, dtype=complex)
-        err_open = np.zeros(n_t)
-        for lo in range(0, len(a), h_block):
-            a_h, b_h = a[lo:lo + h_block], b[lo:lo + h_block]
-            half = 0.5 * (b_h - a_h)
-            k = half[:, None] * _GL_NODES + 0.5 * (a_h + b_h)[:, None]
-            weighted = half[:, None, None] * _GL_WEIGHTS * h(k)[:, None, :]
-            c2 = 2.0 * np.cos(k)
-            for i in range(lo, lo + len(half), i_block):
-                block = slice(i - lo, i - lo + i_block)
-                sums = _rule_sums(weighted[block], c2[block], ts, stride, dt)
-                err = np.abs(sums[:, 0] - sums[:, 1])
-                if not np.all(np.isfinite(err)):
-                    raise QuadratureError("branch-cut quadrature hit a non-finite error estimate",
-                                          float(err[~np.isfinite(err)][0]))
-                ok = (np.max(err, axis=1) < tol[i:i + i_block]) | (depth == MAX_DEPTH)
-                done[i:i + len(ok)] = ok
-                total += np.sum(sums[ok, 0], axis=0)
-                err_total += np.sum(err[ok], axis=0)
-                sum_open += np.sum(sums[~ok, 0], axis=0)
-                err_open += np.sum(err[~ok], axis=0)
-        if done.all() or np.all(err_total + err_open <= abs_tol):
-            total += sum_open
-            err_total += err_open
-            break
-        a, b, tol = a[~done], b[~done], tol[~done]
-        if 2 * len(a) > MAX_OPEN:
-            raise QuadratureError(
-                f"branch-cut quadrature did not converge ({len(a)} intervals open "
-                f"after {depth + 1} levels)", float(np.max(err_total + err_open)))
-        mid = 0.5 * (a + b)
-        a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
-        tol = np.repeat(0.5 * tol, 2)
-    worst = int(np.argmax(err_total))
-    if err_total[worst] > abs_tol:
-        raise QuadratureError(f"branch-cut quadrature did not converge at t = {ts[worst]:g}",
-                              float(err_total[worst]))
-    return total
-
-
-def a_br_quadrature(t, g: float, abs_tol: float = 1e-9):
+def a_br_quadrature(t, g: float):
     """Branch-cut contribution to the survival amplitude at eps_d = 0.
 
     The perp state is the w = 0 state, so this returns ``a_w_cut(t,
-    ModelParams(g), 0.0, abs_tol)``: a time or an ascending grid of times
-    >= 0, on the one all-times cut rule.  For g > 1 the cut carries 1/g^2
-    of the norm at t = 0 and ``bound_term`` the rest.  Unlike ``a_w_cut``,
-    it refuses a g whose z_g^2 = (g + 1/g)^2 overflows with
-    :class:`InvalidParameterError`: at g = 1e-170 it raises, where
-    ``a_w_cut`` returns the g -> 0 limit J_1(2t)/t (0.5767 at t = 1).
+    ModelParams(g), 0.0)``: a time or an ascending grid of times >= 0.  For
+    g > 1 the cut carries 1/g^2 of the norm at t = 0 and ``bound_term`` the
+    rest.  It refuses a g whose z_g^2 = (g + 1/g)^2 overflows with
+    :class:`InvalidParameterError`; down to that g (about 1e-154) the roots
+    +/- 1/g of P and their c_j stay in double's range.
     """
     zg, _ = z_gap(g)
-    # a finite 2 z_g^2 keeps g^2 and 1/g^2 finite; otherwise the integrand
-    # under- or overflows
+    # a finite 2 z_g^2 keeps g^2 and 1/g^2 finite; otherwise the partial
+    # fractions under- or overflow
     if not math.isfinite(2.0 * zg * zg):
         raise InvalidParameterError(
             f"branch-cut quadrature needs a finite z_g^2 = (g + 1/g)^2, got g = {g}")
-    return a_w_cut(t, ModelParams(g=g), 0.0, abs_tol)
+    return a_w_cut(t, ModelParams(g=g), 0.0)
 
 
 def bound_term(t, g: float):
@@ -657,20 +500,116 @@ def _boundary_value(z, sig, g: float, eps_d: float, w: float):
     return background + coupling * (1.0 / (z - eps_d - g * g * z * sig * sig))
 
 
-def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
+#: Orders n below which a cut moment m_n is formed both from the poles and
+#: from F's Taylor series at sigma = 0, keeping the form with the smaller
+#: terms (``_cut_moments``)
+TAYLOR_ORDERS = 8
+
+
+def _taylor_at_zero(params: ModelParams, w: float, n: int) -> np.ndarray:
+    """f_0 .. f_{n-1}, the Taylor coefficients of F(sigma) = C0 - sigma Q_w/P at
+    sigma = 0, by series division: P(0) = -1, so no coefficient is divided by
+    a small number.  C0, Q_w (``spectrum._chain_split``) and P
+    (``spectrum._band_poly``) enter as ascending coefficient arrays."""
+    g2 = params.g * params.g
+    chain = np.convolve([1.0, -w], [1.0, -w])  # (1 - w sigma)^2
+    c0 = np.zeros(n + 4)
+    c0[1:4] = chain + [w * w, 0.0, 0.0]  # sigma (1 - w sigma)^2 + w^2 sigma
+    top = np.zeros(n + 8)
+    top[1:8] = g2 * np.convolve([1.0, 0.0, 2.0, 0.0, 1.0], chain)  # sigma Q_w
+    den = [-1.0, params.eps_d, g2 - 1.0, 0.0, g2]
+    f = np.zeros(n)
+    for k in range(n):
+        f[k] = (top[k] - sum(den[i] * f[k - i] for i in range(1, min(k, 4) + 1))) / den[0]
+    return c0[:n] - f
+
+
+def _cut_moments(params: ModelParams, w: float, n_max: int) -> np.ndarray:
+    """m_n = INT_0^pi h(k) cos nk dk for n = 0 .. n_max, h the integrand of ``a_w_cut``.
+
+    On the band sigma_1 = -s with s = e^{ik}, and h(k) = K(s) + K(1/s) with
+    K(s) = (N_w^2/2 pi)(s - 1/s) F(-s) and F = C0 - sigma Q_w/P
+    = a0 + a1 sigma + SUM_j c_j/(sigma - sigma_j) (``partial_fractions``).  So
+    m_n = pi SUM_{|s|<1} Res[K(s) (s^{n-1} + s^{-n-1})].  Each root sigma_j
+    of P puts one pole in the unit disk, q_j = -sigma_j where |sigma_j| < 1 (a
+    bound state, a pole of K(s)) and q_j = -1/sigma_j else (free, a pole of
+    K(1/s)), which adds the geometric sequence W_j q_j^n with
+    W_j = -(N_w^2/2) c_j (q_j^2 - 1) q_j^{-2} (bound) or q_j^0 (free).  The
+    rest sits at s = 0: K(0) = 1/(2 pi), and the Laurent coefficients of
+    (1/s - s) F(-1/s) there, l = (a1 - SUM c_j, a0, -a1) at n = 0, 1, 2:
+
+        m_n = delta_n0/2 + SUM_j W_j q_j^n + (N_w^2/2) l_n.          (poles)
+
+    A root on |sigma| = 1, a threshold, has q^2 = 1 and so W = 0; the BIC pair
+    of eps_d = 0 is not among the poles.  Where two roots nearly meet, P' -> 0
+    makes W_j and W_k huge and opposite; as c_j carries the root difference
+    sigma_j - sigma_k as a factor, the same double in both, the pair's sum
+    loses only what rounding of the two terms costs.
+
+    The free terms and l_n are minus the residues of K(s) s^{-n-1} outside
+    the disk and at infinity.  The same sum, taken as the residues inside the
+    disk, is the bound states' W_b q_b^{-n} plus the Taylor coefficient of K
+    at 0, from F's Taylor coefficients f_k at sigma = 0 (``_taylor_at_zero``,
+    f_{-1} = 0):
+
+        m_n = delta_n0/2 + SUM_b W_b (q_b^n + q_b^{-n})
+              + (N_w^2/2) (-1)^{n+1} (f_{n-1} - f_{n+1}).             (Taylor)
+
+    At small g the free poles q = -/+ g crowd s = 0: their terms and l_n grow
+    like 1/g^4 while m_n stays of order 1, and the Taylor form sums them
+    without cancellation.  At large g the bound states' q_b^{-n} grow instead.
+    Below TAYLOR_ORDERS each m_n takes the form whose terms are smaller in
+    magnitude; above it the pole form, whose terms decay.
+    """
+    nw2 = w_norm_sq(params.g, w)
+    (a0, a1), poles = partial_fractions(params, w)
+    sig, c = (np.array(v, dtype=complex) for v in zip(*poles))
+    bound = np.abs(sig) < 1.0
+    q = np.where(bound, -sig, -1.0 / sig)
+    weight = -0.5 * nw2 * c * (q * q - 1.0)
+    weight[bound] /= q[bound] ** 2
+    n = np.arange(max(n_max + 1, TAYLOR_ORDERS))
+    powers = q[:, None] ** n
+    free = weight[~bound, None] * powers[~bound]
+    laurent = np.zeros(len(n), dtype=complex)
+    laurent_size = np.zeros(len(n))
+    laurent[:3] = 0.5 * nw2 * np.array([a1 - c.sum(), a0, -a1])
+    laurent_size[:3] = 0.5 * nw2 * np.array([abs(a1) + np.abs(c).sum(), abs(a0), abs(a1)])
+    out = np.sum(free, axis=0) + laurent
+    size = np.sum(np.abs(free), axis=0) + laurent_size
+
+    low = slice(TAYLOR_ORDERS)
+    f = np.concatenate(([0.0], _taylor_at_zero(params, w, TAYLOR_ORDERS + 1)))  # f[i] = f_{i-1}
+    taylor = 0.5 * nw2 * np.where(n[low] % 2, 1.0, -1.0) * (f[:-2] - f[2:])
+    inverse = weight[bound, None] / powers[bound, low]
+    taylor_size = np.abs(taylor) + np.sum(np.abs(inverse), axis=0)
+    pick = ~(size[low] <= taylor_size)
+    out[low][pick] = (taylor + np.sum(inverse, axis=0))[pick]
+
+    out += np.sum(weight[bound, None] * powers[bound], axis=0)
+    out[0] += 0.5
+    return out.real[:n_max + 1]
+
+
+def a_w_cut(t, params: ModelParams, w: float):
     """Survival amplitude of the w-state from the branch-cut contour.
 
     Reduces the counter-clockwise contour around the band to the jump of
-    N_w^2 (C0 + Q G_dd) across the cut and integrates over k in [0, pi].
-    Each node evaluates one boundary value, the one above the band; the
-    value below is its complex conjugate.  Valid for any detuning;
-    bound-state poles are not included: ``a_w_poles`` adds them.  ``t`` is a
-    time or an ascending grid of times >= 0; one call integrates every time
-    at once (``_cut_integral``), each to a summed error estimate of at most
-    ``abs_tol``, which must be finite and positive.
+    N_w^2 (C0 + Q G_dd) across the cut, INT_0^pi h(k) e^{2 i t cos k} dk.
+    By Jacobi-Anger that is SUM_n i^n eps_n J_n(2t) m_n (eps_0 = 1, else 2),
+    where the Chebyshev moments m_n of h are sums of residues in closed form
+    (``_cut_moments``), exact to rounding at every detuning, the quasi-BIC
+    and the band-edge thresholds included.  J_n(2t) comes from Miller's
+    recurrence (``evolve.bessel_table``) up to the order where it falls below
+    1e-18, about 2t + 12 (2t)^{1/3} (``evolve._miller_start``), in blocks of
+    about MILLER_WORDS table entries, so a time costs O(t) and a long grid
+    keeps memory flat.  Bound-state poles are not included: ``a_w_poles``
+    adds them.  ``t`` is a time or an ascending grid of times >= 0.  Where P's
+    roots or their c_j are out of double's reach (``partial_fractions``: g
+    below about 1e-22 to 1e-153 depending on eps_d, as for ``a_w_poles``; at
+    eps_d = 0 below about 1e-154 for w = 0, or 1e-77 for w = 1) it raises
+    :class:`RootFindError`.
     """
-    if not (math.isfinite(abs_tol) and abs_tol > 0):
-        raise InvalidParameterError(f"abs_tol must be finite and positive, got {abs_tol}")
     ts = np.asarray(t, dtype=float)
     _check_times(ts)
     if np.any(ts < 0):
@@ -679,16 +618,20 @@ def a_w_cut(t, params: ModelParams, w: float, abs_tol: float = 1e-9):
     grid = np.atleast_1d(ts)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) < 0):
         raise InvalidParameterError("t must be a time or a non-empty ascending grid of times")
-    g, eps_d = params.g, params.eps_d
-    nw2 = w_norm_sq(g, w)
-
-    def h(k: np.ndarray) -> np.ndarray:
-        # z = -2 cos k and the coefficients are real, so the value below the
-        # cut (sigma_1 = -e^{-ik}) is exactly the conjugate of the one above
-        above = _boundary_value(-2.0 * np.cos(k), -np.exp(1j * k), g, eps_d, w)
-        return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * (np.conj(above) - above)
-
-    out = _cut_integral(h, grid, abs_tol)
+    x = 2.0 * grid
+    seeds = _miller_start(x)
+    n_max = int(seeds.max())
+    moments = _cut_moments(params, w, n_max)
+    n = np.arange(n_max + 1)
+    # i^n eps_n m_n; J_n(2t) is real, so even n give the real part, odd n the imaginary
+    signed = np.where(n > 0, 2.0, 1.0) * np.where(n % 4 < 2, 1.0, -1.0) * moments
+    parts = np.zeros((2, n_max + 1))
+    parts[0, 0::2], parts[1, 1::2] = signed[0::2], signed[1::2]
+    out = np.empty(len(grid), dtype=complex)
+    step = max(MILLER_WORDS // (n_max + 3), 1)
+    for lo in range(0, len(grid), step):
+        re, im = parts @ bessel_table(x[lo:lo + step], seeds[lo:lo + step], n_max)
+        out[lo:lo + step] = re + 1j * im
     return out if ts.ndim else complex(out[0])
 
 

@@ -311,6 +311,54 @@ def first_sheet_poles(params: ModelParams, w: float) -> list[tuple[float, float]
         raise RootFindError(f"roots of P not resolvable at g = {params.g:g}", 0j) from exc
 
 
+def partial_fractions(params: ModelParams,
+                      w: float) -> tuple[tuple[float, float], list[tuple[complex, complex]]]:
+    """F(sigma) = C0(sigma) - sigma Q_w(sigma)/P(sigma), the w-state resolvent over
+    N_w^2 in sigma, as a0 + a1 sigma + SUM_j c_j/(sigma - sigma_j): ((a0, a1),
+    [(sigma_j, c_j)]).
+
+    The cubic and quadratic terms of C0 cancel against those of sigma Q_w/P, so
+    the polynomial part poly_3 is linear: a1 = -w^2/g^2 and
+    a0 = (w^2 eps_d + 2 w (1 + g^2))/g^2.  The sigma_j are the roots of P from
+    :func:`_band_roots`, the complex pair polished as the spectrum polishes it,
+    and c_j = -sigma_j Q_w(sigma_j)/P'(sigma_j) with P'(sigma_j) taken as
+    g^2 PROD_{l != j} (sigma_j - sigma_l), so c_j (sigma_j - sigma_k) stays
+    accurate where two roots nearly meet.  At eps_d = 0, P = (g^2 sigma^2 - 1)
+    (sigma^2 + 1): the roots +/- 1/g are exact, with c = -(1 + sigma^2)
+    (1 - w sigma)^2/2, and the BIC pair +/- i, whose c vanishes with Q_w's
+    double zero, is left out; so small couplings, whose companion matrix
+    overflows, still resolve there.  Where the roots or the c_j are out of
+    double's reach it raises :class:`RootFindError`.
+    """
+    g, eps_d = params.g, params.eps_d
+    g2 = g * g
+    try:
+        poly = ((w * w * eps_d + 2.0 * w * (1.0 + g2)) / g2, -w * w / g2)
+        if eps_d == 0.0:
+            poles = []
+            for sig in (1.0 / g, -1.0 / g):
+                one = 1.0 - w * sig
+                poles.append((complex(sig), complex(-(1.0 + sig * sig) * one * one / 2.0)))
+        else:
+            real, pair = _band_roots(g, eps_d)
+            roots = [complex(sig) for sig, _ in real]
+            if pair is not None:
+                sig = complex(_band_root(pair, g2, eps_d)[0])
+                roots += [sig, sig.conjugate()]
+            poles = []
+            for j, sig in enumerate(roots):
+                slope = g2
+                for other in roots[:j] + roots[j + 1:]:
+                    slope *= sig - other
+                poles.append((sig, -sig * _chain_split(sig, g, w)[1] / slope))
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # extreme g: overflow, lost roots
+        raise RootFindError(f"roots of P not resolvable at g = {g:g}", 0j) from exc
+    if not (all(map(math.isfinite, poly))
+            and all(cmath.isfinite(sig) and cmath.isfinite(c) for sig, c in poles)):
+        raise RootFindError(f"partial fractions of the resolvent not resolvable at g = {g:g}", 0j)
+    return poly, poles
+
+
 def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
                 kind: StateKind) -> DiscreteState:
     """The state at a root sigma of P: z = sigma + 1/sigma, e^{ik} = -sigma, and the

@@ -15,6 +15,9 @@ plain exp at every node.  The GL30 Bessel tail takes J_1 from
 ``bessel_j01`` at every node of the package's panel grid.
 The sample-major Bessel table and the per-step moment recurrence are the
 direct route's former forms, which the current ones must match bit for bit.
+The adaptive Gauss rule on the cut (``_cut_integral``, ``a_w_cut_adaptive``)
+is the cut's former route: a quadrature of the jump across the band that
+shares neither the pole sums nor the Bessel table of ``a_w_cut``.
 """
 
 import math
@@ -22,8 +25,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, _boundary_value, _panel_width,
-                                 bessel_exact_grid)
+from bicchain import closedform
+from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, BLOCK_NODES, _boundary_value,
+                                 _panel_width, bessel_exact_grid)
 from bicchain.evolve import bessel_j01
 from bicchain.model import ModelParams, NumericalError, check_coupling
 from bicchain.spectrum import SheetTag, _chain_split, self_energy, sigma1, w_norm_sq
@@ -267,3 +271,185 @@ def moments_per_step(params: ModelParams, center: float, half_width: float, n_ro
             v_next[:len(v_prev)] -= v_prev
             v_prev, v = v, v_next
     return overlaps, sites, norms_sq
+
+
+# ---------------------------------------------------------------------------
+# the adaptive branch-cut rule: the cut's former route, now its oracle
+
+class QuadratureError(NumericalError):
+    """Oscillatory quadrature failed to reach the requested accuracy."""
+
+    def __init__(self, message: str, error_estimate: float) -> None:
+        super().__init__(f"{message} (achieved error estimate {error_estimate:.3e})")
+        self.error_estimate = error_estimate
+
+
+#: Nodes of the adaptive cut rule on [-1, 1]: GL30 then GL15, evaluated
+#: together; row 0 of the weights forms GL30 and row 1 GL15.
+_GL_NODES = np.concatenate((_GL30[0], _GL15[0]))
+_GL_WEIGHTS = np.zeros((2, len(_GL_NODES)))
+_GL_WEIGHTS[0, :30], _GL_WEIGHTS[1, 30:] = _GL30[1], _GL15[1]
+
+#: Stride of the cut rule's phase on an evenly spaced grid: the phase at
+#: t_{j + r}, j a multiple of the stride, is the exact exp at t_j times the
+#: exact exp at the offset r dt, so one exp per node serves stride times.
+PHASE_STRIDE = 16
+
+#: Bisection depth at which an adaptive cut interval is accepted as is.
+MAX_DEPTH = 28
+
+#: Open cut intervals at which the quadrature gives up (about 8 MB per
+#: interval array); a tolerance that round-off cannot meet would otherwise
+#: double the open set at every level.
+MAX_OPEN = 1 << 20
+
+
+def _phase_stride(ts: np.ndarray) -> tuple[int, float]:
+    """(M, dt): M = PHASE_STRIDE on an evenly spaced grid of step dt (every time
+    within 4 ulp of t_0 + j dt), else M = 1 with no offsets."""
+    if len(ts) < 2:
+        return 1, 0.0
+    dt = (ts[-1] - ts[0]) / (len(ts) - 1)
+    off_grid = np.max(np.abs(ts - (ts[0] + dt * np.arange(len(ts)))))
+    return (PHASE_STRIDE, dt) if off_grid <= 4.0 * np.spacing(ts[-1]) else (1, 0.0)
+
+
+def _rule_sums(weighted: np.ndarray, c2: np.ndarray, ts: np.ndarray, stride: int,
+               dt: float) -> np.ndarray:
+    """(interval, rule, time) sums of weighted * exp(i c2 t) over the nodes.
+
+    ``weighted`` is (interval, rule, node) and ``c2`` = 2 cos k is (interval,
+    node).  The phase at t_{j + r}, j a multiple of ``stride``, is the exact
+    exp at t_j times the exact exp at the offset r dt.  The offset factors
+    are folded into the weights, so one matmul with the exps at every
+    stride-th time forms every sum, and no (node, time) phase array is
+    built.  A block of exps holds at most 2 BLOCK_NODES entries.
+    """
+    n_i, n_r, n_n = weighted.shape
+    offsets = np.exp(1j * c2[:, None, :] * (dt * np.arange(stride))[:, None])
+    mixed = (weighted[:, :, None, :] * offsets[:, None]).reshape(n_i, n_r * stride, n_n)
+    base = ts[::stride]
+    q_block = max(2 * BLOCK_NODES // (n_i * n_n), 1)
+    out = np.empty((n_i, n_r, len(base), stride), dtype=complex)
+    for q in range(0, len(base), q_block):
+        phase = np.exp(1j * c2[..., None] * base[q:q + q_block])
+        sums = (mixed @ phase).reshape(n_i, n_r, stride, -1)
+        out[:, :, q:q + q_block] = sums.transpose(0, 1, 3, 2)
+    return out.reshape(n_i, n_r, -1)[..., :len(ts)]
+
+
+def _cut_integral(h, ts: np.ndarray, abs_tol: float) -> np.ndarray:
+    """INT_0^pi h(k) exp(2 i t cos k) dk at every time of an ascending grid ts.
+
+    The phase 2 t_max cos k is split at multiples of 4 pi, so each piece
+    holds at most two oscillations at every t <= t_max; each piece starts
+    as an open interval with an equal share of ``abs_tol``.  Level by level,
+    h is evaluated once per node of every open interval, on the GL30 and
+    GL15 nodes together, and a matmul with the phase exp(2 i t cos k) forms
+    both rules at every time.  After a level, once the error estimates
+    |GL30 - GL15| of the accepted and the still-open intervals sum to at
+    most ``abs_tol`` at every time, the open intervals are accepted with
+    their GL30 values and the rule stops (QUADPACK's global acceptance
+    test, Piessens et al. 1983).  Otherwise an interval whose estimate
+    max_t |GL30 - GL15| is below its share, or that has been bisected
+    MAX_DEPTH times, is accepted with its GL30 values, and the others are
+    bisected, each half with half the share.  A non-finite error estimate
+    raises at once, since bisection cannot repair it; a time whose accepted
+    error estimates sum to more than ``abs_tol`` raises after the last
+    level.
+
+    On an evenly spaced grid a node costs one complex exp per PHASE_STRIDE
+    times (``_rule_sums``); other grids, and a single time, use a stride of
+    1.  No (node, time) phase array is built, a block of exps or of folded
+    weights holds at most about 2 BLOCK_NODES entries, and accepted
+    intervals are summed block by block, so memory stays flat in the number
+    of times.
+    """
+    t_max = float(ts[-1])
+    # k = pi/2 (z = 0) is always an interval boundary: quadrature nodes are
+    # strictly interior, so the removable BIC-point 0/0 of the w-state
+    # integrand at eps_d = 0 is never sampled
+    pts = [0.0, 0.5 * math.pi, math.pi]
+    if t_max > 0:
+        j_max = int(math.floor(t_max / (2.0 * math.pi)))
+        for j in range(-j_max, j_max + 1):
+            c = 2.0 * j * math.pi / t_max
+            if -1.0 < c < 1.0:
+                pts.append(math.acos(c))
+    edges = np.unique(np.asarray(pts))
+    a, b = edges[:-1], edges[1:]
+    tol = np.full(len(a), abs_tol / len(a))
+
+    n_t, n_nodes = len(ts), len(_GL_NODES)
+    stride, dt = _phase_stride(ts)
+    # intervals whose exps at every stride-th time, and whose weights times
+    # the offset exps, fill one block of 2 BLOCK_NODES (at least one); and a
+    # multiple of them per evaluation of h
+    per_interval = n_nodes * max(-(-n_t // stride), len(_GL_WEIGHTS) * stride)
+    i_block = max(2 * BLOCK_NODES // per_interval, 1)
+    h_block = i_block * max(BLOCK_NODES // (n_nodes * i_block), 1)
+
+    total = np.zeros(n_t, dtype=complex)
+    err_total = np.zeros(n_t)
+    for depth in range(MAX_DEPTH + 1):
+        done = np.empty(len(a), dtype=bool)
+        sum_open = np.zeros(n_t, dtype=complex)
+        err_open = np.zeros(n_t)
+        for lo in range(0, len(a), h_block):
+            a_h, b_h = a[lo:lo + h_block], b[lo:lo + h_block]
+            half = 0.5 * (b_h - a_h)
+            k = half[:, None] * _GL_NODES + 0.5 * (a_h + b_h)[:, None]
+            weighted = half[:, None, None] * _GL_WEIGHTS * h(k)[:, None, :]
+            c2 = 2.0 * np.cos(k)
+            for i in range(lo, lo + len(half), i_block):
+                block = slice(i - lo, i - lo + i_block)
+                sums = _rule_sums(weighted[block], c2[block], ts, stride, dt)
+                err = np.abs(sums[:, 0] - sums[:, 1])
+                if not np.all(np.isfinite(err)):
+                    raise QuadratureError("branch-cut quadrature hit a non-finite error estimate",
+                                          float(err[~np.isfinite(err)][0]))
+                ok = (np.max(err, axis=1) < tol[i:i + i_block]) | (depth == MAX_DEPTH)
+                done[i:i + len(ok)] = ok
+                total += np.sum(sums[ok, 0], axis=0)
+                err_total += np.sum(err[ok], axis=0)
+                sum_open += np.sum(sums[~ok, 0], axis=0)
+                err_open += np.sum(err[~ok], axis=0)
+        if done.all() or np.all(err_total + err_open <= abs_tol):
+            total += sum_open
+            err_total += err_open
+            break
+        a, b, tol = a[~done], b[~done], tol[~done]
+        if 2 * len(a) > MAX_OPEN:
+            raise QuadratureError(
+                f"branch-cut quadrature did not converge ({len(a)} intervals open "
+                f"after {depth + 1} levels)", float(np.max(err_total + err_open)))
+        mid = 0.5 * (a + b)
+        a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
+        tol = np.repeat(0.5 * tol, 2)
+    worst = int(np.argmax(err_total))
+    if err_total[worst] > abs_tol:
+        raise QuadratureError(f"branch-cut quadrature did not converge at t = {ts[worst]:g}",
+                              float(err_total[worst]))
+    return total
+
+
+def a_w_cut_adaptive(t, params: ModelParams, w: float, abs_tol: float):
+    """The w-state cut amplitude INT_0^pi h(k) e^{2 i t cos k} dk on the
+    adaptive rule (``_cut_integral``), at a time or at each time of an
+    ascending grid, to a summed error estimate of at most ``abs_tol``.
+
+    h is the jump of N_w^2 (C0 + Q G_dd) across the cut from one boundary
+    value per node (``closedform._boundary_value``, looked up at each call),
+    the one above the band, the value below being its complex conjugate.  The
+    rule misses a resonance narrower than its nodes (the quasi-BIC,
+    0 < |eps_d| << 1) and can be fooled next to a band-edge threshold.
+    """
+    g, eps_d = params.g, params.eps_d
+    nw2 = w_norm_sq(g, w)
+
+    def h(k: np.ndarray) -> np.ndarray:
+        above = closedform._boundary_value(-2.0 * np.cos(k), -np.exp(1j * k), g, eps_d, w)
+        return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * (np.conj(above) - above)
+
+    out = _cut_integral(h, np.atleast_1d(np.asarray(t, dtype=float)), abs_tol)
+    return out if np.ndim(t) else complex(out[0])

@@ -476,12 +476,13 @@ def test_property_overlap_matches_bessel_representation(g, t_max):
     assert np.max(np.abs(series.norm - 1.0)) <= 1e-12
 
 
-# the near-threshold examples sit on 2 g^2 = 2 - |eps_d| and at the edges of
-# the excluded window; the others have bound states, among them a double
-# root of the far-detuned pair (0.0153376, 25.1129) and a bound state far
-# above the band (7, 96.01)
+# the near-threshold examples sit on 2 g^2 = 2 - |eps_d| or within 3.2e-7
+# or 1e-7 of it, and at |eps_d| = 0.01 and -6.1e-5 near the quasi-BIC; the
+# others have bound states, among them a double root of the far-detuned pair
+# (0.0153376, 25.1129) and a bound state far above the band (7, 96.01)
 @given(g=st.floats(0.05, 3.0),
-       eps_d=st.one_of(st.just(0.0), st.floats(0.01, 1.5), st.floats(-1.5, -0.01)),
+       eps_d=st.one_of(st.just(0.0), st.floats(0.0, 1.5, exclude_min=True),
+                       st.floats(-1.5, 0.0, exclude_max=True)),
        w=st.floats(-2.0, 2.0), t_max=st.floats(0.5, 60.0), grid=st.sampled_from(["linear", "log"]))
 @example(g=1.0, eps_d=0.0, w=0.0, t_max=60.0, grid="log")
 @example(g=math.sqrt(0.75), eps_d=0.5, w=1.0, t_max=60.0, grid="linear")
@@ -496,12 +497,13 @@ def test_property_overlap_matches_bessel_representation(g, t_max):
 @example(g=3.0, eps_d=2.0, w=-1.0, t_max=40.0, grid="log")
 @example(g=0.0153376, eps_d=25.1129, w=0.0, t_max=40.0, grid="linear")
 @example(g=7.0, eps_d=96.01, w=0.0, t_max=5.0, grid="linear")
+@example(g=0.37, eps_d=-6.1e-5, w=0.0, t_max=60.0, grid="linear")
+@example(g=0.3, eps_d=1.819999683772234, w=0.0, t_max=60.0, grid="linear")
+@example(g=0.5, eps_d=1.5 + 1e-7, w=-2.0, t_max=60.0, grid="linear")
+@example(g=0.5, eps_d=1.5 - 1e-7, w=-2.0, t_max=60.0, grid="log")
 def test_property_overlap_matches_cut(g, eps_d, w, t_max, grid):
     # The branch cut plus the first-sheet poles is the whole amplitude, so
-    # the direct route must meet it at the three-route gate.  The quasi-BIC
-    # window 0 < |eps_d| < 0.01 is left out: there the cut rule misses the
-    # narrow resonance and loses its weight
-    # (test_w_cut_sum_rule_near_quasi_bic, xfailed).
+    # the direct route must meet it at the three-route gate.
     params = ModelParams(g=g, eps_d=eps_d)
     opts = EvolveOptions(t_max=t_max, n_samples=31, grid=grid)
     series = evolve(params, w_state(g, w, 3), opts)

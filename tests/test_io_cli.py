@@ -18,11 +18,11 @@ import bicchain
 from bicchain import cli, closedform, io, spectrum
 from bicchain.analysis import TooFewPeaksError
 from bicchain.cli import main
-from bicchain.closedform import DivergenceError, DomainError, QuadratureError
-from bicchain.evolve import EvolveOptions, IntegratorError
+from bicchain.closedform import DivergenceError, DomainError
+from bicchain.evolve import EvolveOptions, IntegratorError, _miller_start
 from bicchain.model import ConfigError, InvalidParameterError, NumericalError
 from bicchain.spectrum import RootFindError
-from oracles import NearPoleError
+from oracles import NearPoleError, QuadratureError
 
 
 def run_cli(*argv):
@@ -519,7 +519,6 @@ ERROR_INSTANCES = [
     (DivergenceError("g = 1"), 2),
     (TooFewPeaksError("no peaks"), 2),
     (RootFindError("stalled", 1.0 + 0j), 3),
-    (QuadratureError("no convergence", 1e-3), 3),
     (IntegratorError("non-finite moments", 0.0), 3),
 ]
 
@@ -528,8 +527,10 @@ def test_error_instances_cover_the_package():
     assert {type(exc) for exc, _ in ERROR_INSTANCES} == _package_errors()
 
 
-#: the package's errors, and a NumericalError of the tests' resolvent oracle
-EXIT_CASES = ERROR_INSTANCES + [(NearPoleError(0.1 + 0j), 3)]
+#: the package's errors, and a NumericalError of each of the tests' resolvent
+#: and adaptive cut oracles
+EXIT_CASES = ERROR_INSTANCES + [(NearPoleError(0.1 + 0j), 3),
+                                (QuadratureError("no convergence", 1e-3), 3)]
 
 
 @pytest.mark.parametrize("exc, code", EXIT_CASES,
@@ -972,18 +973,19 @@ def test_cli_compare_detuned(tmp_path):
 
 @pytest.mark.parametrize("eps_d", ["0", "0.2"])
 def test_cli_compare_integrates_the_cut_once(tmp_path, monkeypatch, eps_d):
-    # one all-times cut quadrature per run, not one per sample time
+    # one moment-route call per run, for every sample time, not one per time
     calls = []
-    kernel = closedform._cut_integral
+    moments = closedform._cut_moments
 
-    def counted(h, ts, abs_tol):
-        calls.append(len(ts))
-        return kernel(h, ts, abs_tol)
+    def counted(params, w, n_max):
+        calls.append(n_max)
+        return moments(params, w, n_max)
 
-    monkeypatch.setattr(closedform, "_cut_integral", counted)
+    monkeypatch.setattr(closedform, "_cut_moments", counted)
     assert run_cli("compare", "--g", "0.9", "--eps-d", eps_d, "--tmax", "20",
                    "--samples", "41", "--out", str(tmp_path / "cmp"), "--no-meta-time") == 0
-    assert calls == [41]
+    # the orders of J_n(40), the largest argument
+    assert calls == [int(_miller_start(np.array([40.0]))[0])]
 
 
 @pytest.mark.parametrize("eps_d", ["1e-6", "-1e-6"])
@@ -995,7 +997,7 @@ def test_cli_compare_next_to_a_threshold(tmp_path, eps_d):
     assert run_cli("compare", "--g", "1.0", "--eps-d", eps_d, "--tmax", "5",
                    "--samples", "11", "--out", str(base), "--no-meta-time") == 0
     report = io.read_json(base.with_suffix(".json"))
-    assert report["max_abs_deviation"]["ode_vs_cut"] <= 1e-6
+    assert report["max_abs_deviation"]["ode_vs_cut"] <= 1e-12
     _, data = io.read_csv(base.with_suffix(".csv"))
     assert {"re_A_cut", "im_A_cut"} <= set(data)
     [pole] = report["poles"]

@@ -598,3 +598,41 @@ def test_property_real_root_sheet_matches_the_residual_rule(point):
     for s in states:
         if s.kind in (StateKind.Bound, StateKind.VirtualBound) and not s.band_edge:
             assert s.sheet is sheet_of(s.z, params)
+
+
+# ---------------------------------------------------------------------------
+# partial fractions of the w-state resolvent
+
+@pytest.mark.parametrize("g, eps_d, w", [
+    (0.9, 0.2, 0.0), (0.9, 0.0, 1.0), (1.3, 0.4, -2.0), (0.37, -6.1e-5, 0.5),
+    (0.3, 1.819999683772234, 0.0), (0.0153376, 25.1129, 1.0), (3.0, -2.9, 2.0)])
+def test_partial_fractions_rebuild_the_resolvent(g, eps_d, w):
+    # F(sigma) = C0 - sigma Q_w/P against a0 + a1 sigma + SUM_j c_j/(sigma - sigma_j),
+    # in 40-digit arithmetic on the same roots and coefficients; the BIC pair
+    # of eps_d = 0 is left out, as its c vanishes
+    (a0, a1), poles = spectrum.partial_fractions(ModelParams(g=g, eps_d=eps_d), w)
+    assert len(poles) == (2 if eps_d == 0.0 else 4)
+    with mpmath.workdps(40):
+        g_, e_, w_ = mpmath.mpf(g), mpmath.mpf(eps_d), mpmath.mpf(w)
+        for sig in (mpmath.mpc(0.3, 0.7), mpmath.mpc(-1.7, 0.2), mpmath.mpc(4.0, -2.5)):
+            one = 1 - w_ * sig
+            q_w = g_ ** 2 * (1 + sig ** 2) ** 2 * one ** 2
+            p = g_ ** 2 * sig ** 4 + (g_ ** 2 - 1) * sig ** 2 + e_ * sig - 1
+            direct = sig * one ** 2 + w_ ** 2 * sig - sig * q_w / p
+            rebuilt = a0 + a1 * sig + sum(c / (sig - s) for s, c in poles)
+            scale = abs(a0) + abs(a1 * sig) + sum(abs(c / (sig - s)) for s, c in poles)
+            assert abs(direct - rebuilt) <= 1e-14 * scale
+
+
+def test_partial_fractions_at_small_coupling():
+    # at eps_d = 0 the roots +/- 1/g are exact, where the companion matrix of
+    # P overflows (g = 1e-150) and the spectrum's root stage cannot run
+    (a0, a1), poles = spectrum.partial_fractions(ModelParams(g=1e-150), 0.0)
+    assert (a0, a1) == (0.0, -0.0)
+    assert [s for s, _ in poles] == [1e150, -1e150]
+    assert all(c == pytest.approx(-0.5e300, rel=1e-15) for _, c in poles)
+    with pytest.raises(RootFindError, match="roots of P not resolvable"):
+        spectrum.partial_fractions(ModelParams(g=1e-160, eps_d=3.0), 0.0)
+    # at w = 1 the c_j, about w^2/(2 g^4), overflow from g of about 1e-77
+    with pytest.raises(RootFindError, match="partial fractions"):
+        spectrum.partial_fractions(ModelParams(g=1e-100), 1.0)
