@@ -32,8 +32,9 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   phases into one exp per panel times fixed node factors; below it one
   Miller table serves the panels' nodes.
 * ``a_w_rays`` -- band-edge ray deformation of the cut contour (eps_d = 0),
-  exact for t >= ~1 at O(1) cost; the route of choice deep in the far zone.
-  In x = sqrt(u) each ray is a Laplace transform of the t-independent jump.
+  exact for t >= RAY_T_MIN = 0.5 at O(1) cost; the route of choice deep in
+  the far zone.  In x = sqrt(u) each ray is a Laplace transform of the
+  t-independent jump, in closed form (``_ray_jump``).
   One 1725-node composite rule in x, built at import from the GL15 and GL30
   rules (GL15 on [0, 1e-16], GL30 on panels doubling from 1e-16 up to
   ``RAY_X_MAX``), carries the jump, evaluated once per call; a block of
@@ -44,9 +45,9 @@ Routes to the survival amplitude of the BIC-orthogonal states:
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes, and the cut's
 Bessel tables about ``evolve.MILLER_WORDS`` entries, so memory stays flat
-however long the time grid.  sigma_1 is ``spectrum.sigma1``.  The module
-needs numpy alone: the GL15/GL30 rules of the Bessel tail and the rays are
-computed at import by Newton's method on the Legendre recurrence
+however long the time grid.  The band root is ``spectrum.sqrt_band``.  The
+module needs numpy alone: the GL15/GL30 rules of the Bessel tail and the rays
+are computed at import by Newton's method on the Legendre recurrence
 (``_gauss_legendre``), and J_0 and J_1 (``early_approx``) from
 ``evolve.bessel_j01``, which is Miller's recurrence (``evolve.bessel_table``)
 below x = 25 and Hankel's expansion (DLMF 10.17) above it; the Bessel tail
@@ -76,9 +77,8 @@ import numpy as np
 
 from .evolve import HANKEL_SEAM, MILLER_WORDS, _miller_start, bessel_j01, bessel_table, hankel_pq
 from .model import ConfigError, InvalidParameterError, ModelParams
-from .spectrum import (SheetTag, Timescales, _chain_split, first_sheet_poles,
-                       partial_fractions, resonance_expansion, sigma1, timescales, w_norm_sq,
-                       z_gap)
+from .spectrum import (Timescales, first_sheet_poles, partial_fractions, resonance_expansion,
+                       sqrt_band, timescales, w_norm_sq, z_gap)
 
 
 class DomainError(ConfigError):
@@ -491,15 +491,6 @@ def res_pole_1d(params: ModelParams) -> tuple[float, float]:
     return amp, resonance_expansion(params).gamma
 
 
-def _boundary_value(z, sig, g: float, eps_d: float, w: float):
-    """C0 + Q G_dd of the w-state resolvent at z, given sigma_1 there.
-
-    Sigma = g^2 z sigma_1^2, so G_dd = 1/(z - eps_d - Sigma).
-    """
-    background, coupling = _chain_split(sig, g, w)
-    return background + coupling * (1.0 / (z - eps_d - g * g * z * sig * sig))
-
-
 #: Orders n below which a cut moment m_n is formed both from the poles and
 #: from F's Taylor series at sigma = 0, keeping the form with the smaller
 #: terms (``_cut_moments``)
@@ -639,7 +630,8 @@ def a_w_poles(t, params: ModelParams, w: float):
     """Bound-state part of the w-state survival amplitude, which ``a_w_cut`` leaves out.
 
     SUM_j r_j exp(-i z_j t) over ``spectrum.first_sheet_poles``, continuous
-    through every threshold.  ``t`` is a time or an array of times.
+    through every threshold; it raises :class:`RootFindError` where ``a_w_cut``
+    does, as both read ``partial_fractions``.  ``t`` is a time or an array of times.
     """
     ts = np.asarray(t, dtype=float)
     _check_times(ts)
@@ -674,6 +666,21 @@ _RAY_W = np.concatenate([0.5 * (b - a) * w for a, b, (_, w) in _RAY_PANELS])
 RAY_SERIES_MAX, RAY_MOMENTS = 2.0 ** -10, 5
 
 
+def _ray_jump(edge: float, x2, g: float, w: float):
+    """D = F(1/s) - F(s), F the w-state resolvent over N_w^2 at eps_d = 0, s = sigma_1
+    on the second sheet, on the ray z = edge - i x^2 below the edge -/+2.  With
+    F = a0 + a1 sigma + SUM_j c_j/(sigma - sigma_j) (``partial_fractions``),
+    D = sqrt(z^2 - 4) [SUM_j c_j/(sigma_j^2 - sigma_j z + 1) - a1], which for
+    the poles +/- 1/g (the BIC pair has c = 0) is -sqrt(z^2 - 4)
+    (1 + g^2 - w z)^2/((1 + g^2 - g z)(1 + g^2 + g z)).  Below -/+2 the factors
+    are (1 - g)^2 -/+ i g x^2 and (1 + g)^2 +/- i g x^2, with (1 -/+ g)^2 formed
+    from g, so nothing cancels near the edge, where F(1/s) and F(s) meet."""
+    z = edge - 1j * x2
+    shift = 1j * math.copysign(g, edge) * x2  # +/- i g x^2
+    top = 1.0 + g * g - w * z
+    return -sqrt_band(z) * top * top / (((1.0 - g) ** 2 + shift) * ((1.0 + g) ** 2 - shift))
+
+
 def a_w_rays(t, params: ModelParams, w: float):
     """Survival amplitude (eps_d = 0) from band-edge ray deformation.
 
@@ -688,8 +695,10 @@ def a_w_rays(t, params: ModelParams, w: float):
     poles are crossed at eps_d = 0); the rule keeps it within 1e-13 of the
     Bessel route for 0.05 <= g <= 1, g -> 1 included, and within 2e-13 of
     the cut for |w| <= 2 and 0.05 <= g <= 3, at O(1) cost per time, which
-    makes it the far-zone route of choice.  ``t`` is a time or a 1-D array
-    of times in [RAY_T_MIN, RAY_T_MAX]; others raise :class:`DomainError`.
+    makes it the far-zone route of choice.  D (``_ray_jump``) keeps its digits
+    at the band edge, so the amplitude stays within 1e-14 relative of 40-digit
+    mpmath up to RAY_T_MAX.  ``t`` is a time or a 1-D array of times in
+    [RAY_T_MIN, RAY_T_MAX]; others raise :class:`DomainError`.
     """
     if params.eps_d != 0.0:
         raise InvalidParameterError(
@@ -710,16 +719,8 @@ def a_w_rays(t, params: ModelParams, w: float):
                           f"got t = {ts[ts > RAY_T_MAX][0]}")
     x2 = _RAY_X * _RAY_X
     weights = _RAY_W * 2.0 * _RAY_X
-
-    def weighted_jump(z: np.ndarray) -> np.ndarray:
-        # the second sheet continues the from-above value; its reciprocal is
-        # the first-sheet value below the cut
-        sig_above = sigma1(z, SheetTag.Second)
-        return weights * (_boundary_value(z, 1.0 / sig_above, g, 0.0, w)
-                          - _boundary_value(z, sig_above, g, 0.0, w))
-
     # the t-independent part of each ray integral, once per call
-    lower, upper = weighted_jump(-2.0 - 1j * x2), weighted_jump(2.0 - 1j * x2)
+    lower, upper = (weights * _ray_jump(edge, x2, g, w) for edge in (-2.0, 2.0))
     jumps = np.column_stack((lower.real, lower.imag, upper.real, upper.imag))
     # In each block of times, a node with x^2 t < 2^-10 at every time adds
     # its jump through the prefix moments M_m = SUM_{i<a} D_i x_i^{2m}, as

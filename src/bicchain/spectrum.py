@@ -34,7 +34,7 @@ P(sigma) = g^2 sigma^4 + (g^2 - 1) sigma^2 + eps_d sigma - 1.  Nothing is
 squared, so P's four roots are exactly the solutions, and |sigma| < 1 is the
 first sheet; P's constant term is -1, so no root sits at 0.  They are the
 eigenvalues of P's companion matrix, each polished by at most 6 Newton steps
-on P (:func:`_band_roots`, the one root stage, which :func:`first_sheet_poles`
+on P (:func:`_band_roots`, the one root stage, which :func:`partial_fractions`
 shares).  A real root is a bound state iff |sigma| < 1, else a virtual bound
 state; on a threshold 2 g^2 = 2 -/+ eps_d (|P(+/-1)| < 1e-10) the real root
 nearest +/-1 is the band-edge state.  The complex pair is the resonance pair
@@ -283,32 +283,18 @@ def _band_root(sig, g2: float, eps_d: float):
     return sig, (1.0 - sig * sig) / (sig * dp)
 
 
-def _band_roots(g: float, eps_d: float) -> tuple[list, complex | None]:
-    """The real roots of P as (sigma, Res[G_dd]) from :func:`_band_root`, nearest
-    |sigma| = 1 first, and the complex pair's root with Im sigma < 0, unpolished, or None."""
+def _band_roots(g: float, eps_d: float) -> tuple[list[tuple[float, float]],
+                                                 tuple[complex, complex] | None]:
+    """The roots of P as (sigma, Res[G_dd]) from :func:`_band_root`: the real ones,
+    nearest |sigma| = 1 first, and the complex pair's root with Im sigma < 0, or None."""
     g2 = g * g
     # the eigenvalues of P's companion matrix, as numpy.roots takes them
     roots = np.linalg.eigvals(np.array([[0.0, (1.0 - g2) / g2, -eps_d / g2, 1.0 / g2],
                                         [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                                         [0.0, 0.0, 1.0, 0.0]])).tolist()
     real = sorted((r.real for r in roots if r.imag == 0.0), key=lambda r: abs(abs(r) - 1.0))
-    pair = [r for r in roots if r.imag < 0.0]
+    pair = [_band_root(r, g2, eps_d) for r in roots if r.imag < 0.0]
     return [_band_root(x, g2, eps_d) for x in real], (pair[0] if pair else None)
-
-
-def _pole_residue(sig, r_dd, g: float, w: float):
-    """Residue N_w^2 Q_w(sigma) Res[G_dd] of the w-state resolvent at a root sigma of P."""
-    return w_norm_sq(g, w) * _chain_split(sig, g, w)[1] * r_dd
-
-
-def first_sheet_poles(params: ModelParams, w: float) -> list[tuple[float, float]]:
-    """(z, residue) at each bound state, z = sigma + 1/sigma at a real root |sigma| < 1
-    of P, unchecked: Res[G_dd] carries 1 - sigma^2, so it falls to 0 at a threshold."""
-    try:
-        return [(sig + 1.0 / sig, _pole_residue(sig, r_dd, params.g, w))
-                for sig, r_dd in _band_roots(params.g, params.eps_d)[0] if abs(sig) < 1.0]
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # extreme g: overflow, lost roots
-        raise RootFindError(f"roots of P not resolvable at g = {params.g:g}", 0j) from exc
 
 
 def partial_fractions(params: ModelParams,
@@ -320,10 +306,9 @@ def partial_fractions(params: ModelParams,
     The cubic and quadratic terms of C0 cancel against those of sigma Q_w/P, so
     the polynomial part poly_3 is linear: a1 = -w^2/g^2 and
     a0 = (w^2 eps_d + 2 w (1 + g^2))/g^2.  The sigma_j are the roots of P from
-    :func:`_band_roots`, the complex pair polished as the spectrum polishes it,
-    and c_j = -sigma_j Q_w(sigma_j)/P'(sigma_j) with P'(sigma_j) taken as
-    g^2 PROD_{l != j} (sigma_j - sigma_l), so c_j (sigma_j - sigma_k) stays
-    accurate where two roots nearly meet.  At eps_d = 0, P = (g^2 sigma^2 - 1)
+    :func:`_band_roots` and c_j = -sigma_j Q_w(sigma_j)/P'(sigma_j) with P'(sigma_j)
+    taken as g^2 PROD_{l != j} (sigma_j - sigma_l), so c_j (sigma_j - sigma_k)
+    stays accurate where two roots nearly meet.  At eps_d = 0, P = (g^2 sigma^2 - 1)
     (sigma^2 + 1): the roots +/- 1/g are exact, with c = -(1 + sigma^2)
     (1 - w sigma)^2/2, and the BIC pair +/- i, whose c vanishes with Q_w's
     double zero, is left out; so small couplings, whose companion matrix
@@ -343,8 +328,7 @@ def partial_fractions(params: ModelParams,
             real, pair = _band_roots(g, eps_d)
             roots = [complex(sig) for sig, _ in real]
             if pair is not None:
-                sig = complex(_band_root(pair, g2, eps_d)[0])
-                roots += [sig, sig.conjugate()]
+                roots += [pair[0], pair[0].conjugate()]
             poles = []
             for j, sig in enumerate(roots):
                 slope = g2
@@ -359,10 +343,20 @@ def partial_fractions(params: ModelParams,
     return poly, poles
 
 
+def first_sheet_poles(params: ModelParams, w: float) -> list[tuple[float, float]]:
+    """(z, residue) at each bound state from :func:`partial_fractions`: z = sigma + 1/sigma
+    at a real root |sigma| < 1 of P and N_w^2 Re(c) (1 - 1/sigma^2), which is
+    N_w^2 Q_w Res[G_dd] (F is real on the real axis; Im c is rounding).
+    Unchecked: the residue carries 1 - sigma^2, so it falls to 0 at a threshold."""
+    nw2 = w_norm_sq(params.g, w)
+    return [(sig.real + 1.0 / sig.real, nw2 * c.real * (1.0 - 1.0 / (sig.real * sig.real)))
+            for sig, c in partial_fractions(params, w)[1] if sig.imag == 0.0 and abs(sig) < 1.0]
+
+
 def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
                 kind: StateKind) -> DiscreteState:
     """The state at a root sigma of P: z = sigma + 1/sigma, e^{ik} = -sigma, and the
-    perp residue :func:`_pole_residue` at w = 0.
+    perp residue N_0^2 Q_0(sigma) Res[G_dd].
 
     z must meet the residual bound |z - eps_d - Sigma(z)| < 1e-10 on its sheet.
     Where sigma + 1/sigma misses it, z takes one Newton step in z, whose 1/f'(z)
@@ -382,7 +376,8 @@ def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
     if abs(f) > 1e-10:
         raise RootFindError("state misses the residual bound 1e-10 on its sheet", z)
     return DiscreteState(z=z, sheet=sheet, kind=kind, k=_wavenumber(sig),
-                         residue_weight=complex(_pole_residue(sig, r_dd, params.g, 0.0)))
+                         residue_weight=complex(w_norm_sq(params.g, 0.0)
+                                                * _chain_split(sig, params.g, 0.0)[1] * r_dd))
 
 
 def _band_root_states(params: ModelParams) -> list[DiscreteState]:
@@ -419,7 +414,7 @@ def _band_root_states(params: ModelParams) -> list[DiscreteState]:
         states.append(DiscreteState(z=0j, sheet=SheetTag.First, kind=StateKind.BIC,
                                     k=complex(math.pi / 2.0), residue_weight=0j))
     elif pair is not None:
-        sig, r_dd = _band_root(pair, g2, eps_d)
+        sig, r_dd = pair
         res = _pole_state(sig, r_dd, params, SheetTag.Second, StateKind.Resonance)
         states += [res, DiscreteState(z=res.z.conjugate(), sheet=SheetTag.Second,
                                       kind=StateKind.AntiResonance, k=_wavenumber(sig.conjugate()),

@@ -2,32 +2,36 @@
 
 The self-energy quadrature is independent of the package.  The other
 oracles are built on its run-path pieces (``self_energy``, ``sigma1``,
-``_chain_split``, ``w_norm_sq`` and ``bessel_exact_grid``), so a test that
-checks them against the CSR solve, the large-z limit or an identity checks
-those pieces too; the impurity resolvent ``resolvent_dd`` and its
+``_chain_split``, ``w_norm_sq``, ``_ray_jump`` and ``bessel_exact_grid``),
+so a test that checks them against the CSR solve, the large-z limit or an
+identity checks those pieces too; the impurity resolvent ``resolvent_dd`` and its
 ``NearPoleError`` are among them.  ``sheet_of`` is the spectrum's former
 rule for the sheet of a real root: the sheet of the smaller residual.
 The v-rule ray oracle takes sigma_1 from principal
 square roots instead of ``sigma1`` and integrates on a rule of its own; the
 plain-exp ray oracle shares the package's rule, takes the same jump as the
 v-rule unless asked for the package's, and forms each time's sums by a
-plain exp at every node.  The GL30 Bessel tail takes J_1 from
-``bessel_j01`` at every node of the package's panel grid.
+plain exp at every node.  The mpmath ray oracles (``ray_jump_mp``,
+``a_w_rays_mp``) take the same jump as the v-rule at 40 digits, where its
+two nearly equal sides still leave about 20 digits near the band edge.  The
+GL30 Bessel tail takes J_1 from ``bessel_j01`` at every node of the
+package's panel grid.
 The sample-major Bessel table and the per-step moment recurrence are the
 direct route's former forms, which the current ones must match bit for bit.
 The adaptive Gauss rule on the cut (``_cut_integral``, ``a_w_cut_adaptive``)
-is the cut's former route: a quadrature of the jump across the band that
-shares neither the pole sums nor the Bessel table of ``a_w_cut``.
+is the cut's former route: a quadrature of the jump across the band, from
+the boundary value C0 + Q G_dd (``_boundary_value``), that shares neither
+the pole sums nor the Bessel table of ``a_w_cut``.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from bicchain import closedform
-from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, BLOCK_NODES, _boundary_value,
-                                 _panel_width, bessel_exact_grid)
+from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, BLOCK_NODES, _panel_width,
+                                 _ray_jump, bessel_exact_grid)
 from bicchain.evolve import bessel_j01
 from bicchain.model import ModelParams, NumericalError, check_coupling
 from bicchain.spectrum import SheetTag, _chain_split, self_energy, sigma1, w_norm_sq
@@ -162,9 +166,8 @@ def a_w_rays_plain_exp(ts, g: float, w: float,
     blocking.
 
     The jump is ``ray_jump`` (sigma_1 from principal square roots), or with
-    ``package_jump`` the package's own (``sigma1`` on the second sheet and
-    the difference of ``closedform._boundary_value`` on either side), which
-    leaves only the package's way of forming each time's sums to differ.
+    ``package_jump`` the package's own closed form (``closedform._ray_jump``),
+    which leaves only the package's way of forming each time's sums to differ.
     Also returns each time's scale N_w^2/(2 pi) SUM e^{-x^2 t} (|D_-| +
     |D_+|), the size of the terms that the ray sums add up: a double
     evaluation of the sums can miss them by a few ulp of it.
@@ -172,14 +175,12 @@ def a_w_rays_plain_exp(ts, g: float, w: float,
     x2 = _RAY_X * _RAY_X
     weights = _RAY_W * 2.0 * _RAY_X
 
-    def weighted_jump(z: np.ndarray) -> np.ndarray:
-        if not package_jump:
-            return weights * ray_jump(z, g, w)
-        sig_above = sigma1(z, SheetTag.Second)
-        return weights * (_boundary_value(z, 1.0 / sig_above, g, 0.0, w)
-                          - _boundary_value(z, sig_above, g, 0.0, w))
+    def weighted_jump(edge: float) -> np.ndarray:
+        if package_jump:
+            return weights * _ray_jump(edge, x2, g, w)
+        return weights * ray_jump(edge - 1j * x2, g, w)
 
-    lower, upper = weighted_jump(-2.0 - 1j * x2), weighted_jump(2.0 - 1j * x2)
+    lower, upper = weighted_jump(-2.0), weighted_jump(2.0)
     c = w_norm_sq(g, w) / (2.0 * math.pi)
     amps, scales = [], []
     for t in ts:
@@ -189,6 +190,44 @@ def a_w_rays_plain_exp(ts, g: float, w: float,
         amps.append(c * (-np.exp(2j * t) * (lo + 1j * lo_im) + np.exp(-2j * t) * (up + 1j * up_im)))
         scales.append(c * (np.dot(kernel, np.abs(lower)) + np.dot(kernel, np.abs(upper))))
     return np.array(amps), np.array(scales)
+
+
+def ray_jump_mp(edge: float, x: float, g: float, w: float) -> complex:
+    """``ray_jump`` at z = edge - i x^2 in 40-digit mpmath, rounded to a complex."""
+    with mpmath.workdps(40):
+        x, g, w = mpmath.mpf(x), mpmath.mpf(g), mpmath.mpf(w)
+        return complex(_ray_jump_mp(edge - 1j * x * x, g, w))
+
+
+def _ray_jump_mp(z, g, w):
+    s = mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)
+    sig_below = (z - s) / 2
+
+    def side(sig):
+        one = 1 - w * sig
+        return (sig * one * one + w * w * sig
+                + g * g * (1 + sig * sig) ** 2 * one * one / (z - g * g * z * sig * sig))
+
+    return side(sig_below) - side(1 / sig_below)
+
+
+def a_w_rays_mp(t: float, g: float, w: float) -> complex:
+    """Ray-deformation amplitude (eps_d = 0) at one time in 40-digit mpmath:
+    each ray integral INT_0^6.5 D(-/+2 - i v^2/t) 2 v e^{-v^2} dv / t in
+    v = sqrt(u t), on Gauss-Legendre panels [0, 1.5, 3, 4.5, 6.5] (mpmath's
+    rule up to 12 nodes each), with the jump D of ``ray_jump`` at 40 digits.
+    Past v = 6.5, e^{-v^2} < 5e-19.  The panels resolve D only where it varies
+    slowly in v: at g = 1, or where Delta_g t = (1 - g)^2 t/g is large, since
+    the virtual bound state Delta_g below the band edge makes D vary on
+    v ~ sqrt(Delta_g t)."""
+    with mpmath.workdps(40):
+        t, g, w = mpmath.mpf(t), mpmath.mpf(g), mpmath.mpf(w)
+        lower, upper = (mpmath.quad(lambda v: _ray_jump_mp(edge - 1j * v * v / t, g, w)
+                                    * 2 * v * mpmath.exp(-v * v),
+                                    [0, 1.5, 3, 4.5, 6.5], method="gauss-legendre", maxdegree=3)
+                        / t for edge in (-2, 2))
+        return complex((1 / (1 + g * g + w * w)) / (2j * mpmath.pi) * (
+            -1j * mpmath.expj(2 * t) * lower + 1j * mpmath.expj(-2 * t) * upper))
 
 
 def bessel_tail_gl30(ts: np.ndarray, zg: float) -> np.ndarray:
@@ -275,6 +314,15 @@ def moments_per_step(params: ModelParams, center: float, half_width: float, n_ro
 
 # ---------------------------------------------------------------------------
 # the adaptive branch-cut rule: the cut's former route, now its oracle
+
+def _boundary_value(z, sig, g: float, eps_d: float, w: float):
+    """C0 + Q G_dd of the w-state resolvent at z, given sigma_1 there.
+
+    Sigma = g^2 z sigma_1^2, so G_dd = 1/(z - eps_d - Sigma).
+    """
+    background, coupling = _chain_split(sig, g, w)
+    return background + coupling * (1.0 / (z - eps_d - g * g * z * sig * sig))
+
 
 class QuadratureError(NumericalError):
     """Oscillatory quadrature failed to reach the requested accuracy."""
@@ -439,7 +487,7 @@ def a_w_cut_adaptive(t, params: ModelParams, w: float, abs_tol: float):
     ascending grid, to a summed error estimate of at most ``abs_tol``.
 
     h is the jump of N_w^2 (C0 + Q G_dd) across the cut from one boundary
-    value per node (``closedform._boundary_value``, looked up at each call),
+    value per node (``_boundary_value``, looked up at each call),
     the one above the band, the value below being its complex conjugate.  The
     rule misses a resonance narrower than its nodes (the quasi-BIC,
     0 < |eps_d| << 1) and can be fooled next to a band-edge threshold.
@@ -448,7 +496,7 @@ def a_w_cut_adaptive(t, params: ModelParams, w: float, abs_tol: float):
     nw2 = w_norm_sq(g, w)
 
     def h(k: np.ndarray) -> np.ndarray:
-        above = closedform._boundary_value(-2.0 * np.cos(k), -np.exp(1j * k), g, eps_d, w)
+        above = _boundary_value(-2.0 * np.cos(k), -np.exp(1j * k), g, eps_d, w)
         return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * (np.conj(above) - above)
 
     out = _cut_integral(h, np.atleast_1d(np.asarray(t, dtype=float)), abs_tol)

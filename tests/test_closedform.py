@@ -15,13 +15,12 @@ from bicchain import closedform, spectrum
 from bicchain.closedform import (LAWS, DivergenceError, DomainError, Law, a_br_quadrature,
                                  a_w_cut, a_w_poles, a_w_rays, bessel_exact_grid, bound_term,
                                  early_approx, far_zone_coefficient, far_zone_prob, near_zone_amp,
-                                 near_zone_prob, res_pole_1d, res_pole_perp, sigma1,
-                                 w_far_zone, w_far_zone_coefficient,
-                                 w_near_zone_g1, w_norm_sq)
+                                 near_zone_prob, res_pole_1d, res_pole_perp, w_far_zone,
+                                 w_far_zone_coefficient, w_near_zone_g1, w_norm_sq)
 from bicchain.evolve import EvolveOptions, evolve
 from bicchain.model import InvalidParameterError, ModelParams, hamiltonian, perp_state, w_state
-from bicchain.spectrum import (RootFindError, SheetTag, StateKind, discrete_spectrum, timescales,
-                               z_gap)
+from bicchain.spectrum import (RootFindError, SheetTag, StateKind, discrete_spectrum, sigma1,
+                               timescales, z_gap)
 import oracles
 from oracles import (QuadratureError, a_w_cut_adaptive, a_w_rays_plain_exp, a_w_rays_v_rule,
                      a_w_resolvent, bessel_exact, bessel_tail_gl30, q_of_z, resolvent_dd)
@@ -746,15 +745,41 @@ def test_property_rays_match_v_rule_oracle(g, w, t):
 
 @pytest.mark.parametrize("g", [0.05, 0.5, 0.98, 1.0 - 1e-12, 1.0, 1.5, 3.0])
 def test_rays_match_v_rule_oracle_to_the_largest_time(g):
-    # Near a band edge the jump is the difference of two nearly equal sides,
-    # so both routes lose digits as the weight e^{-x^2 t} moves to x ~ 1/sqrt(t):
-    # relative to the amplitude they agree to about 1.6e-14 sqrt(t), which
-    # the rule's edge moments (exact to 1e-14 out to RAY_T_MAX) do not limit
+    # Near a band edge the oracle's jump is the difference of two nearly
+    # equal sides, so it loses digits as the weight e^{-x^2 t} moves to
+    # x ~ 1/sqrt(t): relative to the amplitude the two routes agree to about
+    # 1.6e-14 sqrt(t).  The package's jump is in closed form (``_ray_jump``)
+    # and loses none (``test_rays_match_mpmath_to_the_largest_time``).
     ts = np.geomspace(3e3, closedform.RAY_T_MAX, 40)
     for w in (-2.0, 0.0, 1.0, 2.0):
         ref = np.array([a_w_rays_v_rule(t, g, w) for t in ts])
         rel = np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref) / np.abs(ref)
         assert np.max(rel / np.sqrt(ts)) <= 1e-13
+
+
+@pytest.mark.parametrize("edge", [-2.0, 2.0])
+@pytest.mark.parametrize("g", [0.5, 1.0])
+@pytest.mark.parametrize("w", [0.0, 2.0])
+def test_ray_jump_matches_mpmath_next_to_the_band_edge(edge, g, w):
+    # the two sides of the cut differ by O(x) at z = edge - i x^2, so their
+    # difference in double lost about 1e-16/x^2 relative (8.1e-9 at x = 1e-8)
+    for x in (1e-2, 1e-5, 1e-8):
+        ref = oracles.ray_jump_mp(edge, x, g, w)
+        assert abs(closedform._ray_jump(edge, x * x, g, w) - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0])
+@pytest.mark.parametrize("w", [0.0, 2.0])
+def test_rays_match_mpmath_to_the_largest_time(g, w):
+    # At large t the rays weigh the jump at x ~ 1/sqrt(t), next to the band
+    # edge; with the jump in closed form the amplitude keeps its relative
+    # accuracy out to RAY_T_MAX (the difference of the two sides missed by
+    # 2.3e-6 at t = 1e20)
+    ts = np.array([1e4, 1e8, 1e12, 1e16, 1e20])
+    rays = a_w_rays(ts, ModelParams(g=g), w)
+    for t, amp in zip(ts, rays):
+        ref = oracles.a_w_rays_mp(t, g, w)
+        assert abs(amp - ref) <= 1e-14 * abs(ref)
 
 
 def test_rays_refuse_times_outside_the_rule():
@@ -775,7 +800,7 @@ def test_cut_integral_matches_recursive_adaptive_gauss(g, eps_d, w):
     nw2 = w_norm_sq(g, w)
 
     def h(k):
-        above = closedform._boundary_value(-2.0 * np.cos(k), -np.exp(1j * k), g, eps_d, w)
+        above = oracles._boundary_value(-2.0 * np.cos(k), -np.exp(1j * k), g, eps_d, w)
         return (nw2 / (2j * math.pi)) * 2.0 * np.sin(k) * (np.conj(above) - above)
 
     for t in (0.0, 2.5, 40.0):
@@ -818,7 +843,7 @@ def test_cut_evaluates_one_boundary_value_per_node(monkeypatch):
     # evaluated interval evaluates one boundary value at each of its 45 GL30
     # and GL15 nodes
     evaluated, nodes = [], []
-    rule_sums, boundary_value = oracles._rule_sums, closedform._boundary_value
+    rule_sums, boundary_value = oracles._rule_sums, oracles._boundary_value
 
     def spy_sums(weighted, *args):
         evaluated.append(len(weighted))
@@ -829,7 +854,7 @@ def test_cut_evaluates_one_boundary_value_per_node(monkeypatch):
         return boundary_value(z, sig, *args)
 
     monkeypatch.setattr(oracles, "_rule_sums", spy_sums)
-    monkeypatch.setattr(closedform, "_boundary_value", spy_value)
+    monkeypatch.setattr(oracles, "_boundary_value", spy_value)
     a_w_cut_adaptive(np.linspace(0.0, 40.0, 51), ModelParams(g=0.9, eps_d=0.2), 0.0, 1e-9)
     assert sum(evaluated) > 0
     assert sum(nodes) == 45 * sum(evaluated)
@@ -853,8 +878,8 @@ def test_property_boundary_value_below_the_band_is_the_conjugate_above(g, eps_d,
     if eps_d == 0.0:
         k = k[np.abs(k - 0.5 * math.pi) > 1e-3]
     z = -2.0 * np.cos(k)
-    above = closedform._boundary_value(z, -np.exp(1j * k), g, eps_d, w)
-    below = closedform._boundary_value(z, -np.exp(-1j * k), g, eps_d, w)
+    above = oracles._boundary_value(z, -np.exp(1j * k), g, eps_d, w)
+    below = oracles._boundary_value(z, -np.exp(-1j * k), g, eps_d, w)
     # finite doubles that compare equal are the same bits, zeros aside
     assert np.all(np.isfinite(above)) and np.array_equal(below, np.conj(above))
 

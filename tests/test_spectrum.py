@@ -1,11 +1,13 @@
 import cmath
+import inspect
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
@@ -324,7 +326,11 @@ def test_spectrum_report_fields():
 
 
 def test_sigma1_is_defined_once():
-    assert closedform.sigma1 is spectrum.sigma1
+    # closedform takes the one band root, sqrt_band, from spectrum and defines
+    # no band root of its own: the rays' jump is formed from sqrt(z^2 - 4)
+    assert closedform.sqrt_band is spectrum.sqrt_band
+    assert not any(hasattr(closedform, name) for name in ("sigma1", "SheetTag", "_chain_split"))
+    assert not re.search(r"(np|cmath|math)\.sqrt\(z|sigma1\(", inspect.getsource(closedform))
 
 
 @given(z=OFF_AXIS, g=COUPLINGS, sheet=SHEETS)
@@ -622,6 +628,26 @@ def test_partial_fractions_rebuild_the_resolvent(g, eps_d, w):
             rebuilt = a0 + a1 * sig + sum(c / (sig - s) for s, c in poles)
             scale = abs(a0) + abs(a1 * sig) + sum(abs(c / (sig - s)) for s, c in poles)
             assert abs(direct - rebuilt) <= 1e-14 * scale
+
+
+@given(g=st.floats(0.05, 5.0), eps_d=st.floats(-3.0, 3.0))
+@example(g=1.3, eps_d=0.4)
+@example(g=2.0, eps_d=0.0)
+@example(g=0.9, eps_d=0.38 + 1e-3)
+def test_property_first_sheet_poles_are_the_bound_states(g, eps_d):
+    # the residue from the partial fractions, N_0^2 c (1 - 1/sigma^2), and the
+    # spectrum's N_0^2 Q_0 Res[G_dd] are one quantity; outside the threshold
+    # band (1e-5 max(1, g)^4 wide in eps_d) both list the same bound states
+    assume(min(abs(2.0 * g * g - 2.0 + eps_d), abs(2.0 * g * g - 2.0 - eps_d))
+           > 1e-4 * max(1.0, g) ** 4)
+    params = ModelParams(g=g, eps_d=eps_d)
+    bound = sorted((s.z.real, s.residue_weight) for s in discrete_spectrum(params)
+                   if s.kind is StateKind.Bound)
+    poles = sorted(spectrum.first_sheet_poles(params, 0.0))
+    assert len(poles) == len(bound)
+    for (z, residue), (z_b, weight) in zip(poles, bound):
+        assert abs(z - z_b) <= 1e-14
+        assert abs(residue - weight) <= 1e-14
 
 
 def test_partial_fractions_at_small_coupling():
