@@ -8,16 +8,18 @@ H' = (H - b)/a,
     exp(-iHt) psi0 = exp(-ibt) sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(H') psi0.
 
 One three-term recurrence v_k = T_k(H') psi0 runs up to the order K whose
-Bessel tail bound at t_max is below ``abs_tol``.  H' is applied as a
-tridiagonal stencil (:func:`_stencil`), and v_k is kept only on the first
-(support + k) entries that it can reach.  The recurrence keeps only the
+Bessel tail bound at t_max is below ``abs_tol``.  One loop (:func:`_moments`)
+applies 2H', whose entries :func:`_stencil` gives, as a tridiagonal stencil
+and reads the moments, and v_k is kept only on the first (support + k)
+entries that it can reach.  The recurrence keeps only the
 moments the observables need, as in the kernel polynomial method (Weisse
 et al., Rev. Mod. Phys. 78, 275 (2006)): <psi0|v_k>, the components of v_k
 on |d> and |1>, and <v_k|v_k>.  Each sample is then a contraction of these
 moments with a Bessel table J_k(at), built by Miller's downward recurrence
-and kept in the recurrence's own buffer: row k holds J_k at every sample
-of a block, so the samples are read from one buffer with no transposed
-copy.  The norm of the represented state follows exactly from the moments
+(three numpy calls per order, on coefficient rows computed a block of
+orders at a time) and kept in the recurrence's own buffer: row k holds J_k
+at every sample of a block, so the samples are read from one buffer with
+no transposed copy.  The norm of the represented state follows exactly from the moments
 through the Toeplitz-plus-Hankel Gram identity
 T_j T_k = (T_{j+k} + T_{|j-k|})/2, evaluated with numpy's real FFT down
 the table's columns.  A sample's column is zero past its Miller seed, so
@@ -46,7 +48,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -70,6 +71,10 @@ BLOCK_WORDS = 1 << 15
 #: that saves at least this many padded float64 words; one more weight set
 #: and transform call cost about as much as transforming 4096 words
 RUN_WORDS = 1 << 12
+
+#: orders per row block of Miller's (k + 1) 2/x coefficients, one outer
+#: product per block
+MILLER_BLOCK = 64
 
 #: samples per Miller recurrence are chosen so that its table holds about
 #: this many float64 words (4 MB); one row step then spans hundreds of
@@ -257,7 +262,10 @@ def bessel_table(x: np.ndarray, seeds: np.ndarray, k_max: int) -> np.ndarray:
     normalised by J_0 + 2 sum_k J_{2k} = 1.  One loop runs down over k with
     the samples as the vector axis, so row k holds J_k; the rows are those
     of the recurrence's own buffer, normalised in place.  Orders above a seed
-    are returned as zero.
+    are returned as zero.  The coefficients c_k = (k + 1) 2/x of MILLER_BLOCK
+    orders come from one outer product, and each order then takes three
+    numpy calls: c_k row[k + 1] into one scratch row, row[k] += it and
+    row[k] -= row[k + 2], where row[k] held the seed's 1 or 0.
     """
     x = np.asarray(x, dtype=float)
     rows = int(seeds.max()) + 1
@@ -266,9 +274,16 @@ def bessel_table(x: np.ndarray, seeds: np.ndarray, k_max: int) -> np.ndarray:
     sol = np.zeros((max(rows + 2, k_max + 1), len(x)))
     sol[seeds, np.arange(len(x))] = 1.0
     row = list(sol)
-    for k in range(rows - 1, -1, -1):
-        row[k] += (k + 1) * two_over_x * row[k + 1]
-        row[k] -= row[k + 2]
+    tmp = np.empty(len(x))
+    multiply = np.multiply  # looked up once, not per order
+    for top in range(rows, 0, -MILLER_BLOCK):
+        # (k + 1) 2/x for the block's orders k = top - 1 down to bottom
+        bottom = max(top - MILLER_BLOCK, 0)
+        coef = multiply.outer(np.arange(top, bottom, -1.0), two_over_x)
+        for k, c in zip(range(top - 1, bottom - 1, -1), coef):
+            multiply(c, row[k + 1], out=tmp)
+            row[k] += tmp
+            row[k] -= row[k + 2]
     scale = sol[0] + 2.0 * sol[2:rows:2].sum(axis=0)
     kept = sol[:min(rows, k_max + 1)]
     np.divide(kept, scale, out=kept)
@@ -373,74 +388,71 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _stencil(params: ModelParams, center: float, half_width: float, n_rows: int,
-             dtype: np.dtype) -> Callable[[np.ndarray], np.ndarray]:
-    """2H' = (2/a)(H - b) on the n_rows-entry chain vector as a light-cone stencil.
+def _stencil(params: ModelParams, center: float,
+             half_width: float) -> tuple[float, float, float, float]:
+    """(bond, diag, d_diag, d_bond): the entries of 2H' = (2/a)(H - b).
 
-    The returned map takes the first m >= 3 entries of a ``dtype`` vector
-    followed by a zero, and returns the first min(m + 1, n_rows) entries of
-    2H' times it, again followed by a zero.  The chain part is one real
-    correlation with the bond stencil, which is symmetric and so gives its
-    convolution, over the (re, im) pairs of a complex vector; the trailing
-    zero keeps every entry in the correlation's interior, where it sums
-    three products in column order as a CSR product does.  The rows of |d>
-    (eps_d, and -g to |2>), |1> (no bond to |d>) and |2> (the -g bond) are
-    then written out in the same order, from Python numbers.
+    The chain's bonds and on-site entries are ``bond`` and ``diag``; the
+    rows of |d> (eps_d, and -g to |2>), |1> (no bond to |d>) and |2> (the
+    -g bond) take ``d_diag`` and ``d_bond`` in place of the chain's.
     """
     c = 2.0 / half_width
-    bond, diag = -c, -c * center
-    d_diag, d_bond = c * (params.eps_d - center), c * params.g
-    if dtype == complex:
-        kernel = np.array([bond, 0.0, diag, 0.0, bond])
-
-        def chain(v: np.ndarray) -> np.ndarray:
-            return np.correlate(v.view(float), kernel, "full").view(complex)
-    else:
-        kernel = np.array([bond, diag, bond])
-
-        def chain(v: np.ndarray) -> np.ndarray:
-            return np.correlate(v, kernel, "full")
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = chain(v)[1:min(len(v), n_rows) + 2]
-        v0, v1, v2, v3 = v[:4].tolist()
-        out[0] = d_diag * v0 - d_bond * v2
-        out[1] = diag * v1 + bond * v2
-        out[2] = -d_bond * v0 + bond * v1 + diag * v2 + bond * v3
-        out[-1] = 0.0  # the new trailing zero, or the amplitude beyond the wall
-        return out
-
-    return apply
+    return -c, -c * center, c * (params.eps_d - center), c * params.g
 
 
-def _moments(h2: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray, order: int):
-    """Moments of v_k = T_k(H') psi0 for k <= order, with h2 applying 2H'.
+def _moments(stencil: tuple[float, float, float, float], n_rows: int, psi0: np.ndarray,
+             order: int):
+    """Moments of v_k = T_k(H') psi0 for k <= order on the n_rows-entry chain,
+    with 2H' from the entries ``stencil`` (:func:`_stencil`).
 
-    h2 is a :func:`_stencil` of psi0's dtype; v_k lives on the first
-    (support + k) entries, where the support runs to psi0's last nonzero
-    entry (at least |2>), and carries one trailing zero.  Each step keeps
-    v_k's entries on the support, and its trailing zero, as one row of a
-    head array.
+    v_k lives on the first (support + k) entries, at most n_rows, where the
+    support runs to psi0's last nonzero entry (at least |2>), and carries one
+    trailing zero.  Each step applies 2H' as one real correlation with the
+    bond stencil, which is symmetric and so gives its convolution, over the
+    (re, im) pairs of a complex vector; the trailing zero keeps every entry
+    in the correlation's interior, where it sums three products in column
+    order as a CSR product does.  The rows of |d>, |1> and |2> are then
+    written from Python numbers: v_k's entries on the support, read once per
+    order, give them and the step's (v_k[0], v_k[1]).  Last, the new
+    trailing zero (or the amplitude beyond the wall) is set.
     Returns <psi0|v_k>, the components (v_k[0], v_k[1]) and <v_k|v_k>.
     """
+    bond, diag, d_diag, d_bond = stencil
     support = max(3, int(np.flatnonzero(psi0)[-1]) + 1)
     psi0 = np.append(psi0[:support], 0.0)
-    overlaps = np.empty(order + 1, dtype=psi0.dtype)
-    head = np.empty((order + 1, support + 1), dtype=psi0.dtype)
+    dtype = psi0.dtype
+    pairs = dtype == complex  # correlate a complex v as its (re, im) pairs
+    kernel = np.array([bond, 0.0, diag, 0.0, bond] if pairs else [bond, diag, bond])
+    overlaps = np.empty(order + 1, dtype=dtype)
     norms_sq = np.empty(order + 1)
-    v_prev, v = psi0, psi0
+    head = []  # (v_k[0], v_k[1]) for every k, flat
+    v_prev = v = psi0
+    prev = size = reach = support + 1  # len(v_prev), len(v), len(psi0)
+    vdot, correlate = np.vdot, np.correlate  # looked up once, not per order
     for k in range(order + 1):
-        first = v[:support + 1]
-        head[k] = first
-        overlaps[k] = np.vdot(psi0, first)
-        norms_sq[k] = np.vdot(v, v).real
-        if k == 0:
-            v = 0.5 * h2(v)
-        elif k < order:
-            v_next = h2(v)
-            v_next[:len(v_prev)] -= v_prev
-            v_prev, v = v, v_next
-    return overlaps, head[:, :2], norms_sq
+        first = v[:reach]
+        overlaps[k] = vdot(psi0, first)
+        norms_sq[k] = vdot(v, v).real
+        row = first.tolist()
+        head += row[:2]
+        if k == order:
+            break
+        v0, v1, v2, v3 = row[:4]
+        stop = size + 2 if size < n_rows else n_rows + 2
+        if pairs:
+            v_next = correlate(v.view(float), kernel, "full").view(complex)[1:stop]
+        else:
+            v_next = correlate(v, kernel, "full")[1:stop]
+        v_next[0] = d_diag * v0 - d_bond * v2
+        v_next[1] = diag * v1 + bond * v2
+        v_next[2] = -d_bond * v0 + bond * v1 + diag * v2 + bond * v3
+        v_next[-1] = 0.0  # the new trailing zero, or the amplitude beyond the wall
+        if k:
+            v_next[:prev] -= v_prev
+        else:
+            v_next *= 0.5
+        v_prev, v, prev, size = v, v_next, size, stop - 1
+    return overlaps, np.fromiter(head, dtype, len(head)).reshape(-1, 2), norms_sq
 
 
 def _gram_weights(norms_sq: np.ndarray, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
@@ -529,8 +541,7 @@ def evolve(params: ModelParams, initial: StateVector, opts: EvolveOptions) -> Am
     if not psi0.imag.any():
         psi0 = psi0.real  # H is real: a real state keeps the recurrence real
     times = opts.times()
-    overlaps, sites, norms_sq = _moments(_stencil(params, center, half_width, n + 1, psi0.dtype),
-                                         psi0, order)
+    overlaps, sites, norms_sq = _moments(_stencil(params, center, half_width), n + 1, psi0, order)
     if not np.all(np.isfinite(norms_sq)):
         raise IntegratorError("Chebyshev recurrence produced non-finite moments", 0.0)
 

@@ -286,15 +286,19 @@ def _band_root(sig, g2: float, eps_d: float):
 def _band_roots(g: float, eps_d: float) -> tuple[list[tuple[float, float]],
                                                  tuple[complex, complex] | None]:
     """The roots of P as (sigma, Res[G_dd]) from :func:`_band_root`: the real ones,
-    nearest |sigma| = 1 first, and the complex pair's root with Im sigma < 0, or None."""
+    nearest |sigma| = 1 first, and the complex pair's root with Im sigma < 0, or None.
+    At eps_d = 0 the pair is the BIC pair +/- i, which no caller takes further:
+    its root comes as the eigenvalue, unpolished, with the residue None."""
     g2 = g * g
     # the eigenvalues of P's companion matrix, as numpy.roots takes them
     roots = np.linalg.eigvals(np.array([[0.0, (1.0 - g2) / g2, -eps_d / g2, 1.0 / g2],
                                         [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                                         [0.0, 0.0, 1.0, 0.0]])).tolist()
     real = sorted((r.real for r in roots if r.imag == 0.0), key=lambda r: abs(abs(r) - 1.0))
-    pair = [_band_root(r, g2, eps_d) for r in roots if r.imag < 0.0]
-    return [_band_root(x, g2, eps_d) for x in real], (pair[0] if pair else None)
+    pair = next((r for r in roots if r.imag < 0.0), None)
+    if pair is not None:
+        pair = _band_root(pair, g2, eps_d) if eps_d != 0.0 else (pair, None)
+    return [_band_root(x, g2, eps_d) for x in real], pair
 
 
 def partial_fractions(params: ModelParams,

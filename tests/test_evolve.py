@@ -13,10 +13,10 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from bicchain.closedform import a_br_quadrature, a_w_cut, a_w_poles, bessel_exact_grid, bound_term
-from bicchain.evolve import (HANKEL_SEAM, MAX_SITES, EvolveOptions, IntegratorError,
-                             ProbabilitySeries, _miller_start, _moments, _next_fast_len,
-                             _stencil, auto_sites, bessel_j01, bessel_table, chebyshev_order,
-                             evolve, nonescape, survival)
+from bicchain.evolve import (HANKEL_SEAM, MAX_SITES, MILLER_BLOCK, EvolveOptions,
+                             IntegratorError, ProbabilitySeries, _miller_start, _moments,
+                             _next_fast_len, _stencil, auto_sites, bessel_j01, bessel_table,
+                             chebyshev_order, evolve, nonescape, survival)
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
                             bic_state, hamiltonian, perp_state, spectral_bounds,
                             w_state)
@@ -240,11 +240,25 @@ def test_bessel_table_matches_scipy():
     assert np.max(np.abs(j1 - [float(mpmath.besselj(1, mpmath.mpf(x))) for x in xs])) <= 1e-15
 
 
+def _x_of_seed(seed: int) -> float:
+    """The smallest x on a fine grid in [1, seed] whose Miller seed is ``seed``."""
+    xs = np.linspace(1.0, seed, 100_001)
+    at = np.flatnonzero(_miller_start(xs) == seed)
+    assert len(at), seed
+    return float(xs[at[0]])
+
+
 @given(xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 3000.0)),
                    min_size=1, max_size=40),
        k_max=st.integers(0, 3200))
 @example(xs=[100.0, 0.0, 1e-12, 3000.0, 1e-6, 0.01, 1.0], k_max=3200)  # seeds 3000 rows apart
 @example(xs=[2500.0, 0.0, 1e-3], k_max=40)  # the top rows dropped
+# top seeds whose row counts fall on a boundary of the blocks of (k + 1) 2/x
+# coefficient rows, one row below it and one above it, and a single row (x = 0)
+@example(xs=[_x_of_seed(2 * MILLER_BLOCK - 1), 0.0, 1.0, 5.0], k_max=2 * MILLER_BLOCK + 10)
+@example(xs=[_x_of_seed(2 * MILLER_BLOCK - 2), 0.0, 1.0, 5.0], k_max=2 * MILLER_BLOCK - 2)
+@example(xs=[_x_of_seed(2 * MILLER_BLOCK), 0.0, 1.0, 5.0], k_max=MILLER_BLOCK)
+@example(xs=[0.0], k_max=3)
 def test_property_bessel_table_is_the_sample_major_table(xs, k_max):
     # rows of the Miller buffer, normalised in place, hold the bits of the
     # former transposed copy, zeros above each seed included
@@ -307,7 +321,7 @@ def test_property_stencil_moments_match_csr(g, eps_d, n, spread, order, real, se
     if real:
         psi0 = psi0.real
     center, half_width = spectral_bounds(params)
-    got = _moments(_stencil(params, center, half_width, n + 1, psi0.dtype), psi0, order)
+    got = _moments(_stencil(params, center, half_width), n + 1, psi0, order)
     for value, ref in zip(got, _csr_moments(params, n, psi0, order)):
         assert np.max(np.abs(value - ref)) <= 1e-13
     # and bit for bit the former step's moments
@@ -450,14 +464,8 @@ def test_non_finite_recurrence_raises(monkeypatch):
     build = evolve_module._stencil
 
     def poisoned(*args):
-        h2 = build(*args)
-
-        def apply(v):
-            out = h2(v)
-            out[1] = math.nan
-            return out
-
-        return apply
+        bond, diag, d_diag, d_bond = build(*args)
+        return bond, math.nan, d_diag, d_bond
 
     monkeypatch.setattr(evolve_module, "_stencil", poisoned)
     params = ModelParams(g=0.9)

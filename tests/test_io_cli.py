@@ -1100,6 +1100,19 @@ def test_cli_figure_figS3_panels(tmp_path):
     assert data["P_perp"][0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cli_figure_figS3_jobs_write_the_same_bytes(tmp_path):
+    # panels evolved on parallel threads share no buffer: two workers write
+    # every panel byte for byte as one does
+    for jobs in ("1", "2"):
+        assert run_cli("figure", "figS3", "--out", str(tmp_path / jobs), "--no-meta-time",
+                       "--jobs", jobs) == 0
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(names) == 4
+    assert sorted(p.name for p in (tmp_path / "2").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
 def test_bessel_panel_says_how_its_tail_was_integrated(tmp_path):
     # the panel grid goes after every other metadata key
     path = tmp_path / "b.csv"

@@ -233,6 +233,27 @@ def test_resonance_expansion_order(eps_d):
     assert diff < 0.1 * eps_d ** 3
 
 
+def test_bic_pair_is_not_polished(monkeypatch):
+    # at eps_d = 0 the pair is the BIC pair +/- i, which no state or pole
+    # takes further: only the real roots +/- 1/g are polished
+    polish = spectrum._band_root
+    calls = []
+
+    def spy(sig, g2, eps_d):
+        calls.append(sig)
+        return polish(sig, g2, eps_d)
+
+    monkeypatch.setattr(spectrum, "_band_root", spy)
+    states = discrete_spectrum(ModelParams(g=0.9, eps_d=0.0))
+    assert [s.kind for s in states].count(StateKind.BIC) == 1
+    assert len(calls) == 2 and all(isinstance(sig, float) for sig in calls)
+    assert sorted(abs(sig) for sig in calls) == pytest.approx([1 / 0.9] * 2, rel=1e-15)
+    # a detuned pair is still polished
+    calls.clear()
+    discrete_spectrum(ModelParams(g=0.9, eps_d=0.2))
+    assert any(isinstance(sig, complex) for sig in calls)
+
+
 def test_bic_disappears_under_detuning():
     states = discrete_spectrum(ModelParams(g=0.9, eps_d=1e-3))
     assert not any(s.kind is StateKind.BIC for s in states)
