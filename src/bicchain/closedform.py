@@ -27,21 +27,24 @@ Routes to the survival amplitude of the BIC-orthogonal states:
   12/(z_g + 2) wide (1.91 periods of the fastest phase e^{i(z_g + 2) tau}),
   accumulated by one cumulative sum, plus, for each time, the integral of
   its panel's interpolant from the panel's edge to the time, formed from
-  the same 30 node values.  Above the Hankel seam
-  (2 tau >= 25) a panel takes J_1 from Hankel's expansion and factors its
-  phases into one exp per panel times fixed node factors; below it one
-  Miller table serves the panels' nodes.
+  the same 30 node values: one fixed 30 x 30 matrix takes the node values
+  of each panel that holds times to 30 coefficients on a Chebyshev basis,
+  and a time costs one basis row and one 30-term dot product.  Above the
+  Hankel seam (2 tau >= 25) a panel takes J_1 from Hankel's expansion and
+  factors its phases into one exp per panel times fixed node factors;
+  below it one Miller table serves the panels' nodes.
 * ``a_w_rays`` -- band-edge ray deformation of the cut contour (eps_d = 0),
   exact for t >= RAY_T_MIN = 0.5 at O(1) cost; the route of choice deep in
   the far zone.  In x = sqrt(u) each ray is a Laplace transform of the
   t-independent jump, in closed form (``_ray_jump``).
   One 1725-node composite rule in x, built at import from the GL15 and GL30
   rules (GL15 on [0, 1e-16], GL30 on panels doubling from 1e-16 up to
-  ``RAY_X_MAX``), carries the jump, evaluated once per call; a block of
+  ``RAY_X_MAX``), carries the jump, evaluated once per call; a block of 75
   times then costs one real exp per (time, node) in the block's window,
-  where x^2 t lies between 2^-10 and 44, and one real matmul.  The nodes
-  below the window add their jumps through five prefix moments (the Taylor
-  series of e^{-x^2 t}), and those above it are negligible.
+  where x^2 t lies between 2^-10 and 44 at some time of the block, and one
+  real matmul.  The nodes below the window add their jumps through five
+  prefix moments (the Taylor series of e^{-x^2 t}), and those above it are
+  negligible.
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes, and the cut's
 Bessel tables about ``evolve.MILLER_WORDS`` entries, so memory stays flat
@@ -133,41 +136,68 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _GL15 = _gauss_legendre(15)
 _GL30 = _gauss_legendre(30)
 
-#: Quadrature nodes evaluated per array block: 170 GL30 panels or the
-#: windows of 18 ray times.  About 80 KB per complex temporary, so the
-#: temporaries of a block stay in cache and a long grid does not raise the
-#: peak memory.
+#: Quadrature nodes evaluated per array block: 170 GL30 panels.  About
+#: 80 KB per complex temporary, so the temporaries of a block stay in cache
+#: and a long grid does not raise the peak memory.  Blocks of partial panels
+#: and of ray times take 4 BLOCK_NODES entries.
 BLOCK_NODES = 5120
 
 
-def _partial_panel_rule() -> np.ndarray:
-    """Partial-panel rule of the Bessel tail (spectral integration, Greengard
-    1991): row n < 29 the Legendre coefficients c_{n+1} of the GL30 nodes'
-    Lagrange basis over 2n + 3, row 29 the GL30 weights.
+def _legendre_in_chebyshev(n: int) -> np.ndarray:
+    """(n + 1, n + 1) array whose row k holds the Chebyshev coefficients of
+    P_k, by the Legendre recurrence on coefficient rows, with x T_0 = T_1
+    and x T_j = (T_{j-1} + T_{j+1})/2 for j >= 1."""
+    a = np.zeros((n + 1, n + 1))
+    a[0, 0] = a[1, 1] = 1.0
+    xp = np.empty(n + 1)  # the coefficients of x P_k
+    for k in range(1, n):
+        xp[0], xp[-1] = 0.5 * a[k, 1], 0.5 * a[k, -2]
+        xp[1:-1] = 0.5 * (a[k, :-2] + a[k, 2:])
+        xp[1] += 0.5 * a[k, 0]
+        a[k + 1] = xp + k / (k + 1) * (xp - a[k - 1])
+    return a
 
-    Since INT_{-1}^x P_n = (P_{n+1} - P_{n-1})/(2n + 1) for n >= 1, which
-    vanishes at both ends, the row [P_2 - P_0, ..., P_30 - P_28, (1 + x)/2]
-    at x times this matrix integrates the interpolant of 30 node values from
-    -1 to x: zero at x = -1 and exactly the GL30 weights at x = 1, so partial
-    and full panels share one set of node values.  The coefficients are the
-    inverse of the Legendre-Vandermonde matrix V (P_n at the nodes, from
-    ``_legendre``).  Discrete orthogonality, (n + 1/2) w_k P_n(x_k), is exact
-    for the Gauss rule but gives it in double only to about 5e-15, and one
-    Newton step C (2 - V C) refines it to about 1e-15.  The weights in row
-    29 stand in for the refined 2 c_0, which differs from them by up to
-    about 30 ulp.
+
+def _partial_chebyshev_rule() -> np.ndarray:
+    """Partial-panel rule of the Bessel tail (spectral integration, Greengard
+    1991): the 30 x 30 matrix that takes a GL30 panel's node values to the
+    coefficients, on the basis [T_2 - T_0, ..., T_30 - T_28, (1 + x)/2] of
+    ``_partial_basis``, of the integral of their interpolant from -1 to x.
+
+    The T_{k+2} - T_k vanish at both ends, so the basis row is zero at
+    x = -1, and at x = 1 only (1 + x)/2 = 1 is left, whose row is the GL30
+    weights: partial and full panels share one set of node values.  The
+    matrix is built from the Legendre form of the same integral.  Since
+    INT_{-1}^x P_n = (P_{n+1} - P_{n-1})/(2n + 1) for n >= 1, it is
+    SUM_{n<29} c_{n+1} (P_{n+2} - P_n)/(2n + 3) plus c_0 (1 + x), with c_n
+    the Legendre coefficients of the interpolant, the inverse of the
+    Legendre-Vandermonde matrix V (P_n at the nodes, from ``_legendre``).
+    Discrete orthogonality, (n + 1/2) w_k P_n(x_k), is exact for the Gauss
+    rule but gives it in double only to about 5e-15, and one Newton step
+    C (2 - V C) refines it to about 1e-15.  Each P_{n+2} - P_n, whose
+    Chebyshev coefficients d_j come from ``_legendre_in_chebyshev``, is
+    SUM_k e_k (T_{k+2} - T_k) with e_k = d_{k+2} + d_{k+4} + ...  The
+    weights in the last row stand in for 2 c_0, which differs from them by
+    up to about 30 ulp.  No linear solve: a first LAPACK call would add to
+    the process's resident memory.
     """
     x, w = _GL30
     v = _legendre(x, 29).T
     c = v.T * w * (np.arange(30) + 0.5)[:, None]
     c = c @ (2.0 * np.eye(30) - v @ c)
-    return np.vstack((c[1:] / (2.0 * np.arange(1, 30) + 1.0)[:, None], w))
+    legendre_rows = c[1:] / (2.0 * np.arange(1, 30) + 1.0)[:, None]
+    cheb = _legendre_in_chebyshev(30)
+    d = cheb[2:] - cheb[:-2]
+    e = np.zeros((29, 31))  # e_29 = e_30 = 0
+    for k in range(28, -1, -1):
+        e[:, k] = d[:, k + 2] + e[:, k + 2]
+    return np.vstack((e[:, :29].T @ legendre_rows, w))
 
 
-_GL30_PARTIAL = _partial_panel_rule()
+_GL30_CHEBYSHEV = _partial_chebyshev_rule()
 
-#: Times whose partial panels are formed together: their gathered node
-#: values hold 4 BLOCK_NODES complex entries.
+#: Times whose partial panels are formed together: their gathered panel
+#: coefficients hold 4 BLOCK_NODES real and as many imaginary parts.
 PARTIAL_TIMES = 4 * BLOCK_NODES // 30
 
 #: Cap on the Bessel tail's panels, stated in time so that the refused
@@ -244,13 +274,38 @@ def bessel_panels(t_max: float, g: float) -> tuple[float, int]:
     return width, int(_panel_index(np.array([t_max]), width)[0]) + 1
 
 
-def _partial_weights(x: np.ndarray) -> np.ndarray:
-    """(time, node) weights that integrate the interpolant of a GL30 panel's
-    node values from -1 to each x in [-1, 1] (``_partial_panel_rule``)."""
-    p = _legendre(x, 30)
-    p[:29] = p[2:] - p[:29]
-    p[29] = 0.5 * (1.0 + x)
-    return p[:30].T @ _GL30_PARTIAL
+def _partial_basis(x: np.ndarray) -> np.ndarray:
+    """(30, len(x)) rows T_2 - T_0, ..., T_30 - T_28, (1 + x)/2 at each x in
+    [-1, 1], the basis of ``_partial_chebyshev_rule``.  The differences
+    b_k = T_{k+2} - T_k obey the Chebyshev recurrence b_{k+1} = 2x b_k - b_{k-1}
+    themselves, from b_{-1} = T_1 - T_{-1} = 0 and b_0 = 2 (x - 1)(x + 1), so the
+    rows take two numpy calls each and are exactly zero at x = +/-1."""
+    b = np.empty((30, len(x)))
+    b[0] = 2.0 * (x - 1.0) * (x + 1.0)
+    x2 = 2.0 * x
+    np.multiply(x2, b[0], out=b[1])
+    for k in range(1, 28):
+        np.multiply(x2, b[k], out=b[k + 1])
+        b[k + 1] -= b[k - 1]
+    b[29] = 0.5 * (1.0 + x)
+    return b
+
+
+def _panel_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients, on the basis of ``_partial_basis``, of the partial
+    integrals of panels with (panel, node) complex node values ``values``,
+    as a (panel, part, k) array whose part 0 is real and part 1 imaginary.
+    One real matmul with ``_GL30_CHEBYSHEV``: a complex one would load a
+    BLAS kernel of its own, 0.25 MB of resident memory in a fresh process."""
+    parts = values.view(float).reshape(-1, 30, 2).transpose(0, 2, 1).reshape(-1, 30)
+    return (parts @ _GL30_CHEBYSHEV.T).reshape(-1, 2, 30)
+
+
+def _partial_sums(coeffs: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """Each time's partial panel into ``out``: its panel's coefficients (a
+    row of ``coeffs`` per time, from ``_panel_coefficients``) against the
+    basis row at its place x in the panel."""
+    np.einsum("ikj,ji->ik", coeffs, _partial_basis(x), out=out.view(float).reshape(-1, 2))
 
 
 def _tail_integrand(tau: np.ndarray, zg: float) -> np.ndarray:
@@ -347,12 +402,15 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
     partial panel from its grid edge j h <= t to t itself, so every time is
     integrated to exactly t.  The integrand is evaluated once at the GL30
     nodes of each panel up to the last time's, and a partial panel
-    integrates the interpolant of its panel's node values
-    (``_partial_weights``), so a time costs one row of Legendre values and
-    one 30-term dot product.  Panels that reach below the Hankel seam
-    evaluate J_1 at each node (``_low_panels``), those above it factor their
-    phases (``_hankel_panels``).  The node values of panels that hold times
-    are gathered until PARTIAL_TIMES times are due, so memory stays flat.
+    integrates the interpolant of its panel's node values: one matmul with
+    ``_GL30_CHEBYSHEV`` takes the node values of each panel that holds times
+    to 30 coefficients, and a time costs one basis row (``_partial_basis``,
+    two numpy calls per degree over a block of times) and one 30-term dot
+    product with its panel's coefficients.  Panels that reach below the
+    Hankel seam evaluate J_1 at each node (``_low_panels``), those above it
+    factor their phases (``_hankel_panels``).  The coefficients of panels
+    that hold times are gathered until PARTIAL_TIMES times are due, so
+    memory stays flat.
     """
     width = _panel_width(zg)
     j = _panel_index(ts, width)
@@ -367,15 +425,14 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
                              _hankel_panels(seam, n_full + 1, width, zg, j, sums))
     rows, index, t_lo, n_rows = [], [], 0, 0
     for block_rows, block_index, t_hi in blocks:
-        rows.append(block_rows)
+        rows.append(_panel_coefficients(block_rows))
         index.append(block_index + n_rows)
         n_rows += len(block_rows)
         if t_hi - t_lo >= PARTIAL_TIMES or t_hi == len(ts):
-            values, row = np.concatenate(rows), np.concatenate(index)
+            coeffs, row = np.concatenate(rows), np.concatenate(index)
             for lo in range(t_lo, t_hi, PARTIAL_TIMES):
                 hi = min(lo + PARTIAL_TIMES, t_hi)
-                out[lo:hi] = np.einsum("ij,ij->i", values[row[lo - t_lo:hi - t_lo]],
-                                       _partial_weights(x[lo:hi]))
+                _partial_sums(coeffs[row[lo - t_lo:hi - t_lo]], x[lo:hi], out[lo:hi])
             rows, index, t_lo, n_rows = [], [], t_hi, 0
     cum = np.concatenate(([0j], np.cumsum(sums[:n_full])))
     return cum[j] + out
@@ -396,8 +453,9 @@ def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     """Exact Bessel-representation A_br on an ascending time grid (0 < g <= 1).
 
     Evaluates the tail integral incrementally, so a grid costs the panels up
-    to its largest time plus one row of Legendre values and one 30-term dot
-    product per time; a grid that needs more than ``MAX_PANELS`` panels
+    to its largest time, one 30 x 30 matmul per panel that holds times, and
+    one Chebyshev basis row and one 30-term dot product per time
+    (``_bessel_tail``); a grid that needs more than ``MAX_PANELS`` panels
     (small g at long times) is refused.  A_br is real at eps_d = 0; the real
     value is returned as complex for interface parity with the quadrature
     route.
@@ -691,7 +749,9 @@ def a_w_rays(t, params: ModelParams, w: float):
     INT_0^RAY_X_MAX D(-/+2 - i x^2) 2 x e^{-x^2 t} dx.  The jump D does not
     depend on t, so it is evaluated once per call on the composite Gauss
     rule in x (``_RAY_X``), and a block of times then costs one real exp per
-    (time, node) of the block's window and one real matmul.  Exact (no
+    (time, node) of the block's window and one real matmul; a block holds
+    75 times, 4 BLOCK_NODES exps where each time's window meets 9 GL30
+    panels.  Exact (no
     poles are crossed at eps_d = 0); the rule keeps it within 1e-13 of the
     Bessel route for 0.05 <= g <= 1, g -> 1 included, and within 2e-13 of
     the cut for |w| <= 2 and 0.05 <= g <= 3, at O(1) cost per time, which
@@ -733,7 +793,7 @@ def a_w_rays(t, params: ModelParams, w: float):
     np.cumsum((x2 ** orders[:, None])[:, :, None] * jumps, axis=1, out=moments[:, 1:])
     taylor = np.array([(-1.0) ** m / math.factorial(m) for m in orders])
     sums = np.empty((len(ts), 4))
-    step = max(BLOCK_NODES // (9 * 30), 1)
+    step = max(4 * BLOCK_NODES // (9 * 30), 1)
     for lo in range(0, len(ts), step):
         block = ts[lo:lo + step]
         a, b = np.searchsorted(x2, (RAY_SERIES_MAX / block.max(), 44.0 / block.min()))

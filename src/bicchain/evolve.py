@@ -316,7 +316,10 @@ def hankel_pq(nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with P = sum_m (-1)^m a_2m x^-2m and Q = sum_m (-1)^m a_2m+1 x^-(2m+1).
     The series stop before the first term below 1e-17 at the smallest x;
     for real x the remainder is below that first neglected term (DLMF
-    10.17(iii)), so x at the seam takes 20 terms and x = 1000 takes 6.
+    10.17(iii)), so x at the seam takes 20 terms and x = 1000 takes 6.  Each
+    series is summed in u = 1/x^2 by Horner's rule in place (p *= u; p += a,
+    from p = 0), the steps of ``np.polyval`` in its order without its new
+    array per step, so the results are the same bits.
     """
     c = _HANKEL[nu]
     x = np.asarray(x, dtype=float)
@@ -324,7 +327,13 @@ def hankel_pq(nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bounds = np.cumprod(np.abs(c[1:] / c[:-1]) / x_min)
     n_terms = max(2, 1 + int(np.argmax(bounds < 1e-17)))
     terms, u = c[:n_terms], 1.0 / (x * x)
-    return np.polyval(terms[0::2][::-1], u), np.polyval(terms[1::2][::-1], u) / x
+    p, q = np.zeros_like(u), np.zeros_like(u)
+    for out, series in ((p, terms[0::2]), (q, terms[1::2])):
+        for a in series[::-1]:
+            out *= u
+            out += a
+    q /= x
+    return p, q
 
 
 def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,8 @@ separator, comma delimiter, one header line; a column of strings is written
 as is.  Metadata lines are prefixed '#' as ``# key=value`` and precede the
 header.  Identical inputs produce byte-identical files; a generation
 timestamp (:func:`timestamp`) is only written when ``meta_time=True``.
+Writing a CSV is bound by ``repr``: about 0.55 us per cell, and 0.8 us for
+tiny-exponent cells such as ``norm_err`` (2-vCPU x86 host, 20000 cells).
 
 Both writers rewrite an existing file in place: they open it without
 ``O_TRUNC``, write the whole text (UTF-8, ``\n`` line ends), then truncate

@@ -17,7 +17,8 @@ two nearly equal sides still leave about 20 digits near the band edge.  The
 GL30 Bessel tail takes J_1 from ``bessel_j01`` at every node of the
 package's panel grid.
 The sample-major Bessel table and the per-step moment recurrence are the
-direct route's former forms, which the current ones must match bit for bit.
+direct route's former forms, and the ``np.polyval`` Hankel series the
+former form of ``hankel_pq``; the current ones must match them bit for bit.
 The adaptive Gauss rule on the cut (``_cut_integral``, ``a_w_cut_adaptive``)
 is the cut's former route: a quadrature of the jump across the band, from
 the boundary value C0 + Q G_dd (``_boundary_value``), that shares neither
@@ -32,7 +33,7 @@ from scipy.integrate import quad
 
 from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, BLOCK_NODES, _panel_width,
                                  _ray_jump, bessel_exact_grid)
-from bicchain.evolve import bessel_j01
+from bicchain.evolve import _HANKEL, bessel_j01
 from bicchain.model import ModelParams, NumericalError, check_coupling
 from bicchain.spectrum import SheetTag, _chain_split, self_energy, sigma1, w_norm_sq
 
@@ -251,6 +252,19 @@ def bessel_tail_gl30(ts: np.ndarray, zg: float) -> np.ndarray:
     edges = np.arange(int(j[-1]) + 1) * width
     cum = np.concatenate(([0j], np.cumsum(gl30(edges[:-1], edges[1:]))))
     return cum[j.astype(int)] + gl30(j * width, ts)
+
+
+def hankel_pq_polyval(nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_nu(x) and Q_nu(x) of Hankel's expansion: the former
+    ``evolve.hankel_pq``, the same terms summed by ``np.polyval``, which
+    allocates a new array at each step of Horner's rule."""
+    c = _HANKEL[nu]
+    x = np.asarray(x, dtype=float)
+    x_min = float(x.min()) if x.size else math.inf
+    bounds = np.cumprod(np.abs(c[1:] / c[:-1]) / x_min)
+    n_terms = max(2, 1 + int(np.argmax(bounds < 1e-17)))
+    terms, u = c[:n_terms], 1.0 / (x * x)
+    return np.polyval(terms[0::2][::-1], u), np.polyval(terms[1::2][::-1], u) / x
 
 
 def bessel_table_sample_major(x: np.ndarray, seeds: np.ndarray, k_max: int) -> np.ndarray:

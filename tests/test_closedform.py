@@ -611,14 +611,17 @@ def test_property_bessel_tail_matches_gl30_oracle(g, t_max, n, seed):
     assert np.max(np.abs(tail - bessel_tail_gl30(ts, zg))) <= 2e-15
 
 
-def test_partial_weights_end_in_the_gl30_weights_and_integrate_monomials():
+def test_partial_rule_ends_in_the_gl30_weights_and_integrates_monomials():
+    # (time, node) weights: a time's basis row times the Chebyshev rule
     x, w = closedform._GL30
-    ends = closedform._partial_weights(np.array([-1.0, 1.0]))
+    basis = closedform._partial_basis(np.array([-1.0, 1.0])).T
+    assert np.all(basis[0] == 0.0)
+    ends = basis @ closedform._GL30_CHEBYSHEV
     assert np.all(ends[0] == 0.0)
     assert np.all(np.abs(ends[1] - w) <= np.spacing(w))
     # the interpolant of x^m, m < 30, is x^m itself
     xs = np.random.default_rng(7).uniform(-1.0, 1.0, 400)
-    beta = closedform._partial_weights(xs)
+    beta = closedform._partial_basis(xs).T @ closedform._GL30_CHEBYSHEV
     for m in range(30):
         exact = (xs ** (m + 1) - (-1.0) ** (m + 1)) / (m + 1)
         assert np.max(np.abs(beta @ x ** m - exact)) <= 1e-15
@@ -653,10 +656,10 @@ def test_gauss_rules_integrate_monomials(n):
 @pytest.mark.parametrize("g, t_max", [(0.98, 3000.0), (0.005, 200.0)])
 def test_bessel_tail_evaluates_blocks_of_nodes(monkeypatch, g, t_max):
     # a 10^5-time grid: no node evaluation, Miller table or Hankel series,
-    # holds more than BLOCK_NODES nodes, and no block of partial weights
-    # gathers more than 4 BLOCK_NODES node values; at g = 0.005 the 211
-    # panels below the seam take two blocks
-    sizes = {"bessel_table": [], "hankel_pq": [], "_partial_weights": []}
+    # holds more than BLOCK_NODES nodes, and no block of partial panels
+    # gathers more than 4 BLOCK_NODES panel coefficients; at g = 0.005 the
+    # 211 panels below the seam take two blocks
+    sizes = {"bessel_table": [], "hankel_pq": [], "_partial_basis": []}
 
     def spy(name, arg):
         real = getattr(closedform, name)
@@ -668,13 +671,13 @@ def test_bessel_tail_evaluates_blocks_of_nodes(monkeypatch, g, t_max):
 
     spy("bessel_table", 0)
     spy("hankel_pq", 1)
-    spy("_partial_weights", 0)
+    spy("_partial_basis", 0)
     ts = np.linspace(0.0, t_max, 100_000)
     assert np.all(np.isfinite(bessel_exact_grid(ts, g)))
     assert all(sizes.values())
     assert max(sizes["bessel_table"] + sizes["hankel_pq"]) <= closedform.BLOCK_NODES
-    assert 30 * max(sizes["_partial_weights"]) <= 4 * closedform.BLOCK_NODES
-    assert sum(sizes["_partial_weights"]) == len(ts)
+    assert 30 * max(sizes["_partial_basis"]) <= 4 * closedform.BLOCK_NODES
+    assert sum(sizes["_partial_basis"]) == len(ts)
 
 
 def test_ray_rule_tiles_and_integrates_the_edge_moments():
@@ -699,8 +702,17 @@ def test_ray_rule_tiles_and_integrates_the_edge_moments():
 
 @pytest.mark.parametrize("g", [0.5, 0.98, 1.0])
 def test_rays_match_per_time_loop(g):
-    ts = np.geomspace(1.0, 2000.0, 70)  # more than two blocks of times
+    ts = np.geomspace(1.0, 2000.0, 70)  # one block of times; the long-grid test takes many
     for w in (0.0, 1.0):
+        ref, _ = a_w_rays_plain_exp(ts, g, w)
+        assert np.max(np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref)) <= 1e-14
+
+
+def test_rays_match_per_time_loop_on_a_long_log_grid():
+    # 2400 log-spaced times: many blocks of times in one call, each of them
+    # with the exp window of its own smallest and largest time
+    ts = np.geomspace(0.5, 3000.0, 2400)
+    for g, w in ((0.98, 0.0), (0.5, 1.0)):
         ref, _ = a_w_rays_plain_exp(ts, g, w)
         assert np.max(np.abs(a_w_rays(ts, ModelParams(g=g), w) - ref)) <= 1e-14
 

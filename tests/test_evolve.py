@@ -16,11 +16,11 @@ from bicchain.closedform import a_br_quadrature, a_w_cut, a_w_poles, bessel_exac
 from bicchain.evolve import (HANKEL_SEAM, MAX_SITES, MILLER_BLOCK, EvolveOptions,
                              IntegratorError, ProbabilitySeries, _miller_start, _moments,
                              _next_fast_len, _stencil, auto_sites, bessel_j01, bessel_table,
-                             chebyshev_order, evolve, nonescape, survival)
+                             chebyshev_order, evolve, hankel_pq, nonescape, survival)
 from bicchain.model import (InvalidParameterError, ModelParams, StateVector,
                             bic_state, hamiltonian, perp_state, spectral_bounds,
                             w_state)
-from oracles import bessel_table_sample_major, moments_per_step
+from oracles import bessel_table_sample_major, hankel_pq_polyval, moments_per_step
 
 
 def test_auto_sites_formula():
@@ -267,6 +267,21 @@ def test_property_bessel_table_is_the_sample_major_table(xs, k_max):
     table = bessel_table(xs, seeds, k_max)
     assert table.shape == (k_max + 1, len(xs))
     assert np.array_equal(table, bessel_table_sample_major(xs, seeds, k_max).T)
+
+
+@given(xs=st.lists(st.one_of(st.floats(HANKEL_SEAM, 100.0), st.floats(HANKEL_SEAM, 1e8)),
+                   min_size=1, max_size=60))
+@example(xs=[HANKEL_SEAM])
+@example(xs=[HANKEL_SEAM, 40.0, 1000.0, 1e5, 1e8])
+@example(xs=[1e8])
+def test_property_hankel_pq_is_the_polyval_form(xs):
+    # Horner's rule in place takes the steps of np.polyval in its order: the
+    # same bits, at every term count from 20 (at the seam) down to 2
+    xs = np.sort(xs)
+    for nu in (0, 1):
+        p, q = hankel_pq(nu, xs)
+        p_ref, q_ref = hankel_pq_polyval(nu, xs)
+        assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
 
 
 def test_bessel_j01_matches_mpmath():
