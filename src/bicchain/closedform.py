@@ -23,38 +23,39 @@ Routes to the survival amplitude of the BIC-orthogonal states:
                                            J_1(2 tau)/tau d tau],
 
   the integrable tau -> 0 limit J_1(2 tau)/tau -> 1 handled analytically.
-  The tail integral is a GL30 sum over a uniform grid of panels
-  12/(z_g + 2) wide (1.91 periods of the fastest phase e^{i(z_g + 2) tau}),
-  accumulated by one cumulative sum, plus, for each time, the integral of
-  its panel's interpolant from the panel's edge to the time, formed from
-  the same 30 node values: one fixed 30 x 30 matrix takes the node values
-  of each panel that holds times to 30 coefficients on a Chebyshev basis,
-  and a time costs one basis row and one 30-term dot product.  Above the
-  Hankel seam (2 tau >= 25) a panel takes J_1 from Hankel's expansion and
-  factors its phases into one exp per panel times fixed node factors;
-  below it one Miller table serves the panels' nodes.
+  The tail integral is a Fejer sum (first rule, 30 Chebyshev points) over
+  a uniform grid of panels 12/(z_g + 2) wide (1.91 periods of the fastest
+  phase e^{i(z_g + 2) tau}), accumulated by one cumulative sum, plus, for
+  each time, the integral of its panel's interpolant from the panel's edge
+  to the time, formed from the same 30 node values: one fixed 30 x 30
+  matrix, in closed form by the nodes' discrete orthogonality, takes the
+  node values of each panel that holds times to 30 coefficients on a
+  Chebyshev basis, and a time costs one basis row and one 30-term dot
+  product.  Above the Hankel seam (2 tau >= 25) a panel takes J_1 from
+  Hankel's expansion and factors its phases into one exp per panel times
+  fixed node factors; below it one Miller table serves the panels' nodes.
 * ``a_w_rays`` -- band-edge ray deformation of the cut contour (eps_d = 0),
   exact for t >= RAY_T_MIN = 0.5 at O(1) cost; the route of choice deep in
   the far zone.  In x = sqrt(u) each ray is a Laplace transform of the
   t-independent jump, in closed form (``_ray_jump``).
-  One 1725-node composite rule in x, built at import from the GL15 and GL30
-  rules (GL15 on [0, 1e-16], GL30 on panels doubling from 1e-16 up to
-  ``RAY_X_MAX``), carries the jump, evaluated once per call; a block of 75
-  times then costs one real exp per (time, node) in the block's window,
-  where x^2 t lies between 2^-10 and 44 at some time of the block, and one
-  real matmul.  The nodes below the window add their jumps through five
+  One 1740-node composite rule in x, built at import from the GL30 rule
+  (on [0, 1e-16] and on panels doubling from 1e-16 up to ``RAY_X_MAX``),
+  carries the jump, evaluated once per call; a block of 75 times then
+  costs one real exp per (time, node) in the block's window, where x^2 t
+  lies between 2^-10 and 44 at some time of the block, and one real
+  matmul.  The nodes below the window add their jumps through five
   prefix moments (the Taylor series of e^{-x^2 t}), and those above it are
   negligible.
 
 Array blocks hold at most ``BLOCK_NODES`` quadrature nodes, and the cut's
 Bessel tables about ``evolve.MILLER_WORDS`` entries, so memory stays flat
 however long the time grid.  The band root is ``spectrum.sqrt_band``.  The
-module needs numpy alone: the GL15/GL30 rules of the Bessel tail and the rays
-are computed at import by Newton's method on the Legendre recurrence
-(``_gauss_legendre``), and J_0 and J_1 (``early_approx``) from
-``evolve.bessel_j01``, which is Miller's recurrence (``evolve.bessel_table``)
-below x = 25 and Hankel's expansion (DLMF 10.17) above it; the Bessel tail
-takes J_1 from the same two.
+module needs numpy alone: the rays' GL30 rule is computed at import by
+Newton's method on the Legendre recurrence (``_gauss_legendre``), the Bessel
+tail's Chebyshev rule in closed form (``_panel_rule``), and J_0 and J_1
+(``early_approx``) from ``evolve.bessel_j01``, which is Miller's recurrence
+(``evolve.bessel_table``) below x = 25 and Hankel's expansion (DLMF 10.17)
+above it; the Bessel tail takes J_1 from the same two.
 
 Closed-form approximations:
 
@@ -133,68 +134,53 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 0.5 * (w + w[::-1])
 
 
-_GL15 = _gauss_legendre(15)
 _GL30 = _gauss_legendre(30)
 
-#: Quadrature nodes evaluated per array block: 170 GL30 panels.  About
+#: Quadrature nodes evaluated per array block: 170 panels of 30 nodes.  About
 #: 80 KB per complex temporary, so the temporaries of a block stay in cache
 #: and a long grid does not raise the peak memory.  Blocks of partial panels
 #: and of ray times take 4 BLOCK_NODES entries.
 BLOCK_NODES = 5120
 
 
-def _legendre_in_chebyshev(n: int) -> np.ndarray:
-    """(n + 1, n + 1) array whose row k holds the Chebyshev coefficients of
-    P_k, by the Legendre recurrence on coefficient rows, with x T_0 = T_1
-    and x T_j = (T_{j-1} + T_{j+1})/2 for j >= 1."""
-    a = np.zeros((n + 1, n + 1))
-    a[0, 0] = a[1, 1] = 1.0
-    xp = np.empty(n + 1)  # the coefficients of x P_k
-    for k in range(1, n):
-        xp[0], xp[-1] = 0.5 * a[k, 1], 0.5 * a[k, -2]
-        xp[1:-1] = 0.5 * (a[k, :-2] + a[k, 2:])
-        xp[1] += 0.5 * a[k, 0]
-        a[k + 1] = xp + k / (k + 1) * (xp - a[k - 1])
-    return a
-
-
-def _partial_chebyshev_rule() -> np.ndarray:
-    """Partial-panel rule of the Bessel tail (spectral integration, Greengard
-    1991): the 30 x 30 matrix that takes a GL30 panel's node values to the
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and partial-panel rule of the Bessel tail (spectral integration,
+    Greengard 1991): the 30 Chebyshev points x_j = -cos(pi (j + 1/2)/30),
+    ascending, and the 30 x 30 matrix that takes a panel's node values to the
     coefficients, on the basis [T_2 - T_0, ..., T_30 - T_28, (1 + x)/2] of
     ``_partial_basis``, of the integral of their interpolant from -1 to x.
 
-    The T_{k+2} - T_k vanish at both ends, so the basis row is zero at
-    x = -1, and at x = 1 only (1 + x)/2 = 1 is left, whose row is the GL30
-    weights: partial and full panels share one set of node values.  The
-    matrix is built from the Legendre form of the same integral.  Since
-    INT_{-1}^x P_n = (P_{n+1} - P_{n-1})/(2n + 1) for n >= 1, it is
-    SUM_{n<29} c_{n+1} (P_{n+2} - P_n)/(2n + 3) plus c_0 (1 + x), with c_n
-    the Legendre coefficients of the interpolant, the inverse of the
-    Legendre-Vandermonde matrix V (P_n at the nodes, from ``_legendre``).
-    Discrete orthogonality, (n + 1/2) w_k P_n(x_k), is exact for the Gauss
-    rule but gives it in double only to about 5e-15, and one Newton step
-    C (2 - V C) refines it to about 1e-15.  Each P_{n+2} - P_n, whose
-    Chebyshev coefficients d_j come from ``_legendre_in_chebyshev``, is
-    SUM_k e_k (T_{k+2} - T_k) with e_k = d_{k+2} + d_{k+4} + ...  The
-    weights in the last row stand in for 2 c_0, which differs from them by
-    up to about 30 ulp.  No linear solve: a first LAPACK call would add to
-    the process's resident memory.
+    The interpolant's Chebyshev coefficients are a_k = (2/30) SUM_j f_j T_k(x_j),
+    a_0 halved, by discrete orthogonality, which is exact at these nodes.
+    T_k(x_j) = cos(k phi_j), phi_j = pi - pi (j + 1/2)/30, is taken as
+    sin(pi (30 - r)/60), with k phi_j = r pi/60 folded exactly into [0, pi]:
+    within an ulp of its value, and the nodes x_j = T_1(x_j) exactly
+    symmetric about 0.  The integral
+    from -1 is F = SUM_m A_m T_m with A_1 = a_0 - a_2/2,
+    A_m = (a_{m-1} - a_{m+1})/(2m) and A_0 such that F(-1) = 0, so
+    F(1) = 2 SUM_{m odd} A_m.  F - F(1)(1 + x)/2 vanishes at both ends, so
+    it is SUM_k e_k (T_{k+2} - T_k) with e_k = A_{k+2} + A_{k+4} + ...  The
+    T_{k+2} - T_k vanish at both ends too, so the basis row is zero at
+    x = -1, and at x = 1 only (1 + x)/2 = 1 is left, whose row F(1) is
+    Fejer's first rule: its weights sum the full panels, so partial and full
+    panels share one set of node values.
     """
-    x, w = _GL30
-    v = _legendre(x, 29).T
-    c = v.T * w * (np.arange(30) + 0.5)[:, None]
-    c = c @ (2.0 * np.eye(30) - v @ c)
-    legendre_rows = c[1:] / (2.0 * np.arange(1, 30) + 1.0)[:, None]
-    cheb = _legendre_in_chebyshev(30)
-    d = cheb[2:] - cheb[:-2]
-    e = np.zeros((29, 31))  # e_29 = e_30 = 0
-    for k in range(28, -1, -1):
-        e[:, k] = d[:, k + 2] + e[:, k + 2]
-    return np.vstack((e[:, :29].T @ legendre_rows, w))
+    n = 30
+    r = np.abs((np.arange(n)[:, None] * np.arange(2 * n - 1, 0, -2) + 2 * n) % (4 * n) - 2 * n)
+    cheb = np.sin(math.pi * (n - r) / (2 * n))  # T_k(x_j)
+    a = (2.0 / n) * np.vstack((cheb, np.zeros((2, n))))  # a_30 = a_31 = 0
+    a[0] *= 0.5
+    big = (a[:-2] - a[2:]) / (2.0 * np.arange(1, n + 1))[:, None]  # A_1 .. A_30
+    big[0] = a[0] - 0.5 * a[2]
+    e = np.zeros((n + 1, n))  # e_29 = e_30 = 0
+    for k in range(n - 2, -1, -1):
+        e[k] = big[k + 1] + e[k + 2]
+    return cheb[1], np.vstack((e[:n - 1], 2.0 * big[0::2].sum(axis=0)))
 
 
-_GL30_CHEBYSHEV = _partial_chebyshev_rule()
+_PANEL_NODES, _PANEL_RULE = _panel_rule()
+#: Fejer's first-rule weights on the panel nodes, the rule's last row
+_PANEL_WEIGHTS = _PANEL_RULE[-1]
 
 #: Times whose partial panels are formed together: their gathered panel
 #: coefficients hold 4 BLOCK_NODES real and as many imaginary parts.
@@ -254,8 +240,8 @@ def bound_term(t, g: float):
 
 def _panel_width(zg: float) -> float:
     """Bessel-tail panel width 12/(z_g + 2): 12 radians, 1.91 periods, of the
-    integrand's fastest phase e^{i(z_g + 2) tau}, which a GL30 panel and the
-    interpolant of its node values resolve to rounding."""
+    integrand's fastest phase e^{i(z_g + 2) tau}, which the interpolant of a
+    panel's 30 node values resolves to rounding."""
     return 12.0 / (zg + 2.0)
 
 
@@ -267,7 +253,7 @@ def _panel_index(ts: np.ndarray, width: float) -> np.ndarray:
 
 
 def bessel_panels(t_max: float, g: float) -> tuple[float, int]:
-    """(width, count) of the GL30 panels that ``bessel_exact_grid`` evaluates
+    """(width, count) of the panels that ``bessel_exact_grid`` evaluates
     for a grid that ends at t_max (0 < g <= 1): the full panels below t_max
     and the one that holds it."""
     width = _panel_width(z_gap(g)[0])
@@ -276,7 +262,7 @@ def bessel_panels(t_max: float, g: float) -> tuple[float, int]:
 
 def _partial_basis(x: np.ndarray) -> np.ndarray:
     """(30, len(x)) rows T_2 - T_0, ..., T_30 - T_28, (1 + x)/2 at each x in
-    [-1, 1], the basis of ``_partial_chebyshev_rule``.  The differences
+    [-1, 1], the basis of ``_PANEL_RULE``.  The differences
     b_k = T_{k+2} - T_k obey the Chebyshev recurrence b_{k+1} = 2x b_k - b_{k-1}
     themselves, from b_{-1} = T_1 - T_{-1} = 0 and b_0 = 2 (x - 1)(x + 1), so the
     rows take two numpy calls each and are exactly zero at x = +/-1."""
@@ -295,10 +281,10 @@ def _panel_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficients, on the basis of ``_partial_basis``, of the partial
     integrals of panels with (panel, node) complex node values ``values``,
     as a (panel, part, k) array whose part 0 is real and part 1 imaginary.
-    One real matmul with ``_GL30_CHEBYSHEV``: a complex one would load a
+    One real matmul with ``_PANEL_RULE``: a complex one would load a
     BLAS kernel of its own, 0.25 MB of resident memory in a fresh process."""
     parts = values.view(float).reshape(-1, 30, 2).transpose(0, 2, 1).reshape(-1, 30)
-    return (parts @ _GL30_CHEBYSHEV.T).reshape(-1, 2, 30)
+    return (parts @ _PANEL_RULE.T).reshape(-1, 2, 30)
 
 
 def _partial_sums(coeffs: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
@@ -321,15 +307,15 @@ def _tail_integrand(tau: np.ndarray, zg: float) -> np.ndarray:
 
 
 def _low_panels(p_hi: int, width: float, zg: float, j: np.ndarray, sums: np.ndarray):
-    """GL30 sums of e^{i z_g tau} J_1(2 tau)/tau over the panels [p h, (p + 1) h],
-    p < p_hi, into ``sums``: the panels that reach below the Hankel seam,
-    where J_1 is evaluated at each node.
+    """Fejer sums (``_PANEL_WEIGHTS``) of e^{i z_g tau} J_1(2 tau)/tau over
+    the panels [p h, (p + 1) h], p < p_hi, into ``sums``: the panels that
+    reach below the Hankel seam, where J_1 is evaluated at each node.
 
     Yields, per block of panels, their node values times h/2, the row of
     each time of the block's panels (on the ascending panel indices ``j``)
     and the end of those times.
     """
-    xg, wg = _GL30
+    xg, wg = _PANEL_NODES, _PANEL_WEIGHTS
     step = max(BLOCK_NODES // len(xg), 1)
     for lo in range(0, p_hi, step):
         a = np.arange(lo, min(lo + step, p_hi)) * width
@@ -344,10 +330,10 @@ def _low_panels(p_hi: int, width: float, zg: float, j: np.ndarray, sums: np.ndar
 
 def _hankel_panels(p_lo: int, p_hi: int, width: float, zg: float, j: np.ndarray,
                    sums: np.ndarray):
-    """GL30 sums of e^{i z_g tau} J_1(2 tau)/tau over the panels [p h, (p + 1) h],
-    p_lo <= p < p_hi, all at or above the Hankel seam 2 tau = HANKEL_SEAM,
-    into ``sums``; yields as ``_low_panels`` does, for the panels that hold
-    times only.
+    """Fejer sums of e^{i z_g tau} J_1(2 tau)/tau over the panels
+    [p h, (p + 1) h], p_lo <= p < p_hi, all at or above the Hankel seam
+    2 tau = HANKEL_SEAM, into ``sums``; yields as ``_low_panels`` does, for
+    the panels that hold times only.
 
     There J_1(2 tau)/tau = Re[(P + iQ) e^{i(2 tau - 3 pi/4)}]/(sqrt(pi) tau^{3/2}),
     so the integrand is (P +/- iQ) e^{-/+ 3 pi i/4}/(2 sqrt(pi) tau^{3/2}) times
@@ -357,7 +343,7 @@ def _hankel_panels(p_lo: int, p_hi: int, width: float, zg: float, j: np.ndarray,
     per node; P and Q are :func:`evolve.hankel_pq`.  The node values of a
     panel that holds times come from the same P, Q and node factors.
     """
-    xg, w = _GL30
+    xg, w = _PANEL_NODES, _PANEL_WEIGHTS
     s = 0.5 * (xg + 1.0)
     base = (0.25 * width / math.sqrt(math.pi)) * w * np.exp(1j * zg * width * s)
     plus = base * np.exp(2j * width * s - 0.75j * math.pi)
@@ -398,12 +384,13 @@ def _bessel_tail(ts: np.ndarray, zg: float) -> np.ndarray:
     """INT_0^t e^{i z_g tau} J_1(2 tau)/tau d tau at each time of an ascending grid.
 
     Full panels [p h, (p + 1) h] of width h = ``_panel_width(zg)`` are summed
-    by GL30 and accumulated by one ``cumsum``; each time t then adds its
-    partial panel from its grid edge j h <= t to t itself, so every time is
-    integrated to exactly t.  The integrand is evaluated once at the GL30
-    nodes of each panel up to the last time's, and a partial panel
-    integrates the interpolant of its panel's node values: one matmul with
-    ``_GL30_CHEBYSHEV`` takes the node values of each panel that holds times
+    by Fejer's first rule on 30 Chebyshev points and accumulated by one
+    ``cumsum``; each time t then adds its partial panel from its grid edge
+    j h <= t to t itself, so every time is integrated to exactly t.  The
+    integrand is evaluated once at the nodes (``_PANEL_NODES``) of each panel
+    up to the last time's, and a partial panel integrates the interpolant of
+    its panel's node values, as the full sum does: one matmul with
+    ``_PANEL_RULE`` takes the node values of each panel that holds times
     to 30 coefficients, and a time costs one basis row (``_partial_basis``,
     two numpy calls per degree over a block of times) and one 30-term dot
     product with its panel's coefficients.  Panels that reach below the
@@ -453,12 +440,12 @@ def bessel_exact_grid(ts: np.ndarray, g: float) -> np.ndarray:
     """Exact Bessel-representation A_br on an ascending time grid (0 < g <= 1).
 
     Evaluates the tail integral incrementally, so a grid costs the panels up
-    to its largest time, one 30 x 30 matmul per panel that holds times, and
-    one Chebyshev basis row and one 30-term dot product per time
-    (``_bessel_tail``); a grid that needs more than ``MAX_PANELS`` panels
-    (small g at long times) is refused.  A_br is real at eps_d = 0; the real
-    value is returned as complex for interface parity with the quadrature
-    route.
+    to its largest time, 30 Chebyshev nodes each, one 30 x 30 matmul per
+    panel that holds times, and one Chebyshev basis row and one 30-term dot
+    product per time (``_bessel_tail``); a grid that needs more than
+    ``MAX_PANELS`` panels (small g at long times) is refused.  A_br is real
+    at eps_d = 0; the real value is returned as complex for interface parity
+    with the quadrature route.
     """
     if not (0 < g <= 1.0):
         raise InvalidParameterError(f"Bessel representation requires 0 < g <= 1, got {g}")
@@ -711,10 +698,9 @@ RAY_X_MAX = 9.5
 #: RAY_X_MAX.  The weight 2 x e^{-x^2 t} peaks at x = 1/sqrt(2t), and as
 #: g -> 1 the virtual bound state nears the band edge, where the jump varies
 #: on the scale x ~ sqrt(Delta_g); geometric panels resolve both at every
-#: t and g.  [0, 1e-16] adds about 1e-16 at most to either integral, so
-#: GL15 suffices there.
+#: t and g.  Every panel takes GL30.
 _RAY_EDGES = [0.0] + [1e-16 * 2.0 ** k for k in range(57)] + [RAY_X_MAX]
-_RAY_PANELS = [(a, b, _GL15 if b <= 1e-16 else _GL30) for a, b in zip(_RAY_EDGES, _RAY_EDGES[1:])]
+_RAY_PANELS = [(a, b, _GL30) for a, b in zip(_RAY_EDGES, _RAY_EDGES[1:])]
 #: nodes and weights of the rays' composite Gauss rule on [0, RAY_X_MAX]
 _RAY_X = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b, (x, _) in _RAY_PANELS])
 _RAY_W = np.concatenate([0.5 * (b - a) * w for a, b, (_, w) in _RAY_PANELS])

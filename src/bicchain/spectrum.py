@@ -177,10 +177,11 @@ def self_energy(z, g: float, sheet: SheetTag = SheetTag.First):
 
 
 def z_gap(g: float) -> tuple[float, float]:
-    """(z_g, delta_g): the symmetric pair energy g + 1/g and its band gap."""
+    """(z_g, delta_g): the symmetric pair energy g + 1/g and its band gap
+    z_g - 2, formed as (1 - g) ((1 - g)/g), which does not cancel near g = 1
+    and overflows only where g + 1/g does."""
     check_coupling(g)
-    zg = g + 1.0 / g
-    return zg, zg - 2.0
+    return g + 1.0 / g, (1.0 - g) * ((1.0 - g) / g)
 
 
 def timescales(g: float) -> Timescales:
@@ -189,9 +190,8 @@ def timescales(g: float) -> Timescales:
     A g for which g^3 overflows (from about 5.6e102) or g^2 underflows to 0
     (below about 1.5e-162) is refused with :class:`InvalidParameterError`.
     """
-    check_coupling(g)
+    _, delta_g = z_gap(g)
     try:
-        delta_g = (1.0 - g) ** 2 / g
         zeno_c = (g + g * g + g ** 3 - 1.0) / (g * g)
     except ArithmeticError as exc:
         raise InvalidParameterError(

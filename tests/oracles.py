@@ -14,8 +14,8 @@ v-rule unless asked for the package's, and forms each time's sums by a
 plain exp at every node.  The mpmath ray oracles (``ray_jump_mp``,
 ``a_w_rays_mp``) take the same jump as the v-rule at 40 digits, where its
 two nearly equal sides still leave about 20 digits near the band edge.  The
-GL30 Bessel tail takes J_1 from ``bessel_j01`` at every node of the
-package's panel grid.
+GL30 Bessel tail takes J_1 from ``bessel_j01`` at the GL30 nodes of the
+package's panels, not at the Chebyshev nodes the package interpolates on.
 The sample-major Bessel table and the per-step moment recurrence are the
 direct route's former forms, and the ``np.polyval`` Hankel series the
 former form of ``hankel_pq``; the current ones must match them bit for bit.
@@ -31,8 +31,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from bicchain.closedform import (_GL15, _GL30, _RAY_W, _RAY_X, BLOCK_NODES, _panel_width,
-                                 _ray_jump, bessel_exact_grid)
+from bicchain.closedform import (_GL30, _RAY_W, _RAY_X, BLOCK_NODES, _gauss_legendre,
+                                 _panel_width, _ray_jump, bessel_exact_grid)
 from bicchain.evolve import _HANKEL, bessel_j01
 from bicchain.model import ModelParams, NumericalError, check_coupling
 from bicchain.spectrum import SheetTag, _chain_split, self_energy, sigma1, w_norm_sq
@@ -134,6 +134,9 @@ def ray_jump(z: np.ndarray, g: float, w: float) -> np.ndarray:
         out -= sign * (background + coupling * g_dd)
     return out
 
+
+#: The GL15 rule of the v-rule's smallest panels and of the adaptive cut rule
+_GL15 = _gauss_legendre(15)
 
 #: Panel edges of the v-rule: 0, each decade from 1e-11 to 0.1, 0.3, 1 and
 #: 6.5 (where e^{-v^2} < 5e-19); GL15 up to 1e-6 and GL30 above.

@@ -611,20 +611,35 @@ def test_property_bessel_tail_matches_gl30_oracle(g, t_max, n, seed):
     assert np.max(np.abs(tail - bessel_tail_gl30(ts, zg))) <= 2e-15
 
 
-def test_partial_rule_ends_in_the_gl30_weights_and_integrates_monomials():
-    # (time, node) weights: a time's basis row times the Chebyshev rule
-    x, w = closedform._GL30
+def test_partial_rule_ends_in_the_panel_weights_and_integrates_monomials():
+    # (time, node) weights: a time's basis row times the panel rule
+    x, w = closedform._PANEL_NODES, closedform._PANEL_WEIGHTS
     basis = closedform._partial_basis(np.array([-1.0, 1.0])).T
     assert np.all(basis[0] == 0.0)
-    ends = basis @ closedform._GL30_CHEBYSHEV
+    ends = basis @ closedform._PANEL_RULE
     assert np.all(ends[0] == 0.0)
     assert np.all(np.abs(ends[1] - w) <= np.spacing(w))
     # the interpolant of x^m, m < 30, is x^m itself
     xs = np.random.default_rng(7).uniform(-1.0, 1.0, 400)
-    beta = closedform._partial_basis(xs).T @ closedform._GL30_CHEBYSHEV
+    beta = closedform._partial_basis(xs).T @ closedform._PANEL_RULE
     for m in range(30):
         exact = (xs ** (m + 1) - (-1.0) ** (m + 1)) / (m + 1)
         assert np.max(np.abs(beta @ x ** m - exact)) <= 1e-15
+
+
+def test_panel_rule_is_fejers_first_rule_on_chebyshev_points():
+    # nodes -cos(theta_j), theta_j = pi (j + 1/2)/30, within a spacing of
+    # their 40-digit values; weights (2/30)[1 - 2 SUM_{k<=15} cos(2k theta_j)/(4k^2 - 1)]
+    x, w = closedform._PANEL_NODES, closedform._PANEL_WEIGHTS
+    mpmath.mp.dps = 40
+    for j, xj in enumerate(x):
+        exact = -mpmath.cos(mpmath.pi * (j + mpmath.mpf(1) / 2) / 30)
+        assert abs(mpmath.mpf(float(xj)) - exact) <= np.spacing(abs(xj))
+    theta = math.pi * (np.arange(30) + 0.5) / 30
+    k = np.arange(1, 16)[:, None]
+    series = np.sum(np.cos(2.0 * k * theta) / (4.0 * k * k - 1.0), axis=0)
+    fejer = (2.0 / 30.0) * (1.0 - 2.0 * series)
+    assert np.max(np.abs(w - fejer)) <= 1e-16
 
 
 @pytest.mark.parametrize("n", [15, 30])
@@ -632,7 +647,7 @@ def test_gauss_rules_are_exact_to_rounding(n):
     # the nodes are the roots of P_n to rounding: the 40-digit Newton step
     # P_n/P_n' from each node is at most one ulp; the weights lie within
     # 64 ulp of the 40-digit 2/((1 - x^2) P_n'(x)^2) at the same nodes
-    x, w = closedform._GL15 if n == 15 else closedform._GL30
+    x, w = closedform._gauss_legendre(15) if n == 15 else closedform._GL30
     assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
     mpmath.mp.dps = 40
     for xk, wk in zip(x, w):
@@ -647,7 +662,7 @@ def test_gauss_rules_are_exact_to_rounding(n):
 def test_gauss_rules_integrate_monomials(n):
     # x^m, m < 2n, over [-1, 1]; the products are summed exactly rounded, so
     # what is left is the rule's own error
-    x, w = closedform._GL15 if n == 15 else closedform._GL30
+    x, w = closedform._gauss_legendre(15) if n == 15 else closedform._GL30
     for m in range(2 * n):
         full = (1.0 - (-1.0) ** (m + 1)) / (m + 1)
         assert abs(math.fsum(w * x ** m) - full) <= 1e-15

@@ -141,6 +141,15 @@ def test_z_gap_values():
     assert z_gap(1.0)[0] == 2.0
 
 
+@pytest.mark.parametrize("g", [0.98, 0.9999, 1.0 - 1e-8, 1.0 + 1e-7, 7.0])
+def test_z_gap_delta_does_not_cancel_near_g1(g):
+    # Delta_g = (1 - g)^2/g exactly in rationals; g + 1/g - 2 in double
+    # loses all of it at 1 - 1e-8
+    exact = (1 - Fraction(g)) ** 2 / Fraction(g)
+    assert abs(Fraction(z_gap(g)[1]) - exact) <= 2e-16 * exact
+    assert timescales(g).delta_g == z_gap(g)[1]
+
+
 def test_timescales():
     ts = timescales(0.98)
     assert ts.t_vr == pytest.approx(7.96, abs=0.05)  # paper quotes ~8.0
