@@ -700,10 +700,10 @@ RAY_X_MAX = 9.5
 #: on the scale x ~ sqrt(Delta_g); geometric panels resolve both at every
 #: t and g.  Every panel takes GL30.
 _RAY_EDGES = [0.0] + [1e-16 * 2.0 ** k for k in range(57)] + [RAY_X_MAX]
-_RAY_PANELS = [(a, b, _GL30) for a, b in zip(_RAY_EDGES, _RAY_EDGES[1:])]
+_RAY_PANELS = list(zip(_RAY_EDGES, _RAY_EDGES[1:]))
 #: nodes and weights of the rays' composite Gauss rule on [0, RAY_X_MAX]
-_RAY_X = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b, (x, _) in _RAY_PANELS])
-_RAY_W = np.concatenate([0.5 * (b - a) * w for a, b, (_, w) in _RAY_PANELS])
+_RAY_X = np.concatenate([0.5 * (b - a) * _GL30[0] + 0.5 * (a + b) for a, b in _RAY_PANELS])
+_RAY_W = np.concatenate([0.5 * (b - a) * _GL30[1] for a, b in _RAY_PANELS])
 
 #: Below x^2 t = RAY_SERIES_MAX the rays take e^{-x^2 t} from its Taylor
 #: series to RAY_MOMENTS terms, through prefix moments of the jumps.

@@ -8,11 +8,11 @@ which puts the cut exactly on the band [-2, 2] and behaves like z at large
 reciprocal (z + s)/2 on the second; neither form cancels, as |z + s| >= 2.
 From it come the self-energy Sigma = g^2 z sigma_1^2 (-> g^2/z on the first
 sheet), the wavevector e^{ik} = -sigma_1 of a discrete state
-and, through :func:`_chain_split`, the residues.  sqrt_band, sigma1 and
-self_energy take a scalar (returned as a Python complex) or an array, on the
-same numpy square roots.  At the band edges z = +/-2 the root is exactly 0,
-so the formulas themselves give the limits sigma_1 = z/2 and
-Sigma = z g^2 (z^2 - 2)/2 on both sheets.  The second sheet
+and, through :func:`_chain_split`, the residues of :func:`partial_fractions`.
+sqrt_band, sigma1 and self_energy take a scalar (returned as a Python
+complex) or an array, on the same numpy square roots.  At the band edges
+z = +/-2 the root is exactly 0, so the formulas themselves give the limits
+sigma_1 = z/2 and Sigma = z g^2 (z^2 - 2)/2 on both sheets.  The second sheet
 continues the first through the cut (retarded boundary value from above
 equals the second-sheet value from below).
 
@@ -41,9 +41,9 @@ nearest +/-1 is the band-edge state.  The complex pair is the resonance pair
 on the second sheet, since the first-sheet resolvent is analytic off the real
 axis; it stays a pair when Im z_res is below rounding.  At eps_d = 0,
 P = (g^2 sigma^2 - 1)(sigma^2 + 1): +/- i is the BIC and +/- 1/g the pair at
-+/- z_g.  Each state takes k = -i log(-sigma) and the perp residue
-N_0^2 Q_0(sigma) Res[G_dd] with Res[G_dd] = -(sigma^2 - 1)/(sigma P'(sigma)),
-with no square root.  Every state meets the residual bound 1e-10 at its
++/- z_g.  Each state takes k = -i log(-sigma), with no square root; its
+residue is read from :func:`partial_fractions` (:func:`first_sheet_poles` at
+the bound states).  Every state meets the residual bound 1e-10 at its
 reported z (where sigma + 1/sigma misses it, after one Newton step in z) and
 the dispersion check -2 cos k = z to 1e-12.  A root closer to a band edge
 than the residual bound can resolve in double precision raises
@@ -95,7 +95,6 @@ class DiscreteState:
     sheet: SheetTag
     kind: StateKind
     k: complex
-    residue_weight: complex
     band_edge: bool = False
 
     def to_json_dict(self) -> dict:
@@ -259,7 +258,7 @@ def _band_edge_state(z_sign: float) -> DiscreteState:
     # sigma_1 = z/2 = z_sign; k = pi (upper), 0 (lower)
     return DiscreteState(z=complex(2.0 * z_sign), sheet=SheetTag.Second,
                          kind=StateKind.VirtualBound, k=_wavenumber(complex(z_sign)),
-                         residue_weight=0j, band_edge=True)
+                         band_edge=True)
 
 
 def _band_poly(sig, g2: float, eps_d: float):
@@ -270,9 +269,8 @@ def _band_poly(sig, g2: float, eps_d: float):
 
 
 def _band_root(sig, g2: float, eps_d: float):
-    """(sigma, Res[G_dd]) at a root sigma of P, polished by at most 6 Newton steps
-    on P, each taken only if it lowers |P| (near a double root a step can throw
-    sigma far off).  The residue of G_dd is 1/f'(z) = -(sigma^2 - 1)/(sigma P'(sigma))."""
+    """A root sigma of P, polished by at most 6 Newton steps on P, each taken
+    only if it lowers |P| (near a double root a step can throw sigma far off)."""
     p, dp = _band_poly(sig, g2, eps_d)
     for _ in range(6):
         new = sig - p / dp
@@ -280,15 +278,14 @@ def _band_root(sig, g2: float, eps_d: float):
         if not abs(p_new) < abs(p):
             break
         sig, p, dp = new, p_new, dp_new
-    return sig, (1.0 - sig * sig) / (sig * dp)
+    return sig
 
 
-def _band_roots(g: float, eps_d: float) -> tuple[list[tuple[float, float]],
-                                                 tuple[complex, complex] | None]:
-    """The roots of P as (sigma, Res[G_dd]) from :func:`_band_root`: the real ones,
-    nearest |sigma| = 1 first, and the complex pair's root with Im sigma < 0, or None.
+def _band_roots(g: float, eps_d: float) -> tuple[list[float], complex | None]:
+    """The roots of P, polished by :func:`_band_root`: the real ones, nearest
+    |sigma| = 1 first, and the complex pair's root with Im sigma < 0, or None.
     At eps_d = 0 the pair is the BIC pair +/- i, which no caller takes further:
-    its root comes as the eigenvalue, unpolished, with the residue None."""
+    its root comes as the eigenvalue, unpolished."""
     g2 = g * g
     # the eigenvalues of P's companion matrix, as numpy.roots takes them
     roots = np.linalg.eigvals(np.array([[0.0, (1.0 - g2) / g2, -eps_d / g2, 1.0 / g2],
@@ -296,8 +293,8 @@ def _band_roots(g: float, eps_d: float) -> tuple[list[tuple[float, float]],
                                         [0.0, 0.0, 1.0, 0.0]])).tolist()
     real = sorted((r.real for r in roots if r.imag == 0.0), key=lambda r: abs(abs(r) - 1.0))
     pair = next((r for r in roots if r.imag < 0.0), None)
-    if pair is not None:
-        pair = _band_root(pair, g2, eps_d) if eps_d != 0.0 else (pair, None)
+    if pair is not None and eps_d != 0.0:
+        pair = _band_root(pair, g2, eps_d)
     return [_band_root(x, g2, eps_d) for x in real], pair
 
 
@@ -312,11 +309,15 @@ def partial_fractions(params: ModelParams,
     a0 = (w^2 eps_d + 2 w (1 + g^2))/g^2.  The sigma_j are the roots of P from
     :func:`_band_roots` and c_j = -sigma_j Q_w(sigma_j)/P'(sigma_j) with P'(sigma_j)
     taken as g^2 PROD_{l != j} (sigma_j - sigma_l), so c_j (sigma_j - sigma_k)
-    stays accurate where two roots nearly meet.  At eps_d = 0, P = (g^2 sigma^2 - 1)
-    (sigma^2 + 1): the roots +/- 1/g are exact, with c = -(1 + sigma^2)
-    (1 - w sigma)^2/2, and the BIC pair +/- i, whose c vanishes with Q_w's
-    double zero, is left out; so small couplings, whose companion matrix
-    overflows, still resolve there.  Where the roots or the c_j are out of
+    stays accurate where two roots nearly meet.  These are the package's only
+    residues: the residue in z of N_w^2 F at sigma_j is N_w^2 c_j (1 - 1/sigma_j^2).
+    Q_w carries (1 + sigma^2)^2, which cancels at the complex pair as it nears
+    +/- i (small eps_d); there 1 + sigma^2 is taken as -eps_d sigma/(g^2 sigma^2 - 1),
+    exact at a root of P since P = (1 + sigma^2)(g^2 sigma^2 - 1) + eps_d sigma.
+    At eps_d = 0, P = (g^2 sigma^2 - 1)(sigma^2 + 1): the roots +/- 1/g are
+    exact, with c = -(1 + sigma^2) (1 - w sigma)^2/2, and the BIC pair +/- i,
+    whose c vanishes with Q_w's double zero, is left out; so small couplings,
+    whose companion matrix overflows, still resolve there.  Where the roots or the c_j are out of
     double's reach it raises :class:`RootFindError`.
     """
     g, eps_d = params.g, params.eps_d
@@ -330,15 +331,20 @@ def partial_fractions(params: ModelParams,
                 poles.append((complex(sig), complex(-(1.0 + sig * sig) * one * one / 2.0)))
         else:
             real, pair = _band_roots(g, eps_d)
-            roots = [complex(sig) for sig, _ in real]
+            roots = [complex(sig) for sig in real]
             if pair is not None:
-                roots += [pair[0], pair[0].conjugate()]
+                roots += [pair, pair.conjugate()]
             poles = []
             for j, sig in enumerate(roots):
                 slope = g2
                 for other in roots[:j] + roots[j + 1:]:
                     slope *= sig - other
-                poles.append((sig, -sig * _chain_split(sig, g, w)[1] / slope))
+                if j < len(real):
+                    q_w = _chain_split(sig, g, w)[1]
+                else:  # the pair, where 1 + sigma^2 = -eps_d sigma/(g^2 sigma^2 - 1)
+                    one = 1.0 - w * sig
+                    q_w = g2 * (eps_d * sig / (g2 * sig * sig - 1.0)) ** 2 * one * one
+                poles.append((sig, -sig * q_w / slope))
     except (ArithmeticError, np.linalg.LinAlgError) as exc:  # extreme g: overflow, lost roots
         raise RootFindError(f"roots of P not resolvable at g = {g:g}", 0j) from exc
     if not (all(map(math.isfinite, poly))
@@ -350,24 +356,23 @@ def partial_fractions(params: ModelParams,
 def first_sheet_poles(params: ModelParams, w: float) -> list[tuple[float, float]]:
     """(z, residue) at each bound state from :func:`partial_fractions`: z = sigma + 1/sigma
     at a real root |sigma| < 1 of P and N_w^2 Re(c) (1 - 1/sigma^2), which is
-    N_w^2 Q_w Res[G_dd] (F is real on the real axis; Im c is rounding).
+    algebraically N_w^2 Q_w(sigma) (1 - sigma^2)/(sigma P'(sigma)) (F is real on
+    the real axis; Im c is rounding).
     Unchecked: the residue carries 1 - sigma^2, so it falls to 0 at a threshold."""
     nw2 = w_norm_sq(params.g, w)
     return [(sig.real + 1.0 / sig.real, nw2 * c.real * (1.0 - 1.0 / (sig.real * sig.real)))
             for sig, c in partial_fractions(params, w)[1] if sig.imag == 0.0 and abs(sig) < 1.0]
 
 
-def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
-                kind: StateKind) -> DiscreteState:
-    """The state at a root sigma of P: z = sigma + 1/sigma, e^{ik} = -sigma, and the
-    perp residue N_0^2 Q_0(sigma) Res[G_dd].
+def _pole_state(sig, params: ModelParams, sheet: SheetTag, kind: StateKind) -> DiscreteState:
+    """The state at a root sigma of P: z = sigma + 1/sigma and e^{ik} = -sigma.
 
     z must meet the residual bound |z - eps_d - Sigma(z)| < 1e-10 on its sheet.
-    Where sigma + 1/sigma misses it, z takes one Newton step in z, whose 1/f'(z)
-    is Res[G_dd]: z carries a rounding error of about 1e-16 |sigma| that
-    f' ~ g^2 amplifies (the resonance pair at large g).  Near a double root,
-    where f' ~ 0, the step would amplify the residual's own rounding instead,
-    so it is taken only where needed.
+    Where sigma + 1/sigma misses it, z takes one Newton step in z, with
+    1/f'(z) = (1 - sigma^2)/(sigma P'(sigma)): z carries a rounding error of
+    about 1e-16 |sigma| that f' ~ g^2 amplifies (the resonance pair at large
+    g).  Near a double root, where f' ~ 0, the step would amplify the
+    residual's own rounding instead, so it is taken only where needed.
     """
     def residual(z: complex) -> tuple[complex, complex]:
         if kind is StateKind.Resonance:  # Im z below rounding may take either sign
@@ -376,12 +381,11 @@ def _pole_state(sig, r_dd, params: ModelParams, sheet: SheetTag,
 
     z, f = residual(complex(sig + 1.0 / sig))
     if abs(f) > 1e-10:
-        z, f = residual(z - f * r_dd)
+        dp = _band_poly(sig, params.g * params.g, params.eps_d)[1]
+        z, f = residual(z - f * ((1.0 - sig * sig) / (sig * dp)))
     if abs(f) > 1e-10:
         raise RootFindError("state misses the residual bound 1e-10 on its sheet", z)
-    return DiscreteState(z=z, sheet=sheet, kind=kind, k=_wavenumber(sig),
-                         residue_weight=complex(w_norm_sq(params.g, 0.0)
-                                                * _chain_split(sig, params.g, 0.0)[1] * r_dd))
+    return DiscreteState(z=z, sheet=sheet, kind=kind, k=_wavenumber(sig))
 
 
 def _band_root_states(params: ModelParams) -> list[DiscreteState]:
@@ -405,24 +409,23 @@ def _band_root_states(params: ModelParams) -> list[DiscreteState]:
     edges = [e for e in (2.0, -2.0)
              if abs(e - eps_d - e * g2) < 1e-10 or (eps_d == 0.0 and z_gap(g)[0] == 2.0)]
     states = []
-    for sig, r_dd in real:
+    for sig in real:
         edge = math.copysign(2.0, sig)
         if edge in edges:
             edges.remove(edge)
             states.append(_band_edge_state(edge / 2.0))
         elif abs(sig) < 1.0:
-            states.append(_pole_state(sig, r_dd, params, SheetTag.First, StateKind.Bound))
+            states.append(_pole_state(sig, params, SheetTag.First, StateKind.Bound))
         else:
-            states.append(_pole_state(sig, r_dd, params, SheetTag.Second, StateKind.VirtualBound))
+            states.append(_pole_state(sig, params, SheetTag.Second, StateKind.VirtualBound))
     if pair is not None and eps_d == 0.0:
         states.append(DiscreteState(z=0j, sheet=SheetTag.First, kind=StateKind.BIC,
-                                    k=complex(math.pi / 2.0), residue_weight=0j))
+                                    k=complex(math.pi / 2.0)))
     elif pair is not None:
-        sig, r_dd = pair
-        res = _pole_state(sig, r_dd, params, SheetTag.Second, StateKind.Resonance)
+        res = _pole_state(pair, params, SheetTag.Second, StateKind.Resonance)
         states += [res, DiscreteState(z=res.z.conjugate(), sheet=SheetTag.Second,
-                                      kind=StateKind.AntiResonance, k=_wavenumber(sig.conjugate()),
-                                      residue_weight=res.residue_weight.conjugate())]
+                                      kind=StateKind.AntiResonance,
+                                      k=_wavenumber(pair.conjugate()))]
     return states
 
 

@@ -2,11 +2,13 @@
 
 The self-energy quadrature is independent of the package.  The other
 oracles are built on its run-path pieces (``self_energy``, ``sigma1``,
-``_chain_split``, ``w_norm_sq``, ``_ray_jump`` and ``bessel_exact_grid``),
-so a test that checks them against the CSR solve, the large-z limit or an
-identity checks those pieces too; the impurity resolvent ``resolvent_dd`` and its
-``NearPoleError`` are among them.  ``sheet_of`` is the spectrum's former
-rule for the sheet of a real root: the sheet of the smaller residual.
+``_chain_split``, ``_band_poly``, ``w_norm_sq``, ``_ray_jump`` and
+``bessel_exact_grid``), so a test that checks them against the CSR solve,
+the large-z limit or an identity checks those pieces too; the impurity
+resolvent ``resolvent_dd`` and its ``NearPoleError`` are among them.
+``sheet_of`` is the spectrum's former rule for the sheet of a real root: the
+sheet of the smaller residual, and ``perp_residue`` its former residue of a
+state, N_0^2 Q_0 Res[G_dd].
 The v-rule ray oracle takes sigma_1 from principal
 square roots instead of ``sigma1`` and integrates on a rule of its own; the
 plain-exp ray oracle shares the package's rule, takes the same jump as the
@@ -35,7 +37,8 @@ from bicchain.closedform import (_GL30, _RAY_W, _RAY_X, BLOCK_NODES, _gauss_lege
                                  _panel_width, _ray_jump, bessel_exact_grid)
 from bicchain.evolve import _HANKEL, bessel_j01
 from bicchain.model import ModelParams, NumericalError, check_coupling
-from bicchain.spectrum import SheetTag, _chain_split, self_energy, sigma1, w_norm_sq
+from bicchain.spectrum import (SheetTag, _band_poly, _chain_split, self_energy, sigma1,
+                               w_norm_sq)
 
 
 class NearPoleError(NumericalError):
@@ -114,6 +117,15 @@ def a_w_resolvent(z: complex, params: ModelParams, w: float) -> complex:
     """
     background, coupling = _chain_split(sigma1(z), params.g, w)
     return w_norm_sq(params.g, w) * (background + coupling * resolvent_dd(z, params))
+
+
+def perp_residue(sig: float, params: ModelParams) -> complex:
+    """N_0^2 Q_0(sigma) Res[G_dd] at a root sigma of P, with
+    Res[G_dd] = (1 - sigma^2)/(sigma P'(sigma)): the spectrum's former residue
+    of a state, in its former order of operations."""
+    dp = _band_poly(sig, params.g * params.g, params.eps_d)[1]
+    return complex(w_norm_sq(params.g, 0.0) * _chain_split(sig, params.g, 0.0)[1]
+                   * ((1.0 - sig * sig) / (sig * dp)))
 
 
 def bessel_exact(t: float, g: float) -> complex:

@@ -17,7 +17,7 @@ from bicchain.model import InvalidParameterError, ModelParams, hamiltonian
 from bicchain.spectrum import (RootFindError, SheetTag, StateKind, discrete_spectrum,
                                resonance_expansion, self_energy, sigma1, spectrum_report,
                                sqrt_band, timescales, z_gap)
-from oracles import NearPoleError, resolvent_dd, self_energy_quadrature, sheet_of
+from oracles import NearPoleError, perp_residue, resolvent_dd, self_energy_quadrature, sheet_of
 
 FIRST, SECOND = SheetTag.First, SheetTag.Second
 
@@ -281,44 +281,41 @@ def test_root_residuals():
 def test_bound_state_residues_match_pole_term():
     # residue of the perp resolvent at each bound state is (g^2-1)/(2g^2)
     for g in (1.2, 5.0, 30.0):
-        states = discrete_spectrum(ModelParams(g=g))
-        assert sum(st.kind is StateKind.Bound for st in states) == 2
-        for st in states:
-            if st.kind is StateKind.Bound:
-                assert st.residue_weight == pytest.approx((g * g - 1) / (2 * g * g), abs=1e-12)
-            if st.kind is StateKind.BIC:
-                assert st.residue_weight == 0
+        poles = spectrum.first_sheet_poles(ModelParams(g=g), 0.0)
+        assert len(poles) == 2
+        for _, residue in poles:
+            assert residue == pytest.approx((g * g - 1) / (2 * g * g), abs=1e-12)
 
 
 def _residues_at_exact_roots(g, eps_d):
-    """(k, N_0^2 Q_0(sigma) Res[G_dd]) at the 50-digit roots sigma = -e^{ik} of P.
-
-    Matched by k, which tells the resonance pair apart even where its Im z
-    rounds to 0."""
+    """(sigma, N_0^2 Q_0(sigma) Res[G_dd]) at the 50-digit roots sigma of P."""
     mpmath.mp.dps = 50
     g2, eps = mpmath.mpf(g) ** 2, mpmath.mpf(eps_d)
     out = []
     for sig in mpmath.polyroots([g2, 0, g2 - 1, eps, -1], maxsteps=200, extraprec=200):
         dp = 4 * g2 * sig ** 3 + 2 * (g2 - 1) * sig + eps
         residue = g2 * (1 + sig * sig) ** 2 * (1 - sig * sig) / (sig * dp) / (1 + g2)
-        k = complex(-1j * mpmath.log(-sig))
-        out.append((k + 2.0 * math.pi if k.real < 0.0 else k, complex(residue)))
+        out.append((complex(sig), complex(residue)))
     return out
 
 
 @pytest.mark.parametrize("g, eps_d, bound", [
     (0.9, 0.2, 1e-13), (1.3, -0.7, 1e-13), (0.1, 2.5, 1e-13), (5.0, 40.0, 1e-13),
     (0.5, -300.0, 1e-13),
-    # the pair's Q_0 = g^2 (1 + sigma^2)^2 cancels near sigma = +/-i, by about
-    # 1e-16/|z_res| = 6e-8 at z_res = 1.7e-9; 1/(1 - Sigma') at the polished z
-    # is 5.2e-7 off for the anti-resonance here
-    (27.49727761118915, 1.2825862165077613e-06, 1e-7),
+    # small detunings, where the pair nears sigma = +/-i and 1 + sigma^2
+    # cancels unless formed as -eps_d sigma/(g^2 sigma^2 - 1)
+    (27.49727761118915, 1.2825862165077613e-06, 1e-13),
+    (11.494199879250813, 1.9549002336350113e-06, 1e-13),
 ])
 def test_residue_weight_matches_the_exact_root(g, eps_d, bound):
+    # every root's N_0^2 c_j (1 - 1/sigma_j^2) from the partial fractions
     exact = _residues_at_exact_roots(g, eps_d)
-    for s in discrete_spectrum(ModelParams(g=g, eps_d=eps_d)):
-        _, residue = min(exact, key=lambda kr: abs(kr[0] - s.k))
-        assert abs(s.residue_weight - residue) <= bound * abs(residue)
+    nw2 = spectrum.w_norm_sq(g, 0.0)
+    poles = spectrum.partial_fractions(ModelParams(g=g, eps_d=eps_d), 0.0)[1]
+    assert len(poles) == 4
+    for sig, c in poles:
+        _, residue = min(exact, key=lambda sr: abs(sr[0] - sig))
+        assert abs(nw2 * c * (1.0 - 1.0 / (sig * sig)) - residue) <= bound * abs(residue)
 
 
 @pytest.mark.parametrize("g", [5.0, 7.498, 10.0, 30.0, 100.0])
@@ -665,19 +662,20 @@ def test_partial_fractions_rebuild_the_resolvent(g, eps_d, w):
 @example(g=2.0, eps_d=0.0)
 @example(g=0.9, eps_d=0.38 + 1e-3)
 def test_property_first_sheet_poles_are_the_bound_states(g, eps_d):
-    # the residue from the partial fractions, N_0^2 c (1 - 1/sigma^2), and the
-    # spectrum's N_0^2 Q_0 Res[G_dd] are one quantity; outside the threshold
-    # band (1e-5 max(1, g)^4 wide in eps_d) both list the same bound states
+    # outside the threshold band (1e-5 max(1, g)^4 wide in eps_d) the poles
+    # are the spectrum's bound states, and their residue N_0^2 c (1 - 1/sigma^2)
+    # is N_0^2 Q_0 Res[G_dd] at the same root
     assume(min(abs(2.0 * g * g - 2.0 + eps_d), abs(2.0 * g * g - 2.0 - eps_d))
            > 1e-4 * max(1.0, g) ** 4)
     params = ModelParams(g=g, eps_d=eps_d)
-    bound = sorted((s.z.real, s.residue_weight) for s in discrete_spectrum(params)
-                   if s.kind is StateKind.Bound)
-    poles = sorted(spectrum.first_sheet_poles(params, 0.0))
+    bound = sorted(s.z.real for s in discrete_spectrum(params) if s.kind is StateKind.Bound)
+    roots = [sig.real for sig, _ in spectrum.partial_fractions(params, 0.0)[1]
+             if sig.imag == 0.0 and abs(sig) < 1.0]
+    poles = sorted(zip(spectrum.first_sheet_poles(params, 0.0), roots))
     assert len(poles) == len(bound)
-    for (z, residue), (z_b, weight) in zip(poles, bound):
+    for ((z, residue), sig), z_b in zip(poles, bound):
         assert abs(z - z_b) <= 1e-14
-        assert abs(residue - weight) <= 1e-14
+        assert abs(residue - perp_residue(sig, params)) <= 1e-14
 
 
 def test_partial_fractions_at_small_coupling():
