@@ -3,8 +3,8 @@
 Subcommands: ``spectrum`` (discrete-spectrum JSON report), ``evolve``
 (survival/non-escape CSV), ``analytic`` (closed-form overlay CSV),
 ``compare`` (cross-validation of the evolution against the semi-analytic
-routes, CSV + JSON), ``figure`` (regenerate the data behind a named
-figure as one CSV per panel).
+routes, CSV + JSON), ``figure`` (regenerate the data behind one or more
+named figures, or ``all``, as one CSV per panel).
 
 ``FIGURES`` is the one table of figures: each figure id maps to its panels,
 and a panel row ``(writer, name, *args)`` starts with its writer, which
@@ -19,10 +19,13 @@ exception is a bug and ends in a traceback (exit 1).  Data rows never carry
 timestamps; metadata carries one only without ``--no-meta-time``, so
 repeated identical invocations with the flag produce byte-identical files.
 
-:func:`main` builds its parser once per process (:func:`build_parser` is
-cached) and finds the handler ``_cmd_<command>`` by name when it dispatches,
-so an in-process caller such as a test or a notebook pays about 0.1 ms per
-call to parse instead of about 1.5 ms to build the parser.
+:func:`main` builds its parsers once per process and finds the handler
+``_cmd_<command>`` by name.  When the first argument names a command, that
+command's own parser reads the rest, in about 25 us; only any other argument
+list (``--version``, ``--help``, a missing or unknown command) goes through
+the top-level parser, whose two-level parse takes about 50 us (2-vCPU x86
+host, Python 3.11).  An in-process caller such as a test or a notebook so
+pays no parser build, about 1.5 ms, per call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import argparse
 import os
 import sys
 from contextlib import suppress
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -363,25 +366,22 @@ FIGURES: dict[str, list[tuple]] = {
 }
 
 
-def _write_panel(outdir: Path, meta_time: bool, panel: tuple) -> None:
-    writer, name, *args = panel
-    writer(outdir / f"{name}.csv", *args, meta_time=meta_time)
-
-
 def _cmd_figure(args) -> int:
-    if args.figure_id not in FIGURES:
-        raise InvalidParameterError(
-            f"unknown figure id {args.figure_id!r}; valid ids: {', '.join(FIGURES)}")
+    """Write the panels of each named figure (``all``: every figure, in
+    ``FIGURES`` order) one after another in the calling thread.  Every id is
+    checked before the first file is written."""
+    ids = [fid for token in args.figure_ids for fid in (FIGURES if token == "all" else [token])]
+    for fid in ids:
+        if fid not in FIGURES:
+            raise InvalidParameterError(
+                f"unknown figure id {fid!r}; valid ids: {', '.join(FIGURES)}, or all")
     if args.jobs < 1:
         raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write = partial(_write_panel, outdir, not args.no_meta_time)
-    # imported here: concurrent.futures (and the logging it loads) would
-    # cost every other command about 7 ms of start-up
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        list(pool.map(write, FIGURES[args.figure_id]))
+    for fid in ids:
+        for writer, name, *panel_args in FIGURES[fid]:
+            writer(outdir / f"{name}.csv", *panel_args, meta_time=not args.no_meta_time)
     return 0
 
 
@@ -389,8 +389,9 @@ def _cmd_figure(args) -> int:
 # parser
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by later ones."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by command name,
+    built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="bicchain",
         description="Decay near a bound state in continuum on a side-coupled chain")
@@ -444,10 +445,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
 
     p_fig = sub.add_parser("figure", help="regenerate figure data (one CSV per panel)")
-    p_fig.add_argument("figure_id", help=f"one of: {', '.join(FIGURES)}")
-    p_fig.add_argument("--jobs", type=int, default=1, help="parallel panel workers")
+    p_fig.add_argument("figure_ids", nargs="+", metavar="figure_id",
+                       help=f"one or more of: {', '.join(FIGURES)}; or all")
+    p_fig.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility (an integer >= 1); has no effect")
     add_common(p_fig)
-    return parser
+    commands = {"spectrum": p_spec, "evolve": p_ev, "analytic": p_an, "compare": p_cmp,
+                "figure": p_fig}
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level command-line parser (built once per process)."""
+    return _parsers()[0]
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
@@ -517,7 +527,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config_file(argv)
-        args = build_parser().parse_args(_attach_negative_values(argv))
+        argv = _attach_negative_values(argv)
+        parser, commands = _parsers()
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
         return globals()[f"_cmd_{args.command}"](args)
     except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

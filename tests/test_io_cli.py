@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import bicchain
 from bicchain import cli, closedform, io, spectrum
@@ -68,6 +70,59 @@ def test_json_round_trip(tmp_path):
     doc = {"a": 1.5, "nested": {"b": [1, 2, 3]}, "inf": math.inf}
     io.write_json(path, doc)
     assert io.read_json(path) == doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24)
+
+
+@given(obj=JSON_VALUES)
+@example(obj={"\u00e9\n\"\\\x00\u2603\U0001f600": ("\t", -0.0, 2**64 + 1), "": [[], {}, ()],
+              "n": [None, True, False, math.nan, -math.inf, math.inf, 5e-324, 1e308]})
+@example(obj=np.float64(0.1))
+def test_property_json_writer_is_json_dumps(tmp_path_factory, obj):
+    # the writer's own encoder emits json.dumps' text byte for byte
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    io.write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--g", "1"],  # null timescales
+    ["spectrum", "--g", "0.5", "--eps-d", "1.5"],  # a band-edge state
+    *(["spectrum", "--g", g, "--eps-d", eps_d]
+      for g, eps_d in [("0.9", "0"), ("1.1", "0"), ("0.9", "0.2"), ("1.3", "-0.4"),
+                       ("0.3", "1e-3")]),
+    ["compare", "--g", "0.9", "--tmax", "30", "--samples", "301"],
+    ["compare", "--g", "1.3", "--eps-d", "0.4", "--tmax", "40", "--samples", "401"],
+])
+def test_reports_are_written_as_json_dumps_writes_them(tmp_path, monkeypatch, argv):
+    written = []
+    write_json = io.write_json
+
+    def recording(path, obj):
+        write_json(path, obj)
+        written.append((path, obj))
+
+    monkeypatch.setattr(io, "write_json", recording)
+    assert run_cli(*argv, "--out", str(tmp_path / "report"), "--no-meta-time") == 0
+    [(path, obj)] = written
+    assert Path(path).read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("obj", [{"n": np.int64(3)}, {(1, 2): 0.5}, {"x": [object()]}],
+                         ids=["int64", "tuple_key", "object"])
+def test_json_writer_refuses_what_json_refuses(tmp_path, obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        io.write_json(tmp_path / "x.json", obj)
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +509,15 @@ def test_cli_compare_loads_no_scipy_for_the_bessel_route(tmp_path):
     assert "re_A_bessel" in (tmp_path / "c.csv").read_text()
 
 
-def test_cli_import_loads_no_thread_pool_or_numpy_polynomial():
-    # every command pays its imports at start-up: the figure command's thread
-    # pool (concurrent.futures, which loads logging) is imported where it is
-    # used, and the Gauss rules are built without numpy.polynomial
+def test_cli_import_loads_no_thread_pool_or_numpy_polynomial(tmp_path):
+    # every command pays its imports at start-up: the figure command writes
+    # its panels in the calling thread, so no thread pool (concurrent.futures,
+    # which loads logging) is loaded, and the Gauss rules are built without
+    # numpy.polynomial
     script = (
         "import sys\n"
         "import bicchain.cli\n"
+        f"assert bicchain.cli.main(['figure', 'fig1', '--out', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')\n"
         "             or m.split('.')[:2] == ['numpy', 'polynomial']))\n")
     assert _run_fresh(script) == "[]"
@@ -1020,8 +1077,36 @@ def test_cli_compare_with_bound_states(tmp_path, g, eps_d, t_max):
 # ---------------------------------------------------------------------------
 # figure command
 
-def test_cli_figure_unknown_id(tmp_path):
-    assert run_cli("figure", "nofig", "--out", str(tmp_path), "--no-meta-time") == 2
+def test_cli_figure_unknown_id(tmp_path, capsys):
+    # every id is checked before the first panel is written
+    for ids in (["nofig"], ["fig1", "nofig", "figS2"]):
+        assert run_cli("figure", *ids, "--out", str(tmp_path), "--no-meta-time") == 2
+        assert "unknown figure id 'nofig'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+def test_cli_figure_several_ids_write_the_bytes_of_single_runs(tmp_path):
+    assert run_cli("figure", "fig1", "figS2", "--out", str(tmp_path / "both"),
+                   "--no-meta-time") == 0
+    for fid in ("fig1", "figS2"):
+        assert run_cli("figure", fid, "--out", str(tmp_path / "one"), "--no-meta-time") == 0
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert names == ["fig1_spectrum.csv", "figS2_evolve.csv", "figS2_overlays.csv"]
+    assert sorted(p.name for p in (tmp_path / "both").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_cli_figure_all_is_every_figure_in_table_order(tmp_path, monkeypatch):
+    calls = []
+
+    def record(path, fid, *, meta_time):
+        calls.append((path, fid, meta_time))
+
+    monkeypatch.setattr(cli, "FIGURES", {fid: [(record, f"{fid}_panel", fid)]
+                                         for fid in cli.FIGURES})
+    assert run_cli("figure", "all", "--out", str(tmp_path), "--no-meta-time") == 0
+    assert calls == [(tmp_path / f"{fid}_panel.csv", fid, False) for fid in cli.FIGURES]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -1101,8 +1186,7 @@ def test_cli_figure_figS3_panels(tmp_path):
 
 
 def test_cli_figure_figS3_jobs_write_the_same_bytes(tmp_path):
-    # panels evolved on parallel threads share no buffer: two workers write
-    # every panel byte for byte as one does
+    # --jobs does not change the bytes
     for jobs in ("1", "2"):
         assert run_cli("figure", "figS3", "--out", str(tmp_path / jobs), "--no-meta-time",
                        "--jobs", jobs) == 0
@@ -1129,3 +1213,61 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# command dispatch
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["--g", "0.9"]])
+def test_main_without_a_command_exits_2_from_the_top_level_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("bicchain: error:")
+
+
+def test_command_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bicchain spectrum")
+
+
+def test_stray_flag_is_named_under_the_commands_usage(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--g", "0.9", "--tmax", "1", "--out", str(tmp_path / "c"),
+              "--grid", "log"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "bicchain compare: error: unrecognized arguments: --grid log"
+    assert not list(tmp_path.iterdir())
+
+
+MODEL_CFG = "# defaults\ng = 0.7\neps_d = -1e-3\nno_meta_time = true\n"
+
+
+@pytest.mark.parametrize("argv, cfg_text", [
+    (["spectrum", "--g", "0.9", "--eps-d", "-1e-3", "--out", "s.json"], None),
+    (["spectrum", "--config", "{cfg}", "--g", "1.2", "--out", "s.json"], MODEL_CFG),
+    (["evolve", "--g", "0.9", "--state", "w:-1e-3", "--tmax", "5", "--samples", "11",
+      "--sites", "auto", "--abs-tol", "1e-12", "--grid", "log", "--out", "e.csv"], None),
+    (["evolve", "--config={cfg}", "--tmax", "8", "--out", "e.csv"], MODEL_CFG + "tmax = 50\n"),
+    (["analytic", "--g", "0.98", "--tags", "NearZoneEarlyProb", "--tmax", "10",
+      "--out", "a.csv"], None),
+    (["compare", "--g", "1.3", "--eps-d", "-0.4", "--tmax", "5", "--out", "c",
+      "--no-meta-time"], None),
+    (["figure", "fig1", "figS2", "--jobs", "1", "--out", "figs"], None),
+    (["figure", "all", "--out", "figs", "--config", "{cfg}"], "jobs = 2\nno_meta_time = 1\n"),
+])
+def test_command_parser_gives_the_top_level_namespace(tmp_path, monkeypatch, argv, cfg_text):
+    cfg = tmp_path / "run.cfg"
+    if cfg_text is not None:
+        cfg.write_text(cfg_text)
+    argv = [token.format(cfg=cfg) for token in argv]
+    seen = []
+    monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: seen.append(args) or 0)
+    assert main(argv) == 0
+    top = cli.build_parser().parse_args(
+        cli._attach_negative_values(cli._apply_config_file(argv)))
+    assert seen == [top]
+    assert top.command == argv[0]
